@@ -222,6 +222,12 @@ int main(int argc, char** argv) {
 
   // --- phase 2: sustained publish/deliver through live sessions -----------
   const long live_now = static_cast<long>(swarm.live());
+  if (live_now == 0) {
+    // Nothing to publish into: the round-robin below would divide by zero.
+    std::printf("\nsustain: the live wave is empty (%ld sessions opened, "
+                "none live)\n\nmicro_edge: FAIL\n", opened);
+    return 1;
+  }
   const long base = opened - live_now;  // first idx of the live wave
   std::printf("\nsustain: %ld publishes, payload %ld B, 1:1 fan-out into "
               "the %ld live sessions\n", publishes, payload_bytes, live_now);

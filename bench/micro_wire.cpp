@@ -1,9 +1,8 @@
 // micro_wire — loopback TCP wire-path benchmark.
 //
 // Measures the outbound wire path of net::TcpHost between two hosts on
-// 127.0.0.1, sweeping the wire batch size (1 = the synchronous
-// frame-per-message path, >1 = the queued writer pool with frame
-// coalescing) against two payload sizes:
+// 127.0.0.1, sweeping the wire batch size (1 = one envelope per frame,
+// >1 = frame coalescing) against two payload sizes:
 //
 //   throughput  blast N publications and time until the receiver has
 //               counted all of them
@@ -184,8 +183,8 @@ void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
 int main() {
   benchutil::header("wire", "TCP wire path: batch size vs payload size");
   benchutil::note(
-      "wire_batch=1 is the synchronous frame-per-message path; >1 coalesces "
-      "frames through the bounded-queue writer pool");
+      "wire_batch=1 sends one envelope per frame; >1 coalesces up to that "
+      "many per frame");
 
   const int batches[] = {1, 8, 32};
   const std::size_t payloads[] = {64, 1024};

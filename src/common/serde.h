@@ -37,6 +37,11 @@ class Writer {
     buf_.clear();
   }
 
+  /// Drops the first `n` bytes (already consumed), keeping the capacity.
+  void erase_front(std::size_t n) {
+    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+
   /// Reserves `n` bytes at the current position and returns their offset;
   /// patch them later (length prefixes written before the length is known).
   std::size_t reserve(std::size_t n) {

@@ -6,6 +6,7 @@
 #include <chrono>
 
 #include "edge/edge_dial.h"
+#include "net/reactor.h"
 #include "net/wire.h"
 
 namespace bluedove::edge {
@@ -43,24 +44,8 @@ bool EdgeClient::handshake(const EdgeHello& hello) {
   // replay), so a synchronous read here cannot swallow deliveries meant
   // for the reader thread: parse the first frame, consume the welcome, and
   // hand everything after it to the handler like the reader would.
-  std::uint8_t lenbuf[4];
-  if (!net::wire::read_all(fd, lenbuf, 4)) {
-    ::close(fd);
-    return false;
-  }
-  const std::uint32_t len = net::wire::read_frame_len(lenbuf);
-  if (len == 0 || len > net::wire::kMaxFrame) {
-    ::close(fd);
-    return false;
-  }
-  auto body = std::make_shared<std::vector<std::uint8_t>>(len);
-  if (!net::wire::read_all(fd, body->data(), len)) {
-    ::close(fd);
-    return false;
-  }
-  net::wire::ParsedFrame frame = net::wire::parse_frame(
-      body->data(), len, std::shared_ptr<const void>(body, body.get()));
-  if (!frame.ok || frame.envelopes.empty()) {
+  net::wire::ParsedFrame frame = net::read_frame(fd);
+  if (!frame.ok) {
     ::close(fd);
     return false;
   }
@@ -157,14 +142,8 @@ bool EdgeClient::wait_deliveries(std::uint64_t n, double timeout_sec) {
 void EdgeClient::reader_loop() {
   const int fd = fd_.load();
   if (fd < 0) return;
-  std::uint8_t lenbuf[4];
-  while (net::wire::read_all(fd, lenbuf, 4)) {
-    const std::uint32_t len = net::wire::read_frame_len(lenbuf);
-    if (len == 0 || len > net::wire::kMaxFrame) break;
-    auto body = std::make_shared<std::vector<std::uint8_t>>(len);
-    if (!net::wire::read_all(fd, body->data(), len)) break;
-    net::wire::ParsedFrame frame = net::wire::parse_frame(
-        body->data(), len, std::shared_ptr<const void>(body, body.get()));
+  for (;;) {
+    const net::wire::ParsedFrame frame = net::read_frame(fd);
     if (!frame.ok) break;
     for (const Envelope& env : frame.envelopes) {
       const auto* ev = std::get_if<EdgeEvent>(&env.payload);

@@ -1,57 +1,11 @@
 #pragma once
-// Shared client-side socket setup for the edge session clients
-// (edge_client.h, edge_swarm.h): dial an endpoint with the full
-// socket-option hardening set (FD_CLOEXEC, TCP_NODELAY), optionally
-// binding a specific source address first.
-//
-// The source bind matters at benchmark scale: every connection to one
-// (address, port) destination consumes a local ephemeral port, and the
-// default Linux range holds ~28k. Rotating source addresses across
-// 127.0.0.x — all local on Linux loopback — multiplies the tuple space,
-// which is how bench/micro_edge drives 100k+ connections (and their
-// TIME_WAIT residue) at one edge listener on a single host.
+// The edge session clients (edge_client.h, edge_swarm.h) dial with
+// net::dial (net/reactor.h), source-address bind included.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstdint>
-#include <string>
-
-#include "net/tcp_transport.h"
+#include "net/reactor.h"
 
 namespace bluedove::edge {
 
-/// Blocking connect to `endpoint`; returns the fd or -1. `source` (e.g.
-/// "127.0.0.7") is bound before connecting when non-empty.
-inline int dial(const net::TcpEndpoint& endpoint,
-                const std::string& source = "") {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (!source.empty()) {
-    ::sockaddr_in src{};
-    src.sin_family = AF_INET;
-    src.sin_port = 0;
-    if (::inet_pton(AF_INET, source.c_str(), &src.sin_addr) == 1) {
-      ::bind(fd, reinterpret_cast<::sockaddr*>(&src), sizeof src);
-    }
-  }
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(endpoint.port);
-  if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
+using net::dial;
 
 }  // namespace bluedove::edge

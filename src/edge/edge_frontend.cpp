@@ -1,20 +1,20 @@
 #include "edge/edge_frontend.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <thread>
+#include <unordered_map>
 
 #include "common/logging.h"
+#include "net/reactor.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
 
@@ -27,17 +27,10 @@ namespace {
 /// cluster, which count up from 1.
 constexpr std::uint64_t kEdgeIdBit = 1ull << 62;
 
-constexpr std::size_t kNoOpenFrame = static_cast<std::size_t>(-1);
-
 double mono_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point epoch = clock::now();
   return std::chrono::duration<double>(clock::now() - epoch).count();
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 }  // namespace
@@ -48,32 +41,21 @@ void set_nonblocking(int fd) {
 
 /// One client connection: the per-socket state machine. Owned by exactly
 /// one reactor at a time (migration moves the whole object), so no field
-/// needs a lock.
+/// needs a lock. Closes its socket when destroyed, which also covers a
+/// connection still in flight between reactors at stop().
 struct EdgeFrontend::Conn {
-  int fd = -1;
+  Conn(int f, NodeId node) : fd(f), writer(node) {}
+  ~Conn() { ::close(fd); }
+  Conn(const Conn&) = delete;
+  Conn& operator=(const Conn&) = delete;
+
+  const int fd;
   Session* session = nullptr;
-
-  // Framed read assembly: 4 length bytes, then the body read into a fresh
-  // refcounted buffer so parse_frame() yields zero-copy payload views that
-  // keep the frame alive across the fan-out / injection into the node.
-  std::uint8_t lenbuf[4];
-  bool in_body = false;
-  std::uint32_t len = 0;
-  std::uint32_t got = 0;
-  std::shared_ptr<std::vector<std::uint8_t>> body;
-
-  // Bounded write queue: one contiguous buffer of framed bytes. Bytes in
-  // [woff, size) are unsent; [open_header, size) is the still-open frame
-  // whose length prefix is patched when the frame closes.
-  std::vector<std::uint8_t> wbuf;
-  std::size_t woff = 0;
-  std::size_t open_header = kNoOpenFrame;
-  int open_envs = 0;
-  bool want_write = false;  ///< EPOLLOUT currently armed
-  bool dirty = false;       ///< queued output since the last flush pass
-  bool counted = false;     ///< already in conn_count_ (survives migration)
-
-  std::size_t unsent() const { return wbuf.size() - woff; }
+  net::FrameReader reader;
+  /// Bounded write queue: one contiguous buffer of framed bytes.
+  net::FrameWriter writer;
+  bool dirty = false;    ///< queued output since the last flush pass
+  bool counted = false;  ///< already in conn_count_ (survives migration)
 };
 
 /// A client session: outlives its connection, owns the delivery sequence
@@ -93,37 +75,24 @@ struct EdgeFrontend::Session {
   std::unordered_map<std::uint64_t, Subscription> subs_by_global;
 };
 
-/// Cross-thread work handed to a reactor (acceptor: new fds; node thread:
-/// deliveries; other reactors: connection migration on resume).
-struct EdgeFrontend::Task {
-  enum class Kind { kNewConn, kDeliver, kAdopt };
-  Kind kind = Kind::kNewConn;
-  int fd = -1;                        // kNewConn
-  Delivery delivery;                  // kDeliver
-  double enqueued_at = 0.0;           // kDeliver
-  std::unique_ptr<Conn> conn;         // kAdopt
-  EdgeHello hello;                    // kAdopt
-  std::vector<Envelope> rest;         // kAdopt: envelopes after the hello
-};
+/// One reactor thread and everything it owns. Other threads reach it only
+/// through loop.post(): reactor 0 hands over accepted connections, the
+/// node thread deliveries, other reactors connections migrating on resume.
+struct EdgeFrontend::Shard {
+  Shard(EdgeFrontend* fe, int i)
+      : index(i),
+        loop([fe, this](int fd, std::uint32_t events) {
+          fe->on_io(*this, fd, events);
+        }) {}
 
-struct EdgeFrontend::Reactor {
-  int index = 0;
-  int epfd = -1;
-  int evfd = -1;
-  std::thread thread;
-
-  bd::Mutex mu;
-  /// Cross-thread inbox, drained on eventfd wake. The only shared state in
-  /// a Reactor: everything below is owned by the reactor thread.
-  std::deque<Task> tasks BD_GUARDED_BY(mu);
-
-  std::unordered_map<int, std::unique_ptr<Conn>> conns;
+  const int index;
+  net::Reactor loop;
+  std::unordered_map<int, std::shared_ptr<Conn>> conns;
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::uint64_t next_ordinal = 1;  ///< minted ids: ordinal * R + index
-  std::vector<int> dirty;          ///< fds with queued output this wake
-  serde::Writer scratch;           ///< reused envelope-body serializer
-  double next_reap = 0.0;
+  std::vector<int> dirty;          ///< fds with queued output this pass
   obs::Gauge* conns_gauge = nullptr;
+  std::thread thread;  ///< runs `loop`; last, as it uses all of the above
 };
 
 // --------------------------------------------------------------------------
@@ -161,89 +130,66 @@ EdgeFrontend::EdgeFrontend(EdgeConfig config, NodeId node, IngressFn ingress)
   m_delivery_latency_ = &metrics_.histogram("edge.delivery_latency");
 
   // Bind immediately so port 0 resolves before start() (TcpHost idiom).
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    BD_WARN("edge: socket() failed: ", std::strerror(errno));
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  }
-  if (::bind(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, config_.listen_backlog) != 0) {
+  listen_fd_ = net::listen_tcp(config_.host, config_.port,
+                               config_.listen_backlog, &port_);
+  if (listen_fd_ < 0) {
     BD_WARN("edge: bind/listen on port ", config_.port,
             " failed: ", std::strerror(errno));
-    ::close(fd);
-    return;
   }
-  ::socklen_t alen = sizeof addr;
-  ::getsockname(fd, reinterpret_cast<::sockaddr*>(&addr), &alen);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_.store(fd);
 }
 
 EdgeFrontend::~EdgeFrontend() { stop(); }
 
 void EdgeFrontend::start() {
-  if (started_ || listen_fd_.load() < 0) return;
+  if (started_ || listen_fd_ < 0) return;
   started_ = true;
   for (int i = 0; i < config_.reactors; ++i) {
-    auto r = std::make_unique<Reactor>();
-    r->index = i;
-    r->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    r->evfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    auto r = std::make_unique<Shard>(this, i);
     r->conns_gauge = &metrics_.gauge("edge.reactor" + std::to_string(i) +
                                      ".connections");
-    ::epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = r->evfd;
-    ::epoll_ctl(r->epfd, EPOLL_CTL_ADD, r->evfd, &ev);
-    reactors_.push_back(std::move(r));
+    Shard* rp = r.get();
+    r->loop.at_pass_end([this, rp] {
+      // Flush everything that queued output during this pass: close the
+      // open frame and push bytes until the socket would block (then
+      // EPOLLOUT takes over — interest-mask driven flushing).
+      for (const int fd : rp->dirty) {
+        auto it = rp->conns.find(fd);
+        if (it == rp->conns.end()) continue;
+        it->second->dirty = false;
+        flush_conn(*rp, *it->second);
+      }
+      rp->dirty.clear();
+    });
+    schedule_reap(*r);
+    shards_.push_back(std::move(r));
   }
-  for (auto& r : reactors_) {
-    Reactor* rp = r.get();
-    r->thread = std::thread([this, rp] { reactor_loop(*rp); });
+  shards_[0]->loop.watch(listen_fd_);
+  for (auto& r : shards_) {
+    Shard* rp = r.get();
+    r->thread = std::thread([this, rp] {
+      obs::Recorder::bind_node(node_);
+      obs::Recorder::label_thread("node" + std::to_string(node_) +
+                                  ".edge.reactor" + std::to_string(rp->index));
+      rp->loop.run();
+    });
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
 void EdgeFrontend::stop() {
-  if (!started_) {
-    const int fd = listen_fd_.exchange(-1);
-    if (fd >= 0) ::close(fd);
-    return;
-  }
-  if (stop_.exchange(true)) return;
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (auto& r : reactors_) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ::ssize_t n = ::write(r->evfd, &one, sizeof one);
-    if (r->thread.joinable()) r->thread.join();
-  }
-  for (auto& r : reactors_) {
-    for (auto& [cfd, conn] : r->conns) ::close(conn->fd);
-    r->conns.clear();
-    r->sessions.clear();
-    {
-      bd::LockGuard lk(r->mu);
-      for (Task& t : r->tasks) {
-        if (t.kind == Task::Kind::kNewConn && t.fd >= 0) ::close(t.fd);
-        if (t.kind == Task::Kind::kAdopt && t.conn) ::close(t.conn->fd);
-      }
-      r->tasks.clear();
+  if (started_ && !stopped_) {
+    stopped_ = true;
+    for (auto& r : shards_) r->loop.stop();
+    for (auto& r : shards_) {
+      if (r->thread.joinable()) r->thread.join();
     }
-    ::close(r->epfd);
-    ::close(r->evfd);
+    for (auto& r : shards_) {
+      r->conns.clear();
+      r->sessions.clear();
+    }
+  }
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
 }
 
@@ -251,35 +197,28 @@ std::uint64_t EdgeFrontend::connections() const { return conn_count_.load(); }
 std::uint64_t EdgeFrontend::sessions() const { return session_count_.load(); }
 
 // --------------------------------------------------------------------------
-// Acceptor
+// Acceptor (reactor 0) and cross-thread entry points
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::accept_loop() {
-  obs::Recorder::bind_node(node_);
-  obs::Recorder::label_thread("node" + std::to_string(node_) +
-                              ".edge.acceptor");
-  std::size_t next = 0;
-  while (!stop_.load()) {
-    const int lfd = listen_fd_.load();
-    if (lfd < 0) break;
-    const int fd = ::accept4(lfd, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+void EdgeFrontend::accept_all(Shard& r) {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       const int err = errno;
-      if (stop_.load() || listen_fd_.load() < 0) break;  // closed by stop()
+      if (err == EAGAIN || err == EWOULDBLOCK) return;
       if (err == EINTR || err == ECONNABORTED) continue;
-      if (err == EMFILE || err == ENFILE || err == ENOBUFS ||
-          err == ENOMEM) {
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
         // Out of fds/buffers: expected under load when the deployment fd
-        // cap is below max_connections. Shed and retry instead of killing
-        // the acceptor for the life of the process.
+        // cap is below max_connections. Shed and retry shortly instead of
+        // spinning on a listener that stays readable.
         m_accept_rejects_->inc();
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
+      } else {
+        BD_WARN("edge: accept4() failed: ", std::strerror(err));
       }
-      BD_WARN("edge: accept4() failed: ", std::strerror(err));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
+      r.loop.unwatch(listen_fd_);
+      r.loop.add_timer(0.01, [this, &r] { r.loop.watch(listen_fd_); });
+      return;
     }
     if (conn_count_.load() >= config_.max_connections) {
       m_accept_rejects_->inc();
@@ -289,138 +228,55 @@ void EdgeFrontend::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     m_accepts_->inc();
-    Task t;
-    t.kind = Task::Kind::kNewConn;
-    t.fd = fd;
-    post(*reactors_[next], std::move(t));
-    next = (next + 1) % reactors_.size();
-  }
-}
-
-void EdgeFrontend::post(Reactor& r, Task&& t) {
-  bool wake = false;
-  {
-    bd::LockGuard lk(r.mu);
-    wake = r.tasks.empty();
-    r.tasks.push_back(std::move(t));
-  }
-  if (wake) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ::ssize_t n = ::write(r.evfd, &one, sizeof one);
+    auto conn = std::make_shared<Conn>(fd, node_);
+    Shard& target = *shards_[next_shard_++ % shards_.size()];
+    target.loop.post(
+        [this, &target, conn = std::move(conn)] { adopt_conn(target, conn); });
   }
 }
 
 void EdgeFrontend::deliver(const Delivery& d) {
-  if (reactors_.empty()) return;
-  Task t;
-  t.kind = Task::Kind::kDeliver;
-  t.delivery = d;  // payload is a refcount bump, not a byte copy
-  t.enqueued_at = mono_seconds();
-  post(reactor_of(d.subscriber), std::move(t));
+  if (shards_.empty()) return;
+  Shard& r = shard_of(d.subscriber);
+  // The payload is a refcount bump, not a byte copy.
+  r.loop.post([this, &r, d, at = mono_seconds()] {
+    deliver_on_shard(r, d, at);
+  });
+}
+
+void EdgeFrontend::schedule_reap(Shard& r) {
+  r.loop.add_timer(config_.reap_interval, [this, &r] {
+    reap_sessions(r);
+    schedule_reap(r);
+  });
 }
 
 // --------------------------------------------------------------------------
-// Reactor loop
+// Connection events
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::reactor_loop(Reactor& r) {
-  obs::Recorder::bind_node(node_);
-  obs::Recorder::label_thread("node" + std::to_string(node_) +
-                              ".edge.reactor" + std::to_string(r.index));
-  constexpr int kMaxEvents = 256;
-  ::epoll_event events[kMaxEvents];
-  r.next_reap = mono_seconds() + config_.reap_interval;
-  std::deque<Task> batch;
-  while (!stop_.load()) {
-    const int timeout_ms =
-        std::max(1, static_cast<int>(config_.reap_interval * 1000));
-    const int n = ::epoll_wait(r.epfd, events, kMaxEvents, timeout_ms);
-    if (stop_.load()) break;
-    bool drain_tasks = false;
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == r.evfd) {
-        std::uint64_t junk;
-        while (::read(r.evfd, &junk, sizeof junk) > 0) {
-        }
-        drain_tasks = true;
-        continue;
-      }
-      auto it = r.conns.find(events[i].data.fd);
-      if (it == r.conns.end()) continue;
-      Conn& c = *it->second;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        close_conn(r, c, /*evicted=*/false);
-        continue;
-      }
-      if ((events[i].events & EPOLLIN) != 0) {
-        handle_readable(r, c);
-        if (r.conns.find(events[i].data.fd) == r.conns.end()) continue;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) handle_writable(r, c);
-    }
-    if (drain_tasks) {
-      {
-        bd::LockGuard lk(r.mu);
-        batch.swap(r.tasks);
-      }
-      for (Task& t : batch) {
-        switch (t.kind) {
-          case Task::Kind::kNewConn: {
-            auto conn = std::make_unique<Conn>();
-            conn->fd = t.fd;
-            adopt_conn(r, std::move(conn));
-            break;
-          }
-          case Task::Kind::kDeliver:
-            deliver_on_reactor(r, t.delivery, t.enqueued_at);
-            break;
-          case Task::Kind::kAdopt: {
-            const int fd = t.conn->fd;
-            adopt_conn(r, std::move(t.conn));
-            auto it = r.conns.find(fd);
-            if (it != r.conns.end()) {
-              attach_session(r, *it->second, t.hello);
-              for (Envelope& env : t.rest) {
-                it = r.conns.find(fd);
-                if (it == r.conns.end()) break;
-                handle_envelope(r, *it->second, std::move(env));
-              }
-            }
-            break;
-          }
-        }
-      }
-      batch.clear();
-    }
-    // Flush everything that queued output during this wake: close the open
-    // frame and push bytes until the socket would block (then EPOLLOUT
-    // takes over — interest-mask driven flushing).
-    for (const int fd : r.dirty) {
-      auto it = r.conns.find(fd);
-      if (it == r.conns.end()) continue;
-      it->second->dirty = false;
-      flush_conn(r, *it->second);
-    }
-    r.dirty.clear();
-    const double now = mono_seconds();
-    if (now >= r.next_reap) {
-      reap_sessions(r);
-      r.next_reap = now + config_.reap_interval;
-    }
+void EdgeFrontend::on_io(Shard& r, int fd, std::uint32_t events) {
+  if (fd == listen_fd_) return accept_all(r);
+  auto it = r.conns.find(fd);
+  if (it == r.conns.end()) return;
+  Conn& c = *it->second;
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0) return close_conn(r, c, false);
+  if ((events & EPOLLIN) != 0) {
+    handle_readable(r, c);
+    // Closed, or migrated to another reactor.
+    if (r.conns.find(fd) == r.conns.end()) return;
   }
+  if ((events & EPOLLOUT) != 0) flush_conn(r, c);
 }
 
-void EdgeFrontend::adopt_conn(Reactor& r, std::unique_ptr<Conn> conn) {
-  ::epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
-  ev.data.fd = conn->fd;
-  if (::epoll_ctl(r.epfd, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-    ::close(conn->fd);
+void EdgeFrontend::adopt_conn(Shard& r, std::shared_ptr<Conn> conn) {
+  const int fd = conn->fd;
+  if (!r.loop.watch(fd, conn->writer.unsent() > 0)) {
     if (conn->session != nullptr) conn->session->conn = nullptr;
     if (conn->counted) conn_count_.fetch_sub(1);
-    return;
+    return;  // the last reference closes the socket
   }
-  const int fd = conn->fd;
+  conn->dirty = false;
   if (!conn->counted) {
     conn->counted = true;
     conn_count_.fetch_add(1);
@@ -434,50 +290,23 @@ void EdgeFrontend::adopt_conn(Reactor& r, std::unique_ptr<Conn> conn) {
 // Read path
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::handle_readable(Reactor& r, Conn& c) {
+void EdgeFrontend::handle_readable(Shard& r, Conn& c) {
   const int fd = c.fd;
   for (;;) {
-    if (!c.in_body) {
-      const ::ssize_t n = ::recv(fd, c.lenbuf + c.got, 4 - c.got, 0);
-      if (n == 0) return close_conn(r, c, false);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        return close_conn(r, c, false);
-      }
-      c.got += static_cast<std::uint32_t>(n);
-      if (c.got < 4) continue;
-      c.len = net::wire::read_frame_len(c.lenbuf);
-      if (c.len == 0 || c.len > net::wire::kMaxFrame) {
+    // Parsed with the refcounted buffer as owner, so every payload is a
+    // zero-copy view that keeps the frame alive into the dispatcher (and,
+    // for publishes, across the whole match pipeline).
+    net::wire::ParsedFrame frame;
+    switch (c.reader.read(fd, &frame)) {
+      case net::FrameReader::Status::kFrame:
+        break;
+      case net::FrameReader::Status::kBlocked:
+        return;
+      case net::FrameReader::Status::kMalformed:
         m_malformed_->inc();
         return close_conn(r, c, false);
-      }
-      c.body = std::make_shared<std::vector<std::uint8_t>>(c.len);
-      c.in_body = true;
-      c.got = 0;
-    }
-    const ::ssize_t n =
-        ::recv(fd, c.body->data() + c.got, c.len - c.got, 0);
-    if (n == 0) return close_conn(r, c, false);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return close_conn(r, c, false);
-    }
-    c.got += static_cast<std::uint32_t>(n);
-    if (c.got < c.len) continue;
-    // Frame complete: parse with the refcounted buffer as owner, so every
-    // payload is a zero-copy view that keeps the frame alive into the
-    // dispatcher (and, for publishes, across the whole match pipeline).
-    auto body = std::move(c.body);
-    const std::uint32_t len = c.len;
-    c.in_body = false;
-    c.got = 0;
-    net::wire::ParsedFrame frame = net::wire::parse_frame(
-        body->data(), len, std::shared_ptr<const void>(body, body.get()));
-    if (!frame.ok) {
-      m_malformed_->inc();
-      return close_conn(r, c, false);
+      case net::FrameReader::Status::kClosed:
+        return close_conn(r, c, false);
     }
     for (std::size_t i = 0; i < frame.envelopes.size(); ++i) {
       Envelope& env = frame.envelopes[i];
@@ -496,7 +325,7 @@ void EdgeFrontend::handle_readable(Reactor& r, Conn& c) {
   }
 }
 
-void EdgeFrontend::handle_envelope(Reactor& r, Conn& c, Envelope&& env) {
+void EdgeFrontend::handle_envelope(Shard& r, Conn& c, Envelope&& env) {
   Session* s = c.session;
   if (s == nullptr) {
     // Protocol requires EdgeHello first on every connection.
@@ -565,7 +394,7 @@ void EdgeFrontend::handle_envelope(Reactor& r, Conn& c, Envelope&& env) {
 // Sessions: hello / resume / replay
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::handle_hello(Reactor& r, Conn& c, const EdgeHello& hello,
+void EdgeFrontend::handle_hello(Shard& r, Conn& c, const EdgeHello& hello,
                                 std::vector<Envelope>&& rest) {
   if (c.session != nullptr) {
     m_malformed_->inc();
@@ -575,19 +404,27 @@ void EdgeFrontend::handle_hello(Reactor& r, Conn& c, const EdgeHello& hello,
   // connection accepted elsewhere migrates — whole Conn state moves, the
   // target re-registers the fd and continues with any pipelined envelopes.
   if (hello.session != 0) {
-    Reactor& owner = reactor_of(hello.session);
+    Shard& owner = shard_of(hello.session);
     if (owner.index != r.index) {
       const int fd = c.fd;
-      ::epoll_ctl(r.epfd, EPOLL_CTL_DEL, fd, nullptr);
+      r.loop.unwatch(fd);
       auto it = r.conns.find(fd);
-      Task t;
-      t.kind = Task::Kind::kAdopt;
-      t.conn = std::move(it->second);
-      t.hello = hello;
-      t.rest = std::move(rest);
+      std::shared_ptr<Conn> conn = std::move(it->second);
       r.conns.erase(it);
       r.conns_gauge->set(static_cast<double>(r.conns.size()));
-      post(owner, std::move(t));
+      owner.loop.post([this, &owner, conn = std::move(conn), hello,
+                       rest = std::move(rest)]() mutable {
+        const int fd = conn->fd;
+        adopt_conn(owner, std::move(conn));
+        auto it = owner.conns.find(fd);
+        if (it == owner.conns.end()) return;
+        attach_session(owner, *it->second, hello);
+        for (Envelope& env : rest) {
+          it = owner.conns.find(fd);
+          if (it == owner.conns.end()) return;
+          handle_envelope(owner, *it->second, std::move(env));
+        }
+      });
       return;
     }
   }
@@ -599,7 +436,7 @@ void EdgeFrontend::handle_hello(Reactor& r, Conn& c, const EdgeHello& hello,
   }
 }
 
-void EdgeFrontend::attach_session(Reactor& r, Conn& c, const EdgeHello& hello) {
+void EdgeFrontend::attach_session(Shard& r, Conn& c, const EdgeHello& hello) {
   Session* s = nullptr;
   bool resumed = false;
   if (hello.session != 0) {
@@ -612,7 +449,7 @@ void EdgeFrontend::attach_session(Reactor& r, Conn& c, const EdgeHello& hello) {
   if (s == nullptr) {
     auto fresh = std::make_unique<Session>();
     fresh->id = r.next_ordinal++ * static_cast<std::uint64_t>(
-                                       reactors_.size()) +
+                                       shards_.size()) +
                 static_cast<std::uint64_t>(r.index);
     s = fresh.get();
     r.sessions.emplace(s->id, std::move(fresh));
@@ -661,7 +498,7 @@ void EdgeFrontend::attach_session(Reactor& r, Conn& c, const EdgeHello& hello) {
   }
 }
 
-void EdgeFrontend::deliver_on_reactor(Reactor& r, const Delivery& d,
+void EdgeFrontend::deliver_on_shard(Shard& r, const Delivery& d,
                                       double enqueued_at) {
   auto it = r.sessions.find(d.subscriber);
   if (it == r.sessions.end()) {
@@ -690,18 +527,9 @@ void EdgeFrontend::deliver_on_reactor(Reactor& r, const Delivery& d,
 // Write path: bounded queue, frame batching, interest-mask flushing
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::enqueue_event(Reactor& r, Conn& c, const Envelope& env) {
-  if (c.open_header == kNoOpenFrame) {
-    c.open_header = c.wbuf.size();
-    c.wbuf.resize(c.wbuf.size() + 8);  // header patched at frame close
-    c.open_envs = 0;
-  }
-  r.scratch.clear();
-  net::wire::build_body(r.scratch, env);
-  c.wbuf.insert(c.wbuf.end(), r.scratch.data(),
-                r.scratch.data() + r.scratch.size());
-  if (++c.open_envs >= config_.fanout_batch) close_frame(c);
-  m_queue_high_water_->record_max(static_cast<double>(c.unsent()));
+void EdgeFrontend::enqueue_event(Shard& r, Conn& c, const Envelope& env) {
+  count_frame(c.writer.append(env, config_.fanout_batch));
+  m_queue_high_water_->record_max(static_cast<double>(c.writer.unsent()));
   if (!c.dirty) {
     c.dirty = true;
     r.dirty.push_back(c.fd);
@@ -714,89 +542,56 @@ void EdgeFrontend::enqueue_event(Reactor& r, Conn& c, const Envelope& env) {
   // progress and an oversized replay drains incrementally instead of
   // evicting before a single byte is sent. Its session stays resumable;
   // undelivered events wait in the replay ring.
-  if (c.unsent() > config_.write_queue_bytes) {
+  if (c.writer.unsent() > config_.write_queue_bytes) {
     const int fd = c.fd;
     flush_conn(r, c);  // may close the conn itself on a socket error
     auto it = r.conns.find(fd);
     if (it == r.conns.end()) return;
-    if (it->second->unsent() > config_.write_queue_bytes) {
+    if (it->second->writer.unsent() > config_.write_queue_bytes) {
       close_conn(r, *it->second, true);
     }
   }
 }
 
-void EdgeFrontend::close_frame(Conn& c) {
-  if (c.open_header == kNoOpenFrame) return;
-  const std::size_t body_bytes = c.wbuf.size() - c.open_header - 8;
-  std::uint8_t header[8];
-  net::wire::fill_header(header, static_cast<std::uint32_t>(body_bytes),
-                         node_);
-  std::memcpy(c.wbuf.data() + c.open_header, header, 8);
+void EdgeFrontend::count_frame(int envelopes) {
+  if (envelopes == 0) return;
   m_frames_out_->inc();
-  m_fanout_batch_->record_units(static_cast<std::uint64_t>(c.open_envs));
-  c.open_header = kNoOpenFrame;
-  c.open_envs = 0;
+  m_fanout_batch_->record_units(static_cast<std::uint64_t>(envelopes));
 }
 
-void EdgeFrontend::flush_conn(Reactor& r, Conn& c) {
-  close_frame(c);
-  while (c.woff < c.wbuf.size()) {
-    const ::ssize_t n = ::send(c.fd, c.wbuf.data() + c.woff,
-                               c.wbuf.size() - c.woff, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return close_conn(r, c, false);
-    }
-    c.woff += static_cast<std::size_t>(n);
-    m_bytes_out_->inc(static_cast<std::uint64_t>(n));
+void EdgeFrontend::flush_conn(Shard& r, Conn& c) {
+  count_frame(c.writer.close_frame());
+  net::FrameWriter::Sent sent;
+  const net::FrameWriter::Flush result = c.writer.flush(c.fd, &sent);
+  if (sent.bytes > 0) m_bytes_out_->inc(sent.bytes);
+  if (result == net::FrameWriter::Flush::kError) {
+    return close_conn(r, c, false);
   }
-  if (c.woff == c.wbuf.size()) {
-    c.wbuf.clear();
-    c.woff = 0;
-  } else if (c.woff > (1u << 16)) {
-    c.wbuf.erase(c.wbuf.begin(),
-                 c.wbuf.begin() + static_cast<std::ptrdiff_t>(c.woff));
-    c.woff = 0;
-  }
-  update_interest(r, c);
-}
-
-void EdgeFrontend::handle_writable(Reactor& r, Conn& c) { flush_conn(r, c); }
-
-void EdgeFrontend::update_interest(Reactor& r, Conn& c) {
-  const bool want = c.woff < c.wbuf.size();
-  if (want == c.want_write) return;
-  c.want_write = want;
-  ::epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-  ev.data.fd = c.fd;
-  ::epoll_ctl(r.epfd, EPOLL_CTL_MOD, c.fd, &ev);
+  r.loop.set_writable(c.fd, result == net::FrameWriter::Flush::kBlocked);
 }
 
 // --------------------------------------------------------------------------
 // Teardown paths
 // --------------------------------------------------------------------------
 
-void EdgeFrontend::close_conn(Reactor& r, Conn& c, bool evicted) {
+void EdgeFrontend::close_conn(Shard& r, Conn& c, bool evicted) {
   const int fd = c.fd;
   auto it = r.conns.find(fd);
   if (it == r.conns.end() || it->second.get() != &c) return;
-  ::epoll_ctl(r.epfd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
+  r.loop.unwatch(fd);
   if (c.session != nullptr) {
     c.session->conn = nullptr;
     c.session->detached_since = mono_seconds();
     c.session = nullptr;
   }
   (evicted ? m_evictions_ : m_disconnects_)->inc();
-  r.conns.erase(it);
+  r.conns.erase(it);  // closes the socket
   conn_count_.fetch_sub(1);
   m_conns_->set(static_cast<double>(conn_count_.load()));
   r.conns_gauge->set(static_cast<double>(r.conns.size()));
 }
 
-void EdgeFrontend::reap_sessions(Reactor& r) {
+void EdgeFrontend::reap_sessions(Shard& r) {
   const double now = mono_seconds();
   for (auto it = r.sessions.begin(); it != r.sessions.end();) {
     Session& s = *it->second;
@@ -813,7 +608,7 @@ void EdgeFrontend::reap_sessions(Reactor& r) {
   m_sessions_gauge_->set(static_cast<double>(session_count_.load()));
 }
 
-void EdgeFrontend::drop_session(Reactor&, Session& s) {
+void EdgeFrontend::drop_session(Shard&, Session& s) {
   // Clean the cluster up behind the vanished client: every subscription
   // this session planted is withdrawn through the normal ingress path.
   for (auto& [gid, sub] : s.subs_by_global) {

@@ -2,19 +2,18 @@
 // Client edge layer: an epoll reactor front end with reliable, resumable
 // sessions (DESIGN.md §16).
 //
-// The paper's dispatchers exist to absorb client load, but node<->node TCP
-// (net/tcp_transport.h) spends one thread per connection — fine for a few
-// dozen cluster peers, hopeless for the paper's "millions of users". An
-// EdgeFrontend multiplexes hundreds of thousands of persistent client
-// sockets over a small acceptor+reactor thread pool:
+// The paper's dispatchers exist to absorb client load: "millions of
+// users", not a few dozen cluster peers. An EdgeFrontend multiplexes
+// hundreds of thousands of persistent client sockets over a small pool of
+// reactor threads, each running one net::Reactor (net/reactor.h) — the same
+// connection core node-to-node TCP (net/tcp_transport.h) runs on:
 //
-//   acceptor      blocking accept loop; sets the socket up (non-blocking,
-//                 TCP_NODELAY, FD_CLOEXEC) and hands the fd to a reactor
-//                 round-robin
-//   reactor x N   one epoll instance each, level-triggered, interest-mask
-//                 driven: per-connection state machines assemble frames
-//                 from partial reads, queue outbound bytes in a bounded
-//                 per-connection buffer, and arm EPOLLOUT only while that
+//   reactor 0     also owns the non-blocking listener: accepts, sets the
+//                 socket up (TCP_NODELAY, FD_CLOEXEC) and hands the
+//                 connection to a reactor round-robin
+//   reactor x N   per-connection state machines assemble frames from
+//                 partial reads, queue outbound bytes in one bounded
+//                 buffer per connection, and arm EPOLLOUT only while that
 //                 buffer has unsent bytes. A connection whose buffer
 //                 exceeds the bound is evicted (slow-client policy) — the
 //                 reactor never blocks on any one socket.
@@ -45,17 +44,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/affinity.h"
-#include "common/serde.h"
-#include "common/thread_safety.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 
@@ -86,7 +80,7 @@ class EdgeFrontend {
  public:
   /// Sink for client envelopes entering the cluster. Must be callable from
   /// any reactor thread and must not block (TcpHost::inject qualifies: it
-  /// enqueues onto the node task queue).
+  /// posts to the node thread).
   using IngressFn = std::function<void(Envelope&&)>;
 
   /// Binds the listening socket immediately; start() begins serving.
@@ -99,7 +93,7 @@ class EdgeFrontend {
   EdgeFrontend& operator=(const EdgeFrontend&) = delete;
 
   void start();
-  void stop();  ///< idempotent; joins the acceptor and every reactor
+  void stop();  ///< idempotent; joins every reactor
 
   std::uint16_t port() const { return port_; }
 
@@ -119,44 +113,40 @@ class EdgeFrontend {
  private:
   struct Conn;
   struct Session;
-  struct Reactor;
-  struct Task;
+  struct Shard;
 
-  void accept_loop();
-  void reactor_loop(Reactor& r);
-  void post(Reactor& r, Task&& t);
-
-  // All of the below run on the owning reactor's thread.
-  void adopt_conn(Reactor& r, std::unique_ptr<Conn> conn);
-  BD_ANY_THREAD void handle_readable(Reactor& r, Conn& c);
-  BD_ANY_THREAD void handle_writable(Reactor& r, Conn& c);
-  BD_ANY_THREAD void handle_envelope(Reactor& r, Conn& c, Envelope&& env);
-  BD_ANY_THREAD void handle_hello(Reactor& r, Conn& c, const EdgeHello& hello,
+  // All of the below run on the owning shard's reactor thread.
+  void on_io(Shard& r, int fd, std::uint32_t events);
+  void accept_all(Shard& r);
+  void adopt_conn(Shard& r, std::shared_ptr<Conn> conn);
+  BD_ANY_THREAD void handle_readable(Shard& r, Conn& c);
+  BD_ANY_THREAD void handle_envelope(Shard& r, Conn& c, Envelope&& env);
+  BD_ANY_THREAD void handle_hello(Shard& r, Conn& c, const EdgeHello& hello,
                                   std::vector<Envelope>&& rest);
-  void attach_session(Reactor& r, Conn& c, const EdgeHello& hello);
-  void enqueue_event(Reactor& r, Conn& c, const Envelope& env);
-  void close_frame(Conn& c);
-  void flush_conn(Reactor& r, Conn& c);
-  void update_interest(Reactor& r, Conn& c);
-  void close_conn(Reactor& r, Conn& c, bool evicted);
-  void reap_sessions(Reactor& r);
-  void drop_session(Reactor& r, Session& s);
-  void deliver_on_reactor(Reactor& r, const Delivery& d, double enqueued_at);
+  void attach_session(Shard& r, Conn& c, const EdgeHello& hello);
+  void enqueue_event(Shard& r, Conn& c, const Envelope& env);
+  void count_frame(int envelopes);
+  void flush_conn(Shard& r, Conn& c);
+  void close_conn(Shard& r, Conn& c, bool evicted);
+  void schedule_reap(Shard& r);
+  void reap_sessions(Shard& r);
+  void drop_session(Shard& r, Session& s);
+  void deliver_on_shard(Shard& r, const Delivery& d, double enqueued_at);
 
-  Reactor& reactor_of(std::uint64_t session) {
-    return *reactors_[session % reactors_.size()];
+  Shard& shard_of(std::uint64_t session) {
+    return *shards_[session % shards_.size()];
   }
 
   EdgeConfig config_;
   NodeId node_;
   IngressFn ingress_;
 
-  std::atomic<int> listen_fd_{-1};
+  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
   bool started_ = false;
-  std::thread accept_thread_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
+  bool stopped_ = false;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t next_shard_ = 0;  ///< round-robin cursor (reactor 0 only)
 
   std::atomic<std::uint64_t> conn_count_{0};
   std::atomic<std::uint64_t> session_count_{0};

@@ -2,8 +2,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,8 +9,11 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <unordered_map>
 
+#include "common/thread_safety.h"
 #include "edge/edge_dial.h"
+#include "net/reactor.h"
 #include "net/wire.h"
 
 namespace bluedove::edge {
@@ -70,53 +71,35 @@ struct Swarm::Peer {
   std::atomic<bool> live{false};
 
   // Driver-thread-only read assembly.
-  std::uint8_t lenbuf[4];
-  bool in_body = false;
-  std::uint32_t len = 0;
-  std::uint32_t got = 0;
-  std::shared_ptr<std::vector<std::uint8_t>> body;
+  net::FrameReader reader;
   int unacked = 0;
 };
 
+/// One receive-side reactor thread and the peers parked on it.
 struct Swarm::Driver {
-  int index = 0;
-  int epfd = -1;
-  int evfd = -1;
-  std::thread thread;
-  bd::Mutex mu;
-  std::unordered_map<int, Peer*> by_fd BD_GUARDED_BY(mu);
+  explicit Driver(Swarm* swarm)
+      : loop([swarm, this](int fd, std::uint32_t events) {
+          swarm->on_io(*this, fd, events);
+        }) {}
+  net::Reactor loop;
+  std::unordered_map<int, Peer*> by_fd;  ///< driver-thread only
+  std::thread thread;  ///< runs `loop`; last, as it uses all of the above
 };
 
 Swarm::Swarm(SwarmConfig config) : config_(std::move(config)) {
   if (config_.drivers < 1) config_.drivers = 1;
   if (config_.ack_every < 1) config_.ack_every = 1;
   for (int i = 0; i < config_.drivers; ++i) {
-    auto d = std::make_unique<Driver>();
-    d->index = i;
-    d->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    d->evfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    ::epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = d->evfd;
-    ::epoll_ctl(d->epfd, EPOLL_CTL_ADD, d->evfd, &ev);
-    drivers_.push_back(std::move(d));
-  }
-  for (auto& d : drivers_) {
-    Driver* dp = d.get();
-    d->thread = std::thread([this, dp] { driver_loop(*dp); });
+    drivers_.push_back(std::make_unique<Driver>(this));
+    Driver* d = drivers_.back().get();
+    d->thread = std::thread([d] { d->loop.run(); });
   }
 }
 
 Swarm::~Swarm() {
-  stop_.store(true);
-  for (auto& d : drivers_) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ::ssize_t n = ::write(d->evfd, &one, sizeof one);
-  }
+  for (auto& d : drivers_) d->loop.stop();
   for (auto& d : drivers_) {
     if (d->thread.joinable()) d->thread.join();
-    ::close(d->epfd);
-    ::close(d->evfd);
   }
   for (auto& p : peers_) {
     const int fd = p->fd.exchange(-1);
@@ -153,20 +136,10 @@ bool Swarm::connect_peer(Peer& p, int idx, const Envelope* extra) {
   set_nonblocking(fd);
   p.fd.store(fd);
   Driver& d = *drivers_[static_cast<std::size_t>(idx) % drivers_.size()];
-  {
-    bd::LockGuard lk(d.mu);
+  d.loop.post([this, &d, &p, fd] {
     d.by_fd[fd] = &p;
-  }
-  ::epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (::epoll_ctl(d.epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    bd::LockGuard lk(d.mu);
-    d.by_fd.erase(fd);
-    p.fd.store(-1);
-    ::close(fd);
-    return false;
-  }
+    if (!d.loop.watch(fd)) detach_peer(d, p);
+  });
   return true;
 }
 
@@ -291,50 +264,24 @@ void Swarm::drain(double quiet_sec, double timeout_sec) {
 // Driver threads: receive side
 // --------------------------------------------------------------------------
 
-void Swarm::driver_loop(Driver& d) {
-  constexpr int kMaxEvents = 128;
-  ::epoll_event events[kMaxEvents];
-  while (!stop_.load()) {
-    const int n = ::epoll_wait(d.epfd, events, kMaxEvents, 200);
-    if (stop_.load()) break;
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == d.evfd) {
-        std::uint64_t junk;
-        while (::read(d.evfd, &junk, sizeof junk) > 0) {
-        }
-        continue;
-      }
-      Peer* p = nullptr;
-      {
-        bd::LockGuard lk(d.mu);
-        auto it = d.by_fd.find(events[i].data.fd);
-        if (it != d.by_fd.end()) p = it->second;
-      }
-      if (p == nullptr) continue;
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        detach_peer(d, *p);
-        continue;
-      }
-      handle_peer(d, *p);
-    }
-  }
+void Swarm::on_io(Driver& d, int fd, std::uint32_t events) {
+  auto it = d.by_fd.find(fd);
+  if (it == d.by_fd.end()) return;
+  if ((events & (EPOLLHUP | EPOLLERR)) != 0) return detach_peer(d, *it->second);
+  handle_peer(d, *it->second);
 }
 
 void Swarm::detach_peer(Driver& d, Peer& p) {
   const int fd = p.fd.exchange(-1);
   if (fd < 0) return;
-  ::epoll_ctl(d.epfd, EPOLL_CTL_DEL, fd, nullptr);
-  {
-    bd::LockGuard lk(d.mu);
-    d.by_fd.erase(fd);
-  }
+  d.loop.unwatch(fd);
+  d.by_fd.erase(fd);
   {
     // Serialize against a publish mid-write on this fd before closing.
     bd::LockGuard lk(p.send_mu);
     ::close(fd);
   }
-  p.in_body = false;
-  p.got = 0;
+  p.reader.reset();
   p.unacked = 0;
   if (p.live.exchange(false)) live_.fetch_sub(1);
 }
@@ -343,38 +290,10 @@ void Swarm::handle_peer(Driver& d, Peer& p) {
   const int fd = p.fd.load();
   if (fd < 0) return;
   for (;;) {
-    if (!p.in_body) {
-      const ::ssize_t n = ::recv(fd, p.lenbuf + p.got, 4 - p.got, 0);
-      if (n == 0) return detach_peer(d, p);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        return detach_peer(d, p);
-      }
-      p.got += static_cast<std::uint32_t>(n);
-      if (p.got < 4) continue;
-      p.len = net::wire::read_frame_len(p.lenbuf);
-      if (p.len == 0 || p.len > net::wire::kMaxFrame) return detach_peer(d, p);
-      p.body = std::make_shared<std::vector<std::uint8_t>>(p.len);
-      p.in_body = true;
-      p.got = 0;
-    }
-    const ::ssize_t n = ::recv(fd, p.body->data() + p.got, p.len - p.got, 0);
-    if (n == 0) return detach_peer(d, p);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return detach_peer(d, p);
-    }
-    p.got += static_cast<std::uint32_t>(n);
-    if (p.got < p.len) continue;
-    auto body = std::move(p.body);
-    const std::uint32_t len = p.len;
-    p.in_body = false;
-    p.got = 0;
-    net::wire::ParsedFrame frame = net::wire::parse_frame(
-        body->data(), len, std::shared_ptr<const void>(body, body.get()));
-    if (!frame.ok) return detach_peer(d, p);
+    net::wire::ParsedFrame frame;
+    const net::FrameReader::Status st = p.reader.read(fd, &frame);
+    if (st == net::FrameReader::Status::kBlocked) return;
+    if (st != net::FrameReader::Status::kFrame) return detach_peer(d, p);
     for (const Envelope& env : frame.envelopes) {
       if (const auto* w = std::get_if<EdgeWelcome>(&env.payload)) {
         const std::uint64_t prev = p.session.load();

@@ -4,14 +4,15 @@
 // load generator behind bench/micro_edge and `bluedove_cli edge-blast`.
 //
 // Where EdgeClient spends a reader thread per connection, a Swarm dials
-// sockets from the caller thread and parks them on shared epoll driver
-// threads. Drivers do all receive-side work: welcome accounting, delivery
-// sequence-continuity checks (gap/duplicate counters — the zero-loss
-// oracle for the resume experiments), end-to-end latency sampling from
-// publisher timestamps embedded in payloads, and cumulative acks.
+// sockets from the caller thread and parks them on a few driver threads,
+// each running one net::Reactor (net/reactor.h). Drivers do all
+// receive-side work: welcome accounting, delivery sequence-continuity
+// checks (gap/duplicate counters — the zero-loss oracle for the resume
+// experiments), end-to-end latency sampling from publisher timestamps
+// embedded in payloads, and cumulative acks.
 //
 // Scale notes: connections optionally rotate source binds across
-// 127.0.0.x (see edge_dial.h) so total connections are not capped by the
+// 127.0.0.x (see net::dial) so total connections are not capped by the
 // ~28k ephemeral ports of a single loopback tuple, and the fd spend is
 // one per live connection — dropped sessions (server-side state awaiting
 // resume) cost the swarm nothing.
@@ -19,13 +20,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "attr/value.h"
 #include "common/affinity.h"
-#include "common/thread_safety.h"
 #include "net/protocol.h"
 #include "net/tcp_transport.h"
 #include "obs/metrics.h"
@@ -91,7 +89,7 @@ class Swarm {
   struct Peer;
   struct Driver;
 
-  void driver_loop(Driver& d);
+  void on_io(Driver& d, int fd, std::uint32_t events);
   BD_ANY_THREAD void handle_peer(Driver& d, Peer& p);
   void detach_peer(Driver& d, Peer& p);
   bool connect_peer(Peer& p, int idx, const Envelope* hello_frame_extra);
@@ -99,7 +97,6 @@ class Swarm {
   SwarmConfig config_;
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<std::unique_ptr<Driver>> drivers_;
-  std::atomic<bool> stop_{false};
 
   std::atomic<std::uint64_t> welcomes_{0};
   std::atomic<std::uint64_t> live_{0};

@@ -14,50 +14,47 @@
 //   u32  sender node id
 //   ...  one or more serialized Envelopes, back to back
 //
-// Outbound path. With WireConfig::batch == 1 (the default) every send()
-// serializes once into a reusable buffer and writes one single-envelope
-// frame synchronously — the historical per-message behaviour. With
-// batch > 1 the host switches to the asynchronous batched path:
+// Threading: one thread per host. The node thread runs a net::Reactor
+// (net/reactor.h) that owns every socket of the host — the listener,
+// inbound connections, outbound connections dialed without blocking, and
+// learned return paths — plus the node's timers, inject()ed envelopes and
+// offload completions. A complete inbound frame goes straight to
+// Node::on_receive. send() serializes once into the peer connection's
+// outbound buffer; each loop pass ends by writing what it queued, and
+// EPOLLOUT is armed only while a peer has unsent bytes. The only other
+// threads are the node's offload workers (enable_offload).
 //
-//   node thread        serialize once into a pooled buffer, push onto the
-//                      peer's bounded send queue (drop + count when full),
-//                      mark the peer dirty, wake a writer
-//   writer pool        drains dirty peers: dials the peer if needed (so
-//                      connects never block the node thread), coalesces up
-//                      to `batch` queued envelopes into each frame, and
-//                      flushes many frames with one sendmsg() — amortizing
-//                      the syscall, not just the copy
+// Outbound batching (WireConfig): `batch` envelopes at most share a frame,
+// a partial frame lingers up to `flush_interval` for company, and each
+// peer holds at most `queue_capacity` envelopes not yet written — beyond
+// that the newest is dropped. A peer that stops reading therefore costs
+// bounded memory and never blocks the node thread or stop(). While a peer
+// holds more than half its bound, inject()ed envelopes wait in the host
+// instead of reaching the node.
 //
-// Transport semantics match the NodeContext contract either way: sends are
+// Transport semantics match the NodeContext contract: sends are
 // asynchronous and unreliable-by-contract (a broken or unreachable peer
 // drops the message, a full send queue drops the newest envelope; failure
 // detection happens at the protocol layer). Drops are counted in
 // dropped_sends() and in the host's wire metrics registry.
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_safety.h"
+#include "net/reactor.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "runtime/match_executor.h"
 
 namespace bluedove::net {
-
-struct TcpEndpoint {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-};
 
 /// Best-effort bump of RLIMIT_NOFILE toward `want` (clamped to the hard
 /// limit — raising that needs CAP_SYS_RESOURCE, which containers rarely
@@ -65,23 +62,19 @@ struct TcpEndpoint {
 /// the outcome; never fails harder than leaving the limit unchanged.
 std::size_t raise_fd_limit(std::size_t want);
 
-/// Outbound wire-path tuning. The default (batch = 1) preserves strict
-/// per-message synchronous sends; batch > 1 enables the queued writer pool.
+/// Outbound wire-path tuning.
 struct WireConfig {
-  /// Maximum envelopes coalesced into one frame (and the fill target a
-  /// writer waits `flush_interval` for before flushing a partial batch).
+  /// Maximum envelopes coalesced into one frame. 1 (the default) sends
+  /// every envelope as its own frame — still written at the end of the
+  /// loop pass that produced it, together with the pass's other frames.
   int batch = 1;
-  /// How long a writer lingers for a batch to fill before flushing what is
-  /// queued (seconds). 0 flushes immediately on wake.
+  /// How long a partial frame lingers for more envelopes before it is
+  /// written (seconds). 0 writes at the end of the pass.
   double flush_interval = 0.0;
-  /// Per-peer bounded send queue, in envelopes; the newest envelope is
-  /// dropped (and counted) when the queue is full — backpressure never
-  /// blocks the node thread.
+  /// Per-peer bound on envelopes not yet written to the socket; the newest
+  /// envelope is dropped (and counted) when it is reached — backpressure
+  /// never blocks the node thread.
   std::size_t queue_capacity = 4096;
-  /// Writer pool size.
-  int writers = 2;
-
-  bool async() const { return batch > 1; }
 };
 
 class TcpHost {
@@ -102,11 +95,11 @@ class TcpHost {
   /// before or after start().
   void add_peer(NodeId id, TcpEndpoint endpoint);
 
-  /// Starts the accept loop, the node thread, the writer pool (async wire
-  /// path only), and calls Node::start.
+  /// Starts the node thread, which calls Node::start and then serves.
   void start();
 
-  /// Stops serving and joins all threads. Idempotent.
+  /// Stops serving and joins the node thread and the offload workers.
+  /// Idempotent; never waits on a peer.
   void stop();
 
   Node* node() { return node_.get(); }
@@ -118,8 +111,8 @@ class TcpHost {
   std::uint64_t dropped_sends() const { return dropped_sends_.load(); }
 
   /// Injects an envelope into the hosted node's receive path as if it had
-  /// arrived on the wire from `from` — the node task queue serializes it
-  /// with real socket traffic. Lets in-process front ends (the client edge
+  /// arrived on the wire from `from` — the node thread serializes it with
+  /// real socket traffic. Lets in-process front ends (the client edge
   /// layer) hand ingress to the node thread without a loopback round trip.
   /// Safe from any thread; dropped after stop() begins.
   void inject(NodeId from, Envelope&& env);
@@ -144,59 +137,37 @@ class TcpHost {
  private:
   class Context;
   friend class Context;
+  struct Conn;
 
-  /// Per-peer outbound state for the async wire path. Stable address (held
-  /// by unique_ptr, never erased before stop), so writers can reference it
-  /// outside the peers lock. The `draining` flag makes each peer drained by
-  /// at most one writer at a time: it stays true from the moment the peer
-  /// is queued dirty until a writer observes an empty queue under `mu`.
-  struct PeerQueue {
-    explicit PeerQueue(NodeId peer) : id(peer) {}
-    const NodeId id;
-    bd::Mutex mu;
-    /// Serialized envelopes awaiting a writer.
-    std::deque<std::vector<std::uint8_t>> pending BD_GUARDED_BY(mu);
-    bool draining BD_GUARDED_BY(mu) = false;
-    /// Writer-owned outbound connection. Atomic (seq_cst) because stop()
-    /// scans it to shutdown() a socket a writer may be blocked on: the
-    /// writer stores the fd then checks writers_stop_, stop() sets
-    /// writers_stop_ then scans — one side always observes the other.
-    std::atomic<int> fd{-1};
-    /// Endpoint changed; writer must reconnect.
-    bool redial BD_GUARDED_BY(mu) = false;
-    /// Gauges are registered under peers_mu_ before the queue becomes
-    /// reachable to writers, then only read through stable pointers.
-    obs::Gauge* depth = nullptr;       ///< wire.peer<id>.queue_depth
-    obs::Gauge* high_water = nullptr;  ///< wire.peer<id>.queue_high_water
-  };
-
-  void accept_loop();
-  void reader_loop(int fd);
-  BD_NODE_THREAD void node_loop();
-  void writer_loop();
-  void enqueue_task(std::function<void()> fn);
-  /// Creates the node's offload worker pool (idempotent); completions are
-  /// posted back through the node task queue. Called from Node::start on
-  /// the node thread.
-  bool enable_offload(int workers, std::size_t lanes);
-
+  // Everything below but the constructor, stop() and the thread-safe
+  // entry points runs on the node thread.
+  void on_io(int fd, std::uint32_t events);
+  void accept_all();
+  Conn* adopt(int fd, NodeId dialed, bool connecting);
+  /// Settles an in-flight dial: true once connected; false while still
+  /// connecting, or after closing a dial that failed.
+  bool finish_connect(Conn& c);
+  /// Hands every complete frame on `c` to the node; false once `c` is
+  /// closed.
+  bool read_frames(Conn& c);
+  void close_conn(Conn& c);
+  /// Queues `env` for `peer`; false when it is dropped.
   bool send_to(NodeId peer, const Envelope& env);
-  bool send_sync(NodeId peer, const Envelope& env);
-  bool enqueue_async(NodeId peer, const Envelope& env);
-  /// Writes everything currently queued for `p`; returns when the queue is
-  /// empty (drops what cannot be written).
-  void drain_peer(PeerQueue& p);
-  /// Sends `bufs` to the peer as coalesced frames over its writer-owned
-  /// connection (dialing / redialing as needed). Returns envelopes dropped.
-  std::size_t flush_buffers(PeerQueue& p,
-                            std::vector<std::vector<std::uint8_t>>& bufs);
-  /// Writes pre-built iovecs to the peer's connection with one reconnect
-  /// retry (the cached connection may be stale).
-  bool flush_iovecs(PeerQueue& p, const std::vector<::iovec>& iov);
-  int connect_peer(NodeId peer) BD_REQUIRES(peers_mu_);
-
-  std::vector<std::uint8_t> pool_get();
-  void pool_put(std::vector<std::uint8_t> buf);
+  /// The connection `peer` is reached by: its dialed connection (dialing
+  /// one if it has an endpoint), else the connection it last spoke on.
+  Conn* route(NodeId peer);
+  void flush_dirty();
+  /// Writes `c`'s queued frames; a lingering partial frame stays unless
+  /// `all`.
+  void flush(Conn& c, bool all);
+  /// Counts `c` in or out of congested_ (over half its queue bound).
+  void set_congested(Conn& c, bool on);
+  /// Hands held inject()ed envelopes to the node while no peer is
+  /// congested.
+  void admit();
+  /// Creates the node's offload worker pool (idempotent); completions are
+  /// posted back to the node thread. Called from Node::start.
+  bool enable_offload(int workers, std::size_t lanes);
 
   NodeId self_;
   std::unique_ptr<Node> node_;
@@ -207,82 +178,52 @@ class TcpHost {
   /// stopped after the node thread joins; its exec.* instruments live in
   /// wire_metrics_ so stats exports pick them up).
   std::unique_ptr<runtime::MatchExecutor> executor_;
-
-  // Written by the constructor and stop(), read by accept_loop() while it
-  // blocks in accept(); atomic so the shutdown handshake (close the
-  // listener, accept fails, loop exits) is race-free.
-  std::atomic<int> listen_fd_{-1};
+  Reactor reactor_;
+  int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-
-  mutable bd::Mutex peers_mu_;
-  std::map<NodeId, TcpEndpoint> peers_ BD_GUARDED_BY(peers_mu_);
-  /// Cached outgoing connections (sync path).
-  std::map<NodeId, int> peer_fds_ BD_GUARDED_BY(peers_mu_);
-  /// Async path. The map is guarded; the pointed-to queues are stable
-  /// (never erased before stop) and carry their own lock.
-  std::map<NodeId, std::unique_ptr<PeerQueue>> queues_
-      BD_GUARDED_BY(peers_mu_);
-  /// Learned return paths: sender id -> inbound socket it last spoke on.
-  /// Lets the node reply to peers with no registered endpoint (e.g. the
-  /// `bluedove_cli stats` scraper) over the connection they opened. The
-  /// fds are owned by their reader threads, never closed through this map;
-  /// writes to them happen under peers_mu_, which the owning reader also
-  /// takes before unmapping (so the fd cannot be closed mid-write).
-  std::map<NodeId, int> learned_fds_ BD_GUARDED_BY(peers_mu_);
-
-  // Writer pool: queue of dirty peers + shutdown flag.
-  bd::Mutex writers_mu_;
-  bd::CondVar writers_cv_;
-  std::deque<PeerQueue*> dirty_ BD_GUARDED_BY(writers_mu_);
-  /// Set under writers_mu_ (cv discipline) but also read lock-free from
-  /// flush_iovecs so a writer blocked against a slow peer gives up instead
-  /// of redialing during shutdown.
-  std::atomic<bool> writers_stop_{false};
-  std::vector<std::thread> writer_threads_;
-
-  // Pool of serialized-envelope buffers recycled between node thread and
-  // writers (capacity is retained across reuse).
-  bd::Mutex pool_mu_;
-  std::vector<std::vector<std::uint8_t>> pool_ BD_GUARDED_BY(pool_mu_);
-
-  // Node event loop (tasks + timers), same discipline as ThreadCluster.
-  bd::Mutex mu_;
-  bd::CondVar cv_;
-  std::deque<std::function<void()>> tasks_ BD_GUARDED_BY(mu_);
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::pair<TimerId, std::function<void()>>>
-      timers_ BD_GUARDED_BY(mu_);
-  TimerId next_timer_ BD_GUARDED_BY(mu_) = 1;
-  bool stopping_ BD_GUARDED_BY(mu_) = false;
-  bool started_ BD_GUARDED_BY(mu_) = false;
-
-  std::thread accept_thread_;
-  std::thread node_thread_;
-  bd::Mutex readers_mu_;
-  std::vector<std::thread> reader_threads_ BD_GUARDED_BY(readers_mu_);
-  /// Open inbound sockets (for shutdown).
-  std::vector<int> accepted_fds_ BD_GUARDED_BY(readers_mu_);
-
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> dropped_sends_{0};
+
+  bd::Mutex mu_;
+  /// Dialable peers; add_peer may run on any thread.
+  std::map<NodeId, TcpEndpoint> endpoints_ BD_GUARDED_BY(mu_);
+  bool started_ BD_GUARDED_BY(mu_) = false;
+  bool stopping_ BD_GUARDED_BY(mu_) = false;
+
+  // Node-thread state.
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::map<NodeId, int> dialed_;   ///< peer -> outbound connection fd
+  /// Learned return paths: sender id -> the connection it last spoke on.
+  /// Lets the node reply to peers with no registered endpoint (e.g. the
+  /// `bluedove_cli stats` scraper) over the connection they opened.
+  std::map<NodeId, int> learned_;
+  std::vector<int> dirty_;  ///< connections with output queued this pass
+  std::uint64_t next_serial_ = 0;
+  /// Backpressure for in-process ingress: inject()ed envelopes wait here
+  /// while any connection is congested. Cross-thread send()s are not held;
+  /// they drop at the queue bound instead.
+  std::deque<std::pair<NodeId, Envelope>> held_;
+  int congested_ = 0;  ///< connections over half their queue bound
 
   // Wire instrumentation (registered once in the constructor, cached).
   obs::MetricsRegistry wire_metrics_;
   obs::Counter* m_envelopes_ = nullptr;   ///< envelopes put on the wire
   obs::Counter* m_frames_ = nullptr;      ///< frames put on the wire
   obs::Counter* m_bytes_ = nullptr;       ///< bytes put on the wire
-  obs::Counter* m_flushes_ = nullptr;     ///< writer drain flushes (sendmsg batches)
+  obs::Counter* m_flushes_ = nullptr;     ///< socket writes that sent bytes
   obs::Counter* m_queue_drops_ = nullptr; ///< envelopes dropped: queue full
   obs::Counter* m_send_drops_ = nullptr;  ///< envelopes dropped: write failed
   obs::Counter* m_connects_ = nullptr;    ///< outbound dials that succeeded
   /// Zero-copy accounting: payload bytes the receive path had to copy out
   /// of a frame instead of viewing in place. Steady state should be 0 —
-  /// reader_loop hands parse_frame the refcounted frame buffer, so every
+  /// the read path hands parse_frame the refcounted frame buffer, so every
   /// payload is a view shared across the fan-out (see attr/payload.h).
   obs::Counter* m_payload_copies_ = nullptr;
   obs::Counter* m_payload_copy_bytes_ = nullptr;
   obs::LatencyHistogram* m_frame_envs_ = nullptr;   ///< envelopes per frame
   obs::LatencyHistogram* m_frame_bytes_ = nullptr;  ///< bytes per frame
+
+  std::thread thread_;  ///< the node thread; last, as it uses all of the above
 };
 
 }  // namespace bluedove::net

@@ -14,11 +14,6 @@ void build_frame(serde::Writer& w, NodeId sender, const Envelope& env) {
   w.patch_u32(len_at, static_cast<std::uint32_t>(w.size() - 4));
 }
 
-void build_body(serde::Writer& w, const Envelope& env) {
-  w.clear();
-  write_envelope(w, env);
-}
-
 void fill_header(std::uint8_t out[8], std::uint32_t body_bytes,
                  NodeId sender) {
   const std::uint32_t len = body_bytes + static_cast<std::uint32_t>(kFrameOverhead);

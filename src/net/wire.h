@@ -37,11 +37,6 @@ inline constexpr std::size_t kFrameOverhead = 4;
 /// `w.size()` are ready for one write syscall.
 void build_frame(serde::Writer& w, NodeId sender, const Envelope& env);
 
-/// Serializes just the envelope bytes (no header) into `w`, cleared first.
-/// The transport queues these per peer and assembles multi-envelope frames
-/// at flush time.
-void build_body(serde::Writer& w, const Envelope& env);
-
 /// Fills an 8-byte frame header for a frame whose body (everything after
 /// the length prefix, excluding the 4 sender bytes) is `body_bytes` long.
 void fill_header(std::uint8_t out[8], std::uint32_t body_bytes,

@@ -35,6 +35,16 @@ const Recorder::ThreadDump* find_ring(const Recorder::Dump& dump,
   return nullptr;
 }
 
+/// The same lookup in a temporary dump (`find_ring(Recorder::dump(), ...)`):
+/// the dump is kept until the next such call, so the returned pointer
+/// outlives the expression that made the dump.
+const Recorder::ThreadDump* find_ring(Recorder::Dump&& dump,
+                                      const std::string& label) {
+  static thread_local Recorder::Dump kept;
+  kept = std::move(dump);
+  return find_ring(kept, label);
+}
+
 TEST(Recorder, RecordsAndAttributesEvents) {
   const std::uint16_t name = Recorder::intern("test.basic");
   std::thread t([&] {

@@ -1,6 +1,7 @@
 // Tests for the batched wire path: EnvelopeBatch framing (byte-exact
-// round-trips against the legacy format), the asynchronous bounded-queue
-// writer pool (fan-out, backpressure drops, stale-connection retry), and a
+// round-trips against the legacy format), the host's outbound path
+// (fan-out, bounded per-peer queues, backpressure drops, stale-connection
+// retry, a peer that never reads), the one-thread-per-host structure, and a
 // full dispatcher->matcher MatchRequestBatch pipeline over real sockets.
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <future>
 #include <thread>
 
 #include "net/tcp_transport.h"
@@ -414,6 +417,209 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
   }));
   restarted.stop();
   sender.stop();
+}
+
+/// A raw loopback listener that accepts connections and never reads them.
+class DeafListener {
+ public:
+  DeafListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+    socklen_t len = sizeof addr;
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    ::listen(fd_, 8);
+    acceptor_ = std::thread([this] {
+      while (true) {
+        const int fd = ::accept(fd_, nullptr, nullptr);
+        if (fd < 0) break;
+        accepted_.push_back(fd);  // accepted, never read
+      }
+    });
+  }
+  /// Closes the listener and every accepted socket, which also unblocks a
+  /// sender stuck writing to one.
+  ~DeafListener() {
+    ::shutdown(fd_, SHUT_RDWR);
+    ::close(fd_);
+    acceptor_.join();
+    for (int fd : accepted_) ::close(fd);
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<int> accepted_;  ///< acceptor-thread only until the join
+  std::thread acceptor_;
+};
+
+TEST(WireSync, NonReadingPeerStallsNeitherNodeNorStop) {
+  // Default WireConfig (one envelope per frame). 16 KiB messages flood a
+  // peer that never reads, from a timer on the node thread: the socket
+  // fills, the per-peer bound is reached, and from then on sends drop.
+  // Meanwhile the node thread must keep serving its timers, and stop()
+  // must not wait on the peer.
+  auto node = std::make_unique<CountingNode>();
+  CountingNode* cn = node.get();
+  auto sender = std::make_unique<TcpHost>(1, 0, std::move(node));
+  auto deaf = std::make_unique<DeafListener>();
+  sender->add_peer(2, {"127.0.0.1", deaf->port()});
+  sender->start();
+  NodeContext* ctx = wait_ctx(cn);
+
+  std::atomic<int> ticks{0};
+  std::function<void()> tick = [&] {
+    ticks.fetch_add(1);
+    ctx->set_timer(0.01, tick);
+  };
+  const std::string big(16 * 1024, 'x');
+  MessageId next_id = 1;
+  std::function<void()> flood = [&] {
+    for (int i = 0; i < 64; ++i) {
+      Message msg;
+      msg.id = next_id++;
+      msg.values = {1.0};
+      msg.payload = big;
+      ctx->send(2, Envelope::of(ClientPublish{std::move(msg)}));
+    }
+    ctx->set_timer(0.001, flood);
+  };
+  ctx->set_timer(0.0, [&] {
+    tick();
+    flood();
+  });
+
+  EXPECT_TRUE(eventually([&] { return sender->dropped_sends() > 0; }));
+  const int before = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_GE(ticks.load(), before + 5) << "the node thread stalled";
+
+  const auto snap = sender->wire_metrics().snapshot();
+  const std::uint64_t full = snap.counters.at("wire.queue_full_drops");
+  EXPECT_GT(full, 0u);
+  EXPECT_GE(sender->dropped_sends(), full);
+  // No ASSERT before the stop below: the timers above must not outlive it.
+  const auto high_water = snap.gauges.find("wire.peer2.queue_high_water");
+  EXPECT_TRUE(high_water != snap.gauges.end() &&
+              high_water->second <=
+                  static_cast<double>(WireConfig{}.queue_capacity));
+
+  // Run stop() aside, so a stop that waits on the peer fails the test
+  // instead of hanging it; closing the peer afterwards releases it.
+  auto stopped = std::async(std::launch::async, [&] { sender->stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "stop() blocked on a peer that does not read";
+  deaf.reset();
+  stopped.wait();
+}
+
+/// Answers every envelope with a 16 KiB publish to node 2.
+class ForwardingNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override { ctx_ = &ctx; }
+  void on_receive(NodeId, Envelope) override {
+    handled.fetch_add(1);
+    Message msg;
+    msg.values = {1.0};
+    msg.payload = std::string(16 * 1024, 'x');
+    ctx_->send(2, Envelope::of(ClientPublish{std::move(msg)}));
+  }
+  std::atomic<int> handled{0};
+
+ private:
+  NodeContext* ctx_ = nullptr;
+};
+
+TEST(WireSync, InjectWaitsWhileAPeerIsCongested) {
+  // Every injected envelope makes the node send 16 KiB to a peer that never
+  // reads. Once that connection holds half its bound, injected input waits
+  // in the host instead of overflowing the queue; when the connection
+  // fails, the held input reaches the node.
+  constexpr int kInjected = 4000;
+  auto node = std::make_unique<ForwardingNode>();
+  ForwardingNode* fn = node.get();
+  auto sender = std::make_unique<TcpHost>(1, 0, std::move(node));
+  auto deaf = std::make_unique<DeafListener>();
+  sender->add_peer(2, {"127.0.0.1", deaf->port()});
+  sender->start();
+  for (int i = 0; i < kInjected; ++i) {
+    sender->inject(kInvalidNode, sample_publish(static_cast<MessageId>(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(fn->handled.load(), kInjected) << "nothing was held back";
+  const auto snap = sender->wire_metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("wire.queue_full_drops"), 0u);
+
+  deaf.reset();  // the connection fails and releases the held input
+  EXPECT_TRUE(eventually([&] { return fn->handled.load() == kInjected; }))
+      << "handled " << fn->handled.load();
+  sender->stop();
+}
+
+/// Threads of this process, as the kernel lists them.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+class OffloadEchoNode final : public Node {
+ public:
+  static constexpr int kWorkers = 2;
+  void start(NodeContext& ctx) override {
+    ctx.enable_offload(kWorkers, 1);
+    ctx_.store(&ctx);
+  }
+  NodeContext* ctx() const { return ctx_.load(); }
+  void on_receive(NodeId, Envelope) override { replies.fetch_add(1); }
+  std::atomic<NodeContext*> ctx_{nullptr};
+  std::atomic<int> replies{0};
+};
+
+class EchoNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override { ctx_ = &ctx; }
+  void on_receive(NodeId from, Envelope) override {
+    ctx_->send(from, Envelope::of(JoinRequest{}));
+  }
+  NodeContext* ctx_ = nullptr;
+};
+
+TEST(WireThreads, HostAddsOneThreadPlusOffloadWorkers) {
+  // One TcpHost talking to 4 peers, both directions: the host's outbound
+  // connections to the peers and the peers' connections back (each peer
+  // replies through its own dial) all live on the host's node thread.
+  constexpr NodeId kHost = 1;
+  std::vector<std::unique_ptr<TcpHost>> peers;
+  for (NodeId id = 100; id < 104; ++id) {
+    peers.push_back(std::make_unique<TcpHost>(id, 0,
+                                              std::make_unique<EchoNode>()));
+  }
+  auto node = std::make_unique<OffloadEchoNode>();
+  OffloadEchoNode* on = node.get();
+  TcpHost host(kHost, 0, std::move(node));
+  for (auto& p : peers) {
+    p->add_peer(kHost, {"127.0.0.1", host.port()});
+    host.add_peer(p->id(), {"127.0.0.1", p->port()});
+    p->start();
+  }
+  const std::size_t before = process_threads();
+  host.start();
+  ASSERT_TRUE(eventually([&] { return on->ctx() != nullptr; }));
+  for (auto& p : peers) on->ctx()->send(p->id(), sample_publish(1));
+  ASSERT_TRUE(eventually([&] { return on->replies.load() == 4; }));
+  EXPECT_EQ(process_threads() - before,
+            static_cast<std::size_t>(1 + OffloadEchoNode::kWorkers));
+  host.stop();
+  for (auto& p : peers) p->stop();
 }
 
 // ---------------------------------------------------------------------------

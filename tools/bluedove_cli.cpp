@@ -65,9 +65,9 @@
 //   --subs=N           ClientSubscribes to file before publishing (default 0;
 //                      without subscriptions nothing matches or delivers)
 //   --payload=BYTES    message payload size (default 64)
-//   --wire-batch=N     envelopes per frame (default 32; 1 = sync sends)
-//   --wire-flush=SEC   writer linger for a partial batch (default 0.5 ms)
-//   --wire-queue=N     per-peer bounded send queue (default 65536)
+//   --wire-batch=N     envelopes per frame (default 32; 1 = one per frame)
+//   --wire-flush=SEC   linger for a partial frame (default 0.5 ms)
+//   --wire-queue=N     per-peer bound on unwritten envelopes (default 65536)
 //
 // edge-blast options:
 //   --peer=host:port   the edge listener to connect to (required)
@@ -551,7 +551,8 @@ int cmd_trace_selftest(const CliArgs& args) {
 }
 
 /// Node behind `blast`: publishes from the main thread through its context
-/// (TcpHost sends are thread-safe) and ignores whatever comes back.
+/// (TcpHost hands such sends to its node thread) and ignores whatever comes
+/// back.
 class BlastNode final : public Node {
  public:
   void start(NodeContext& ctx) override {
@@ -586,7 +587,6 @@ int cmd_blast(const CliArgs& args) {
   wire.flush_interval = args.get_double("wire-flush", 0.0005);
   wire.queue_capacity =
       static_cast<std::size_t>(args.get_int("wire-queue", 65536));
-  wire.writers = static_cast<int>(args.get_int("wire-writers", 2));
 
   auto node = std::make_unique<BlastNode>();
   BlastNode* blast = node.get();

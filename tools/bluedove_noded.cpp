@@ -37,12 +37,12 @@
 //   --edge-reactors=N                edge reactor threads (default 2)
 //   --trace-sample=R                 dispatcher trace sampling rate [0,1]
 //   --wire-batch=N                   envelopes coalesced per TCP frame; >1
-//                                    also enables the async writer pool and
-//                                    (dispatcher) MatchRequest batching
+//                                    also enables (dispatcher) MatchRequest
+//                                    batching
 //   --wire-flush=SEC                 max wait for a wire batch to fill
 //                                    (default 0.5 ms)
-//   --wire-queue=N                   per-peer bounded send queue (envelopes)
-//   --wire-writers=N                 writer pool size (default 2)
+//   --wire-queue=N                   per-peer bound on unwritten envelopes;
+//                                    the newest is dropped beyond it
 //   --stats-json=PATH                periodically write the node's metrics
 //                                    snapshot as JSON to PATH
 //   --stats-interval=SEC             snapshot cadence (default 5 s)
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
   wire.flush_interval = args.get_double("wire-flush", 0.0005);
   wire.queue_capacity =
       static_cast<std::size_t>(args.get_int("wire-queue", 4096));
-  wire.writers = static_cast<int>(args.get_int("wire-writers", 2));
   net::TcpHost host(id, port, std::move(node),
                     static_cast<std::uint64_t>(args.get_int("seed", 42)),
                     wire);

@@ -25,7 +25,8 @@
 #      arena's raw range strips are exactly where an out-of-bounds read
 #      would hide)
 #   7. TSan concurrency suites (tools/tsan_check.sh), then the edge label
-#      under TSan (reactor threads, swarm drivers, session migration)
+#      under TSan (reactor threads, swarm drivers, session migration) and
+#      the wire label (TCP hosts: reactor inbox, non-blocking dials)
 #
 # Usage: tools/check_all.sh [--fast]
 #   --fast stops after step 5 (skips the sanitizer rebuilds).
@@ -93,5 +94,8 @@ echo "== tsan =="
 
 echo "== tsan: edge label =="
 "${repo_root}/tools/tsan_check.sh" --label edge
+
+echo "== tsan: wire label =="
+"${repo_root}/tools/tsan_check.sh" --label wire
 
 echo "check_all: OK"

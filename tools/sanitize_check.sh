@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Builds the tree with ASan+UBSan (-DBLUEDOVE_SANITIZE=ON) and runs the full
 # test suite under it (including the `wire` label — batched transport framing,
-# writer pool, backpressure — and the `parallel` label — offload worker pool,
-# epoch-guarded subscription store, index snapshots). The arena/SoA index code
-# moves raw slots instead of shared_ptrs, so this is the lifetime/bounds
-# safety net for src/index, and the pooled serialization buffers in src/net
-# get the same coverage. The `cover` label (subscription covering layer)
-# rides along: its member arena stores raw per-member range strips that the
-# residual filter walks by offset, the classic place for a bounds slip.
+# the reactor's per-connection read and write buffers, backpressure — and the
+# `parallel` label — offload worker pool, epoch-guarded subscription store,
+# index snapshots). The arena/SoA index code moves raw slots instead of
+# shared_ptrs, so this is the lifetime/bounds safety net for src/index, and
+# the connection buffers in src/net get the same coverage. The `cover` label
+# (subscription covering layer) rides along: its member arena stores raw
+# per-member range strips that the residual filter walks by offset, the
+# classic place for a bounds slip.
 #
 # Usage: tools/sanitize_check.sh [--label LABEL] [ctest-args...]
 #   --label LABEL restricts the run to one ctest label (repeatable); any

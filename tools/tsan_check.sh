@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the tree with ThreadSanitizer (-DBLUEDOVE_TSAN=ON) and runs the
 # concurrency-sensitive suites under it: the thread-cluster runtime, the TCP
-# transport, the batched wire path (writer pool, per-peer queues, buffer
-# pool), the node logic they drive, the obs metrics hot path (relaxed
-# atomics updated from matcher worker threads while snapshots read them),
+# transport (its reactor inbox, fed by test threads, offload workers and
+# edge reactors; the batched wire path), the node logic they drive, the obs
+# metrics hot path (relaxed atomics updated from matcher worker threads
+# while snapshots read them),
 # and the `parallel` label (offload worker pool, work-stealing lanes,
 # epoch-guarded store, snapshot-vs-churn differential). The `cover` label
 # runs too: covering mutations are node-thread-only by design and the
