@@ -10,7 +10,9 @@
 // Emits BENCH_parallel.json (obs JSON schema): one msgs/sec gauge per
 // (cores, subs) cell, speedup gauges vs cores=1, executor job/steal
 // counters, and the host's hardware_concurrency (speedups can only
-// materialize when the machine actually has the cores).
+// materialize when the machine actually has the cores). Exits nonzero when
+// any cell leaves a request unmatched, so a reduced-scale run doubles as a
+// smoke test of the pool path over real TCP (tools/check_all.sh).
 //
 // Flags: --subs N (default 100000), --requests N (default 40000),
 //        --large (adds a 1,000,000-subscription sweep).
@@ -74,6 +76,7 @@ struct CellResult {
   double tput = 0.0;       ///< msgs/sec counted at the matcher
   double exec_jobs = 0.0;  ///< offload pool jobs (0 on the inline path)
   double exec_steals = 0.0;
+  bool complete = false;   ///< every request was matched
 };
 
 /// One (cores, subs) cell: fresh hosts, preload, blast, teardown.
@@ -180,6 +183,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
 
   CellResult result;
   result.tput = static_cast<double>(got) / elapsed;
+  result.complete = got >= requests;
   const obs::MetricsSnapshot host_snap = matcher_host.wire_metrics().snapshot();
   const auto jobs = host_snap.counters.find("exec.jobs");
   const auto steals = host_snap.counters.find("exec.steals");
@@ -190,7 +194,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
                                          : 0;
   client_host.stop();
   matcher_host.stop();
-  if (got < requests) {
+  if (!result.complete) {
     std::fprintf(stderr, "micro_parallel: only %llu/%llu matched (cores=%d)\n",
                  (unsigned long long)got, (unsigned long long)requests, cores);
   }
@@ -237,6 +241,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> sizes{subs};
   if (large) sizes.push_back(1000000);
   const int cores_sweep[] = {1, 2, 4, 8};
+  bool complete = true;
   for (const std::uint64_t n : sizes) {
     std::printf("\nsubscriptions=%llu, requests=%llu:\n",
                 (unsigned long long)n, (unsigned long long)requests);
@@ -245,6 +250,7 @@ int main(int argc, char** argv) {
     double base = 0.0;
     for (const int cores : cores_sweep) {
       const CellResult cell = run_cell(cores, n, requests);
+      complete = complete && cell.complete;
       if (cores == 1) base = cell.tput;
       const double speedup = base > 0.0 ? cell.tput / base : 0.0;
       std::printf("%8d %14.0f %9.2fx %12.0f %12.0f\n", cores, cell.tput,
@@ -261,5 +267,9 @@ int main(int argc, char** argv) {
   }
 
   benchutil::write_bench_json("parallel", snap);
+  if (!complete) {
+    std::fprintf(stderr, "micro_parallel: FAIL (unmatched requests)\n");
+    return 1;
+  }
   return 0;
 }

@@ -30,8 +30,9 @@ struct OffloadWorker {
 };
 
 /// An offloaded computation. It must only touch state that is safe off the
-/// node thread (immutable snapshots, its own captures, the per-worker
-/// scratch slot) and returns the work units it spent, for CPU accounting.
+/// node thread (state the node holds writes back from while the work is in
+/// flight, its own captures, the per-worker scratch slot) and returns the
+/// work units it spent, for CPU accounting.
 using OffloadWork = std::function<double(OffloadWorker&)>;
 
 /// Completion for an offloaded computation; always runs back on the node's

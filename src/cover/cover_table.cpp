@@ -89,7 +89,7 @@ void CoverTable::free_group(std::uint32_t slot) {
     if (chain.empty()) chains_.erase(it);
   }
   g.live = false;
-  ++g.generation;  // stale snapshot hits with the old rep id now miss
+  ++g.generation;  // stale hits with the old rep id now miss
   g.members.clear();
   g.bbox.clear();
   free_groups_.push_back(slot);
@@ -281,7 +281,7 @@ bool CoverTable::expand(SubscriptionId rep_id,
   const auto slot = static_cast<std::uint32_t>(rep_id & kSlotMask);
   if (slot >= groups_.size()) return false;
   const Group& g = groups_[slot];
-  if (!g.live || rep_id_of(slot) != rep_id) return false;  // stale snapshot
+  if (!g.live || rep_id_of(slot) != rep_id) return false;  // stale hit
   if (values.size() != k_) return true;  // mirrors Subscription::matches
   for (const std::uint32_t ms : g.members) {
     if (!g.uniform) {

@@ -27,16 +27,18 @@
 // byte-equal to the box), so delivered results stay byte-identical to the
 // uncovered system.
 //
-// Concurrency / epochs: the table is owned by the matcher's node thread;
-// every mutation and every expansion happens there, so the member arena
-// needs no internal locking. What leaks outside the node thread are the
-// representative Subscriptions themselves, which live in the shared
-// SubscriptionStore arena and are protected by the existing PR-4
-// epoch-guard/limbo machinery exactly like raw subscriptions. Representative
-// ids carry a per-slot generation (bit 63 flags a representative, then
-// 35 generation bits over 28 slot bits), so a hit surfaced from a stale
-// index snapshot can never alias a recycled group: expand() drops ids whose
-// generation no longer matches.
+// Concurrency: the table is owned by the matcher's node thread; every
+// mutation and every expansion happens there, so the member arena needs no
+// internal locking. What offloaded probes read are the representative
+// Subscriptions themselves, which live in the shared SubscriptionStore
+// arena like raw subscriptions; the matcher holds back writes while a
+// probe is in flight, so on the pool path the table a completion
+// expands against is the one that was probed. On the simulator's inline
+// path a write can still land between probe and completion (the probe's
+// time is charged first). Representative ids therefore carry a per-slot
+// generation (bit 63 flags a representative, then 35 generation bits over
+// 28 slot bits), so a hit from an overtaken probe can never alias a
+// recycled group: expand() drops ids whose generation no longer matches.
 //
 // Singleton pass-through: a group with one member indexes the raw
 // subscription itself (raw id, raw box). With duplicate_skew=0 workloads the

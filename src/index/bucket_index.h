@@ -29,9 +29,6 @@ class BucketIndex final : public SubscriptionIndex {
              WorkCounter& wc) const override;
   double match_cost(const Message& m) const override;
   void for_each(const std::function<void(const SubPtr&)>& fn) const override;
-  std::unique_ptr<SubscriptionIndex> clone() const override {
-    return std::make_unique<BucketIndex>(*this);
-  }
 
   std::size_t bucket_count() const { return buckets_.size(); }
   std::size_t bucket_size(std::size_t i) const { return buckets_[i].size(); }

@@ -48,11 +48,6 @@ class FlatBucketIndex final : public SubscriptionIndex {
                    MatchScratch* scratch = nullptr) const override;
   double match_cost(const Message& m) const override;
   void for_each(const std::function<void(const SubPtr&)>& fn) const override;
-  /// The clone shares the arena without owning slot references: probe it
-  /// from any thread (with a store epoch_guard pinned), never mutate it.
-  std::unique_ptr<SubscriptionIndex> clone() const override {
-    return std::unique_ptr<SubscriptionIndex>(new FlatBucketIndex(*this));
-  }
 
   const SubscriptionStore& store() const { return *store_; }
   std::size_t bucket_count() const { return buckets_.size(); }
@@ -88,7 +83,7 @@ class FlatBucketIndex final : public SubscriptionIndex {
   /// Appends the slots in `m`'s bucket that match all predicates. `sel` is
   /// the caller's selection-vector scratch: the single-threaded entry
   /// points pass the members below, match_batch threads the per-worker
-  /// MatchScratch through so concurrent probes of snapshots never share.
+  /// MatchScratch through so concurrent probes of one index never share.
   void probe(const Message& m, std::vector<Slot>& out,
              std::vector<std::uint32_t>& sel, WorkCounter& wc) const;
   /// Sampled differential oracle: re-runs the scalar kernel over the same

@@ -170,10 +170,4 @@ void IntervalTreeIndex::for_each(
   for (const auto& [id, sub] : subs_) fn(sub);
 }
 
-std::unique_ptr<SubscriptionIndex> IntervalTreeIndex::clone() const {
-  auto copy = std::make_unique<IntervalTreeIndex>(pivot_, domain_, max_depth_);
-  for (const auto& [id, sub] : subs_) copy->insert(sub);
-  return copy;
-}
-
 }  // namespace bluedove

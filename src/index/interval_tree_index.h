@@ -31,8 +31,6 @@ class IntervalTreeIndex final : public SubscriptionIndex {
              WorkCounter& wc) const override;
   double match_cost(const Message& m) const override;
   void for_each(const std::function<void(const SubPtr&)>& fn) const override;
-  /// Rebuilds (the node tree is not copyable); O(n log B).
-  std::unique_ptr<SubscriptionIndex> clone() const override;
 
   /// Number of stored intervals whose pivot range contains v (exact), plus
   /// traversal bookkeeping — exposed for tests.

@@ -27,9 +27,6 @@ class LinearScanIndex final : public SubscriptionIndex {
              WorkCounter& wc) const override;
   double match_cost(const Message& m) const override;
   void for_each(const std::function<void(const SubPtr&)>& fn) const override;
-  std::unique_ptr<SubscriptionIndex> clone() const override {
-    return std::make_unique<LinearScanIndex>(*this);
-  }
 
  private:
   DimId pivot_;

@@ -12,6 +12,13 @@
 // comparisons) through a WorkCounter. The discrete-event simulator charges
 // simulated CPU time from these work units, so the experiments' cost model
 // is the real data structure's behaviour rather than a hand-fit curve.
+//
+// Concurrency: the const probe entry points (match_batch with a caller-owned
+// MatchScratch, match_cost) may run on several threads over one live index
+// at once, provided nothing mutates that index meanwhile; the matcher holds
+// its writes back while an offloaded probe is in flight (DESIGN.md §10).
+// Arena-backed engines share a SubscriptionStore whose chunks are
+// address-stable, so a slot read by a probe never moves.
 
 #include <cstdint>
 #include <functional>
@@ -42,7 +49,7 @@ struct MatchHit {
 /// Reusable probe scratch (selection vector, slot hits) threaded through
 /// match_batch so repeated probes reallocate nothing. Each offload worker
 /// owns one instance — an engine's internal fallback scratch is not safe
-/// once snapshots of it are probed from several threads.
+/// once one index is probed from several threads at a time.
 struct MatchScratch {
   std::vector<std::uint32_t> sel;
   std::vector<std::uint32_t> slots;
@@ -109,21 +116,13 @@ class SubscriptionIndex {
   /// to what the batch added to `wc`) — this is what MatchCompleted reports
   /// instead of a batch average. `scratch`, when non-null, is caller-owned
   /// probe scratch reused across calls; offload workers must pass their own
-  /// (the engine-internal fallback is not thread-safe across snapshots).
+  /// (the engine-internal fallback is not thread-safe).
   virtual void match_batch(std::span<const Message> msgs,
                            std::vector<MatchHit>& hits,
                            std::vector<std::uint32_t>& offsets,
                            WorkCounter& wc,
                            std::vector<double>* per_msg_work = nullptr,
                            MatchScratch* scratch = nullptr) const;
-
-  /// Deep-copies this engine into an immutable read snapshot: probing the
-  /// clone (match/match_hits/match_batch) is safe from any thread while the
-  /// original keeps mutating. Arena-backed engines share the original's
-  /// SubscriptionStore without owning slot references — pair the clone with
-  /// the store's epoch_guard() and treat it as read-only (mutating or
-  /// destroying a clone never touches the arena).
-  virtual std::unique_ptr<SubscriptionIndex> clone() const = 0;
 
   /// Cheap estimate (O(1) or O(log n)) of the work units match() would
   /// spend on `m`. Used by the simulator's cost-only mode and by the

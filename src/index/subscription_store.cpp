@@ -10,7 +10,6 @@ SubscriptionStore::Slot SubscriptionStore::acquire(const Subscription& sub) {
     ++refs_[it->second];
     return it->second;
   }
-  if (free_.empty()) collect();
   Slot slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -29,7 +28,7 @@ SubscriptionStore::Slot SubscriptionStore::acquire(const Subscription& sub) {
   refs_[slot] = 1;
   by_id_.emplace(sub.id, slot);
   BD_AUDIT(obs::AuditKind::kStoreAccounting, accounting_balanced(),
-           "store: live+free+limbo != allocated after acquire");
+           "store: live+free != allocated after acquire");
   return slot;
 }
 
@@ -39,22 +38,14 @@ bool SubscriptionStore::release(SubscriptionId id) {
   const Slot slot = it->second;
   if (--refs_[slot] == 0) {
     by_id_.erase(it);
-    if (guards_.empty() && limbo_.empty()) {
-      // No snapshot was ever outstanding: recycle immediately, in the same
-      // LIFO order as always (the simulator path depends on this staying
-      // byte-identical). Clearing the entry also drops its ranges
-      // allocation right away.
-      slot_ref(slot) = Subscription{};
-      free_.push_back(slot);
-    } else {
-      // A reader may still hold a snapshot referencing this slot: park it
-      // untouched (no clear — workers may be reading the ranges) until
-      // every guard issued so far has been dropped.
-      limbo_.emplace_back(next_guard_seq_, slot);
-    }
+    // No index references the slot any more, so no probe can be reading
+    // it: recycle at once, LIFO (the simulator's determinism depends on
+    // this order). Clearing the entry drops its ranges allocation now.
+    slot_ref(slot) = Subscription{};
+    free_.push_back(slot);
   }
   BD_AUDIT(obs::AuditKind::kStoreAccounting, accounting_balanced(),
-           "store: live+free+limbo != allocated after release");
+           "store: live+free != allocated after release");
   return true;
 }
 
@@ -69,36 +60,12 @@ void SubscriptionStore::leak_slot_for_audit_test() {
   refs_.push_back(0);  // allocated, yet on no list: the accounting now leaks
 }
 
-std::shared_ptr<const void> SubscriptionStore::epoch_guard() {
-  auto token = std::make_shared<const char>('\0');
-  guards_.emplace_back(next_guard_seq_++, token);
-  return token;
-}
-
-void SubscriptionStore::collect() {
-  while (!guards_.empty() && guards_.front().second.expired()) {
-    expired_prefix_ = guards_.front().first + 1;
-    guards_.pop_front();
-  }
-  if (guards_.empty()) expired_prefix_ = next_guard_seq_;
-  while (!limbo_.empty() && limbo_.front().first <= expired_prefix_) {
-    const Slot slot = limbo_.front().second;
-    limbo_.pop_front();
-    slot_ref(slot) = Subscription{};  // now unreachable from any snapshot
-    free_.push_back(slot);
-  }
-}
-
 void SubscriptionStore::clear() {
   for (auto& chunk : chunks_) chunk.reset();
   next_ = 0;
   refs_.clear();
   free_.clear();
   by_id_.clear();
-  next_guard_seq_ = 0;
-  expired_prefix_ = 0;
-  guards_.clear();
-  limbo_.clear();
 }
 
 }  // namespace bluedove

@@ -16,21 +16,17 @@
 // holds 64<<k entries), so at(slot) is address-stable: growth allocates a
 // new chunk and never moves existing entries, making concurrent at() calls
 // on *published* slots safe while the owning (node) thread keeps acquiring.
-// For removal the store is epoch-guarded: index snapshots handed to offload
-// workers hold an epoch_guard(); a slot released while any guard is live is
-// parked in limbo and only recycled (or overwritten) once every guard
-// issued before the release has been dropped. With no guards ever taken —
-// the simulator path — release recycles immediately, preserving the legacy
-// LIFO reuse order byte-for-byte.
+// Removal needs no reader protocol of its own: the matcher releases a slot
+// only through a write, and it applies writes only while no offloaded
+// probe is in flight, so no probe ever reads a recycled slot. A freed slot
+// is cleared and recycled at once, in LIFO order.
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "attr/subscription.h"
@@ -49,8 +45,8 @@ class SubscriptionStore {
   Slot acquire(const Subscription& sub);
 
   /// Drops one reference to the subscription with this id; frees the slot
-  /// when it was the last one (deferring the actual recycle while epoch
-  /// guards are outstanding). Returns false when the id is not stored.
+  /// for reuse when it was the last one. Returns false when the id is not
+  /// stored.
   bool release(SubscriptionId id);
 
   /// Slot of a stored subscription id, or kNoSlot.
@@ -60,28 +56,20 @@ class SubscriptionStore {
   }
 
   /// The subscription in a slot. Address-stable: safe to call from offload
-  /// workers for any slot published in a snapshot they hold a guard for,
-  /// while the node thread keeps mutating the store.
+  /// workers for any slot the index they probe references, while the node
+  /// thread keeps acquiring and releasing other slots.
   const Subscription& at(Slot slot) const { return slot_ref(slot); }
-
-  /// Pins the current epoch: slots released while the returned token (or
-  /// any copy of it) is alive are parked, not recycled, so index snapshots
-  /// taken now stay valid on other threads. Drop the token to let the
-  /// parked slots collect. Cheap — one shared_ptr allocation per call.
-  std::shared_ptr<const void> epoch_guard();
 
   std::size_t live() const { return by_id_.size(); }
   std::size_t capacity() const { return next_; }
-  /// Slots parked until outstanding epoch guards drop (introspection).
-  std::size_t limbo() const { return limbo_.size(); }
 
   /// Slot-accounting invariant (obs/audit.h, kStoreAccounting): every slot
-  /// ever allocated is exactly one of live, free, or limbo. O(1).
+  /// ever allocated is exactly one of live or free. O(1).
   bool accounting_balanced() const {
-    return by_id_.size() + free_.size() + limbo_.size() == next_;
+    return by_id_.size() + free_.size() == next_;
   }
 
-  /// TEST ONLY: allocates a slot that is tracked by none of live/free/limbo,
+  /// TEST ONLY: allocates a slot that is tracked by neither live nor free,
   /// unbalancing the accounting so tests can prove the auditor trips. The
   /// leaked slot is never handed out (refcount stays 0 and it is not on the
   /// free list), so normal operation continues safely around the hole.
@@ -102,25 +90,11 @@ class SubscriptionStore {
     return chunks_[static_cast<std::size_t>(k)][slot - base];
   }
 
-  /// Expires dead guards and moves collectable limbo slots to the free
-  /// list. Called before allocating a fresh slot.
-  void collect();
-
   mutable std::array<std::unique_ptr<Subscription[]>, kMaxChunks> chunks_;
   Slot next_ = 0;  ///< allocation high-water mark
   std::vector<std::uint32_t> refs_;  ///< indexed by slot; 0 = free
   std::vector<Slot> free_;
   std::unordered_map<SubscriptionId, Slot> by_id_;
-
-  // Epoch machinery. Guards are ordered by issue sequence; expired_prefix_
-  // is the sequence below which every guard has been dropped. A released
-  // slot is parked with the current next_guard_seq_ and becomes collectable
-  // once expired_prefix_ reaches it (conservative: one long-lived guard
-  // delays everything parked after it — bounded by churn volume).
-  std::uint64_t next_guard_seq_ = 0;
-  std::uint64_t expired_prefix_ = 0;
-  std::deque<std::pair<std::uint64_t, std::weak_ptr<const void>>> guards_;
-  std::deque<std::pair<std::uint64_t, Slot>> limbo_;
 };
 
 }  // namespace bluedove

@@ -43,6 +43,27 @@ std::uint16_t merge() {
 }
 }  // namespace rec
 
+// True when `env` mutates an index or the set layout that an offloaded
+// probe may be reading, so on the pool path it waits for the probes to
+// drain (MatcherNode::hold_back). A store/remove on a dimension the
+// matcher does not have is dropped by its handler, so it never waits.
+bool is_index_write(const Envelope& env, std::size_t dims) {
+  return std::visit(
+      [dims](const auto& msg) -> bool {
+        using T = std::decay_t<decltype(msg)>;
+        if constexpr (std::is_same_v<T, StoreSubscription> ||
+                      std::is_same_v<T, RemoveSubscription>) {
+          return msg.dim < dims || msg.dim == kWideDim;
+        } else {
+          return std::is_same_v<T, SplitCommand> ||
+                 std::is_same_v<T, HandoverSegment> ||
+                 std::is_same_v<T, HandoverMerge> ||
+                 std::is_same_v<T, LeaveRequest>;
+        }
+      },
+      env.payload);
+}
+
 }  // namespace
 
 MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
@@ -55,6 +76,7 @@ MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
   m_matched_ = &metrics_.counter("matcher.matched");
   m_deliveries_ = &metrics_.counter("matcher.deliveries");
   m_stats_reqs_ = &metrics_.counter("matcher.stats_requests");
+  m_writes_deferred_ = &metrics_.counter("matcher.writes_deferred");
   m_queue_lat_ = &metrics_.histogram("matcher.queue_seconds");
   m_match_lat_ = &metrics_.histogram("matcher.match_seconds");
   // Arena-backed engines share one per-matcher store across the k
@@ -138,6 +160,11 @@ void MatcherNode::start(NodeContext& ctx) {
 void MatcherNode::on_receive(NodeId from, Envelope env) {
   BD_ASSERT_NODE_THREAD(ctx_);
   if (gossiper_.handle(from, env)) return;
+  if (parallel_ && hold_back(from, env)) return;
+  dispatch(from, std::move(env));
+}
+
+void MatcherNode::dispatch(NodeId from, Envelope env) {
   std::visit(
       [&](auto&& msg) {
         using T = std::decay_t<decltype(msg)>;
@@ -180,7 +207,6 @@ void MatcherNode::store_one(const Subscription& sub, DimId dim) {
   if (dim == kWideDim) {
     if (wide_ids_.insert(sub.id).second) {
       wide_->insert(std::make_shared<const Subscription>(sub));
-      wide_dirty_ = true;
     }
     return;
   }
@@ -199,17 +225,14 @@ void MatcherNode::store_one(const Subscription& sub, DimId dim) {
       set.index->insert(
           std::make_shared<const Subscription>(std::move(ops.insert_sub)));
     }
-    if (ops.erase || ops.insert) set.dirty = true;
     return;
   }
   set.index->insert(std::make_shared<const Subscription>(sub));
-  set.dirty = true;
 }
 
 bool MatcherNode::remove_one(SubscriptionId id, DimId dim) {
   if (dim == kWideDim) {
     if (wide_ids_.erase(id) == 0) return false;
-    wide_dirty_ = true;
     return wide_->erase(id);
   }
   if (dim >= dims()) return false;
@@ -217,18 +240,16 @@ bool MatcherNode::remove_one(SubscriptionId id, DimId dim) {
   if (set.ids.erase(id) == 0) return false;
   if (set.cover != nullptr) {
     // A member leaving a multi-member group needs no index change: the
-    // representative stays and the live expansion table already excludes
-    // the member (even for probes against stale snapshots).
+    // representative stays and the expansion table excludes the member
+    // from every service that starts after this write.
     CoverTable::RemoveResult ops = set.cover->remove(id);
     if (ops.erase) set.index->erase(ops.erase_id);
     if (ops.insert) {
       set.index->insert(
           std::make_shared<const Subscription>(std::move(ops.insert_sub)));
     }
-    if (ops.erase || ops.insert) set.dirty = true;
     return ops.found;
   }
-  set.dirty = true;
   return set.index->erase(id);
 }
 
@@ -238,6 +259,31 @@ void MatcherNode::handle_store(const StoreSubscription& msg) {
 
 void MatcherNode::handle_remove(const RemoveSubscription& msg) {
   remove_one(msg.id, msg.dim);
+}
+
+// --------------------------------------------------------------------------
+// Write deferral (pool path): probes read the live indexes, writes wait
+// --------------------------------------------------------------------------
+
+bool MatcherNode::hold_back(NodeId from, Envelope& env) {
+  if (!is_index_write(env, dims())) return false;
+  // A write arriving behind a held one queues after it, so writes keep
+  // their arrival order.
+  if (busy_cores_ == 0 && held_.empty()) return false;
+  held_.emplace_back(from, std::move(env));
+  m_writes_deferred_->inc();
+  return true;
+}
+
+void MatcherNode::release_held() {
+  // No probe is in flight: the held writes apply in arrival order. None
+  // of them starts a service, since pump() runs after.
+  if (busy_cores_ != 0) return;
+  while (!held_.empty()) {
+    auto [from, env] = std::move(held_.front());
+    held_.pop_front();
+    dispatch(from, std::move(env));
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -279,6 +325,8 @@ void MatcherNode::handle_match_batch(MatchRequestBatch batch) {
 void MatcherNode::pump() {
   const std::size_t batch_max =
       static_cast<std::size_t>(std::max(config_.match_batch, 1));
+  // A held write is waiting for the in-flight probes to drain.
+  if (!held_.empty()) return;
   while (busy_cores_ < config_.cores) {
     // Round-robin over non-empty dimension queues.
     DimSet* chosen = nullptr;
@@ -303,22 +351,6 @@ void MatcherNode::pump() {
   }
 }
 
-void MatcherNode::refresh_snapshots(DimSet& set) {
-  if (set.dirty) {
-    set.snapshot =
-        std::shared_ptr<const SubscriptionIndex>(set.index->clone());
-    // Guard taken after the clone: slots released before this point are
-    // absent from the snapshot and stay collectable.
-    set.snapshot_guard = store_ != nullptr ? store_->epoch_guard() : nullptr;
-    set.dirty = false;
-  }
-  if (wide_dirty_) {
-    wide_snapshot_ =
-        std::shared_ptr<const SubscriptionIndex>(wide_->clone());
-    wide_dirty_ = false;
-  }
-}
-
 void MatcherNode::service_batch(std::vector<MatchRequest> reqs) {
   const DimId dim = reqs.front().dim;
   DimSet& set = sets_[dim];
@@ -335,30 +367,15 @@ void MatcherNode::service_batch(std::vector<MatchRequest> reqs) {
   job->service_start = service_start;
   if (set.cover != nullptr) job->cover_stamp = set.cover->mutations();
 
-  // Which index views this service probes: the live indexes on the inline
-  // path (simulator / no pool — probe and mutation share the node thread),
-  // immutable snapshots when a worker pool is running, so store/remove/
-  // split on the node thread never race an in-flight probe.
+  // The probe reads the live dimension and wide indexes. On the pool path
+  // busy_cores_ holds writes back (hold_back) until the completion runs;
+  // on the inline path probe and writes share the node thread anyway.
   const SubscriptionIndex* dim_index = set.index.get();
   const SubscriptionIndex* wide_index = wide_.get();
-  std::shared_ptr<const SubscriptionIndex> dim_snap;
-  std::shared_ptr<const SubscriptionIndex> wide_snap;
-  std::shared_ptr<const void> arena_guard;
-  if (parallel_) {
-    refresh_snapshots(set);
-    dim_snap = set.snapshot;
-    wide_snap = wide_snapshot_;
-    arena_guard = set.snapshot_guard;
-    dim_index = dim_snap.get();
-    wide_index = wide_snap.get();
-  }
 
   const auto mode = config_.match_mode;
   const double base = config_.base_match_work;
-  OffloadWork work_fn = [this, job, dim_index, wide_index,
-                         dim_snap = std::move(dim_snap),
-                         wide_snap = std::move(wide_snap),
-                         arena_guard = std::move(arena_guard), mode,
+  OffloadWork work_fn = [this, job, dim_index, wide_index, mode,
                          base](OffloadWorker& w) {
     const auto n = job->reqs.size();
     // Probe span on whichever thread runs the work (pool worker or, on the
@@ -536,6 +553,9 @@ void MatcherNode::complete_batch(ServiceJob& job) {
     finish(req, match_count, job.per_req_work[i]);
   }
   --busy_cores_;
+  // The probe is done reading: the writes it held land now, after the
+  // cover expansion above read the table state that was probed.
+  if (parallel_) release_held();
   pump();
 }
 

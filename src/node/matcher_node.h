@@ -8,10 +8,15 @@
 // The matcher participates in the gossip overlay, reports per-dimension
 // load to all dispatchers, and implements the elasticity protocol (segment
 // split on join, merge on leave).
+//
+// When the substrate grants a worker pool, offloaded probes read the live
+// indexes with no locks; writes are held back until no probe is in flight
+// (hold_back / release_held, DESIGN.md §10).
 
 #include <deque>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/affinity.h"
@@ -140,14 +145,6 @@ class MatcherNode final : public Node {
     obs::Gauge* segload_hi = nullptr;
     /// Work-units absorbed this report window (feeds DimLoad::work_rate).
     double work_in_window = 0.0;
-    /// Copy-on-write read snapshot for offloaded matching: refreshed from
-    /// `index` at dispatch time when mutations landed since the last
-    /// service (`dirty`). `snapshot_guard` pins the arena epoch so
-    /// slot-backed engines keep released slots readable until every job
-    /// holding the snapshot has completed.
-    bool dirty = true;
-    std::shared_ptr<const SubscriptionIndex> snapshot;
-    std::shared_ptr<const void> snapshot_guard;
     /// Covering layer (config.cover.enabled): raw subscriptions register
     /// here; the index above holds only representatives + pass-throughs.
     /// Node-thread-only, like every other mutation of this struct.
@@ -203,9 +200,17 @@ class MatcherNode final : public Node {
   /// real worker thread when the substrate granted a pool, inline (then
   /// charged) otherwise.
   void service_batch(std::vector<MatchRequest> reqs);
-  /// Refreshes the dimension + wide snapshots if mutations landed since
-  /// the last offloaded service.
-  void refresh_snapshots(DimSet& set);
+  /// Write deferral on the pool path (DESIGN.md §10): offloaded probes
+  /// read the live indexes, so a write waits in `held_` while any probe
+  /// is in flight or an earlier write is waiting. Returns true when `env`
+  /// was held back instead of handled now.
+  bool hold_back(NodeId from, Envelope& env);
+  /// Applies `held_` in arrival order once no probe is in flight. Called
+  /// when a completion ends, before pump().
+  void release_held();
+  /// Routes one envelope to its handler (everything on_receive does after
+  /// gossip and write deferral).
+  void dispatch(NodeId from, Envelope env);
   /// Second half of service_batch, back on the node thread: EWMA update,
   /// Delivery fan-out, acks, core release.
   void complete_batch(ServiceJob& job);
@@ -240,6 +245,7 @@ class MatcherNode final : public Node {
   obs::Counter* m_matched_ = nullptr;     ///< messages fully serviced
   obs::Counter* m_deliveries_ = nullptr;  ///< Delivery envelopes sent
   obs::Counter* m_stats_reqs_ = nullptr;  ///< StatsRequest scrapes answered
+  obs::Counter* m_writes_deferred_ = nullptr;  ///< writes that had to wait
   obs::LatencyHistogram* m_queue_lat_ = nullptr;  ///< enqueue -> match start
   obs::LatencyHistogram* m_match_lat_ = nullptr;  ///< match start -> end
   // cover.* instruments; registered (and non-null) only when covering is
@@ -260,17 +266,21 @@ class MatcherNode final : public Node {
   std::vector<DimSet> sets_;
   std::unique_ptr<SubscriptionIndex> wide_;  ///< always-searched wide set
   std::unordered_set<SubscriptionId> wide_ids_;
-  /// Arena shared by slot-backed dimension indexes (kFlatBucket only);
-  /// epoch-guarded so offloaded snapshots read released slots safely.
+  /// Arena shared by slot-backed dimension indexes (kFlatBucket only). A
+  /// slot is released only by a write, and on the pool path writes wait
+  /// until no probe is in flight (hold_back).
   std::shared_ptr<SubscriptionStore> store_;
   /// True when the substrate granted a real worker pool (enable_offload);
-  /// services then probe immutable snapshots instead of the live indexes.
+  /// offloaded probes then read the live indexes while writes are held
+  /// back (hold_back) instead of running beside them.
   bool parallel_ = false;
   /// Per-worker probe scratch, indexed by OffloadWorker::index; the last
   /// slot serves inline runs (index -1), which the node thread serializes.
   std::vector<MatchScratch> scratch_;
-  std::shared_ptr<const SubscriptionIndex> wide_snapshot_;
-  bool wide_dirty_ = true;
+  /// Held writes (stores, removes, split, handover, merge, leave) that
+  /// arrived while a probe was in flight, in arrival order. They apply
+  /// once busy_cores_ drops to 0; no service starts while any wait.
+  std::deque<std::pair<NodeId, Envelope>> held_;
 
   /// Delivery-time expansion staging (node thread only): per-batch expanded
   /// hits and offsets, mirroring ServiceJob::hits/offsets post-expansion.

@@ -19,7 +19,7 @@
 //   kGossipVersion  a gossip endpoint's (generation, version) never moves
 //                   backwards in a local table
 //   kStoreAccounting  SubscriptionStore slot partition closes:
-//                   live + free + limbo == allocated capacity
+//                   live + free == allocated capacity
 //   kQueueAccounting  bounded-queue stats close: enqueued - dequeued ==
 //                   depth, 0 <= depth <= high_water
 //   kSimdKernel     a vectorized match probe agrees with the scalar

@@ -5,11 +5,12 @@
 // their separate per-dimension queues with a fixed number of cores, §II-B).
 //
 // A job is an OffloadWork closure — a read-only computation, typically a
-// SubscriptionIndex::match_batch over an immutable index snapshot — plus an
-// OffloadDone completion. The work runs on a pool worker; the completion is
-// handed to the owner's `post` callback, which ships it back to the node's
-// serialized execution context (its task queue), so every send() and every
-// piece of node state stays on legal context.
+// SubscriptionIndex::match_batch over a live index whose writes the owner
+// holds back until the completion runs — plus an OffloadDone completion.
+// The work runs on a pool worker; the completion is handed to the owner's
+// `post` callback, which ships it back to the node's serialized execution
+// context (its task queue), so every send() and every piece of node state
+// stays on legal context.
 //
 // Determinism contract: worker w's Rng stream is seeded with
 // `config.seed + w`. Which worker runs a given job depends on OS

@@ -195,14 +195,16 @@ TEST_F(AuditTest, StoreSlotLeakTrips) {
 TEST_F(AuditTest, StoreChurnStaysBalanced) {
   SubscriptionStore store;
   for (SubscriptionId id = 1; id <= 64; ++id) store.acquire(sub_with_id(id));
-  // Hold a snapshot guard so releases park in limbo instead of recycling —
-  // the balance must hold across all three slot states.
-  auto guard = store.epoch_guard();
+  // Shared slots: a second reference keeps ids 1..16 live through one
+  // release each.
+  for (SubscriptionId id = 1; id <= 16; ++id) store.acquire(sub_with_id(id));
   for (SubscriptionId id = 1; id <= 32; ++id) store.release(id);
-  EXPECT_GT(store.limbo(), 0u);
+  EXPECT_EQ(store.live(), 48u);
   EXPECT_TRUE(store.accounting_balanced());
-  guard.reset();
-  for (SubscriptionId id = 65; id <= 96; ++id) store.acquire(sub_with_id(id));
+  // Freed slots recycle before the arena grows.
+  for (SubscriptionId id = 65; id <= 80; ++id) store.acquire(sub_with_id(id));
+  EXPECT_EQ(store.capacity(), 64u);
+  for (SubscriptionId id = 81; id <= 96; ++id) store.acquire(sub_with_id(id));
   EXPECT_TRUE(store.accounting_balanced());
   EXPECT_EQ(Audit::violations(AuditKind::kStoreAccounting), 0u);
 }

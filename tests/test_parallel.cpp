@@ -2,11 +2,14 @@
 //
 // Covers the offload worker pool end to end: MatchExecutor semantics
 // (completion routing, work stealing, backpressure, per-worker Rng
-// determinism), the ThreadCluster offload hook, the epoch-guarded
-// SubscriptionStore, per-engine clone() snapshot isolation, and a
-// differential test of an 8-worker matcher under subscription churn and
-// split/merge storms against a brute-force oracle. Runs under TSan and
-// ASan/UBSan via tools/tsan_check.sh and tools/sanitize_check.sh.
+// determinism), the ThreadCluster offload hook, the SubscriptionStore's
+// address-stable shared slots, per-engine live-index reads beside writes
+// to another index on the same store, an ordering differential (each
+// request sees exactly the writes injected before it, with writes inside
+// the message space), and a differential test of an 8-worker matcher
+// under subscription churn and split/merge storms against a brute-force
+// oracle. Runs under TSan and ASan/UBSan via tools/tsan_check.sh and
+// tools/sanitize_check.sh.
 
 #include <gtest/gtest.h>
 
@@ -262,7 +265,7 @@ TEST(ThreadClusterOffload, WorkRunsOffNodeThreadCompletionOnIt) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-guarded SubscriptionStore
+// SubscriptionStore slots
 // ---------------------------------------------------------------------------
 
 Subscription make_sub(SubscriptionId id, double lo = 0.0, double hi = 1.0) {
@@ -278,35 +281,11 @@ TEST(SubscriptionStoreEpochs, FastPathRecyclesImmediately) {
   const auto s1 = store.acquire(make_sub(1));
   const auto s2 = store.acquire(make_sub(2));
   EXPECT_TRUE(store.release(2));
-  EXPECT_EQ(store.limbo(), 0u);  // no guards ever: legacy immediate recycle
+  EXPECT_TRUE(store.accounting_balanced());
   const auto s3 = store.acquire(make_sub(3));
-  EXPECT_EQ(s3, s2);  // LIFO reuse, same as the pre-epoch store
+  EXPECT_EQ(s3, s2);  // LIFO reuse
   EXPECT_EQ(store.capacity(), 2u);
   EXPECT_EQ(store.at(s1).id, 1u);
-}
-
-TEST(SubscriptionStoreEpochs, GuardParksReleasesUntilDropped) {
-  SubscriptionStore store;
-  const auto s1 = store.acquire(make_sub(1, 10.0, 20.0));
-  auto guard = store.epoch_guard();
-
-  EXPECT_TRUE(store.release(1));
-  EXPECT_EQ(store.limbo(), 1u);
-  // The parked slot stays readable for snapshot holders.
-  EXPECT_EQ(store.at(s1).id, 1u);
-  EXPECT_DOUBLE_EQ(store.at(s1).ranges[0].lo, 10.0);
-
-  // New acquisitions must not overwrite the parked slot while the guard
-  // lives.
-  const auto s2 = store.acquire(make_sub(2));
-  EXPECT_NE(s2, s1);
-  EXPECT_EQ(store.at(s1).id, 1u);
-
-  guard.reset();
-  // The next allocation collects the expired epoch and reuses the slot.
-  const auto s3 = store.acquire(make_sub(3));
-  EXPECT_EQ(s3, s1);
-  EXPECT_EQ(store.limbo(), 0u);
 }
 
 TEST(SubscriptionStoreEpochs, SlotAddressesStableAcrossGrowth) {
@@ -339,14 +318,16 @@ TEST(SubscriptionStoreEpochs, InterningRefcountsSharedSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// clone(): immutable read snapshots per engine
+// Live-index reads: a probe of one index beside writes to another
 // ---------------------------------------------------------------------------
 
 std::vector<SubscriptionId> hit_ids(const SubscriptionIndex& index,
-                                    const Message& m) {
+                                    const Message& m, MatchScratch& scratch) {
   std::vector<MatchHit> hits;
+  std::vector<std::uint32_t> offsets;
   WorkCounter wc;
-  index.match_hits(m, hits, wc);
+  index.match_batch(std::span<const Message>(&m, 1), hits, offsets, wc,
+                    nullptr, &scratch);
   std::vector<SubscriptionId> ids;
   ids.reserve(hits.size());
   for (const MatchHit& h : hits) ids.push_back(h.id);
@@ -354,25 +335,32 @@ std::vector<SubscriptionId> hit_ids(const SubscriptionIndex& index,
   return ids;
 }
 
-class SnapshotIsolation : public ::testing::TestWithParam<IndexKind> {};
+Subscription pivot_sub(SubscriptionId id, double lo, double width) {
+  Subscription sub;
+  sub.id = id;
+  sub.subscriber = id;
+  sub.ranges = {Range{lo, lo + width}, Range{0.0, 100.0}};
+  return sub;
+}
 
-TEST_P(SnapshotIsolation, CloneUnaffectedByLaterMutations) {
+// The arena's reader guarantee (subscription_store.h), on the one engine
+// that shares a SubscriptionStore between indexes: a probe of one index
+// stays exact while another index on the same store drops the
+// subscriptions they share (the probed index keeps those slots' refcounts
+// non-zero) and grows the arena across chunk boundaries (no slot moves).
+TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
   const Range domain{0.0, 100.0};
   auto store = std::make_shared<SubscriptionStore>();
-  auto index = make_index(GetParam(), 0, domain, store);
+  auto probed = make_index(IndexKind::kFlatBucket, 0, domain, store);
+  auto written = make_index(IndexKind::kFlatBucket, 0, domain, store);
 
   Rng rng(99);
   for (SubscriptionId id = 1; id <= 200; ++id) {
-    const double lo = rng.uniform(0.0, 80.0);
-    Subscription sub;
-    sub.id = id;
-    sub.subscriber = id;
-    sub.ranges = {Range{lo, lo + 15.0}, Range{0.0, 100.0}};
-    index->insert(std::make_shared<const Subscription>(sub));
+    const Subscription sub = pivot_sub(id, rng.uniform(0.0, 80.0), 15.0);
+    probed->insert(std::make_shared<const Subscription>(sub));
+    // Every second subscription is shared: one store slot, two references.
+    if (id % 2 == 0) written->insert(std::make_shared<const Subscription>(sub));
   }
-
-  auto snapshot = index->clone();
-  auto guard = store->epoch_guard();  // what the matcher pairs a clone with
 
   std::vector<Message> probes;
   for (int i = 0; i < 32; ++i) {
@@ -381,46 +369,46 @@ TEST_P(SnapshotIsolation, CloneUnaffectedByLaterMutations) {
     m.values = {rng.uniform(0.0, 95.0), 50.0};
     probes.push_back(m);
   }
-  std::vector<std::vector<SubscriptionId>> before;
-  for (const Message& m : probes) before.push_back(hit_ids(*snapshot, m));
-
-  // Mutate the original: erase the odd half, insert replacements.
-  for (SubscriptionId id = 1; id <= 200; id += 2) index->erase(id);
-  for (SubscriptionId id = 1000; id < 1100; ++id) {
-    Subscription sub;
-    sub.id = id;
-    sub.subscriber = id;
-    sub.ranges = {Range{0.0, 100.0}, Range{0.0, 100.0}};
-    index->insert(std::make_shared<const Subscription>(sub));
-  }
-
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(hit_ids(*snapshot, probes[i]), before[i])
-        << to_string(GetParam()) << " probe " << i;
-  }
-  // And the mutated original sees the new world: the inserted full-domain
-  // subscriptions match every probe.
+  std::vector<std::vector<SubscriptionId>> expected;
+  MatchScratch setup_scratch;
   for (const Message& m : probes) {
-    const auto ids = hit_ids(*index, m);
-    EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(),
-                                   static_cast<SubscriptionId>(1000)));
+    expected.push_back(hit_ids(*probed, m, setup_scratch));
   }
-}
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, SnapshotIsolation,
-                         ::testing::Values(IndexKind::kLinearScan,
-                                           IndexKind::kBucket,
-                                           IndexKind::kIntervalTree,
-                                           IndexKind::kFlatBucket),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case IndexKind::kLinearScan: return std::string("LinearScan");
-                             case IndexKind::kBucket: return std::string("Bucket");
-                             case IndexKind::kIntervalTree: return std::string("IntervalTree");
-                             case IndexKind::kFlatBucket: return std::string("FlatBucket");
-                           }
-                           return std::string("Unknown");
-                         });
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    MatchScratch scratch;
+    while (!stop.load(std::memory_order_acquire) || rounds.load() == 0) {
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        if (hit_ids(*probed, probes[i], scratch) != expected[i]) {
+          mismatches.fetch_add(1);
+        }
+      }
+      rounds.fetch_add(1);
+    }
+  });
+
+  // Churn the other index: drop the shared half, then grow the store far
+  // past several chunk boundaries and release it all again.
+  for (SubscriptionId id = 2; id <= 200; id += 2) written->erase(id);
+  for (int wave = 0; wave < 3; ++wave) {
+    for (SubscriptionId id = 1000; id < 3000; ++id) {
+      written->insert(std::make_shared<const Subscription>(
+          pivot_sub(id, rng.uniform(0.0, 80.0), 15.0)));
+    }
+    for (SubscriptionId id = 1000; id < 3000; ++id) written->erase(id);
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(rounds.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(written->size(), 0u);
+  EXPECT_TRUE(store->accounting_balanced());
+  EXPECT_EQ(store->live(), 200u);
+}
 
 // ---------------------------------------------------------------------------
 // 8-worker matcher vs brute-force oracle under churn + split/merge storms
@@ -504,8 +492,8 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
 
   // Churn population: confined to [90, 100] — outside the message space, so
   // it never changes any oracle answer, but its store/remove storm runs
-  // concurrently with the offloaded probes (snapshot refresh + epoch limbo
-  // under fire).
+  // concurrently with the offloaded probes (write deferral and slot
+  // recycling under fire).
   auto churn_sub = [](SubscriptionId id) {
     Subscription sub;
     sub.id = id;
@@ -536,7 +524,7 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
     cluster.inject(kMatcher, Envelope::of(std::move(req)));
     if (i >= 50) {
       // Remove a churn subscription stored a while ago — by now probes are
-      // in flight holding snapshots, so removals exercise the limbo path.
+      // in flight on the live indexes, so removals exercise the hold path.
       cluster.inject(kMatcher,
                      Envelope::of(RemoveSubscription{
                          100000 + static_cast<SubscriptionId>(i - 50),
@@ -561,8 +549,8 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
   }
 
   // Split/merge storm while a second request wave is in flight: the victim
-  // walks and prunes its live dim-3 set (snapshots keep in-flight probes
-  // safe), then absorbs a merge handover.
+  // walks and prunes its live dim-3 set (both wait for in-flight probes),
+  // then absorbs a merge handover.
   cluster.inject(kMatcher, Envelope::of(SplitCommand{kNewcomer, 3}));
   HandoverMerge merge;
   merge.dim = 2;
@@ -584,6 +572,279 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
       << "completed " << sink_state->completed();
 
   cluster.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Ordering differential: writes inside the message space, requests between
+// ---------------------------------------------------------------------------
+
+/// Requests whose service has started: matcher.queue_seconds records one
+/// sample per request when its service starts, on the node thread, before
+/// the matcher handles any later envelope.
+std::uint64_t services_started(const MatcherNode& matcher) {
+  const obs::MetricsSnapshot snap = matcher.metrics().snapshot();
+  const auto it = snap.histograms.find("matcher.queue_seconds");
+  return it != snap.histograms.end() ? it->second.count : 0;
+}
+
+struct OrderingCase {
+  int cores;
+  bool cover;
+};
+
+void PrintTo(const OrderingCase& c, std::ostream* os) {
+  *os << "cores=" << c.cores << " cover=" << c.cover;
+}
+
+class OrderingDifferential : public ::testing::TestWithParam<OrderingCase> {};
+
+// Stores and removes land inside the message space, interleaved with
+// requests on the same and on other dimensions, plus wide-set writes. Each
+// request's delivered set must equal a brute-force match over exactly the
+// subscriptions live at its position in injection order. The script only
+// waits, before each burst of writes, until every earlier request has
+// started its service: a request may see no write that arrives after its
+// service started, and must see every write that arrived before it. The
+// covered case adds duplicate templates, so removals often only shrink a
+// cover group: expansion at completion must still see the probed members.
+TEST_P(OrderingDifferential, EachRequestSeesExactlyTheWritesBeforeIt) {
+  constexpr NodeId kMatcher = 100;
+  constexpr NodeId kSink = 7;
+  constexpr std::size_t kDims = 3;
+  const std::vector<Range> domains(kDims, Range{0.0, 100.0});
+
+  runtime::ThreadCluster cluster;
+  auto sink_state = std::make_shared<SinkState>();
+  cluster.add_node(kSink, std::make_unique<FunctionNode>(
+                              [sink_state](NodeId, const Envelope& env,
+                                           Timestamp) {
+                                sink_state->record(env);
+                              }));
+  MatcherConfig mcfg;
+  mcfg.domains = domains;
+  mcfg.cores = GetParam().cores;
+  mcfg.cover.enabled = GetParam().cover;
+  mcfg.index_kind = IndexKind::kFlatBucket;
+  mcfg.match_batch = 8;
+  mcfg.metrics_sink = kSink;
+  mcfg.delivery_sink = kSink;
+  mcfg.load_report_interval = 10.0;
+  mcfg.gossip.round_interval = 10.0;
+  auto matcher_owned = std::make_unique<MatcherNode>(kMatcher, mcfg);
+  const MatcherNode* matcher = matcher_owned.get();
+  matcher_owned->set_bootstrap(bootstrap_table({kMatcher}, domains));
+  cluster.add_node(kMatcher, std::move(matcher_owned));
+  cluster.start_all();
+
+  // The model: what each dimension set and the wide set hold, in injection
+  // order. Broad predicates keep every probe busy enough for later writes
+  // to land while it runs.
+  Rng rng(4242);
+  std::vector<std::map<SubscriptionId, Subscription>> live(kDims);
+  std::map<SubscriptionId, Subscription> wide;
+  SubscriptionId next_id = 1;
+  std::vector<std::vector<Range>> templates;
+  auto random_sub = [&](double width) {
+    Subscription sub;
+    sub.id = next_id++;
+    sub.subscriber = sub.id;
+    if (!templates.empty() && rng.next_below(3) == 0) {
+      sub.ranges = templates[rng.next_below(templates.size())];
+      return sub;
+    }
+    for (std::size_t d = 0; d < kDims; ++d) {
+      const double lo = rng.uniform(0.0, 100.0 - width);
+      sub.ranges.push_back(Range{lo, lo + width});
+    }
+    if (templates.size() < 64) templates.push_back(sub.ranges);
+    return sub;
+  };
+  auto store = [&](const Subscription& sub, DimId dim) {
+    if (dim == kWideDim) {
+      wide[sub.id] = sub;
+    } else {
+      live[dim][sub.id] = sub;
+    }
+    cluster.inject(kMatcher, Envelope::of(StoreSubscription{sub, dim}));
+  };
+  auto remove_random = [&](DimId dim) {
+    auto& set = dim == kWideDim ? wide : live[dim];
+    if (set.empty()) return;
+    auto it = set.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(
+                         rng.next_below(static_cast<std::uint64_t>(set.size()))));
+    const SubscriptionId id = it->first;
+    set.erase(it);
+    cluster.inject(kMatcher, Envelope::of(RemoveSubscription{id, dim}));
+  };
+
+  for (std::size_t d = 0; d < kDims; ++d) {
+    for (int i = 0; i < 600; ++i) store(random_sub(45.0), static_cast<DimId>(d));
+  }
+
+  std::map<MessageId, std::set<SubscriptionId>> expected;
+  MessageId next_msg = 1;
+  std::uint64_t injected = 0;
+  const int kRounds = 120;
+  for (int round = 0; round < kRounds; ++round) {
+    // A burst of requests across the dimensions, each matched by the model
+    // as it stands at this point of the script.
+    const int burst = 4 + static_cast<int>(rng.next_below(12));
+    for (int i = 0; i < burst; ++i) {
+      MatchRequest req;
+      req.msg.id = next_msg++;
+      for (std::size_t d = 0; d < kDims; ++d) {
+        req.msg.values.push_back(rng.uniform(0.0, 100.0));
+      }
+      req.dim = static_cast<DimId>(rng.next_below(kDims));
+      std::set<SubscriptionId>& want = expected[req.msg.id];
+      for (const auto& [id, sub] : live[req.dim]) {
+        if (sub.matches(req.msg)) want.insert(id);
+      }
+      for (const auto& [id, sub] : wide) {
+        if (sub.matches(req.msg)) want.insert(id);
+      }
+      cluster.inject(kMatcher, Envelope::of(std::move(req)));
+      ++injected;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (services_started(*matcher) < injected &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(services_started(*matcher), injected) << "round " << round;
+
+    // Writes inside the message space: fresh subscriptions (some on two
+    // dimensions, sharing one store slot), removals, and now and then a
+    // wide-set write, which waits for every probe.
+    const int writes = 2 + static_cast<int>(rng.next_below(6));
+    for (int i = 0; i < writes; ++i) {
+      const auto dim = static_cast<DimId>(rng.next_below(kDims));
+      switch (rng.next_below(8)) {
+        case 0:
+          store(random_sub(60.0), kWideDim);
+          break;
+        case 1:
+          remove_random(kWideDim);
+          break;
+        case 2:
+        case 3:
+        case 4:
+          remove_random(dim);
+          break;
+        default: {
+          const Subscription sub = random_sub(45.0);
+          store(sub, dim);
+          if (rng.next_below(3) == 0) {
+            store(sub, static_cast<DimId>((dim + 1) % kDims));
+          }
+        }
+      }
+    }
+  }
+
+  const int total = static_cast<int>(injected);
+  ASSERT_TRUE(eventually(
+      [&] { return sink_state->completed() >= total; }, 60.0))
+      << "completed " << sink_state->completed() << "/" << total;
+  for (const auto& [msg_id, want] : expected) {
+    EXPECT_EQ(sink_state->delivered(msg_id), want) << "msg " << msg_id;
+  }
+
+  // Every held write has landed: the sets match the model once the node
+  // thread and its pool are stopped.
+  cluster.shutdown();
+  for (std::size_t d = 0; d < kDims; ++d) {
+    EXPECT_EQ(matcher->raw_set_size(static_cast<DimId>(d)), live[d].size())
+        << "dim " << d;
+  }
+  EXPECT_EQ(matcher->wide_set_size(), wide.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Pool, OrderingDifferential,
+                         ::testing::Values(OrderingCase{1, false},
+                                           OrderingCase{4, false},
+                                           OrderingCase{4, true}),
+                         [](const auto& info) {
+                           return "Cores" + std::to_string(info.param.cores) +
+                                  (info.param.cover ? "Covered" : "");
+                         });
+
+// A store/remove on a dimension the matcher does not have is dropped by its
+// handler, so it must not wait for the probes in flight, and it must not
+// queue behind a held write (which would count it as deferred too).
+TEST(WriteDeferral, OutOfRangeWriteNeverWaits) {
+  constexpr NodeId kMatcher = 100;
+  constexpr NodeId kSink = 7;
+  constexpr std::size_t kDims = 2;
+  const std::vector<Range> domains(kDims, Range{0.0, 100.0});
+
+  runtime::ThreadCluster cluster;
+  auto sink_state = std::make_shared<SinkState>();
+  cluster.add_node(kSink, std::make_unique<FunctionNode>(
+                              [sink_state](NodeId, const Envelope& env,
+                                           Timestamp) {
+                                sink_state->record(env);
+                              }));
+  MatcherConfig mcfg;
+  mcfg.domains = domains;
+  mcfg.cores = 4;
+  mcfg.index_kind = IndexKind::kFlatBucket;
+  mcfg.match_batch = 8;
+  mcfg.metrics_sink = kSink;
+  mcfg.delivery_sink = kSink;
+  mcfg.load_report_interval = 10.0;
+  mcfg.gossip.round_interval = 10.0;
+  auto matcher_owned = std::make_unique<MatcherNode>(kMatcher, mcfg);
+  const MatcherNode* matcher = matcher_owned.get();
+  matcher_owned->set_bootstrap(bootstrap_table({kMatcher}, domains));
+  cluster.add_node(kMatcher, std::move(matcher_owned));
+  cluster.start_all();
+
+  Rng rng(77);
+  SubscriptionId next_id = 1;
+  auto broad_sub = [&] {
+    Subscription sub;
+    sub.id = next_id++;
+    sub.subscriber = sub.id;
+    for (std::size_t d = 0; d < kDims; ++d) {
+      const double lo = rng.uniform(0.0, 50.0);
+      sub.ranges.push_back(Range{lo, lo + 50.0});
+    }
+    return sub;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    cluster.inject(kMatcher, Envelope::of(StoreSubscription{
+                                 broad_sub(), static_cast<DimId>(i % kDims)}));
+  }
+  // A deep request queue keeps all four cores busy, so the valid write
+  // right behind it is held; the two out-of-range writes behind that must
+  // pass straight through.
+  const int kRequests = 400;
+  for (int i = 0; i < kRequests; ++i) {
+    MatchRequest req;
+    req.msg.id = static_cast<MessageId>(i + 1);
+    req.msg.values = {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    req.dim = static_cast<DimId>(i % kDims);
+    cluster.inject(kMatcher, Envelope::of(std::move(req)));
+  }
+  const Subscription held = broad_sub();
+  cluster.inject(kMatcher, Envelope::of(StoreSubscription{held, 0}));
+  cluster.inject(kMatcher, Envelope::of(StoreSubscription{
+                               broad_sub(), static_cast<DimId>(kDims)}));
+  cluster.inject(kMatcher, Envelope::of(RemoveSubscription{
+                               held.id, static_cast<DimId>(kDims + 3)}));
+
+  ASSERT_TRUE(eventually(
+      [&] { return sink_state->completed() >= kRequests; }, 60.0))
+      << "completed " << sink_state->completed() << "/" << kRequests;
+  cluster.shutdown();
+
+  const obs::MetricsSnapshot snap = matcher->metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("matcher.writes_deferred"), 1u);
+  EXPECT_EQ(matcher->raw_set_size(0), 1001u);
+  EXPECT_EQ(matcher->raw_set_size(1), 1000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@
 #       eviction, swarm drop/resume) and a reduced-count micro_edge smoke
 #       (connection ramp + sustained fan-out + resume; exits nonzero on any
 #       sequence gap, duplicate, lost session, or payload copy)
+#   5e. reduced-scale micro_parallel smoke: the matcher's worker pool
+#       probing its live indexes at cores 1/2/4/8 over loopback TCP; exits
+#       nonzero when any request goes unmatched. Runs in a scratch
+#       directory so the committed BENCH_parallel.json stays untouched.
 #   6. ASan+UBSan suite (tools/sanitize_check.sh), then the simd and cover
 #      labels again under ASan/UBSan (gather/tail lanes and the member
 #      arena's raw range strips are exactly where an out-of-bounds read
@@ -71,6 +75,12 @@ ctest --test-dir "${repo_root}/build" --output-on-failure -L edge
 echo "== micro_edge smoke (reduced scale, zero-loss + zero-copy gates) =="
 "${repo_root}/build/bench/micro_edge" --connections 5000 --live 2500 \
   --publishes 5000 --resume 250
+
+echo "== micro_parallel smoke (reduced scale, every request matched) =="
+parallel_dir="$(mktemp -d)"
+(cd "${parallel_dir}" && "${repo_root}/build/bench/micro_parallel" \
+  --subs 20000 --requests 4000)
+rm -rf "${parallel_dir}"
 
 echo "== flight-recorder TCP trace smoke =="
 "${repo_root}/tools/trace_smoke.sh" "${repo_root}/build"

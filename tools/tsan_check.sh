@@ -6,7 +6,8 @@
 # metrics hot path (relaxed atomics updated from matcher worker threads
 # while snapshots read them),
 # and the `parallel` label (offload worker pool, work-stealing lanes,
-# epoch-guarded store, snapshot-vs-churn differential). The `cover` label
+# probes of the live indexes beside held-back writes, the ordering and
+# churn differentials). The `cover` label
 # runs too: covering mutations are node-thread-only by design and the
 # expansion pre-pass must never touch pool workers — TSan enforces that
 # claim rather than trusting the comment.
