@@ -10,12 +10,22 @@
 //               otherwise idle wire, so the flush linger shows up
 //
 // Emits BENCH_wire.json (obs JSON schema): one gauge per
-// (batch, payload) throughput cell, speedup gauges vs batch=1, and one
-// RTT histogram per batch setting.
+// (batch, payload) throughput cell, speedup gauges vs batch=1, one RTT
+// histogram per batch setting, and the host's hardware_concurrency. Exits
+// nonzero when a throughput cell misses a publication that the sender's
+// drop counter does not account for, or when the receiver copied any
+// payload, so a reduced-count run doubles as a smoke test of the wire
+// path (tools/check_all.sh).
+//
+// Flags: --publishes N (64 B blast size, default 150000; the 1 KiB blast
+//        sends 4/15 of it), --rounds N (ping-pong rounds, default 400).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -84,6 +94,9 @@ double now_sec() {
 
 struct ThroughputResult {
   double tput = 0.0;
+  /// Publications neither counted at the receiver nor dropped (and
+  /// counted) by the sender: lost without a trace.
+  std::uint64_t unaccounted = 0;
   /// Receiver-side zero-copy accounting (wire.payload_copies /
   /// wire.payload_bytes_copied): 0 means every payload stayed a view into
   /// its frame buffer on the steady-state hot path.
@@ -125,11 +138,16 @@ ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
   const std::uint64_t got = recv->received();
   sender.stop();
   receiver.stop();
-  if (got < n) {
-    std::fprintf(stderr, "micro_wire: only %llu/%llu delivered (batch=%d)\n",
-                 (unsigned long long)got, (unsigned long long)n, batch);
-  }
   ThroughputResult res;
+  if (got < n) {
+    const std::uint64_t dropped = sender.dropped_sends();
+    std::fprintf(stderr,
+                 "micro_wire: only %llu/%llu delivered, %llu dropped by the "
+                 "sender (batch=%d)\n",
+                 (unsigned long long)got, (unsigned long long)n,
+                 (unsigned long long)dropped, batch);
+    if (n - got > dropped) res.unaccounted = n - got - dropped;
+  }
   res.tput = static_cast<double>(got) / elapsed;
   const obs::MetricsSnapshot ws = receiver.wire_metrics().snapshot();
   if (const auto it = ws.counters.find("wire.payload_copies");
@@ -180,18 +198,34 @@ void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::uint64_t publishes = 150000;
+  std::uint64_t rounds = 400;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--publishes") == 0 && i + 1 < argc) {
+      publishes = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
+      rounds = std::strtoull(argv[++i], nullptr, 10);
+    }
+  }
+  publishes = std::max<std::uint64_t>(publishes, 1);
+  rounds = std::max<std::uint64_t>(rounds, 1);
+
   benchutil::header("wire", "TCP wire path: batch size vs payload size");
   benchutil::note(
       "wire_batch=1 sends one envelope per frame; >1 coalesces up to that "
       "many per frame");
+  const unsigned hw = std::thread::hardware_concurrency();
+  benchutil::note("hardware_concurrency=" + std::to_string(hw));
 
   const int batches[] = {1, 8, 32};
   const std::size_t payloads[] = {64, 1024};
 
   obs::MetricsSnapshot snap;
+  snap.gauges["wire.hardware_concurrency"] = static_cast<double>(hw);
   double base_tput[2] = {0.0, 0.0};
   std::uint64_t total_payload_copies = 0;
+  std::uint64_t total_unaccounted = 0;
 
   std::printf("\nthroughput (msgs/sec at the receiver):\n");
   std::printf("%12s %14s %14s %10s\n", "wire_batch", "payload=64B",
@@ -199,9 +233,12 @@ int main() {
   for (const int batch : batches) {
     double tput[2];
     for (int p = 0; p < 2; ++p) {
-      const std::uint64_t n = payloads[p] <= 64 ? 150000 : 40000;
+      const std::uint64_t n =
+          payloads[p] <= 64 ? publishes
+                            : std::max<std::uint64_t>(publishes * 4 / 15, 1);
       const ThroughputResult res = run_throughput(batch, payloads[p], n);
       tput[p] = res.tput;
+      total_unaccounted += res.unaccounted;
       const std::string suffix = "batch" + std::to_string(batch) + "_pay" +
                                  std::to_string(payloads[p]);
       snap.gauges["wire.tput_" + suffix] = tput[p];
@@ -226,7 +263,7 @@ int main() {
   std::printf("%12s %10s %10s %10s\n", "wire_batch", "p50", "p99", "mean");
   for (const int batch : batches) {
     obs::LatencyHistogram hist;
-    run_latency(batch, 400, &hist);
+    run_latency(batch, rounds, &hist);
     const obs::HistogramSnapshot h = hist.snapshot();
     std::printf("%12d %10.3f %10.3f %10.3f\n", batch, h.quantile(0.50) * 1e3,
                 h.quantile(0.99) * 1e3, h.mean() * 1e3);
@@ -241,5 +278,13 @@ int main() {
               (unsigned long long)total_payload_copies,
               total_payload_copies == 0 ? "" : " VIOLATED");
   benchutil::write_bench_json("wire", snap);
+  if (total_payload_copies != 0 || total_unaccounted != 0) {
+    std::fprintf(stderr,
+                 "micro_wire: FAIL (%llu payload copies, %llu publications "
+                 "lost unaccounted)\n",
+                 (unsigned long long)total_payload_copies,
+                 (unsigned long long)total_unaccounted);
+    return 1;
+  }
   return 0;
 }

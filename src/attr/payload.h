@@ -57,6 +57,8 @@ class PayloadRef {
 
   const char* data() const { return data_; }
   std::size_t size() const { return size_; }
+  /// What keeps the bytes alive (a received frame's buffer for a view).
+  const std::shared_ptr<const void>& owner() const { return owner_; }
   bool empty() const { return size_ == 0; }
   std::string_view view() const {
     return {data_ != nullptr ? data_ : "", size_};

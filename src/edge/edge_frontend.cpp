@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/thread_safety.h"
 #include "net/reactor.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
@@ -92,6 +93,19 @@ struct EdgeFrontend::Shard {
   std::uint64_t next_ordinal = 1;  ///< minted ids: ordinal * R + index
   std::vector<int> dirty;          ///< fds with queued output this pass
   obs::Gauge* conns_gauge = nullptr;
+
+  /// Deliveries handed over by other threads, in arrival order. Only the
+  /// append that finds the batch empty posts a drain task, so a burst costs
+  /// one post however many deliveries it carries.
+  struct Pending {
+    Delivery delivery;
+    double enqueued_at = 0.0;
+  };
+  bd::Mutex pending_mu;
+  std::vector<Pending> pending BD_GUARDED_BY(pending_mu);
+  bool closed BD_GUARDED_BY(pending_mu) = false;  ///< stop() has run
+  std::vector<Pending> draining;  ///< the batch being drained; loop only
+
   std::thread thread;  ///< runs `loop`; last, as it uses all of the above
 };
 
@@ -185,6 +199,9 @@ void EdgeFrontend::stop() {
     for (auto& r : shards_) {
       r->conns.clear();
       r->sessions.clear();
+      bd::LockGuard lk(r->pending_mu);
+      r->pending.clear();  // dropped, like a post after stop
+      r->closed = true;
     }
   }
   if (listen_fd_ >= 0) {
@@ -238,10 +255,27 @@ void EdgeFrontend::accept_all(Shard& r) {
 void EdgeFrontend::deliver(const Delivery& d) {
   if (shards_.empty()) return;
   Shard& r = shard_of(d.subscriber);
-  // The payload is a refcount bump, not a byte copy.
-  r.loop.post([this, &r, d, at = mono_seconds()] {
-    deliver_on_shard(r, d, at);
-  });
+  const double at = mono_seconds();
+  {
+    bd::LockGuard lk(r.pending_mu);
+    if (r.closed) return;
+    // The payload is a refcount bump, not a byte copy.
+    r.pending.push_back({d, at});
+    if (r.pending.size() > 1) return;  // a drain is already on its way
+  }
+  // Refused only once stop() has begun, which then drops the batch.
+  r.loop.post([this, &r] { drain_deliveries(r); });
+}
+
+void EdgeFrontend::drain_deliveries(Shard& r) {
+  {
+    bd::LockGuard lk(r.pending_mu);
+    r.draining.swap(r.pending);  // hands back last drain's capacity
+  }
+  for (const Shard::Pending& p : r.draining) {
+    deliver_on_shard(r, p.delivery, p.enqueued_at);
+  }
+  r.draining.clear();
 }
 
 void EdgeFrontend::schedule_reap(Shard& r) {
@@ -297,7 +331,7 @@ void EdgeFrontend::handle_readable(Shard& r, Conn& c) {
     // zero-copy view that keeps the frame alive into the dispatcher (and,
     // for publishes, across the whole match pipeline).
     net::wire::ParsedFrame frame;
-    switch (c.reader.read(fd, &frame)) {
+    switch (c.reader.read(fd, r.loop.recv_buffer(), &frame)) {
       case net::FrameReader::Status::kFrame:
         break;
       case net::FrameReader::Status::kBlocked:
@@ -315,13 +349,14 @@ void EdgeFrontend::handle_readable(Shard& r, Conn& c) {
             std::make_move_iterator(frame.envelopes.begin() + i + 1),
             std::make_move_iterator(frame.envelopes.end()));
         handle_hello(r, c, *hello, std::move(rest));
-        // The connection may have migrated to another reactor or closed;
-        // either way this reactor is done with it for now.
-        return;
+        // Closed, or migrated to another reactor (which reads on from its
+        // buffered frames); else attached here: read on in this pass.
+        break;
       }
       handle_envelope(r, c, std::move(env));
       if (r.conns.find(fd) == r.conns.end()) return;  // closed mid-frame
     }
+    if (r.conns.find(fd) == r.conns.end()) return;
   }
 }
 
@@ -401,8 +436,11 @@ void EdgeFrontend::handle_hello(Shard& r, Conn& c, const EdgeHello& hello,
     return close_conn(r, c, false);
   }
   // Resume requests route to the session's owning reactor (id % R); a
-  // connection accepted elsewhere migrates — whole Conn state moves, the
-  // target re-registers the fd and continues with any pipelined envelopes.
+  // connection accepted elsewhere migrates — whole Conn state moves, its
+  // FrameReader's buffered frames included. The target re-registers the
+  // fd, continues with the pipelined envelopes of the hello's frame, then
+  // reads on from the buffered frames (their bytes already left the
+  // socket, so no readiness event would report them).
   if (hello.session != 0) {
     Shard& owner = shard_of(hello.session);
     if (owner.index != r.index) {
@@ -424,6 +462,8 @@ void EdgeFrontend::handle_hello(Shard& r, Conn& c, const EdgeHello& hello,
           if (it == owner.conns.end()) return;
           handle_envelope(owner, *it->second, std::move(env));
         }
+        it = owner.conns.find(fd);
+        if (it != owner.conns.end()) handle_readable(owner, *it->second);
       });
       return;
     }

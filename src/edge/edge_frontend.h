@@ -29,10 +29,12 @@
 // reaped, and their subscriptions unsubscribed from the cluster.
 //
 // Wire format on client connections is the cluster framing (net/wire.h):
-// frames assemble into refcounted buffers and parse into zero-copy payload
-// views, and the delivery fan-out serializes each payload straight from
-// the matcher frame's shared block (attr/payload.h) — one buffer serves
-// every subscriber on every socket, wire.payload_copies stays 0.
+// one recv() per readable wake into the reactor's receive buffer, each
+// frame copied out into a refcounted buffer of its own and parsed into
+// zero-copy payload views, and the delivery fan-out serializes each
+// payload straight from the matcher frame's shared block (attr/payload.h)
+// — one buffer serves every subscriber on every socket,
+// wire.payload_copies stays 0.
 //
 // Integration: the frontend owns no dispatcher logic. Client envelopes
 // (subscribe / unsubscribe / publish, with ids rewritten to edge-global
@@ -40,7 +42,7 @@
 // to TcpHost::inject, which runs them through DispatcherNode on its node
 // thread. Deliveries fan back via deliver(), called on the node thread for
 // every Delivery envelope the matchers send to the dispatcher
-// (DispatcherNode::on_delivery).
+// (DispatcherNode::on_delivery), and reach each reactor in batches.
 
 #include <atomic>
 #include <cstdint>
@@ -99,7 +101,11 @@ class EdgeFrontend {
 
   /// Routes one matched delivery to its session's reactor (the delivery's
   /// `subscriber` field is the session id). Thread-safe and non-blocking;
-  /// called from the dispatcher node thread per fanned-back Delivery.
+  /// called from the dispatcher node thread per fanned-back Delivery. The
+  /// delivery joins its shard's pending batch under a short lock; only the
+  /// call that finds the batch empty posts a drain task, which hands the
+  /// whole batch to the reactor in arrival order, so per-session sequence
+  /// numbers follow call order. After stop() deliveries are dropped.
   BD_ANY_THREAD void deliver(const Delivery& d);
 
   /// Edge instrumentation (edge.* namespace). Snapshot-safe from any
@@ -131,6 +137,7 @@ class EdgeFrontend {
   void schedule_reap(Shard& r);
   void reap_sessions(Shard& r);
   void drop_session(Shard& r, Session& s);
+  void drain_deliveries(Shard& r);
   void deliver_on_shard(Shard& r, const Delivery& d, double enqueued_at);
 
   Shard& shard_of(std::uint64_t session) {

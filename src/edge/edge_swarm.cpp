@@ -291,7 +291,8 @@ void Swarm::handle_peer(Driver& d, Peer& p) {
   if (fd < 0) return;
   for (;;) {
     net::wire::ParsedFrame frame;
-    const net::FrameReader::Status st = p.reader.read(fd, &frame);
+    const net::FrameReader::Status st =
+        p.reader.read(fd, d.loop.recv_buffer(), &frame);
     if (st == net::FrameReader::Status::kBlocked) return;
     if (st != net::FrameReader::Status::kFrame) return detach_peer(d, p);
     for (const Envelope& env : frame.envelopes) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <ctime>
 
 namespace bluedove::net {
@@ -77,7 +78,9 @@ int listen_tcp(const std::string& host, std::uint16_t port, int backlog,
 Reactor::Reactor(IoFn on_io)
     : on_io_(std::move(on_io)),
       epfd_(::epoll_create1(EPOLL_CLOEXEC)),
-      evfd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+      evfd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+      recv_buf_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          kRecvBufferBytes)) {
   ::epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = static_cast<std::uint32_t>(evfd_);
@@ -265,43 +268,85 @@ void Reactor::run(const Task& first) {
 // FrameReader
 // ---------------------------------------------------------------------------
 
-FrameReader::Status FrameReader::read(int fd, wire::ParsedFrame* frame) {
+FrameReader::Status FrameReader::read(int fd, std::span<std::uint8_t> scratch,
+                                      wire::ParsedFrame* frame) {
   for (;;) {
-    std::uint8_t* dst = in_body_ ? body_->data() + got_ : lenbuf_ + got_;
-    const std::size_t want = (in_body_ ? len_ : 4u) - got_;
-    const ::ssize_t n = ::recv(fd, dst, want, 0);
+    if (next_ < ready_.size()) {
+      Body b = std::move(ready_[next_++]);
+      if (next_ == ready_.size()) {
+        // Keep a small vector's capacity; let a burst's go.
+        if (ready_.capacity() > 16) {
+          ready_ = {};
+        } else {
+          ready_.clear();
+        }
+        next_ = 0;
+      }
+      frame_bytes_ = b.len;
+      const std::uint8_t* data = b.bytes.get();
+      *frame = wire::parse_frame(data, b.len, std::move(b.bytes));
+      return frame->ok ? Status::kFrame : Status::kMalformed;
+    }
+    if (bad_prefix_) return Status::kMalformed;
+    if (short_) {
+      short_ = false;
+      return Status::kBlocked;
+    }
+    const ::ssize_t n = ::recv(fd, scratch.data(), scratch.size(), 0);
+    ++recv_calls_;
     if (n == 0) return Status::kClosed;
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::kBlocked;
       if (errno == EINTR) continue;
       return Status::kClosed;
     }
-    got_ += static_cast<std::uint32_t>(n);
+    short_ = static_cast<std::size_t>(n) < scratch.size();
+    carve(scratch.data(), static_cast<std::size_t>(n));
+  }
+}
+
+void FrameReader::carve(const std::uint8_t* p, std::size_t n) {
+  while (n > 0) {
     if (!in_body_) {
-      if (got_ < 4) continue;
+      const std::size_t take = std::min<std::size_t>(4 - got_, n);
+      std::memcpy(lenbuf_ + got_, p, take);
+      got_ += static_cast<std::uint32_t>(take);
+      p += take;
+      n -= take;
+      if (got_ < 4) return;
       len_ = wire::read_frame_len(lenbuf_);
       if (len_ < wire::kFrameOverhead || len_ > wire::kMaxFrame) {
-        return Status::kMalformed;
+        bad_prefix_ = true;  // nothing after it can be framed
+        return;
       }
-      body_ = std::make_shared<std::vector<std::uint8_t>>(len_);
+      body_ = std::make_shared_for_overwrite<std::uint8_t[]>(len_);
       in_body_ = true;
       got_ = 0;
-      continue;
     }
-    if (got_ < len_) continue;
+    // One memcpy per frame into its own buffer: frames never share one, so
+    // a payload that outlives the pass pins its frame, not the whole recv.
+    const std::size_t take = std::min<std::size_t>(len_ - got_, n);
+    std::memcpy(body_.get() + got_, p, take);
+    got_ += static_cast<std::uint32_t>(take);
+    p += take;
+    n -= take;
+    if (got_ < len_) return;
+    ready_.push_back({std::move(body_), len_});
     in_body_ = false;
     got_ = 0;
-    const std::uint8_t* data = body_->data();
-    *frame = wire::parse_frame(data, len_, std::move(body_));
-    return frame->ok ? Status::kFrame : Status::kMalformed;
   }
 }
 
 wire::ParsedFrame read_frame(int fd) {
-  FrameReader reader;
   wire::ParsedFrame frame;
-  if (reader.read(fd, &frame) != FrameReader::Status::kFrame) frame.ok = false;
-  return frame;
+  std::uint8_t lenbuf[4] = {};
+  if (!wire::read_all(fd, lenbuf, sizeof lenbuf)) return frame;
+  const std::uint32_t len = wire::read_frame_len(lenbuf);
+  if (len < wire::kFrameOverhead || len > wire::kMaxFrame) return frame;
+  auto body = std::make_shared_for_overwrite<std::uint8_t[]>(len);
+  if (!wire::read_all(fd, body.get(), len)) return frame;
+  const std::uint8_t* data = body.get();
+  return wire::parse_frame(data, len, std::move(body));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,17 @@
 //                end-of-pass hook where owners flush what they queued
 //                during the pass (so one wake costs one write per socket,
 //                however many envelopes it produced).
-//   FrameReader  framed read assembly (net/wire.h format), non-blocking
-//                or blocking: 4 length bytes, then the body into one fresh
-//                refcounted buffer per frame, so the parse yields
-//                zero-copy payload views that keep the frame alive.
+//   FrameReader  framed read assembly (net/wire.h format) for a
+//                non-blocking socket: one recv() per readable wake into the
+//                loop thread's receive buffer (Reactor::recv_buffer), then
+//                every complete frame in it is copied out into one fresh
+//                refcounted buffer of its own, so the parse yields
+//                zero-copy payload views that keep only that frame alive.
+//                The connection keeps just the frames not yet handed out
+//                and the bytes of an incomplete trailing frame, which may
+//                span any number of receives. read_frame() is the blocking
+//                one-shot form: exact-length reads that never consume the
+//                next frame.
 //   FrameWriter  one contiguous outbound buffer per connection: envelopes
 //                serialize straight into the open frame, frames close at a
 //                batch bound, and the owner arms EPOLLOUT only while bytes
@@ -29,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -41,6 +49,9 @@
 #include "net/wire.h"
 
 namespace bluedove::net {
+
+/// Size of each loop thread's receive buffer (Reactor::recv_buffer).
+inline constexpr std::size_t kRecvBufferBytes = 64 * 1024;
 
 struct TcpEndpoint {
   std::string host = "127.0.0.1";
@@ -108,6 +119,11 @@ class Reactor {
   void unwatch(int fd);
   /// Runs `fn` at the end of every pass, after I/O, tasks and timers.
   void at_pass_end(Task fn) { pass_end_ = std::move(fn); }
+  /// Receive space every FrameReader on this loop reads into. One per loop
+  /// thread, never per connection: readers copy out what they keep.
+  std::span<std::uint8_t> recv_buffer() {
+    return {recv_buf_.get(), kRecvBufferBytes};
+  }
 
   /// Runs the loop on the calling thread until stop(); `first` runs on it
   /// before any event, task or timer.
@@ -142,34 +158,60 @@ class Reactor {
   std::set<std::pair<Clock::time_point, TimerId>> deadlines_;
   std::unordered_map<TimerId, std::pair<Clock::time_point, Task>> timers_;
   Task pass_end_;
+  std::unique_ptr<std::uint8_t[]> recv_buf_;
 };
 
-/// Framed read assembly for one socket.
+/// Framed read assembly for one non-blocking socket.
 class FrameReader {
  public:
   enum class Status { kFrame, kBlocked, kClosed, kMalformed };
 
-  /// Reads from `fd` until one whole frame has arrived, then parses it
-  /// with its refcounted buffer as the payload owner (kFrame): every
-  /// payload is a zero-copy view that keeps the frame alive. Otherwise
-  /// stops when a non-blocking socket would block, the peer closes or
-  /// errors, or the frame is malformed (length out of range, or it does
-  /// not parse).
-  Status read(int fd, wire::ParsedFrame* frame);
-  /// Length of the last frame read, as its prefix gave it.
-  std::uint32_t frame_bytes() const { return len_; }
+  /// Hands out the next buffered frame, parsed with its own refcounted
+  /// buffer as the payload owner (kFrame): every payload is a zero-copy
+  /// view that keeps that frame, and no other, alive. With no whole frame
+  /// buffered it makes one recv() into `scratch` and carves out every
+  /// complete frame; a trailing partial frame is kept for the next recv().
+  ///
+  /// kBlocked: nothing buffered and the socket has nothing more for now.
+  /// A recv() that came up short ends the wake without another recv(),
+  /// which would only return EAGAIN; the level-triggered loop reports the
+  /// socket again once more bytes arrive. kClosed: the peer closed or
+  /// errored. kMalformed: a frame does not parse, or a length prefix is out
+  /// of range (after every frame that preceded it).
+  Status read(int fd, std::span<std::uint8_t> scratch,
+              wire::ParsedFrame* frame);
+  /// Length of the last frame handed out, as its prefix gave it.
+  std::uint32_t frame_bytes() const { return frame_bytes_; }
+  /// recv() calls made so far.
+  std::uint64_t recv_calls() const { return recv_calls_; }
   void reset() { *this = FrameReader{}; }
 
  private:
+  struct Body {
+    std::shared_ptr<std::uint8_t[]> bytes;
+    std::uint32_t len = 0;
+  };
+  /// Splits `n` received bytes into ready_ frames and the trailing partial.
+  void carve(const std::uint8_t* p, std::size_t n);
+
+  std::vector<Body> ready_;  ///< complete frames, not yet handed out
+  std::size_t next_ = 0;     ///< first of ready_ not handed out
+  bool bad_prefix_ = false;  ///< reported once ready_ drains
+  bool short_ = false;       ///< the last recv() drained the socket
+  // The incomplete trailing frame: its length prefix, then its body.
   std::uint8_t lenbuf_[4] = {};
   bool in_body_ = false;
   std::uint32_t len_ = 0;
   std::uint32_t got_ = 0;
-  std::shared_ptr<std::vector<std::uint8_t>> body_;
+  std::shared_ptr<std::uint8_t[]> body_;
+  std::uint32_t frame_bytes_ = 0;
+  std::uint64_t recv_calls_ = 0;
 };
 
-/// Reads one frame from a blocking socket (see FrameReader::read); the
-/// result is not ok on EOF, error, receive timeout or a malformed frame.
+/// Reads one frame from a blocking socket with exact-length reads (the
+/// length prefix, then the body), so bytes past the frame stay in the
+/// socket for the next call. The result is not ok on EOF, error, receive
+/// timeout or a malformed frame.
 wire::ParsedFrame read_frame(int fd);
 
 /// One connection's outbound byte stream.

@@ -336,7 +336,7 @@ bool TcpHost::read_frames(Conn& c) {
     // that keeps the frame alive as long as any envelope (or any Delivery
     // fanned out from one) still references its bytes.
     wire::ParsedFrame frame;
-    switch (c.reader.read(c.fd, &frame)) {
+    switch (c.reader.read(c.fd, reactor_.recv_buffer(), &frame)) {
       case FrameReader::Status::kFrame:
         break;
       case FrameReader::Status::kBlocked:

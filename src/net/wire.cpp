@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <cstring>
 
 namespace bluedove::net::wire {
@@ -58,6 +59,7 @@ bool read_all(int fd, void* data, std::size_t len) {
   auto* p = static_cast<std::uint8_t*>(data);
   while (len > 0) {
     const ssize_t n = ::recv(fd, p, len, 0);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
     p += n;
     len -= static_cast<std::size_t>(n);

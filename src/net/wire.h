@@ -67,7 +67,7 @@ ParsedFrame parse_frame(const std::uint8_t* body, std::size_t len,
 /// Loops ::send with MSG_NOSIGNAL until all `len` bytes are written.
 bool write_all(int fd, const void* data, std::size_t len);
 
-/// Loops ::recv until `len` bytes have been read.
+/// Loops ::recv (retrying EINTR) until `len` bytes have been read.
 bool read_all(int fd, void* data, std::size_t len);
 
 /// One-shot convenience: serialize `env` (reusing a thread-local buffer)

@@ -1,10 +1,11 @@
 // Tests for the client edge layer (src/edge/): reactor front end lifecycle,
 // the EdgeHello/EdgeWelcome handshake, id rewriting into the cluster,
 // sequence-numbered delivery with acks and gap-free resume, the bounded
-// replay ring, slow-client eviction, detached-session reaping, the
-// SIGPIPE/peer-close-mid-send regression, and a full edge -> dispatcher ->
-// matcher -> edge round trip over real loopback sockets with the zero-copy
-// payload invariant checked end to end.
+// replay ring, frames pipelined behind a cross-reactor resume, the batched
+// delivery hand-off (ordering, stop), slow-client eviction,
+// detached-session reaping, the SIGPIPE/peer-close-mid-send regression,
+// and a full edge -> dispatcher -> matcher -> edge round trip over real
+// loopback sockets with the zero-copy payload invariant checked end to end.
 
 #include <gtest/gtest.h>
 
@@ -407,6 +408,181 @@ TEST(EdgeFrontendTest, ReusedClientSubIdWithdrawsThePreviousSubscription) {
   EXPECT_EQ(ingress.all<ClientUnsubscribe>()[1].sub.id, gid2);
   ::close(fd);
   fe.stop();
+}
+
+TEST(EdgeFrontendTest, CrossReactorResumeHandlesPipelinedFramesInOrder) {
+  // A resume hello for a session owned by the other reactor, followed by
+  // more frames in the same send(): the connection migrates with frames
+  // already read off the socket, and the owning reactor must handle every
+  // one of them, in order, after the attach.
+  bd::Mutex mu;
+  std::vector<std::pair<Envelope, std::thread::id>> seen;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.reactors = 2;
+  EdgeFrontend fe(cfg, 10, [&](Envelope&& e) {
+    bd::LockGuard lk(mu);
+    seen.emplace_back(std::move(e), std::this_thread::get_id());
+  });
+  fe.start();
+
+  // Accepted connections alternate between the reactors: the first lands
+  // on reactor 0, which mints (and owns) its session; the second lands on
+  // reactor 1.
+  EdgeClient first({"127.0.0.1", fe.port()});
+  ASSERT_TRUE(first.connect());
+  const std::uint64_t session = first.session();
+  ASSERT_EQ(session % 2, 0u);
+  ASSERT_NE(first.subscribe({Range{0, 1}}), 0u);
+  ASSERT_TRUE(eventually([&] {
+    bd::LockGuard lk(mu);
+    return seen.size() == 1;
+  }));
+  first.disconnect();
+  ASSERT_TRUE(eventually([&] { return fe.connections() == 0; }));
+
+  const int fd = edge::dial({"127.0.0.1", fe.port()});
+  ASSERT_GE(fd, 0);
+  std::vector<Envelope> envs;
+  EdgeHello hello;
+  hello.session = session;
+  envs.push_back(Envelope::of(hello));
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    Subscription sub;
+    sub.id = 100 + id;
+    sub.ranges = {Range{0, static_cast<double>(id)}};
+    envs.push_back(Envelope::of(ClientSubscribe{std::move(sub)}));
+    Message msg;
+    msg.values = {static_cast<double>(id)};
+    msg.payload = "pipelined-" + std::to_string(id);
+    envs.push_back(Envelope::of(ClientPublish{std::move(msg)}));
+  }
+  serde::Writer stream;
+  for (const Envelope& env : envs) {
+    serde::Writer w;
+    net::wire::build_frame(w, kInvalidNode, env);
+    for (const std::uint8_t b : w.bytes()) stream.u8(b);
+  }
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+            static_cast<::ssize_t>(stream.size()));
+  const net::wire::ParsedFrame welcome = net::read_frame(fd);
+  ASSERT_TRUE(welcome.ok);
+  const auto* w = std::get_if<EdgeWelcome>(&welcome.envelopes.at(0).payload);
+  ASSERT_NE(w, nullptr);
+  EXPECT_TRUE(w->resumed);
+  EXPECT_EQ(w->session, session);
+
+  ASSERT_TRUE(eventually([&] {
+    bd::LockGuard lk(mu);
+    // The first connection's subscribe, then every frame behind the hello.
+    return seen.size() == envs.size();
+  }));
+  {
+    bd::LockGuard lk(mu);
+    const std::thread::id owner = seen[0].second;  // reactor 0
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].second, owner) << "envelope " << i;
+    }
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      const Envelope& sub_env = seen[2 * id - 1].first;
+      const Envelope& pub_env = seen[2 * id].first;
+      const auto* sub = std::get_if<ClientSubscribe>(&sub_env.payload);
+      const auto* pub = std::get_if<ClientPublish>(&pub_env.payload);
+      ASSERT_NE(sub, nullptr) << "frame " << 2 * id - 1;
+      ASSERT_NE(pub, nullptr) << "frame " << 2 * id;
+      EXPECT_EQ(sub->sub.subscriber, session);
+      EXPECT_EQ(sub->sub.ranges.at(0).hi, static_cast<double>(id));
+      EXPECT_EQ(pub->msg.payload.view(), "pipelined-" + std::to_string(id));
+    }
+  }
+  EXPECT_EQ(counter(fe, "edge.sessions_resumed"), 1u);
+  EXPECT_EQ(counter(fe, "edge.malformed"), 0u);
+  ::close(fd);
+  fe.stop();
+}
+
+TEST(EdgeFrontendTest, ForeignThreadDeliveriesStayContiguousPerSession) {
+  // Deliveries from one foreign thread, interleaved across sessions on two
+  // shards, reach each session in call order with contiguous sequence
+  // numbers, however the shard batches them.
+  constexpr int kSessions = 4;
+  constexpr MessageId kPerSession = 500;
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.reactors = 2;
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+
+  bd::Mutex mu;
+  std::vector<std::vector<EdgeEvent>> events(kSessions);
+  std::vector<std::unique_ptr<EdgeClient>> clients;
+  std::set<std::uint64_t> shards;
+  for (int i = 0; i < kSessions; ++i) {
+    clients.push_back(std::make_unique<EdgeClient>(
+        TcpEndpoint{"127.0.0.1", fe.port()}, [&, i](const EdgeEvent& ev) {
+          bd::LockGuard lk(mu);
+          events[static_cast<std::size_t>(i)].push_back(ev);
+        }));
+    ASSERT_TRUE(clients.back()->connect());
+    shards.insert(clients.back()->session() % 2);
+  }
+  ASSERT_EQ(shards.size(), 2u);
+
+  std::thread node([&] {
+    for (MessageId m = 1; m <= kPerSession; ++m) {
+      for (const auto& c : clients) {
+        fe.deliver(make_delivery(c->session(), 0, m));
+      }
+    }
+  });
+  node.join();
+  for (const auto& c : clients) {
+    ASSERT_TRUE(c->wait_deliveries(kPerSession, 10.0));
+  }
+  bd::LockGuard lk(mu);
+  for (const auto& evs : events) {
+    ASSERT_EQ(evs.size(), kPerSession);
+    for (std::size_t k = 0; k < evs.size(); ++k) {
+      EXPECT_EQ(evs[k].seq, k + 1);
+      EXPECT_EQ(evs[k].delivery.msg_id, k + 1);
+    }
+  }
+  EXPECT_EQ(counter(fe, "edge.deliveries"), kSessions * kPerSession);
+  fe.stop();
+}
+
+TEST(EdgeFrontendTest, StopWithDeliveriesPendingIsClean) {
+  // A foreign thread keeps delivering while stop() runs and after it:
+  // batches still pending at stop are dropped, later calls are no-ops.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  cfg.reactors = 2;
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+  EdgeClient client({"127.0.0.1", fe.port()});
+  ASSERT_TRUE(client.connect());
+  const std::uint64_t session = client.session();
+
+  std::atomic<bool> stopped{false};
+  std::atomic<MessageId> sent{0};
+  std::thread node([&] {
+    // Runs on past stop(): those calls must be dropped quietly. Every
+    // other delivery goes to the other shard (an unknown session there).
+    for (MessageId m = 1, after = 0; after < 1000; ++m) {
+      fe.deliver(make_delivery(session + m % 2, 0, m));
+      sent.store(m);
+      if (stopped.load()) ++after;
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return sent.load() > 20000; }));
+  fe.stop();
+  stopped.store(true);
+  node.join();
+  EXPECT_LT(counter(fe, "edge.deliveries") +
+                counter(fe, "edge.deliveries_orphaned"),
+            sent.load());
 }
 
 // ---------------------------------------------------------------------------

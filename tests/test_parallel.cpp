@@ -780,7 +780,11 @@ TEST(WriteDeferral, OutOfRangeWriteNeverWaits) {
   constexpr std::size_t kDims = 2;
   const std::vector<Range> domains(kDims, Range{0.0, 100.0});
 
-  runtime::ThreadCluster cluster;
+  // The sink takes ~105k deliveries. An inbox that holds all of them keeps
+  // a sink thread that falls behind on a loaded host from dropping a
+  // MatchCompleted, which the completion count below would then miss.
+  runtime::ThreadCluster cluster(
+      runtime::ThreadClusterConfig{.inbox_capacity = 1u << 17});
   auto sink_state = std::make_shared<SinkState>();
   cluster.add_node(kSink, std::make_unique<FunctionNode>(
                               [sink_state](NodeId, const Envelope& env,
@@ -840,6 +844,7 @@ TEST(WriteDeferral, OutOfRangeWriteNeverWaits) {
       [&] { return sink_state->completed() >= kRequests; }, 60.0))
       << "completed " << sink_state->completed() << "/" << kRequests;
   cluster.shutdown();
+  EXPECT_EQ(cluster.dropped_messages(), 0u);
 
   const obs::MetricsSnapshot snap = matcher->metrics().snapshot();
   EXPECT_EQ(snap.counters.at("matcher.writes_deferred"), 1u);

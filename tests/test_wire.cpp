@@ -1,12 +1,15 @@
 // Tests for the batched wire path: EnvelopeBatch framing (byte-exact
-// round-trips against the legacy format), the host's outbound path
+// round-trips against the legacy format), the bulk FrameReader and the
+// exact-length one-shot read_frame, the host's outbound path
 // (fan-out, bounded per-peer queues, backpressure drops, stale-connection
 // retry, a peer that never reads), the one-thread-per-host structure, and a
 // full dispatcher->matcher MatchRequestBatch pipeline over real sockets.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,6 +19,7 @@
 #include <future>
 #include <thread>
 
+#include "net/reactor.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
 #include "node/dispatcher_node.h"
@@ -253,6 +257,254 @@ TEST(WireZeroCopy, TcpReceivePathCountsZeroPayloadCopies) {
   EXPECT_EQ(snap.counters.at("wire.payload_bytes_copied"), 0u);
   sender.stop();
   receiver.stop();
+}
+
+// ---------------------------------------------------------------------------
+// FrameReader: one recv() per wake, one buffer per frame
+// ---------------------------------------------------------------------------
+
+/// A connected AF_UNIX stream pair: `tx` blocking, `rx` non-blocking.
+struct SocketPair {
+  SocketPair() {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+    tx = fds[0];
+    rx = fds[1];
+    ::fcntl(rx, F_SETFL, ::fcntl(rx, F_GETFL) | O_NONBLOCK);
+  }
+  ~SocketPair() {
+    ::close(tx);
+    ::close(rx);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  int tx = -1;
+  int rx = -1;
+};
+
+std::vector<std::uint8_t> frame_of(const Envelope& env, NodeId from = 5) {
+  serde::Writer w;
+  net::wire::build_frame(w, from, env);
+  return {w.data(), w.data() + w.size()};
+}
+
+/// `n` publish frames (ids first_id..) back to back, as one byte stream.
+std::vector<std::uint8_t> publish_stream(int n, MessageId first_id = 1) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < n; ++i) {
+    const auto f = framed_publish(first_id + static_cast<MessageId>(i), 5);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+MessageId publish_id(const net::wire::ParsedFrame& frame) {
+  return std::get<ClientPublish>(frame.envelopes.at(0).payload).msg.id;
+}
+
+/// Reads until the reader stops handing out frames; returns that status.
+net::FrameReader::Status drain(net::FrameReader& reader, int fd,
+                               std::vector<std::uint8_t>& scratch,
+                               std::vector<net::wire::ParsedFrame>* out) {
+  for (;;) {
+    net::wire::ParsedFrame frame;
+    const auto st = reader.read(fd, scratch, &frame);
+    if (st != net::FrameReader::Status::kFrame) return st;
+    out->push_back(std::move(frame));
+  }
+}
+
+TEST(FrameReader, ManyFramesInOneSegmentComeOutInOrder) {
+  SocketPair sp;
+  const auto bytes = publish_stream(200);
+  ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<net::wire::ParsedFrame> frames;
+  EXPECT_EQ(drain(reader, sp.rx, scratch, &frames),
+            net::FrameReader::Status::kBlocked);
+  ASSERT_EQ(frames.size(), 200u);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_TRUE(frames[i].ok);
+    EXPECT_EQ(frames[i].from, 5u);
+    EXPECT_EQ(frames[i].payload_copies, 0u);
+    EXPECT_EQ(publish_id(frames[i]), i + 1);
+  }
+  EXPECT_EQ(reader.frame_bytes(), framed_publish(200, 5).size() - 4);
+}
+
+TEST(FrameReader, SixtyFourSmallFramesInOneSendCostOneRecv) {
+  // The recv that gets all 64 frames comes up short of the buffer, so the
+  // wake ends without a second recv that would only return EAGAIN.
+  SocketPair sp;
+  const auto bytes = publish_stream(64);
+  ASSERT_EQ(::send(sp.tx, bytes.data(), bytes.size(), 0),
+            static_cast<::ssize_t>(bytes.size()));
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<net::wire::ParsedFrame> frames;
+  EXPECT_EQ(drain(reader, sp.rx, scratch, &frames),
+            net::FrameReader::Status::kBlocked);
+  EXPECT_EQ(frames.size(), 64u);
+  EXPECT_EQ(reader.recv_calls(), 1u);
+}
+
+TEST(FrameReader, SameStreamSplitAtEveryOffset) {
+  // Three frames of different sizes; the stream arrives in two segments
+  // cut at every possible offset, length prefixes included.
+  std::vector<std::uint8_t> bytes;
+  for (const Envelope& env :
+       {sample_publish(1), traced_match_request(2), sample_publish(3)}) {
+    const auto f = frame_of(env);
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+    SocketPair sp;
+    net::FrameReader reader;
+    std::vector<net::wire::ParsedFrame> frames;
+    ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), cut));
+    ASSERT_EQ(drain(reader, sp.rx, scratch, &frames),
+              net::FrameReader::Status::kBlocked);
+    ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data() + cut,
+                                     bytes.size() - cut));
+    ASSERT_EQ(drain(reader, sp.rx, scratch, &frames),
+              net::FrameReader::Status::kBlocked);
+    ASSERT_EQ(frames.size(), 3u) << "cut at " << cut;
+    EXPECT_EQ(publish_id(frames[0]), 1u);
+    EXPECT_EQ(std::get<MatchRequest>(frames[1].envelopes.at(0).payload)
+                  .trace_id,
+              0xabcdefu);
+    EXPECT_EQ(publish_id(frames[2]), 3u);
+  }
+}
+
+TEST(FrameReader, FrameLargerThanTheReceiveBuffer) {
+  // A small frame, one of ~3 receive buffers, and another small one: the
+  // big body spans several recvs and is carved into its buffer piecewise.
+  Message big;
+  big.id = 7;
+  big.values = {1.0};
+  big.payload = std::string(3 * net::kRecvBufferBytes + 123, 'x');
+  std::vector<std::uint8_t> bytes = publish_stream(1, 1);
+  const auto f = frame_of(Envelope::of(ClientPublish{big}));
+  bytes.insert(bytes.end(), f.begin(), f.end());
+  const auto tail = publish_stream(1, 9);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+
+  SocketPair sp;
+  std::thread writer([&] {
+    EXPECT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+  });
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<net::wire::ParsedFrame> frames;
+  while (frames.size() < 3) {
+    const auto st = drain(reader, sp.rx, scratch, &frames);
+    ASSERT_EQ(st, net::FrameReader::Status::kBlocked);
+    ::pollfd pfd{sp.rx, POLLIN, 0};
+    if (frames.size() < 3) ::poll(&pfd, 1, 1000);
+  }
+  writer.join();
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(publish_id(frames[0]), 1u);
+  const Message& got =
+      std::get<ClientPublish>(frames[1].envelopes[0].payload).msg;
+  EXPECT_EQ(got.id, 7u);
+  EXPECT_EQ(got.payload.view(), big.payload.view());
+  EXPECT_EQ(frames[1].payload_copies, 0u);
+  EXPECT_EQ(publish_id(frames[2]), 9u);
+}
+
+TEST(FrameReader, BadLengthPrefixAfterValidFramesComesOutLast) {
+  SocketPair sp;
+  auto bytes = publish_stream(3);
+  const std::uint8_t bad[4] = {0xff, 0xff, 0xff, 0xff};  // > kMaxFrame
+  bytes.insert(bytes.end(), bad, bad + 4);
+  const auto more = publish_stream(2, 10);  // unframeable past the bad one
+  bytes.insert(bytes.end(), more.begin(), more.end());
+  ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<net::wire::ParsedFrame> frames;
+  EXPECT_EQ(drain(reader, sp.rx, scratch, &frames),
+            net::FrameReader::Status::kMalformed);
+  ASSERT_EQ(frames.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(publish_id(frames[i]), i + 1);
+}
+
+TEST(FrameReader, EofMidFrameIsClosed) {
+  SocketPair sp;
+  const auto bytes = publish_stream(2);
+  const std::size_t part = bytes.size() - 5;  // the second frame, cut short
+  ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), part));
+  ::shutdown(sp.tx, SHUT_WR);
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<net::wire::ParsedFrame> frames;
+  net::FrameReader::Status st = net::FrameReader::Status::kBlocked;
+  for (int i = 0; i < 4 && st == net::FrameReader::Status::kBlocked; ++i) {
+    st = drain(reader, sp.rx, scratch, &frames);
+  }
+  EXPECT_EQ(st, net::FrameReader::Status::kClosed);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(publish_id(frames[0]), 1u);
+}
+
+TEST(FrameReader, EachPayloadPinsOnlyItsOwnFrame) {
+  // Frames read in one recv() still get one buffer each: a payload kept
+  // past the read pins its own frame's bytes, not its neighbours' or the
+  // receive buffer, and the reader keeps no reference of its own.
+  SocketPair sp;
+  const auto bytes = publish_stream(4);
+  ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<Message> kept;
+  std::vector<std::uint32_t> lens;
+  for (;;) {
+    net::wire::ParsedFrame frame;
+    if (reader.read(sp.rx, scratch, &frame) !=
+        net::FrameReader::Status::kFrame) {
+      break;
+    }
+    kept.push_back(std::get<ClientPublish>(frame.envelopes[0].payload).msg);
+    lens.push_back(reader.frame_bytes());
+  }
+  ASSERT_EQ(kept.size(), 4u);
+  const auto* lo_scratch = reinterpret_cast<const char*>(scratch.data());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const PayloadRef& p = kept[i].payload;
+    ASSERT_NE(p.owner(), nullptr);
+    EXPECT_EQ(p.owner().use_count(), 1) << "frame " << i;
+    const auto* lo = static_cast<const char*>(p.owner().get());
+    EXPECT_GE(p.data(), lo);
+    EXPECT_LE(p.data() + p.size(), lo + lens[i]);
+    EXPECT_FALSE(p.data() >= lo_scratch &&
+                 p.data() < lo_scratch + scratch.size());
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(p.owner(), kept[j].payload.owner());
+    }
+  }
+}
+
+TEST(ReadFrame, OneShotReadsLeaveTheNextFrameInTheSocket) {
+  // Two frames in one send() on a blocking socket: each one-shot read takes
+  // exactly its own frame, so the second call still finds the second.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  const auto bytes = publish_stream(2, 21);
+  ASSERT_EQ(::send(fds[0], bytes.data(), bytes.size(), 0),
+            static_cast<::ssize_t>(bytes.size()));
+  const net::wire::ParsedFrame first = net::read_frame(fds[1]);
+  const net::wire::ParsedFrame second = net::read_frame(fds[1]);
+  ASSERT_TRUE(first.ok);
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(publish_id(first), 21u);
+  EXPECT_EQ(publish_id(second), 22u);
+  EXPECT_EQ(first.payload_copies + second.payload_copies, 0u);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,11 +19,17 @@
 #   5d. edge label (epoll reactor front end, resumable sessions, slow-client
 #       eviction, swarm drop/resume) and a reduced-count micro_edge smoke
 #       (connection ramp + sustained fan-out + resume; exits nonzero on any
-#       sequence gap, duplicate, lost session, or payload copy)
+#       sequence gap, duplicate, lost session, or payload copy). Runs in a
+#       scratch directory so the committed BENCH_edge.json stays untouched.
 #   5e. reduced-scale micro_parallel smoke: the matcher's worker pool
 #       probing its live indexes at cores 1/2/4/8 over loopback TCP; exits
 #       nonzero when any request goes unmatched. Runs in a scratch
 #       directory so the committed BENCH_parallel.json stays untouched.
+#   5f. reduced-count micro_wire smoke: TcpHost to TcpHost blasts at wire
+#       batch 1/8/32; exits nonzero when a publication is missing that the
+#       sender's drop counter does not account for, or when the receiver
+#       copied a payload. Runs in a scratch directory so the committed
+#       BENCH_wire.json stays untouched.
 #   6. ASan+UBSan suite (tools/sanitize_check.sh), then the simd and cover
 #      labels again under ASan/UBSan (gather/tail lanes and the member
 #      arena's raw range strips are exactly where an out-of-bounds read
@@ -73,14 +79,22 @@ echo "== edge label (client edge layer: reactors, sessions, resume) =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L edge
 
 echo "== micro_edge smoke (reduced scale, zero-loss + zero-copy gates) =="
-"${repo_root}/build/bench/micro_edge" --connections 5000 --live 2500 \
-  --publishes 5000 --resume 250
+edge_dir="$(mktemp -d)"
+(cd "${edge_dir}" && "${repo_root}/build/bench/micro_edge" \
+  --connections 5000 --live 2500 --publishes 5000 --resume 250)
+rm -rf "${edge_dir}"
 
 echo "== micro_parallel smoke (reduced scale, every request matched) =="
 parallel_dir="$(mktemp -d)"
 (cd "${parallel_dir}" && "${repo_root}/build/bench/micro_parallel" \
   --subs 20000 --requests 4000)
 rm -rf "${parallel_dir}"
+
+echo "== micro_wire smoke (reduced count, lossless + zero-copy gates) =="
+wire_dir="$(mktemp -d)"
+(cd "${wire_dir}" && "${repo_root}/build/bench/micro_wire" \
+  --publishes 20000 --rounds 50)
+rm -rf "${wire_dir}"
 
 echo "== flight-recorder TCP trace smoke =="
 "${repo_root}/tools/trace_smoke.sh" "${repo_root}/build"

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the tree with ASan+UBSan (-DBLUEDOVE_SANITIZE=ON) and runs the full
 # test suite under it (including the `wire` label — batched transport framing,
-# the reactor's per-connection read and write buffers, backpressure — and the
-# `parallel` label — offload worker pool, shared subscription store, probes
-# of the live indexes). The arena/SoA index code moves raw slots instead of
-# shared_ptrs, so this is the lifetime/bounds safety net for src/index, and
+# the reactor's receive buffer, per-frame carving and per-connection write
+# buffers, backpressure — and the `parallel` label — offload worker pool,
+# shared subscription store, probes of the live indexes). The arena/SoA
+# index code moves raw slots instead of shared_ptrs, so this is the
+# lifetime/bounds safety net for src/index, and
 # the connection buffers in src/net get the same coverage. The `cover` label
 # (subscription covering layer) rides along: its member arena stores raw
 # per-member range strips that the residual filter walks by offset, the
