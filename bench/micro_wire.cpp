@@ -2,7 +2,9 @@
 //
 // Measures the outbound wire path of net::TcpHost between two hosts on
 // 127.0.0.1, sweeping the wire batch size (1 = one envelope per frame,
-// >1 = frame coalescing) against two payload sizes:
+// 8 and 32 = frame coalescing with a 0.5 ms linger) plus the default
+// WireConfig{} (up to 64 envelopes per frame, no linger: frames close at
+// the end of each loop pass) against two payload sizes:
 //
 //   throughput  blast N publications and time until the receiver has
 //               counted all of them
@@ -10,8 +12,8 @@
 //               otherwise idle wire, so the flush linger shows up
 //
 // Emits BENCH_wire.json (obs JSON schema): one gauge per
-// (batch, payload) throughput cell, speedup gauges vs batch=1, one RTT
-// histogram per batch setting, and the host's hardware_concurrency. Exits
+// (setting, payload) throughput cell, speedup gauges batch=32 vs batch=1,
+// one RTT histogram per setting, and the host's hardware_concurrency. Exits
 // nonzero when a throughput cell misses a publication that the sender's
 // drop counter does not account for, or when the receiver copied any
 // payload, so a reduced-count run doubles as a smoke test of the wire
@@ -27,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "bench_util.h"
@@ -104,19 +107,31 @@ struct ThroughputResult {
   std::uint64_t payload_bytes_copied = 0;
 };
 
+/// One swept sender configuration; `name` keys its BENCH_wire.json cells.
+struct Setting {
+  std::string name;
+  net::WireConfig wire;
+};
+
+/// `batch` envelopes per frame; a partial frame lingers 0.5 ms when > 1.
+Setting batched(int batch) {
+  Setting s{"batch" + std::to_string(batch), {}};
+  s.wire.batch = batch;
+  s.wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
+  return s;
+}
+
 /// Blasts `n` publications sender -> receiver and returns msgs/sec counted
 /// at the receiver. The send queue is sized to hold the whole blast so the
 /// measurement is of the wire, not of backpressure drops.
-ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
-                                std::uint64_t n) {
+ThroughputResult run_throughput(const Setting& setting,
+                                std::size_t payload_bytes, std::uint64_t n) {
   auto recv_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* recv = recv_node.get();
   net::TcpHost receiver(1, 0, std::move(recv_node));
   receiver.start();
 
-  net::WireConfig wire;
-  wire.batch = batch;
-  wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
+  net::WireConfig wire = setting.wire;
   wire.queue_capacity = static_cast<std::size_t>(n) + 64;
   auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* send = send_node.get();
@@ -143,9 +158,9 @@ ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
     const std::uint64_t dropped = sender.dropped_sends();
     std::fprintf(stderr,
                  "micro_wire: only %llu/%llu delivered, %llu dropped by the "
-                 "sender (batch=%d)\n",
+                 "sender (%s)\n",
                  (unsigned long long)got, (unsigned long long)n,
-                 (unsigned long long)dropped, batch);
+                 (unsigned long long)dropped, setting.name.c_str());
     if (n - got > dropped) res.unaccounted = n - got - dropped;
   }
   res.tput = static_cast<double>(got) / elapsed;
@@ -163,17 +178,15 @@ ThroughputResult run_throughput(int batch, std::size_t payload_bytes,
 
 /// Ping-pong RTTs through an idle wire: one in-flight message at a time,
 /// acked synchronously by the receiver. Records seconds into `hist`.
-void run_latency(int batch, std::uint64_t rounds, obs::LatencyHistogram* hist) {
+void run_latency(const Setting& setting, std::uint64_t rounds,
+                 obs::LatencyHistogram* hist) {
   auto recv_node = std::make_unique<BenchNode>(/*echo=*/true);
   net::TcpHost receiver(1, 0, std::move(recv_node));
   receiver.start();
 
-  net::WireConfig wire;
-  wire.batch = batch;
-  wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
   auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
   BenchNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
+  net::TcpHost sender(2, 0, std::move(send_node), 42, setting.wire);
   sender.add_peer(1, {"127.0.0.1", receiver.port()});
   // The ack comes back over a dialed connection to the sender's listener
   // (hosts read inbound sockets only, not the receive side of outgoing
@@ -213,12 +226,14 @@ int main(int argc, char** argv) {
 
   benchutil::header("wire", "TCP wire path: batch size vs payload size");
   benchutil::note(
-      "wire_batch=1 sends one envelope per frame; >1 coalesces up to that "
-      "many per frame");
+      "batchN coalesces up to N envelopes per frame (1: one per frame) with "
+      "a 0.5 ms linger when N > 1; default is WireConfig{}: up to 64 per "
+      "frame, closed at the end of each loop pass");
   const unsigned hw = std::thread::hardware_concurrency();
   benchutil::note("hardware_concurrency=" + std::to_string(hw));
 
-  const int batches[] = {1, 8, 32};
+  const Setting settings[] = {batched(1), batched(8), batched(32),
+                              {"default", net::WireConfig{}}};
   const std::size_t payloads[] = {64, 1024};
 
   obs::MetricsSnapshot snap;
@@ -228,29 +243,29 @@ int main(int argc, char** argv) {
   std::uint64_t total_unaccounted = 0;
 
   std::printf("\nthroughput (msgs/sec at the receiver):\n");
-  std::printf("%12s %14s %14s %10s\n", "wire_batch", "payload=64B",
+  std::printf("%12s %14s %14s %10s\n", "setting", "payload=64B",
               "payload=1KB", "speedup");
-  for (const int batch : batches) {
+  for (const Setting& setting : settings) {
     double tput[2];
     for (int p = 0; p < 2; ++p) {
       const std::uint64_t n =
           payloads[p] <= 64 ? publishes
                             : std::max<std::uint64_t>(publishes * 4 / 15, 1);
-      const ThroughputResult res = run_throughput(batch, payloads[p], n);
+      const ThroughputResult res = run_throughput(setting, payloads[p], n);
       tput[p] = res.tput;
       total_unaccounted += res.unaccounted;
-      const std::string suffix = "batch" + std::to_string(batch) + "_pay" +
-                                 std::to_string(payloads[p]);
+      const std::string suffix =
+          setting.name + "_pay" + std::to_string(payloads[p]);
       snap.gauges["wire.tput_" + suffix] = tput[p];
       snap.counters["wire.payload_copies_" + suffix] = res.payload_copies;
       snap.counters["wire.payload_bytes_copied_" + suffix] =
           res.payload_bytes_copied;
       total_payload_copies += res.payload_copies;
-      if (batch == 1) base_tput[p] = tput[p];
+      if (setting.name == "batch1") base_tput[p] = tput[p];
     }
     const double speedup = base_tput[0] > 0.0 ? tput[0] / base_tput[0] : 0.0;
-    std::printf("%12d %14.0f %14.0f %9.2fx\n", batch, tput[0], tput[1],
-                speedup);
+    std::printf("%12s %14.0f %14.0f %9.2fx\n", setting.name.c_str(), tput[0],
+                tput[1], speedup);
   }
   for (int p = 0; p < 2; ++p) {
     const std::string pay = std::to_string(payloads[p]);
@@ -260,14 +275,15 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nping-pong RTT through an idle wire (ms):\n");
-  std::printf("%12s %10s %10s %10s\n", "wire_batch", "p50", "p99", "mean");
-  for (const int batch : batches) {
+  std::printf("%12s %10s %10s %10s\n", "setting", "p50", "p99", "mean");
+  for (const Setting& setting : settings) {
     obs::LatencyHistogram hist;
-    run_latency(batch, rounds, &hist);
+    run_latency(setting, rounds, &hist);
     const obs::HistogramSnapshot h = hist.snapshot();
-    std::printf("%12d %10.3f %10.3f %10.3f\n", batch, h.quantile(0.50) * 1e3,
-                h.quantile(0.99) * 1e3, h.mean() * 1e3);
-    snap.histograms["wire.rtt_batch" + std::to_string(batch)] = h;
+    std::printf("%12s %10.3f %10.3f %10.3f\n", setting.name.c_str(),
+                h.quantile(0.50) * 1e3, h.quantile(0.99) * 1e3,
+                h.mean() * 1e3);
+    snap.histograms["wire.rtt_" + setting.name] = h;
   }
 
   std::printf("\nspeedup batch=32 vs batch=1: %.2fx (64B), %.2fx (1KB)\n",

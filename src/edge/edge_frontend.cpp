@@ -272,8 +272,8 @@ void EdgeFrontend::drain_deliveries(Shard& r) {
     bd::LockGuard lk(r.pending_mu);
     r.draining.swap(r.pending);  // hands back last drain's capacity
   }
-  for (const Shard::Pending& p : r.draining) {
-    deliver_on_shard(r, p.delivery, p.enqueued_at);
+  for (Shard::Pending& p : r.draining) {
+    deliver_on_shard(r, std::move(p.delivery), p.enqueued_at);
   }
   r.draining.clear();
 }
@@ -538,29 +538,31 @@ void EdgeFrontend::attach_session(Shard& r, Conn& c, const EdgeHello& hello) {
   }
 }
 
-void EdgeFrontend::deliver_on_shard(Shard& r, const Delivery& d,
-                                      double enqueued_at) {
+void EdgeFrontend::deliver_on_shard(Shard& r, Delivery&& d,
+                                    double enqueued_at) {
   auto it = r.sessions.find(d.subscriber);
   if (it == r.sessions.end()) {
     m_deliveries_orphaned_->inc();
     return;
   }
   Session& s = *it->second;
-  EdgeEvent ev;
-  ev.seq = s.next_seq++;
-  ev.delivery = d;  // payload refcount bump, bytes stay in the matcher frame
-  auto g = s.global_to_client.find(d.sub_id);
+  // The delivery moves into the event, the event is serialized where it
+  // lies and then moves into the replay ring: no copy of `values`, and the
+  // payload stays one view of the matcher frame.
+  Envelope env = Envelope::of(EdgeEvent{s.next_seq++, std::move(d)});
+  EdgeEvent& ev = std::get<EdgeEvent>(env.payload);
+  auto g = s.global_to_client.find(ev.delivery.sub_id);
   if (g != s.global_to_client.end()) ev.delivery.sub_id = g->second;
+  m_deliveries_->inc();
+  if (s.conn != nullptr) {
+    enqueue_event(r, *s.conn, env);
+    m_delivery_latency_->record(mono_seconds() - enqueued_at);
+  }
   if (s.ring.size() >= config_.replay_entries) {
     s.ring.pop_front();
     m_replay_overflow_->inc();
   }
-  s.ring.push_back(ev);
-  m_deliveries_->inc();
-  if (s.conn != nullptr) {
-    enqueue_event(r, *s.conn, Envelope::of(std::move(ev)));
-    m_delivery_latency_->record(mono_seconds() - enqueued_at);
-  }
+  s.ring.push_back(std::move(ev));
 }
 
 // --------------------------------------------------------------------------

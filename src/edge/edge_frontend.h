@@ -42,7 +42,9 @@
 // to TcpHost::inject, which runs them through DispatcherNode on its node
 // thread. Deliveries fan back via deliver(), called on the node thread for
 // every Delivery envelope the matchers send to the dispatcher
-// (DispatcherNode::on_delivery), and reach each reactor in batches.
+// (DispatcherNode::on_delivery), and reach each reactor in batches. The
+// reactor moves each delivery into its session's EdgeEvent, serializes
+// that event in place and then moves it into the replay ring: no copies.
 
 #include <atomic>
 #include <cstdint>
@@ -138,7 +140,7 @@ class EdgeFrontend {
   void reap_sessions(Shard& r);
   void drop_session(Shard& r, Session& s);
   void drain_deliveries(Shard& r);
-  void deliver_on_shard(Shard& r, const Delivery& d, double enqueued_at);
+  void deliver_on_shard(Shard& r, Delivery&& d, double enqueued_at);
 
   Shard& shard_of(std::uint64_t session) {
     return *shards_[session % shards_.size()];
@@ -184,7 +186,8 @@ class EdgeFrontend {
   obs::Gauge* m_sessions_gauge_ = nullptr;
   obs::Gauge* m_queue_high_water_ = nullptr;
   obs::LatencyHistogram* m_fanout_batch_ = nullptr;    ///< envelopes per frame
-  obs::LatencyHistogram* m_delivery_latency_ = nullptr;  ///< deliver() -> flush
+  /// deliver() -> serialized into the session's connection (not written)
+  obs::LatencyHistogram* m_delivery_latency_ = nullptr;
 };
 
 }  // namespace bluedove::edge

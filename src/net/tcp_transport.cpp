@@ -459,7 +459,6 @@ void TcpHost::flush_dirty() {
 }
 
 void TcpHost::flush(Conn& c, bool all) {
-  if (c.connecting && !finish_connect(c)) return;  // EPOLLOUT flushes later
   if (!all && wire_.flush_interval > 0.0 && c.writer.open_envelopes() > 0) {
     // Linger: the partial frame waits up to flush_interval for company;
     // closed frames go now.
@@ -480,6 +479,9 @@ void TcpHost::flush(Conn& c, bool all) {
     m_frame_envs_->record(static_cast<double>(envs));
     m_frame_bytes_->record(static_cast<double>(c.writer.last_frame_bytes()));
   }
+  // The frame above closes even while a dial is in flight, so a pass's
+  // frames keep their bounds however long the connect takes.
+  if (c.connecting && !finish_connect(c)) return;  // EPOLLOUT flushes later
   FrameWriter::Sent sent;
   const FrameWriter::Flush result = c.writer.flush(c.fd, &sent);
   if (sent.bytes > 0) m_flushes_->inc();

@@ -293,7 +293,8 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
         {"edge.connections", "Currently connected edge clients"},
         {"edge.sessions", "Resident edge sessions (connected or resumable)"},
         {"edge.delivery_latency",
-         "Seconds from edge ingress to the subscriber socket write"},
+         "Seconds from the edge's delivery hand-off to the delivery's "
+         "serialization into the subscriber connection"},
     };
     const auto it = kHelp.find(name);
     return it == kHelp.end() ? nullptr : it->second;

@@ -1,8 +1,9 @@
 // Tests for the client edge layer (src/edge/): reactor front end lifecycle,
 // the EdgeHello/EdgeWelcome handshake, id rewriting into the cluster,
-// sequence-numbered delivery with acks and gap-free resume, the bounded
-// replay ring, frames pipelined behind a cross-reactor resume, the batched
-// delivery hand-off (ordering, stop), slow-client eviction,
+// sequence-numbered delivery with acks and gap-free resume (replayed
+// events equal their live counterparts), the bounded replay ring, frames
+// pipelined behind a cross-reactor resume, the batched delivery hand-off
+// (ordering, stop), slow-client eviction,
 // detached-session reaping, the SIGPIPE/peer-close-mid-send regression,
 // and a full edge -> dispatcher -> matcher -> edge round trip over real
 // loopback sockets with the zero-copy payload invariant checked end to end.
@@ -257,6 +258,104 @@ TEST(EdgeFrontendTest, ResumeReplaysDetachedDeliveriesGapFree) {
   }
   EXPECT_EQ(counter(fe, "edge.sessions_resumed"), 1u);
   EXPECT_EQ(counter(fe, "edge.replay_gaps"), 0u);
+  fe.stop();
+}
+
+TEST(EdgeFrontendTest, ReplayedEventsEqualTheirLiveCounterparts) {
+  // Deliveries to a session with two real subscriptions, then a resume
+  // from an older last_seq: each replayed event must be its live
+  // counterpart field for field — the ring holds the very events that went
+  // out, not emptied husks of them.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+
+  bd::Mutex mu;
+  std::vector<EdgeEvent> live;
+  EdgeClient client(
+      {"127.0.0.1", fe.port()},
+      [&](const EdgeEvent& ev) {
+        bd::LockGuard lk(mu);
+        live.push_back(ev);
+      },
+      /*ack_every=*/1000000);
+  ASSERT_TRUE(client.connect());
+  const std::uint64_t session = client.session();
+  const SubscriptionId client_subs[2] = {client.subscribe({Range{0, 100}}),
+                                         client.subscribe({Range{50, 150}})};
+  ASSERT_TRUE(eventually([&] { return ingress.count<ClientSubscribe>() == 2; }));
+  const std::vector<ClientSubscribe> subs = ingress.all<ClientSubscribe>();
+  const std::uint64_t gids[2] = {subs[0].sub.id, subs[1].sub.id};
+
+  constexpr MessageId kEvents = 12;
+  const auto payload_of = [](MessageId m) {
+    return "payload-" + std::to_string(m) + std::string(m * 10, 'x');
+  };
+  const auto values_of = [](MessageId m) {
+    const auto v = static_cast<double>(m);
+    return std::vector<Value>{v, v * 0.5, -v};
+  };
+  for (MessageId m = 1; m <= kEvents; ++m) {
+    Delivery d = make_delivery(session, gids[m % 2], m, payload_of(m));
+    d.values = values_of(m);
+    fe.deliver(d);
+  }
+  ASSERT_TRUE(client.wait_deliveries(kEvents, 10.0));
+  client.disconnect();
+  ASSERT_TRUE(eventually([&] { return fe.connections() == 0; }));
+
+  // Resume by hand, from an older sequence than the client has seen.
+  constexpr std::uint64_t kLastSeq = 4;
+  const int fd = net::dial({"127.0.0.1", fe.port()});
+  ASSERT_GE(fd, 0);
+  timeval tv{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  EdgeHello hello;
+  hello.session = session;
+  hello.last_seq = kLastSeq;
+  ASSERT_TRUE(net::wire::send_frame(fd, kInvalidNode, Envelope::of(hello)));
+  std::vector<EdgeWelcome> welcomes;
+  std::vector<EdgeEvent> replayed;
+  while (replayed.size() < kEvents - kLastSeq) {
+    net::wire::ParsedFrame frame = net::read_frame(fd);
+    if (!frame.ok) break;
+    for (Envelope& env : frame.envelopes) {
+      if (auto* w = std::get_if<EdgeWelcome>(&env.payload)) {
+        welcomes.push_back(*w);
+      } else if (auto* ev = std::get_if<EdgeEvent>(&env.payload)) {
+        replayed.push_back(std::move(*ev));
+      }
+    }
+  }
+  ::close(fd);
+
+  ASSERT_EQ(welcomes.size(), 1u);
+  EXPECT_TRUE(welcomes[0].resumed);
+  EXPECT_EQ(welcomes[0].next_seq, kLastSeq + 1);
+  ASSERT_EQ(replayed.size(), kEvents - kLastSeq);
+  bd::LockGuard lk(mu);
+  ASSERT_EQ(live.size(), kEvents);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const MessageId m = i + 1;
+    EXPECT_EQ(live[i].seq, m);
+    EXPECT_EQ(live[i].delivery.msg_id, m);
+    EXPECT_EQ(live[i].delivery.sub_id, client_subs[m % 2]);
+    EXPECT_EQ(live[i].delivery.values, values_of(m));
+    EXPECT_EQ(live[i].delivery.payload.view(), payload_of(m));
+  }
+  for (std::size_t i = 0; i < replayed.size(); ++i) {
+    const EdgeEvent& r = replayed[i];
+    const EdgeEvent& l = live[kLastSeq + i];
+    EXPECT_EQ(r.seq, l.seq) << "replay " << i;
+    EXPECT_EQ(r.delivery.msg_id, l.delivery.msg_id) << "replay " << i;
+    EXPECT_EQ(r.delivery.sub_id, l.delivery.sub_id) << "replay " << i;
+    EXPECT_EQ(r.delivery.values, l.delivery.values) << "replay " << i;
+    EXPECT_EQ(r.delivery.payload.view(), l.delivery.payload.view())
+        << "replay " << i;
+  }
+  EXPECT_EQ(counter(fe, "edge.replay_hits"), kEvents - kLastSeq);
   fe.stop();
 }
 

@@ -2,7 +2,8 @@
 // round-trips against the legacy format), the bulk FrameReader and the
 // exact-length one-shot read_frame, the host's outbound path
 // (fan-out, bounded per-peer queues, backpressure drops, stale-connection
-// retry, a peer that never reads), the one-thread-per-host structure, and a
+// retry, a peer that never reads, one frame per pass under the default
+// WireConfig and the 64 KiB cut), the one-thread-per-host structure, and a
 // full dispatcher->matcher MatchRequestBatch pipeline over real sockets.
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <future>
 #include <thread>
 
+#include "common/thread_safety.h"
 #include "net/reactor.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
@@ -488,6 +490,58 @@ TEST(FrameReader, EachPayloadPinsOnlyItsOwnFrame) {
   }
 }
 
+TEST(FrameReader, PayloadOfACoalescedFramePinsExactlyThatFrame) {
+  // Two frames of three envelopes each, built the way a host builds them.
+  // Every payload parsed from a frame views that frame's one buffer: the
+  // three share it, the other frame's three share another, and nothing
+  // but the kept payloads holds either.
+  SocketPair sp;
+  net::FrameWriter writer(5);
+  for (MessageId id = 1; id <= 6; ++id) {
+    writer.append(sample_publish(id), 64);
+    if (id % 3 == 0) writer.close_frame();
+  }
+  net::FrameWriter::Sent sent;
+  ASSERT_EQ(writer.flush(sp.tx, &sent), net::FrameWriter::Flush::kDone);
+  ASSERT_EQ(sent.frames, 2u);
+
+  std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+  net::FrameReader reader;
+  std::vector<Message> kept;
+  std::vector<std::uint32_t> lens;
+  for (;;) {
+    net::wire::ParsedFrame frame;
+    if (reader.read(sp.rx, scratch, &frame) !=
+        net::FrameReader::Status::kFrame) {
+      break;
+    }
+    ASSERT_EQ(frame.envelopes.size(), 3u);
+    for (const Envelope& env : frame.envelopes) {
+      kept.push_back(std::get<ClientPublish>(env.payload).msg);
+    }
+    lens.push_back(reader.frame_bytes());
+  }
+  ASSERT_EQ(kept.size(), 6u);
+  ASSERT_EQ(lens.size(), 2u);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const PayloadRef& p = kept[i].payload;
+    const PayloadRef& first = kept[i / 3 * 3].payload;
+    EXPECT_EQ(kept[i].id, i + 1);
+    EXPECT_EQ(p.view(), "payload-" + std::to_string(i + 1));
+    ASSERT_NE(p.owner(), nullptr);
+    EXPECT_EQ(p.owner(), first.owner()) << "envelope " << i;
+    EXPECT_EQ(p.owner().use_count(), 3) << "envelope " << i;
+    const auto* lo = static_cast<const char*>(p.owner().get());
+    EXPECT_GE(p.data(), lo);
+    EXPECT_LE(p.data() + p.size(), lo + lens[i / 3]);
+  }
+  EXPECT_NE(kept[0].payload.owner(), kept[3].payload.owner());
+  // The last payload of a frame alone keeps it alive.
+  kept.erase(kept.begin(), kept.begin() + 2);
+  EXPECT_EQ(kept[0].payload.owner().use_count(), 1);
+  EXPECT_EQ(kept[0].payload.view(), "payload-3");
+}
+
 TEST(ReadFrame, OneShotReadsLeaveTheNextFrameInTheSocket) {
   // Two frames in one send() on a blocking socket: each one-shot read takes
   // exactly its own frame, so the second call still finds the second.
@@ -640,7 +694,7 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
 
   auto sender_node = std::make_unique<CountingNode>();
   CountingNode* sn = sender_node.get();
-  TcpHost sender(1, 0, std::move(sender_node));  // wire batch = 1: sync path
+  TcpHost sender(1, 0, std::move(sender_node));
   sender.add_peer(2, {"127.0.0.1", port});
   sender.start();
   NodeContext* ctx = wait_ctx(sn);
@@ -710,11 +764,11 @@ class DeafListener {
 };
 
 TEST(WireSync, NonReadingPeerStallsNeitherNodeNorStop) {
-  // Default WireConfig (one envelope per frame). 16 KiB messages flood a
-  // peer that never reads, from a timer on the node thread: the socket
-  // fills, the per-peer bound is reached, and from then on sends drop.
-  // Meanwhile the node thread must keep serving its timers, and stop()
-  // must not wait on the peer.
+  // Default WireConfig (up to 64 envelopes per frame, cut at 64 KiB
+  // mid-pass). 16 KiB messages flood a peer that never reads, from a
+  // timer on the node thread: the socket fills, the per-peer bound is
+  // reached, and from then on sends drop. Meanwhile the node thread must
+  // keep serving its timers, and stop() must not wait on the peer.
   auto node = std::make_unique<CountingNode>();
   CountingNode* cn = node.get();
   auto sender = std::make_unique<TcpHost>(1, 0, std::move(node));
@@ -811,6 +865,160 @@ TEST(WireSync, InjectWaitsWhileAPeerIsCongested) {
   EXPECT_TRUE(eventually([&] { return fn->handled.load() == kInjected; }))
       << "handled " << fn->handled.load();
   sender->stop();
+}
+
+// ---------------------------------------------------------------------------
+// Per-pass frames under the default WireConfig
+// ---------------------------------------------------------------------------
+
+/// A raw loopback listener that accepts one connection and reads it frame
+/// by frame, recording each frame's size and its publish ids.
+class FrameSink {
+ public:
+  struct Frame {
+    std::size_t bytes = 0;  ///< length prefix included
+    std::vector<MessageId> ids;
+  };
+
+  FrameSink() {
+    fd_ = net::listen_tcp("127.0.0.1", 0, 8, &port_);
+    reader_ = std::thread([this] {
+      ::pollfd pfd{fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 10000) <= 0) return;
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      ::fcntl(conn, F_SETFL, ::fcntl(conn, F_GETFL) & ~O_NONBLOCK);
+      for (;;) {
+        std::uint8_t prefix[4];
+        if (!net::wire::read_all(conn, prefix, sizeof prefix)) break;
+        const std::uint32_t len = net::wire::read_frame_len(prefix);
+        if (len < net::wire::kFrameOverhead || len > net::wire::kMaxFrame) {
+          break;
+        }
+        std::vector<std::uint8_t> body(len);
+        if (!net::wire::read_all(conn, body.data(), len)) break;
+        const net::wire::ParsedFrame parsed =
+            net::wire::parse_frame(body.data(), len);
+        if (!parsed.ok) break;
+        Frame f;
+        f.bytes = sizeof prefix + len;
+        for (const Envelope& env : parsed.envelopes) {
+          f.ids.push_back(std::get<ClientPublish>(env.payload).msg.id);
+        }
+        bd::LockGuard lk(mu_);
+        envelopes_ += f.ids.size();
+        frames_.push_back(std::move(f));
+      }
+      ::close(conn);
+    });
+  }
+  /// Call after the sender closed its connection.
+  ~FrameSink() {
+    reader_.join();
+    ::close(fd_);
+  }
+  FrameSink(const FrameSink&) = delete;
+  FrameSink& operator=(const FrameSink&) = delete;
+  std::uint16_t port() const { return port_; }
+  std::size_t envelopes() {
+    bd::LockGuard lk(mu_);
+    return envelopes_;
+  }
+  std::vector<Frame> frames() {
+    bd::LockGuard lk(mu_);
+    return frames_;
+  }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  bd::Mutex mu_;
+  std::vector<Frame> frames_ BD_GUARDED_BY(mu_);
+  std::size_t envelopes_ BD_GUARDED_BY(mu_) = 0;
+  std::thread reader_;
+};
+
+TEST(WirePass, DefaultConfigSendsOnePassToAPeerAsOneFrame) {
+  constexpr MessageId kEnvelopes = 40;
+  FrameSink sink;
+  auto send_node = std::make_unique<CountingNode>();
+  CountingNode* sn = send_node.get();
+  TcpHost sender(1, 0, std::move(send_node));  // default WireConfig
+  sender.add_peer(2, {"127.0.0.1", sink.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(sn);
+  const auto frames_sent = [&sender] {
+    return sender.wire_metrics().snapshot().counters.at("wire.frames_sent");
+  };
+
+  // Connect first, so the pass below writes to an established connection.
+  ctx->send(2, sample_publish(0));
+  ASSERT_TRUE(eventually([&] { return sink.envelopes() == 1; }));
+  ASSERT_TRUE(eventually([&] { return frames_sent() == 1; }));
+
+  // One node-thread task sends every envelope.
+  ctx->set_timer(0.0, [ctx] {
+    for (MessageId id = 1; id <= kEnvelopes; ++id) {
+      ctx->send(2, sample_publish(id));
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return sink.envelopes() == kEnvelopes + 1; }));
+  EXPECT_TRUE(eventually([&] { return frames_sent() == 2; }));
+  sender.stop();
+
+  const std::vector<FrameSink::Frame> frames = sink.frames();
+  ASSERT_EQ(frames.size(), 2u);
+  ASSERT_EQ(frames[1].ids.size(), kEnvelopes);
+  for (MessageId i = 0; i < kEnvelopes; ++i) {
+    EXPECT_EQ(frames[1].ids[i], i + 1);
+  }
+}
+
+TEST(WirePass, PassOverSixtyFourKiBIsCutIntoBoundedFrames) {
+  // ~300 KiB queued for one peer in one pass: the 64 KiB mid-pass write
+  // cuts it into several frames, each at most 64 KiB plus one envelope,
+  // and every envelope arrives once, in order.
+  constexpr MessageId kEnvelopes = 100;
+  const std::string payload(3000, 'x');
+  const auto big_publish = [&payload](MessageId id) {
+    Message msg;
+    msg.id = id;
+    msg.values = {1.0};
+    msg.payload = payload;
+    return Envelope::of(ClientPublish{std::move(msg)});
+  };
+  const std::size_t envelope_bytes = serialize(big_publish(1)).size();
+
+  FrameSink sink;
+  auto send_node = std::make_unique<CountingNode>();
+  CountingNode* sn = send_node.get();
+  TcpHost sender(1, 0, std::move(send_node));  // default WireConfig
+  sender.add_peer(2, {"127.0.0.1", sink.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(sn);
+  ctx->send(2, sample_publish(0));
+  ASSERT_TRUE(eventually([&] { return sink.envelopes() == 1; }));
+
+  ctx->set_timer(0.0, [ctx, &big_publish] {
+    for (MessageId id = 1; id <= kEnvelopes; ++id) {
+      ctx->send(2, big_publish(id));
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return sink.envelopes() == kEnvelopes + 1; }))
+      << "got " << sink.envelopes();
+  sender.stop();
+
+  // The first frame is the connecting send's; the pass made the rest.
+  const std::vector<FrameSink::Frame> frames = sink.frames();
+  ASSERT_GT(frames.size() - 1, 1u) << "the pass was not cut";
+  MessageId next = 0;
+  for (const FrameSink::Frame& f : frames) {
+    EXPECT_LE(f.bytes, 64u * 1024u + envelope_bytes);
+    EXPECT_LE(f.ids.size(), static_cast<std::size_t>(WireConfig{}.batch));
+    for (const MessageId id : f.ids) EXPECT_EQ(id, next++);
+  }
+  EXPECT_EQ(next, kEnvelopes + 1);
+  EXPECT_EQ(sender.dropped_sends(), 0u);
 }
 
 /// Threads of this process, as the kernel lists them.

@@ -36,11 +36,15 @@
 //                                    (DESIGN.md §16). 0 = disabled.
 //   --edge-reactors=N                edge reactor threads (default 2)
 //   --trace-sample=R                 dispatcher trace sampling rate [0,1]
-//   --wire-batch=N                   envelopes coalesced per TCP frame; >1
-//                                    also enables (dispatcher) MatchRequest
-//                                    batching
+//   --wire-batch=N                   envelopes coalesced per TCP frame
+//                                    (default 64: a loop pass's envelopes
+//                                    to one peer share frames); >1 also
+//                                    enables (dispatcher) MatchRequest
+//                                    batching, which is off by default
 //   --wire-flush=SEC                 max wait for a wire batch to fill
-//                                    (default 0.5 ms)
+//                                    (default 0: frames close at the end
+//                                    of the loop pass; the dispatcher's
+//                                    MatchRequest batches wait 0.5 ms)
 //   --wire-queue=N                   per-peer bound on unwritten envelopes;
 //                                    the newest is dropped beyond it
 //   --stats-json=PATH                periodically write the node's metrics
@@ -221,10 +225,10 @@ int main(int argc, char** argv) {
   }
 
   net::WireConfig wire;
-  wire.batch = static_cast<int>(args.get_int("wire-batch", 1));
-  wire.flush_interval = args.get_double("wire-flush", 0.0005);
-  wire.queue_capacity =
-      static_cast<std::size_t>(args.get_int("wire-queue", 4096));
+  wire.batch = static_cast<int>(args.get_int("wire-batch", wire.batch));
+  wire.flush_interval = args.get_double("wire-flush", wire.flush_interval);
+  wire.queue_capacity = static_cast<std::size_t>(args.get_int(
+      "wire-queue", static_cast<std::int64_t>(wire.queue_capacity)));
   net::TcpHost host(id, port, std::move(node),
                     static_cast<std::uint64_t>(args.get_int("seed", 42)),
                     wire);

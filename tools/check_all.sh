@@ -26,10 +26,10 @@
 #       nonzero when any request goes unmatched. Runs in a scratch
 #       directory so the committed BENCH_parallel.json stays untouched.
 #   5f. reduced-count micro_wire smoke: TcpHost to TcpHost blasts at wire
-#       batch 1/8/32; exits nonzero when a publication is missing that the
-#       sender's drop counter does not account for, or when the receiver
-#       copied a payload. Runs in a scratch directory so the committed
-#       BENCH_wire.json stays untouched.
+#       batch 1/8/32 and the default WireConfig; exits nonzero when a
+#       publication is missing that the sender's drop counter does not
+#       account for, or when the receiver copied a payload. Runs in a
+#       scratch directory so the committed BENCH_wire.json stays untouched.
 #   6. ASan+UBSan suite (tools/sanitize_check.sh), then the simd and cover
 #      labels again under ASan/UBSan (gather/tail lanes and the member
 #      arena's raw range strips are exactly where an out-of-bounds read
