@@ -38,7 +38,7 @@ int main() {
   std::printf("%8s %10s %10s %12s %9s\n", "t(s)", "loss(%)", "rt(ms)",
               "completed", "alive");
 
-  const double kBucket = 5.0;
+  const double kWindow = 5.0;  // seconds per reported row
   std::uint64_t last_pub = dep.published();
   std::uint64_t last_done = dep.completed();
   for (int tick = 1; tick <= 72; ++tick) {  // 360 s total
@@ -51,7 +51,7 @@ int main() {
                   dep.now() - t0);
     }
     (void)dep.responses().window();
-    dep.run_for(kBucket);
+    dep.run_for(kWindow);
     const OnlineStats w = dep.responses().window();
     const std::uint64_t pub = dep.published();
     const std::uint64_t done = dep.completed();

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -21,18 +22,9 @@ using namespace bluedove;
 
 namespace {
 
-IndexKind kind_of(int arg) {
-  switch (arg) {
-    case 0:
-      return IndexKind::kLinearScan;
-    case 1:
-      return IndexKind::kBucket;
-    case 2:
-      return IndexKind::kIntervalTree;
-    default:
-      return IndexKind::kFlatBucket;
-  }
-}
+/// Benchmark arg -> engine: the IndexKind value (0 linear-scan, 3
+/// flat-bucket), so row names stay comparable with earlier snapshots.
+IndexKind kind_of(std::int64_t arg) { return static_cast<IndexKind>(arg); }
 
 std::unique_ptr<SubscriptionIndex> build_index(IndexKind kind,
                                                std::size_t subs) {
@@ -239,7 +231,7 @@ void sweep_dim0_scan(obs::MetricsSnapshot& snap,
 }
 
 void BM_IndexMatch(benchmark::State& state) {
-  const IndexKind kind = kind_of(static_cast<int>(state.range(0)));
+  const IndexKind kind = kind_of(state.range(0));
   const auto subs = static_cast<std::size_t>(state.range(1));
   auto index = build_index(kind, subs);
 
@@ -260,18 +252,17 @@ void BM_IndexMatch(benchmark::State& state) {
       benchmark::Counter(wc.total() / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_IndexMatch)
-    ->ArgsProduct({{0, 1, 2, 3}, {1000, 10000, 40000}})
+    ->ArgsProduct({{0, 3}, {1000, 10000, 40000}})
     ->Unit(benchmark::kMicrosecond);
 
-// The SoA ablation (DESIGN.md / EXPERIMENTS.md): flat-bucket vs bucket on
-// the paper's 4-dim uniform workload at 10k-1M subscriptions. Linear scan
-// and the interval tree are omitted above 40k; they are not competitive.
+// Flat-bucket at 100k-1M subscriptions on the paper's 4-dim uniform
+// workload. Linear scan is omitted above 40k; it is not competitive.
 BENCHMARK(BM_IndexMatch)
-    ->ArgsProduct({{1, 3}, {100000, 1000000}})
+    ->ArgsProduct({{3}, {100000, 1000000}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_IndexMatchBatch(benchmark::State& state) {
-  const IndexKind kind = kind_of(static_cast<int>(state.range(0)));
+  const IndexKind kind = kind_of(state.range(0));
   const auto subs = static_cast<std::size_t>(state.range(1));
   const auto batch = static_cast<std::size_t>(state.range(2));
   auto index = build_index(kind, subs);
@@ -296,11 +287,11 @@ void BM_IndexMatchBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_IndexMatchBatch)
-    ->ArgsProduct({{1, 3}, {100000}, {1, 16, 64}})
+    ->ArgsProduct({{3}, {100000}, {1, 16, 64}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_IndexInsert(benchmark::State& state) {
-  const IndexKind kind = kind_of(static_cast<int>(state.range(0)));
+  const IndexKind kind = kind_of(state.range(0));
   const AttributeSchema schema = AttributeSchema::uniform(4);
   SubscriptionWorkload wl;
   wl.schema = schema;
@@ -316,10 +307,10 @@ void BM_IndexInsert(benchmark::State& state) {
   }
   state.SetLabel(to_string(kind));
 }
-BENCHMARK(BM_IndexInsert)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_IndexInsert)->Arg(0)->Arg(3);
 
 void BM_IndexErase(benchmark::State& state) {
-  const IndexKind kind = kind_of(static_cast<int>(state.range(0)));
+  const IndexKind kind = kind_of(state.range(0));
   auto index = build_index(kind, 20000);
   SubscriptionId next = 1;
   for (auto _ : state) {
@@ -328,7 +319,7 @@ void BM_IndexErase(benchmark::State& state) {
   }
   state.SetLabel(to_string(kind));
 }
-BENCHMARK(BM_IndexErase)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_IndexErase)->Arg(0)->Arg(3);
 
 void BM_FullMatchPredicate(benchmark::State& state) {
   const AttributeSchema schema = AttributeSchema::uniform(4);

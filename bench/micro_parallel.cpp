@@ -1,8 +1,9 @@
 // micro_parallel — loopback parallel-matching benchmark.
 //
 // One net::TcpHost matcher (flat-bucket index, match_batch=32) is preloaded
-// with N subscriptions over the wire, then blasted with MatchRequestBatch
-// envelopes from a client host. The matcher's --cores worth of offload
+// with N subscriptions over the wire, then blasted with plain MatchRequest
+// envelopes from a client host, which its transport coalesces into frames
+// of up to 32 (WireConfig::batch). The matcher's --cores worth of offload
 // workers drain the per-dimension lanes; the bench times from first blast
 // send until matcher.matched has counted every request, sweeping
 // cores in {1, 2, 4, 8}.
@@ -151,13 +152,10 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   }
   const std::uint64_t base_matched = matched_count(matcher);
 
-  // Blast `requests` messages in MatchRequestBatch envelopes, cycling the
-  // serviced dimension so all lanes carry work.
-  const std::uint64_t kWireBatch = 32;
+  // Blast `requests` messages, cycling the serviced dimension so all lanes
+  // carry work.
   const double t0 = now_sec();
   std::uint64_t next_id = 2;
-  MatchRequestBatch batch;
-  batch.reqs.reserve(kWireBatch);
   for (std::uint64_t i = 0; i < requests; ++i) {
     MatchRequest req;
     req.msg.id = next_id++;
@@ -166,12 +164,7 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
       req.msg.values.push_back(rng.uniform(0.0, kDomainHi));
     }
     req.dim = static_cast<DimId>(i % kDims);
-    batch.reqs.push_back(std::move(req));
-    if (batch.reqs.size() == kWireBatch || i + 1 == requests) {
-      ctx->send(kMatcher, Envelope::of(std::move(batch)));
-      batch = MatchRequestBatch{};
-      batch.reqs.reserve(kWireBatch);
-    }
+    ctx->send(kMatcher, Envelope::of(std::move(req)));
   }
   const std::uint64_t want = base_matched + requests;
   const double deadline = now_sec() + 300.0;

@@ -13,9 +13,7 @@ void write_message(serde::Writer& w, const Message& m) {
 Message read_message(serde::Reader& r) {
   Message m;
   m.id = r.u64();
-  const auto n = r.varint();
-  m.values.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) m.values.push_back(r.f64());
+  m.values = r.seq<Value>([](serde::Reader& in) { return in.f64(); });
   m.payload = read_payload_ref(r);
   return m;
 }
@@ -31,10 +29,7 @@ Subscription read_subscription(serde::Reader& r) {
   Subscription s;
   s.id = r.u64();
   s.subscriber = r.u64();
-  const auto n = r.varint();
-  s.ranges.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    s.ranges.push_back(read_range(r));
+  s.ranges = r.seq<Range>(read_range);
   return s;
 }
 

@@ -108,6 +108,8 @@ class Reader {
 
   bool ok() const { return ok_; }
   bool at_end() const { return pos_ == size_; }
+  /// Marks the stream bad for a value no reader accepts (an unknown tag).
+  void fail() { ok_ = false; }
 
   /// When an owner is attached, view-typed reads (read_payload_ref) alias
   /// the underlying buffer and share this refcount instead of copying; the

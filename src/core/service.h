@@ -44,7 +44,7 @@ struct ServiceConfig {
   int matcher_cores = 2;
 
   PolicyKind policy = PolicyKind::kAdaptive;
-  IndexKind index = IndexKind::kBucket;
+  IndexKind index = IndexKind::kFlatBucket;
   /// Requests one matcher core drains from a dimension queue per service
   /// (batched probe through SubscriptionIndex::match_batch; 1 = strict
   /// per-message service).

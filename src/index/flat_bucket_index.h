@@ -1,5 +1,5 @@
 #pragma once
-// Columnar bucket engine (the SoA counterpart of BucketIndex).
+// Columnar bucket engine: the product index.
 //
 // Subscriptions are interned once in a SubscriptionStore arena; each
 // fixed-width bucket along the pivot dimension holds struct-of-arrays

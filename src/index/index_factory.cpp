@@ -1,6 +1,4 @@
-#include "index/bucket_index.h"
 #include "index/flat_bucket_index.h"
-#include "index/interval_tree_index.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
 #include "index/subscription_store.h"
@@ -39,14 +37,17 @@ const char* to_string(IndexKind kind) {
   switch (kind) {
     case IndexKind::kLinearScan:
       return "linear-scan";
-    case IndexKind::kBucket:
-      return "bucket";
-    case IndexKind::kIntervalTree:
-      return "interval-tree";
     case IndexKind::kFlatBucket:
       return "flat-bucket";
   }
   return "unknown";
+}
+
+std::optional<IndexKind> index_kind_from_string(std::string_view name) {
+  for (IndexKind kind : {IndexKind::kLinearScan, IndexKind::kFlatBucket}) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 std::unique_ptr<SubscriptionIndex> make_index(
@@ -55,10 +56,6 @@ std::unique_ptr<SubscriptionIndex> make_index(
   switch (kind) {
     case IndexKind::kLinearScan:
       return std::make_unique<LinearScanIndex>(pivot);
-    case IndexKind::kBucket:
-      return std::make_unique<BucketIndex>(pivot, domain);
-    case IndexKind::kIntervalTree:
-      return std::make_unique<IntervalTreeIndex>(pivot, domain);
     case IndexKind::kFlatBucket:
       return std::make_unique<FlatBucketIndex>(pivot, domain, std::move(store));
   }

@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "attr/message.h"
@@ -134,14 +136,17 @@ class SubscriptionIndex {
       const std::function<void(const SubPtr&)>& fn) const = 0;
 };
 
+/// The values are fixed (test names and bench rows print them), so a
+/// removed kind leaves a gap.
 enum class IndexKind {
-  kLinearScan,   ///< scan the whole set; the cost model the paper implies
-  kBucket,       ///< segment buckets along the pivot dimension
-  kIntervalTree, ///< centered interval tree along the pivot dimension
-  kFlatBucket    ///< arena-backed buckets with columnar (SoA) predicates
+  kLinearScan = 0,  ///< scan the whole set; the cost model the paper implies
+  kFlatBucket = 3   ///< arena-backed buckets with columnar (SoA) predicates
 };
 
+/// "linear-scan" or "flat-bucket".
 const char* to_string(IndexKind kind);
+/// The kind whose to_string() is `name`; nullopt for any other name.
+std::optional<IndexKind> index_kind_from_string(std::string_view name);
 
 /// Creates an engine of the requested kind pivoted on `pivot`. Engines that
 /// partition the pivot domain need its extent, hence `domain`.

@@ -31,10 +31,7 @@ MatcherState read_matcher_state(serde::Reader& r) {
   s.generation = r.u64();
   s.version = r.u64();
   s.status = static_cast<NodeStatus>(r.u8());
-  const auto n = r.varint();
-  s.segments.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    s.segments.push_back(read_range(r));
+  s.segments = r.seq<Range>(read_range);
   return s;
 }
 

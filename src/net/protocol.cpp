@@ -1,10 +1,53 @@
 #include "net/protocol.h"
 
+#include <iterator>
+#include <type_traits>
+
 namespace bluedove {
 
 namespace {
 
-// Per-type encode/decode. Type tags are the variant alternative index.
+// Each payload type's wire tag and name, in Payload's variant order. This
+// table is the only place that maps a type to its tag. A tag is never
+// reused: 22 named an application-level batch of MatchRequests, which the
+// transport's per-pass frames replaced, so a frame that carries it is
+// malformed.
+struct PayloadInfo {
+  std::uint8_t tag;
+  const char* name;
+};
+constexpr PayloadInfo kPayloads[] = {
+    {0, "ClientSubscribe"},    {1, "ClientUnsubscribe"},
+    {2, "ClientPublish"},      {3, "StoreSubscription"},
+    {4, "RemoveSubscription"}, {5, "MatchRequest"},
+    {6, "Delivery"},           {7, "MatchCompleted"},
+    {8, "LoadReport"},         {9, "TablePullReq"},
+    {10, "TablePullResp"},     {11, "GossipSyn"},
+    {12, "GossipAck"},         {13, "GossipAck2"},
+    {14, "JoinRequest"},       {15, "SplitCommand"},
+    {16, "HandoverSegment"},   {17, "LeaveRequest"},
+    {18, "HandoverMerge"},     {19, "MatchAck"},
+    {20, "StatsRequest"},      {21, "StatsResponse"},
+    {23, "TraceDumpRequest"},  {24, "TraceDumpResponse"},
+    {25, "EdgeHello"},         {26, "EdgeWelcome"},
+    {27, "EdgeAck"},           {28, "EdgeEvent"}};
+static_assert(std::size(kPayloads) == std::variant_size_v<Payload>);
+
+template <typename T, typename... Ts>
+constexpr std::size_t variant_index(std::variant<Ts...>*) {
+  constexpr bool same[] = {std::is_same_v<T, Ts>...};
+  std::size_t i = 0;
+  while (!same[i]) ++i;
+  return i;
+}
+
+/// Wire tag of payload type T (a compile-time constant for switch cases).
+template <typename T>
+constexpr std::uint8_t tag_of() {
+  return kPayloads[variant_index<T>(static_cast<Payload*>(nullptr))].tag;
+}
+
+// Per-type encode/decode.
 
 void write_payload(serde::Writer& w, const ClientSubscribe& m) {
   write_subscription(w, m.sub);
@@ -89,18 +132,6 @@ MatchRequest read_match_request(serde::Reader& r) {
   return m;
 }
 
-void write_payload(serde::Writer& w, const MatchRequestBatch& m) {
-  w.varint(m.reqs.size());
-  for (const MatchRequest& req : m.reqs) write_payload(w, req);
-}
-MatchRequestBatch read_match_request_batch(serde::Reader& r) {
-  MatchRequestBatch m;
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.reqs.push_back(read_match_request(r));
-  return m;
-}
-
 void write_payload(serde::Writer& w, const MatchAck& m) { w.u64(m.msg_id); }
 MatchAck read_match_ack(serde::Reader& r) {
   MatchAck m;
@@ -124,9 +155,7 @@ Delivery read_delivery(serde::Reader& r) {
   m.sub_id = r.u64();
   m.subscriber = r.u64();
   m.dispatched_at = r.f64();
-  const auto n = r.varint();
-  m.values.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) m.values.push_back(r.f64());
+  m.values = r.seq<Value>([](serde::Reader& in) { return in.f64(); });
   m.payload = read_payload_ref(r);
   m.trace_id = r.varint();
   return m;
@@ -189,9 +218,7 @@ void write_payload(serde::Writer& w, const LoadReport& m) {
 }
 LoadReport read_load_report(serde::Reader& r) {
   LoadReport m;
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.dims.push_back(read_dim_load(r));
+  m.dims = r.seq<DimLoad>(read_dim_load);
   m.cores = r.u32();
   m.utilization = r.f64();
   m.measured_at = r.f64();
@@ -214,9 +241,7 @@ void write_payload(serde::Writer& w, const GossipSyn& m) {
 }
 GossipSyn read_gossip_syn(serde::Reader& r) {
   GossipSyn m;
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.digests.push_back(read_digest(r));
+  m.digests = r.seq<StateDigest>(read_digest);
   return m;
 }
 
@@ -228,11 +253,8 @@ void write_payload(serde::Writer& w, const GossipAck& m) {
 }
 GossipAck read_gossip_ack(serde::Reader& r) {
   GossipAck m;
-  auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.deltas.push_back(read_matcher_state(r));
-  n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) m.requests.push_back(r.u32());
+  m.deltas = r.seq<MatcherState>(read_matcher_state);
+  m.requests = r.seq<NodeId>([](serde::Reader& in) { return in.u32(); });
   return m;
 }
 
@@ -242,9 +264,7 @@ void write_payload(serde::Writer& w, const GossipAck2& m) {
 }
 GossipAck2 read_gossip_ack2(serde::Reader& r) {
   GossipAck2 m;
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.deltas.push_back(read_matcher_state(r));
+  m.deltas = r.seq<MatcherState>(read_matcher_state);
   return m;
 }
 
@@ -272,9 +292,7 @@ HandoverSegment read_handover_segment(serde::Reader& r) {
   HandoverSegment m;
   m.dim = r.u16();
   m.newcomer_segment = read_range(r);
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.subs.push_back(read_subscription(r));
+  m.subs = r.seq<Subscription>(read_subscription);
   return m;
 }
 
@@ -291,9 +309,7 @@ HandoverMerge read_handover_merge(serde::Reader& r) {
   HandoverMerge m;
   m.dim = r.u16();
   m.merged_segment = read_range(r);
-  const auto n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-    m.subs.push_back(read_subscription(r));
+  m.subs = r.seq<Subscription>(read_subscription);
   return m;
 }
 
@@ -361,74 +377,76 @@ EdgeEvent read_edge_event(serde::Reader& r) {
 
 }  // namespace
 
+std::uint8_t wire_tag(const Envelope& env) {
+  return kPayloads[env.payload.index()].tag;
+}
+
 void write_envelope(serde::Writer& w, const Envelope& env) {
-  w.u8(static_cast<std::uint8_t>(env.payload.index()));
+  w.u8(wire_tag(env));
   std::visit([&w](const auto& m) { write_payload(w, m); }, env.payload);
 }
 
 Envelope read_envelope(serde::Reader& r) {
-  const auto tag = r.u8();
-  switch (tag) {
-    case 0:
+  switch (r.u8()) {
+    case tag_of<ClientSubscribe>():
       return Envelope::of(read_client_subscribe(r));
-    case 1:
+    case tag_of<ClientUnsubscribe>():
       return Envelope::of(read_client_unsubscribe(r));
-    case 2:
+    case tag_of<ClientPublish>():
       return Envelope::of(read_client_publish(r));
-    case 3:
+    case tag_of<StoreSubscription>():
       return Envelope::of(read_store_subscription(r));
-    case 4:
+    case tag_of<RemoveSubscription>():
       return Envelope::of(read_remove_subscription(r));
-    case 5:
+    case tag_of<MatchRequest>():
       return Envelope::of(read_match_request(r));
-    case 6:
+    case tag_of<Delivery>():
       return Envelope::of(read_delivery(r));
-    case 7:
+    case tag_of<MatchCompleted>():
       return Envelope::of(read_match_completed(r));
-    case 8:
+    case tag_of<LoadReport>():
       return Envelope::of(read_load_report(r));
-    case 9:
+    case tag_of<TablePullReq>():
       return Envelope::of(read_table_pull_req(r));
-    case 10:
+    case tag_of<TablePullResp>():
       return Envelope::of(read_table_pull_resp(r));
-    case 11:
+    case tag_of<GossipSyn>():
       return Envelope::of(read_gossip_syn(r));
-    case 12:
+    case tag_of<GossipAck>():
       return Envelope::of(read_gossip_ack(r));
-    case 13:
+    case tag_of<GossipAck2>():
       return Envelope::of(read_gossip_ack2(r));
-    case 14:
+    case tag_of<JoinRequest>():
       return Envelope::of(read_join_request(r));
-    case 15:
+    case tag_of<SplitCommand>():
       return Envelope::of(read_split_command(r));
-    case 16:
+    case tag_of<HandoverSegment>():
       return Envelope::of(read_handover_segment(r));
-    case 17:
+    case tag_of<LeaveRequest>():
       return Envelope::of(read_leave_request(r));
-    case 18:
+    case tag_of<HandoverMerge>():
       return Envelope::of(read_handover_merge(r));
-    case 19:
+    case tag_of<MatchAck>():
       return Envelope::of(read_match_ack(r));
-    case 20:
+    case tag_of<StatsRequest>():
       return Envelope::of(read_stats_request(r));
-    case 21:
+    case tag_of<StatsResponse>():
       return Envelope::of(read_stats_response(r));
-    case 22:
-      return Envelope::of(read_match_request_batch(r));
-    case 23:
+    case tag_of<TraceDumpRequest>():
       return Envelope::of(read_trace_dump_request(r));
-    case 24:
+    case tag_of<TraceDumpResponse>():
       return Envelope::of(read_trace_dump_response(r));
-    case 25:
+    case tag_of<EdgeHello>():
       return Envelope::of(read_edge_hello(r));
-    case 26:
+    case tag_of<EdgeWelcome>():
       return Envelope::of(read_edge_welcome(r));
-    case 27:
+    case tag_of<EdgeAck>():
       return Envelope::of(read_edge_ack(r));
-    case 28:
+    case tag_of<EdgeEvent>():
       return Envelope::of(read_edge_event(r));
     default:
-      return Envelope::of(TablePullReq{});
+      r.fail();
+      return {};
   }
 }
 
@@ -439,16 +457,7 @@ std::size_t wire_size(const Envelope& env) {
 }
 
 const char* payload_name(const Envelope& env) {
-  static constexpr const char* kNames[] = {
-      "ClientSubscribe", "ClientUnsubscribe", "ClientPublish",
-      "StoreSubscription", "RemoveSubscription", "MatchRequest", "Delivery",
-      "MatchCompleted", "LoadReport", "TablePullReq", "TablePullResp",
-      "GossipSyn", "GossipAck", "GossipAck2", "JoinRequest", "SplitCommand",
-      "HandoverSegment", "LeaveRequest", "HandoverMerge", "MatchAck",
-      "StatsRequest", "StatsResponse", "MatchRequestBatch",
-      "TraceDumpRequest", "TraceDumpResponse", "EdgeHello", "EdgeWelcome",
-      "EdgeAck", "EdgeEvent"};
-  return kNames[env.payload.index()];
+  return kPayloads[env.payload.index()].name;
 }
 
 }  // namespace bluedove

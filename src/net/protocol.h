@@ -83,16 +83,6 @@ struct MatchAck {
   MessageId msg_id = 0;
 };
 
-/// Several MatchRequests for the same matcher coalesced into one envelope
-/// (dispatcher-side wire batching). The receiving matcher enqueues every
-/// request before pumping its cores, so a whole batch flows through the
-/// index's batched probe (`service_batch`) in one service. Each request
-/// keeps its own dispatch timestamp / trace block; semantics are identical
-/// to sending the requests individually, minus the per-envelope overhead.
-struct MatchRequestBatch {
-  std::vector<MatchRequest> reqs;
-};
-
 // --------------------------------------------------------------------------
 // Matcher -> subscriber / metrics sink
 // --------------------------------------------------------------------------
@@ -290,9 +280,8 @@ using Payload =
                  MatchCompleted, LoadReport, TablePullReq, TablePullResp,
                  GossipSyn, GossipAck, GossipAck2, JoinRequest, SplitCommand,
                  HandoverSegment, LeaveRequest, HandoverMerge, MatchAck,
-                 StatsRequest, StatsResponse, MatchRequestBatch,
-                 TraceDumpRequest, TraceDumpResponse, EdgeHello, EdgeWelcome,
-                 EdgeAck, EdgeEvent>;
+                 StatsRequest, StatsResponse, TraceDumpRequest,
+                 TraceDumpResponse, EdgeHello, EdgeWelcome, EdgeAck, EdgeEvent>;
 
 struct Envelope {
   Payload payload;
@@ -306,7 +295,13 @@ struct Envelope {
 /// Serialized size in bytes of the payload (header not counted).
 std::size_t wire_size(const Envelope& env);
 
-/// Serializes / parses an envelope; round-trips for every payload type.
+/// The tag byte that names the envelope's payload type on the wire. Tags
+/// never move when a type is added or retired, so they are not the variant
+/// index: tag 22 is retired, and TraceDumpRequest..EdgeEvent are 23..28.
+std::uint8_t wire_tag(const Envelope& env);
+
+/// Serializes / parses an envelope; round-trips for every payload type. A
+/// tag that names no payload type (a retired one included) marks `r` bad.
 void write_envelope(serde::Writer& w, const Envelope& env);
 Envelope read_envelope(serde::Reader& r);
 

@@ -61,18 +61,6 @@ struct DispatcherConfig {
   int auto_scale_patience = 2;
   double auto_scale_cooldown = 30.0;
 
-  /// Application-level wire batching: buffer up to `wire_batch`
-  /// MatchRequests per target matcher and ship them as one
-  /// MatchRequestBatch envelope. 1 (the default) sends each request in its
-  /// own envelope — today's behaviour. Batching trades up to
-  /// `wire_flush_interval` of added dispatch latency for far fewer
-  /// envelopes (and, over TCP, frames and syscalls) on the
-  /// dispatcher->matcher hop.
-  int wire_batch = 1;
-  /// Maximum time a buffered MatchRequest waits for its batch to fill
-  /// before being flushed (seconds).
-  double wire_flush_interval = 0.001;
-
   /// Fraction of publications given a pipeline trace id (obs/trace.h).
   /// 0 disables sampling entirely — the publish hot path then pays exactly
   /// one branch and draws no random numbers; 1 traces every message.
@@ -143,13 +131,6 @@ class DispatcherNode final : public Node {
                      obs::TraceId trace_id = 0);
   void retry_scan();
 
-  /// Ships one MatchRequest: directly when wire batching is off, otherwise
-  /// via the per-matcher batch buffer (flushed at `wire_batch` requests or
-  /// by the flush timer, whichever comes first).
-  void send_match_request(NodeId to, MatchRequest req);
-  void flush_matcher_batch(NodeId to);
-  void flush_all_batches();
-
   void pull_table();
   void rebuild_view();
   void check_saturation();
@@ -166,15 +147,8 @@ class DispatcherNode final : public Node {
   obs::Counter* m_dropped_ = nullptr;
   obs::Counter* m_sampled_ = nullptr;     ///< publications given a trace id
   obs::Counter* m_stats_reqs_ = nullptr;  ///< StatsRequest scrapes answered
-  obs::Counter* m_batches_ = nullptr;     ///< MatchRequestBatch envelopes sent
-  obs::LatencyHistogram* m_batch_size_ = nullptr;  ///< requests per flush
   std::uint64_t trace_seq_ = 0;           ///< per-dispatcher trace id counter
   std::uint64_t span_seq_ = 0;            ///< causal span ids (recorder)
-
-  /// Per-matcher MatchRequest buffers for wire batching (entries persist
-  /// with empty vectors between flushes; no steady-state allocation).
-  std::unordered_map<NodeId, std::vector<MatchRequest>> outbatch_;
-  bool flush_timer_armed_ = false;
 
   ClusterTable table_;
   SegmentView view_;

@@ -72,7 +72,6 @@ MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
   // Register instruments once and cache the pointers: the hot path then
   // touches only relaxed atomics.
   m_requests_ = &metrics_.counter("matcher.requests");
-  m_batches_ = &metrics_.counter("matcher.batches_received");
   m_matched_ = &metrics_.counter("matcher.matched");
   m_deliveries_ = &metrics_.counter("matcher.deliveries");
   m_stats_reqs_ = &metrics_.counter("matcher.stats_requests");
@@ -174,8 +173,6 @@ void MatcherNode::dispatch(NodeId from, Envelope env) {
           handle_remove(msg);
         } else if constexpr (std::is_same_v<T, MatchRequest>) {
           handle_match_request(std::move(msg));
-        } else if constexpr (std::is_same_v<T, MatchRequestBatch>) {
-          handle_match_batch(std::move(msg));
         } else if constexpr (std::is_same_v<T, SplitCommand>) {
           handle_split(from, msg);
         } else if constexpr (std::is_same_v<T, HandoverSegment>) {
@@ -290,35 +287,23 @@ void MatcherNode::release_held() {
 // Matching service: per-dimension queues, `cores` concurrent services
 // --------------------------------------------------------------------------
 
-void MatcherNode::enqueue_match_request(MatchRequest msg) {
-  if (left_ || msg.dim >= dims()) return;
-  DimSet& set = sets_[msg.dim];
-  ++set.arrived_in_window;
-  m_requests_->inc();
-  // Stamp the enqueue hop on every request (one double store); whether the
-  // stamps travel back on the wire is still gated by trace_id, but locally
-  // they feed the queue/match latency histograms for all traffic.
-  msg.hops.enqueued_at = ctx_->now();
-  set.segload_requests->inc();
-  obs::Recorder::instant(rec::enqueue(), msg.trace_id,
-                         msg.trace_id != 0 ? msg.parent_span : msg.dim);
-  set.queue.push_back(std::move(msg));
-  const auto depth = static_cast<double>(set.queue.size());
-  set.queue_depth->set(depth);
-  set.queue_high_water->record_max(depth);
-}
-
 void MatcherNode::handle_match_request(MatchRequest msg) {
-  enqueue_match_request(std::move(msg));
-  pump();
-}
-
-void MatcherNode::handle_match_batch(MatchRequestBatch batch) {
-  // Queue the whole batch before pumping: the cores then see the full
-  // backlog and drain it through the index's batched probe in fewer,
-  // larger services.
-  m_batches_->inc();
-  for (MatchRequest& req : batch.reqs) enqueue_match_request(std::move(req));
+  if (!left_ && msg.dim < dims()) {
+    DimSet& set = sets_[msg.dim];
+    ++set.arrived_in_window;
+    m_requests_->inc();
+    // Stamp the enqueue hop on every request (one double store); whether
+    // the stamps travel back on the wire is still gated by trace_id, but
+    // locally they feed the queue/match latency histograms for all traffic.
+    msg.hops.enqueued_at = ctx_->now();
+    set.segload_requests->inc();
+    obs::Recorder::instant(rec::enqueue(), msg.trace_id,
+                           msg.trace_id != 0 ? msg.parent_span : msg.dim);
+    set.queue.push_back(std::move(msg));
+    const auto depth = static_cast<double>(set.queue.size());
+    set.queue_depth->set(depth);
+    set.queue_high_water->record_max(depth);
+  }
   pump();
 }
 

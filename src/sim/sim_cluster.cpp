@@ -108,7 +108,7 @@ double SimCluster::hop_latency() {
 }
 
 bool SimCluster::accounted(const Envelope& env) {
-  switch (env.payload.index()) {
+  switch (wire_tag(env)) {
     case 8:   // LoadReport
     case 9:   // TablePullReq
     case 10:  // TablePullResp
@@ -134,7 +134,7 @@ void SimCluster::deliver(NodeId from, NodeId to, Envelope env,
     digest_.mix_double(loop_.now());
     digest_.mix(from);
     digest_.mix(to);
-    digest_.mix(env.payload.index());
+    digest_.mix(wire_tag(env));
     digest_.mix(wire_size(env));
     digest_.mix(dead ? 1 : 0);
   }
@@ -142,8 +142,6 @@ void SimCluster::deliver(NodeId from, NodeId to, Envelope env,
     ++dropped_messages_;
     if (std::holds_alternative<MatchRequest>(env.payload))
       ++lost_match_requests_;
-    else if (const auto* b = std::get_if<MatchRequestBatch>(&env.payload))
-      lost_match_requests_ += b->reqs.size();
     return;
   }
   ++rec->traffic.msgs_received;
@@ -215,8 +213,6 @@ void SimCluster::Context::send(NodeId to, Envelope env) {
     ++cluster_->dropped_messages_;
     if (std::holds_alternative<MatchRequest>(env.payload))
       ++cluster_->lost_match_requests_;
-    else if (const auto* b = std::get_if<MatchRequestBatch>(&env.payload))
-      cluster_->lost_match_requests_ += b->reqs.size();
     return;
   }
   const std::uint64_t epoch = target->epoch;

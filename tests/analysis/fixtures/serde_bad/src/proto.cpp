@@ -3,6 +3,7 @@
 //   2. Report: writer guards the trace block with `trace_id != 0`, reader
 //      reads it unconditionally.
 //   3. write_extra has no read_extra (orphan writer).
+//   4. Batch: writer loops f64 values, the reader's bounded seq reads u32.
 #include "proto.h"
 
 namespace demo {
@@ -35,12 +36,38 @@ Report read_report(serde::Reader& r) {
 
 void write_extra(serde::Writer& w, const Report& m) { w.u32(m.node); }
 
+void write_payload(serde::Writer& w, const Batch& m) {
+  w.varint(m.values.size());
+  for (double v : m.values) w.f64(v);
+  w.varint(m.ranges.size());
+  for (const Range& x : m.ranges) write_span(w, x);
+}
+Batch read_batch(serde::Reader& r) {
+  Batch m;
+  m.values = r.seq<double>([](serde::Reader& in) { return in.u32(); });
+  m.ranges = r.seq<Range>(read_span);
+  return m;
+}
+
+void write_span(serde::Writer& w, const Range& x) {
+  w.f64(x.lo);
+  w.f64(x.hi);
+}
+Range read_span(serde::Reader& r) {
+  Range x;
+  x.lo = r.f64();
+  x.hi = r.f64();
+  return x;
+}
+
 Envelope read_envelope(serde::Reader& r) {
   switch (r.u8()) {
     case 0:
       return Envelope::of(read_ping(r));
     case 1:
       return Envelope::of(read_report(r));
+    case 2:
+      return Envelope::of(read_batch(r));
   }
   return {};
 }

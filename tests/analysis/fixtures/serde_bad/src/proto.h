@@ -19,6 +19,16 @@ struct Report {
   unsigned long parent_span = 0;
 };
 
+struct Range {
+  double lo = 0;
+  double hi = 0;
+};
+
+struct Batch {
+  Samples* values;
+  Samples* ranges;
+};
+
 struct Envelope {
   template <typename T>
   static Envelope of(T);

@@ -1,7 +1,8 @@
 // Golden fixture: the corrected twin of serde_bad — symmetric widths, the
-// trace conditional mirrored on both sides, a reader for every writer, and
-// a loop whose length varint precedes it on both sides. bd_serde_check
-// must pass.
+// trace conditional mirrored on both sides, a reader for every writer, a
+// loop whose length varint precedes it on both sides, and reader-side
+// bounded seqs (a lambda and a helper) that mirror a writer-side varint +
+// loop. bd_serde_check must pass.
 #include "proto.h"
 
 namespace demo {
@@ -38,12 +39,38 @@ Report read_report(serde::Reader& r) {
   return m;
 }
 
+void write_payload(serde::Writer& w, const Batch& m) {
+  w.varint(m.values.size());
+  for (double v : m.values) w.f64(v);
+  w.varint(m.ranges.size());
+  for (const Range& x : m.ranges) write_span(w, x);
+}
+Batch read_batch(serde::Reader& r) {
+  Batch m;
+  m.values = r.seq<double>([](serde::Reader& in) { return in.f64(); });
+  m.ranges = r.seq<Range>(read_span);
+  return m;
+}
+
+void write_span(serde::Writer& w, const Range& x) {
+  w.f64(x.lo);
+  w.f64(x.hi);
+}
+Range read_span(serde::Reader& r) {
+  Range x;
+  x.lo = r.f64();
+  x.hi = r.f64();
+  return x;
+}
+
 Envelope read_envelope(serde::Reader& r) {
   switch (r.u8()) {
     case 0:
       return Envelope::of(read_ping(r));
     case 1:
       return Envelope::of(read_report(r));
+    case 2:
+      return Envelope::of(read_batch(r));
   }
   return {};
 }

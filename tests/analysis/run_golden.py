@@ -85,6 +85,11 @@ def main():
         out,
     )
     check(
+        "serde_bad reports Batch seq element asymmetry",
+        "payload:Batch" in out,
+        out,
+    )
+    check(
         "serde_bad reports orphan write_extra",
         "write_extra" in out,
         out,

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -600,6 +601,50 @@ TEST(EdgeFrontendTest, CrossReactorResumeHandlesPipelinedFramesInOrder) {
   fe.stop();
 }
 
+TEST(EdgeFrontendTest, HugeElementCountClosesOnlyThatConnection) {
+  // An attached session sends a ClientPublish whose values count is 2^40,
+  // with nothing behind it. The parse fails without allocating for the
+  // count: that connection is closed and counted, and the other session
+  // keeps publishing and receiving.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+  EdgeClient good({"127.0.0.1", fe.port()});
+  ASSERT_TRUE(good.connect());
+
+  const int fd = edge::dial({"127.0.0.1", fe.port()});
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      net::wire::send_frame(fd, kInvalidNode, Envelope::of(EdgeHello{})));
+  ASSERT_TRUE(net::read_frame(fd).ok);  // the welcome
+  serde::Writer body;
+  body.u8(wire_tag(Envelope::of(ClientPublish{})));
+  body.u64(7);
+  body.varint(std::uint64_t{1} << 40);
+  serde::Writer frame;
+  frame.u32(static_cast<std::uint32_t>(body.size() +
+                                       net::wire::kFrameOverhead));
+  frame.u32(kInvalidNode);
+  for (const std::uint8_t b : body.bytes()) frame.u8(b);
+  ASSERT_TRUE(net::wire::write_all(fd, frame.data(), frame.size()));
+
+  ASSERT_TRUE(eventually([&] { return counter(fe, "edge.malformed") == 1; }));
+  ::pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // closed by the edge
+  ::close(fd);
+
+  EXPECT_NE(good.publish({1, 2}, "still-here"), 0u);
+  ASSERT_TRUE(eventually([&] { return ingress.count<ClientPublish>() == 1; }));
+  fe.deliver(make_delivery(good.session(), 0, 1));
+  EXPECT_TRUE(good.wait_deliveries(1, 10.0));
+  EXPECT_EQ(counter(fe, "edge.malformed"), 1u);
+  fe.stop();
+}
+
 TEST(EdgeFrontendTest, ForeignThreadDeliveriesStayContiguousPerSession) {
   // Deliveries from one foreign thread, interleaved across sessions on two
   // shards, reach each session in call order with contiguous sequence
@@ -863,7 +908,7 @@ TEST(EdgeClusterTest, EndToEndPubSubWithZeroPayloadCopies) {
   MatcherConfig mcfg;
   mcfg.domains = domains;
   mcfg.cores = 1;
-  mcfg.index_kind = IndexKind::kBucket;
+  mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.load_report_interval = 0.2;
   mcfg.gossip.round_interval = 0.2;
   mcfg.dispatchers = {kDispatcher};

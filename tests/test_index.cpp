@@ -1,6 +1,6 @@
 // Tests for the subscription matching engines. The core suite is
-// parameterized over all three engines (TEST_P): every engine must agree
-// with a brute-force oracle on randomized workloads and support dynamic
+// parameterized over both engines (TEST_P): every engine must agree with a
+// brute-force oracle on randomized workloads and support dynamic
 // insert/erase.
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 
 #include "attr/schema.h"
 #include "common/rng.h"
-#include "index/bucket_index.h"
 #include "index/flat_bucket_index.h"
-#include "index/interval_tree_index.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
 #include "index/subscription_store.h"
@@ -199,20 +197,11 @@ TEST_P(IndexTest, ForEachVisitsEverySubscription) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, IndexTest,
                          ::testing::Values(IndexKind::kLinearScan,
-                                           IndexKind::kBucket,
-                                           IndexKind::kIntervalTree,
                                            IndexKind::kFlatBucket),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case IndexKind::kLinearScan:
-                               return "LinearScan";
-                             case IndexKind::kBucket:
-                               return "Bucket";
-                             case IndexKind::kFlatBucket:
-                               return "FlatBucket";
-                             default:
-                               return "IntervalTree";
-                           }
+                           return info.param == IndexKind::kLinearScan
+                                      ? "LinearScan"
+                                      : "FlatBucket";
                          });
 
 TEST_P(IndexTest, MatchHitsAgreesWithMatch) {
@@ -281,15 +270,14 @@ TEST_P(IndexTest, MatchBatchOffsetsPartitionHits) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential property test: all four engines agree under churn
+// Differential property test: both engines agree under churn
 // ---------------------------------------------------------------------------
 
 TEST(IndexDifferential, AllEnginesAgreeUnderChurn) {
   const Range domain{0, 1000};
   constexpr DimId pivot = 1;
-  const std::vector<IndexKind> kinds = {
-      IndexKind::kLinearScan, IndexKind::kBucket, IndexKind::kIntervalTree,
-      IndexKind::kFlatBucket};
+  const std::vector<IndexKind> kinds = {IndexKind::kLinearScan,
+                                        IndexKind::kFlatBucket};
   std::vector<std::unique_ptr<SubscriptionIndex>> engines;
   for (IndexKind kind : kinds) engines.push_back(make_index(kind, pivot, domain));
 
@@ -366,75 +354,17 @@ TEST(LinearScanIndex, MatchCostEqualsSetSize) {
   EXPECT_DOUBLE_EQ(index.match_cost(Message{1, {5, 5}, ""}), 30.0);
 }
 
-TEST(BucketIndex, ColdBucketIsCheap) {
-  BucketIndex index(0, Range{0, 1000}, 10);
-  // 50 subs piled on [0, 100) and one wide sub covering everything.
-  for (int i = 1; i <= 50; ++i) {
-    index.insert(make_sub(i, {{0, 100}, {0, 1000}}));
-  }
-  index.insert(make_sub(99, {{0, 1000}, {0, 1000}}));
-  const double hot = index.match_cost(Message{1, {50, 5}, ""});
-  const double cold = index.match_cost(Message{1, {950, 5}, ""});
-  EXPECT_GT(hot, 40.0);
-  EXPECT_LT(cold, 5.0);
-}
-
-TEST(BucketIndex, RangeSpanningManyBucketsFoundEverywhere) {
-  BucketIndex index(0, Range{0, 1000}, 16);
-  index.insert(make_sub(1, {{100, 900}, {0, 1000}}));
-  std::vector<SubPtr> out;
-  WorkCounter wc;
-  for (double v : {100.0, 450.0, 899.9}) {
-    out.clear();
-    index.match(Message{1, {v, 5}, ""}, out, wc);
-    EXPECT_EQ(out.size(), 1u) << "at v=" << v;
-  }
-  out.clear();
-  index.match(Message{1, {950.0, 5}, ""}, out, wc);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(IntervalTreeIndex, StabCountMatchesOracle) {
-  IntervalTreeIndex index(0, Range{0, 1000});
-  Rng rng(5);
-  std::vector<Range> ranges;
-  for (int i = 1; i <= 300; ++i) {
-    const double lo = rng.uniform(0, 950);
-    const Range r{lo, lo + rng.uniform(1, 50)};
-    ranges.push_back(r);
-    index.insert(make_sub(i, {r, {0, 1000}}));
-  }
-  for (double v : {0.0, 123.0, 500.0, 777.7, 999.0}) {
-    std::size_t expect = 0;
-    for (const Range& r : ranges) {
-      if (r.contains(v)) ++expect;
-    }
-    EXPECT_EQ(index.stab_count(v), expect) << "at v=" << v;
-  }
-}
-
-TEST(IntervalTreeIndex, DeepInsertAtMaxDepth) {
-  IntervalTreeIndex index(0, Range{0, 1000}, /*max_depth=*/4);
-  // Tiny intervals that would need depth > 4 land at depth-4 leaves.
-  for (int i = 1; i <= 100; ++i) {
-    const double lo = i * 9.5;
-    index.insert(make_sub(i, {{lo, lo + 0.001}, {0, 1000}}));
-  }
-  EXPECT_EQ(index.size(), 100u);
-  std::vector<SubPtr> out;
-  WorkCounter wc;
-  index.match(Message{1, {9.5 * 42 + 0.0005, 5}, ""}, out, wc);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0]->id, 42u);
-}
-
 TEST(IndexFactory, NamesAndKinds) {
   EXPECT_STREQ(to_string(IndexKind::kLinearScan), "linear-scan");
-  EXPECT_STREQ(to_string(IndexKind::kBucket), "bucket");
-  EXPECT_STREQ(to_string(IndexKind::kIntervalTree), "interval-tree");
   EXPECT_STREQ(to_string(IndexKind::kFlatBucket), "flat-bucket");
-  EXPECT_NE(make_index(IndexKind::kBucket, 0, Range{0, 1}), nullptr);
+  EXPECT_NE(make_index(IndexKind::kLinearScan, 0, Range{0, 1}), nullptr);
   EXPECT_NE(make_index(IndexKind::kFlatBucket, 0, Range{0, 1}), nullptr);
+  for (IndexKind kind : {IndexKind::kLinearScan, IndexKind::kFlatBucket}) {
+    EXPECT_EQ(index_kind_from_string(to_string(kind)), kind);
+  }
+  for (const char* name : {"bucket", "interval-tree", "", "FLAT-BUCKET"}) {
+    EXPECT_EQ(index_kind_from_string(name), std::nullopt) << name;
+  }
 }
 
 TEST(FlatBucketIndex, SharedArenaStoresEachSubscriptionOnce) {
@@ -548,6 +478,21 @@ TEST(FlatBucketIndex, ChurnKeepsCapacityBoundedAndResultsCorrect) {
   const std::size_t after = flat.column_capacity_bytes();
   EXPECT_LT(after, before) << "compact_storage released nothing";
   EXPECT_EQ(flat.size(), 0u);
+}
+
+TEST(FlatBucketIndex, RangeSpanningManyBucketsFoundEverywhere) {
+  FlatBucketIndex index(0, Range{0, 1000}, nullptr, 16);
+  index.insert(make_sub(1, {{100, 900}, {0, 1000}}));
+  std::vector<SubPtr> out;
+  WorkCounter wc;
+  for (double v : {100.0, 450.0, 899.9}) {
+    out.clear();
+    index.match(Message{1, {v, 5}, ""}, out, wc);
+    EXPECT_EQ(out.size(), 1u) << "at v=" << v;
+  }
+  out.clear();
+  index.match(Message{1, {950.0, 5}, ""}, out, wc);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(FlatBucketIndex, ColdBucketIsCheap) {

@@ -216,7 +216,7 @@ ExperimentConfig traced_config() {
   cfg.matchers = 4;
   cfg.dispatchers = 1;
   cfg.cores = 2;
-  cfg.index_kind = IndexKind::kBucket;
+  cfg.index_kind = IndexKind::kFlatBucket;
   cfg.full_matching = true;  // tracing needs real deliveries for the sink hop
   cfg.trace_sample_rate = 1.0;
   cfg.seed = 7;

@@ -920,7 +920,6 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
                             std::move(sub), static_cast<DimId>(id % kDims)}));
   }
   const int kRequests = 2000;
-  MatchRequestBatch batch;
   for (int i = 0; i < kRequests; ++i) {
     MatchRequest req;
     req.msg.id = static_cast<MessageId>(i + 1);
@@ -930,11 +929,7 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
     }
     req.dim = static_cast<DimId>(i % kDims);
     req.reply_to = kClient;
-    batch.reqs.push_back(std::move(req));
-    if (batch.reqs.size() == 32 || i + 1 == kRequests) {
-      ctx->send(kMatcher, Envelope::of(std::move(batch)));
-      batch = MatchRequestBatch{};
-    }
+    ctx->send(kMatcher, Envelope::of(std::move(req)));
   }
   ASSERT_TRUE(eventually([&] { return client->acks() >= kRequests; }, 60.0))
       << "acks " << client->acks();

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "net/cluster_table.h"
 #include "net/protocol.h"
+#include "net/wire.h"
 
 namespace bluedove {
 namespace {
@@ -90,41 +94,6 @@ TEST(Envelope, MatchRequestRoundTrip) {
   const auto& req = std::get<MatchRequest>(back.payload);
   EXPECT_EQ(req.dim, 1);
   EXPECT_DOUBLE_EQ(req.dispatched_at, 12.5);
-}
-
-TEST(Envelope, MatchRequestBatchRoundTrip) {
-  MatchRequestBatch batch;
-  for (int i = 0; i < 3; ++i) {
-    MatchRequest req;
-    req.msg = sample_msg();
-    req.msg.id = static_cast<MessageId>(100 + i);
-    req.dim = static_cast<DimId>(i);
-    req.dispatched_at = 1.5 * i;
-    req.reply_to = i == 1 ? NodeId{77} : kInvalidNode;
-    // Hops only travel when the request is traced (trace_id != 0), so give
-    // every element a trace id and leave untraced hop-dropping to the
-    // single-request MatchRequest round-trip test.
-    req.trace_id = obs::TraceId{900 + static_cast<std::uint64_t>(i)};
-    req.hops.enqueued_at = 0.25 * i;
-    batch.reqs.push_back(std::move(req));
-  }
-  const auto back = round_trip(Envelope::of(batch));
-  const auto& b = std::get<MatchRequestBatch>(back.payload);
-  ASSERT_EQ(b.reqs.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    const MatchRequest& req = b.reqs[static_cast<std::size_t>(i)];
-    EXPECT_EQ(req.msg.id, static_cast<MessageId>(100 + i));
-    EXPECT_EQ(req.dim, static_cast<DimId>(i));
-    EXPECT_DOUBLE_EQ(req.dispatched_at, 1.5 * i);
-    EXPECT_DOUBLE_EQ(req.hops.enqueued_at, 0.25 * i);
-  }
-  EXPECT_EQ(b.reqs[1].reply_to, NodeId{77});
-  EXPECT_EQ(b.reqs[2].trace_id, obs::TraceId{902});
-}
-
-TEST(Envelope, EmptyMatchRequestBatchRoundTrip) {
-  const auto back = round_trip(Envelope::of(MatchRequestBatch{}));
-  EXPECT_TRUE(std::get<MatchRequestBatch>(back.payload).reqs.empty());
 }
 
 TEST(Envelope, DeliveryRoundTrip) {
@@ -338,6 +307,128 @@ TEST(Envelope, WireSizeAndNames) {
   EXPECT_GT(wire_size(env), 0u);
   EXPECT_STREQ(payload_name(env), "LoadReport");
   EXPECT_STREQ(payload_name(Envelope::of(GossipSyn{})), "GossipSyn");
+}
+
+// ---------------------------------------------------------------------------
+// Wire tags: fixed per type, never reused
+// ---------------------------------------------------------------------------
+
+TEST(WireTags, SurvivingTypesKeepTheirTagBytes) {
+  const auto first_byte = [](const Envelope& env) {
+    serde::Writer w;
+    write_envelope(w, env);
+    return w.bytes().at(0);
+  };
+  const std::vector<std::pair<Envelope, std::uint8_t>> pins = {
+      {Envelope::of(ClientSubscribe{}), 0},
+      {Envelope::of(MatchRequest{}), 5},
+      {Envelope::of(Delivery{}), 6},
+      {Envelope::of(StatsResponse{}), 21},
+      {Envelope::of(TraceDumpRequest{}), 23},
+      {Envelope::of(TraceDumpResponse{}), 24},
+      {Envelope::of(EdgeHello{}), 25},
+      {Envelope::of(EdgeEvent{}), 28}};
+  for (const auto& [env, tag] : pins) {
+    EXPECT_EQ(wire_tag(env), tag) << payload_name(env);
+    EXPECT_EQ(first_byte(env), tag) << payload_name(env);
+  }
+}
+
+/// Reads one envelope from `bytes`; returns whether the reader stayed ok.
+bool reads_ok(const std::vector<std::uint8_t>& bytes) {
+  serde::Reader r(bytes);
+  (void)read_envelope(r);
+  return r.ok();
+}
+
+/// A frame body: the 4-byte sender id 1, then `rest`.
+std::vector<std::uint8_t> frame_body(const std::vector<std::uint8_t>& rest) {
+  serde::Writer w;
+  w.u32(1);
+  for (const std::uint8_t b : rest) w.u8(b);
+  return w.take();
+}
+
+TEST(WireTags, RetiredTagIsMalformed) {
+  // Tag 22 once named a batch of MatchRequests; {22, 0} was an empty one.
+  EXPECT_FALSE(reads_ok({22, 0}));
+  const auto body = frame_body({22, 0});
+  EXPECT_FALSE(net::wire::parse_frame(body.data(), body.size()).ok);
+}
+
+TEST(WireTags, UnknownTagIsMalformed) {
+  // 9 is TablePullReq's tag, so a reader that skipped the unknown byte
+  // would go on to parse three valid envelopes.
+  EXPECT_FALSE(reads_ok({200, 9, 9, 9}));
+  const auto body = frame_body({200, 9, 9, 9});
+  EXPECT_FALSE(net::wire::parse_frame(body.data(), body.size()).ok);
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted element counts: a count larger than the bytes left fails the
+// read before anything is allocated for it
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 40;
+
+TEST(UntrustedCounts, MessageValues) {
+  serde::Writer w;
+  w.u64(1);  // id
+  w.varint(kHugeCount);
+  w.f64(1.0);
+  serde::Reader r(w.bytes());
+  EXPECT_NO_THROW((void)read_message(r));
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(UntrustedCounts, SubscriptionRanges) {
+  serde::Writer w;
+  w.u64(1);  // id
+  w.u64(2);  // subscriber
+  w.varint(kHugeCount);
+  w.f64(0.0);
+  serde::Reader r(w.bytes());
+  EXPECT_NO_THROW((void)read_subscription(r));
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(UntrustedCounts, DeliveryValues) {
+  serde::Writer w;
+  w.u8(wire_tag(Envelope::of(Delivery{})));
+  w.u64(1);    // msg_id
+  w.u64(2);    // sub_id
+  w.u64(3);    // subscriber
+  w.f64(4.0);  // dispatched_at
+  w.varint(kHugeCount);
+  serde::Reader r(w.bytes());
+  EXPECT_NO_THROW((void)read_envelope(r));
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(UntrustedCounts, MatcherStateSegments) {
+  serde::Writer w;
+  w.u32(1);  // id
+  w.u64(2);  // generation
+  w.u64(3);  // version
+  w.u8(0);   // status
+  w.varint(kHugeCount);
+  serde::Reader r(w.bytes());
+  EXPECT_NO_THROW((void)read_matcher_state(r));
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(UntrustedCounts, ClientPublishFrameFailsToParse) {
+  // The 19-byte frame body an edge client could send: sender, tag, id and
+  // a values count of 2^40.
+  serde::Writer w;
+  w.u32(1);
+  w.u8(wire_tag(Envelope::of(ClientPublish{})));
+  w.u64(7);
+  w.varint(kHugeCount);
+  ASSERT_EQ(w.size(), 19u);
+  net::wire::ParsedFrame frame;
+  EXPECT_NO_THROW(frame = net::wire::parse_frame(w.data(), w.size()));
+  EXPECT_FALSE(frame.ok);
 }
 
 // ---------------------------------------------------------------------------

@@ -337,7 +337,7 @@ TEST(RecorderIntegration, SimulatedClusterAttributesLoadAndEvents) {
   cfg.matchers = 4;
   cfg.dispatchers = 1;
   cfg.cores = 2;
-  cfg.index_kind = IndexKind::kBucket;
+  cfg.index_kind = IndexKind::kFlatBucket;
   cfg.full_matching = true;
   cfg.trace_sample_rate = 1.0;  // every publication traced
   Deployment dep(cfg);

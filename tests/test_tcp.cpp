@@ -180,7 +180,7 @@ TEST(TcpCluster, EndToEndPubSub) {
   MatcherConfig mcfg;
   mcfg.domains = domains;
   mcfg.cores = 1;
-  mcfg.index_kind = IndexKind::kBucket;
+  mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.load_report_interval = 0.2;
   mcfg.gossip.round_interval = 0.2;
   mcfg.dispatchers = {kDispatcher};
@@ -268,7 +268,7 @@ TEST(TcpClusterClient, SubscribePublishUnsubscribe) {
   MatcherConfig mcfg;
   mcfg.domains = domains;
   mcfg.cores = 1;
-  mcfg.index_kind = IndexKind::kBucket;
+  mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.load_report_interval = 0.2;
   mcfg.gossip.round_interval = 0.2;
   mcfg.dispatchers = {kDispatcher};

@@ -4,7 +4,7 @@
 // (fan-out, bounded per-peer queues, backpressure drops, stale-connection
 // retry, a peer that never reads, one frame per pass under the default
 // WireConfig and the 64 KiB cut), the one-thread-per-host structure, and a
-// full dispatcher->matcher MatchRequestBatch pipeline over real sockets.
+// full dispatcher->matcher pipeline whose requests share frames.
 
 #include <gtest/gtest.h>
 
@@ -433,6 +433,28 @@ TEST(FrameReader, BadLengthPrefixAfterValidFramesComesOutLast) {
             net::FrameReader::Status::kMalformed);
   ASSERT_EQ(frames.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(publish_id(frames[i]), i + 1);
+}
+
+TEST(FrameReader, RetiredAndUnknownTagsAreMalformed) {
+  // Tag 22 is retired and 200 was never assigned: either one fails its
+  // frame, after every valid frame before it.
+  for (const std::uint8_t tag : {std::uint8_t{22}, std::uint8_t{200}}) {
+    SocketPair sp;
+    auto bytes = publish_stream(2);
+    const std::uint8_t body[] = {tag, 0, 9, 9};
+    std::vector<std::uint8_t> frame(8);
+    frame.insert(frame.end(), body, body + sizeof body);
+    net::wire::fill_header(frame.data(), sizeof body, 5);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+    std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+    net::FrameReader reader;
+    std::vector<net::wire::ParsedFrame> frames;
+    EXPECT_EQ(drain(reader, sp.rx, scratch, &frames),
+              net::FrameReader::Status::kMalformed)
+        << "tag " << int{tag};
+    EXPECT_EQ(frames.size(), 2u) << "tag " << int{tag};
+  }
 }
 
 TEST(FrameReader, EofMidFrameIsClosed) {
@@ -1083,10 +1105,10 @@ TEST(WireThreads, HostAddsOneThreadPlusOffloadWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: dispatcher-side MatchRequest batching over TCP
+// End-to-end: the dispatcher's requests share frames on the way to matchers
 // ---------------------------------------------------------------------------
 
-TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
+TEST(WireCluster, MatchRequestsShareFramesDispatcherToMatcher) {
   constexpr NodeId kSink = 2;
   constexpr NodeId kDispatcher = 10;
   const std::vector<NodeId> matcher_ids{1000, 1001};
@@ -1104,23 +1126,16 @@ TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
   DispatcherConfig dcfg;
   dcfg.domains = domains;
   dcfg.table_pull_interval = 0.5;
-  dcfg.wire_batch = 8;  // app-level MatchRequestBatch coalescing
-  dcfg.wire_flush_interval = 0.002;
-  WireConfig dwire;
-  dwire.batch = 8;  // transport-level frame coalescing underneath
-  TcpHost dispatcher_host(
-      kDispatcher, 0,
-      [&] {
-        auto node = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
-        node->set_bootstrap(bootstrap_table(matcher_ids, domains));
-        return node;
-      }(),
-      42, dwire);
+  TcpHost dispatcher_host(kDispatcher, 0, [&] {
+    auto node = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
+    node->set_bootstrap(bootstrap_table(matcher_ids, domains));
+    return node;
+  }());
 
   MatcherConfig mcfg;
   mcfg.domains = domains;
   mcfg.cores = 1;
-  mcfg.index_kind = IndexKind::kBucket;
+  mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.match_batch = 8;
   mcfg.load_report_interval = 0.2;
   mcfg.gossip.round_interval = 0.2;
@@ -1154,33 +1169,39 @@ TEST(WireCluster, MatchRequestBatchesFlowDispatcherToMatcher) {
   dispatcher_host.start();
   for (auto& h : matcher_hosts) h->start();
 
-  // Publish a burst; every message must complete matching even though the
-  // dispatcher ships them as MatchRequestBatch envelopes.
+  // Every publication arrives in one frame, so the dispatcher forwards all
+  // of them in one loop pass, and its transport packs the plain
+  // MatchRequests for each matcher into shared frames.
   constexpr int kMessages = 200;
-  const TcpEndpoint dispatcher_ep = directory[kDispatcher];
+  std::vector<std::uint8_t> frame(8);
+  std::uint32_t body_bytes = 0;
   for (int i = 0; i < kMessages; ++i) {
     Message msg;
     msg.id = static_cast<MessageId>(i + 1);
     msg.values = {500.0, 500.0};
-    ASSERT_TRUE(TcpHost::send_once(dispatcher_ep,
-                                   Envelope::of(ClientPublish{msg})));
+    const auto bytes = serialize(Envelope::of(ClientPublish{msg}));
+    body_bytes += static_cast<std::uint32_t>(bytes.size());
+    frame.insert(frame.end(), bytes.begin(), bytes.end());
   }
+  net::wire::fill_header(frame.data(), body_bytes, kInvalidNode);
+  const int fd = net::dial(directory[kDispatcher]);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(net::wire::write_all(fd, frame.data(), frame.size()));
   EXPECT_TRUE(eventually([&] { return completions.load() == kMessages; }))
       << "completions=" << completions.load();
+  ::close(fd);
 
-  // The dispatcher actually batched (not 200 singleton sends)...
-  const auto* disp =
-      dispatcher_host.node_as<DispatcherNode>();
-  const auto dsnap = disp->metrics().snapshot();
-  EXPECT_GT(dsnap.counters.at("dispatcher.batches_sent"), 0u);
-  // ...and some matcher saw a MatchRequestBatch envelope.
-  std::uint64_t matcher_batches = 0;
-  for (std::size_t i = 0; i < matcher_hosts.size(); ++i) {
-    const auto msnap =
-        matcher_hosts[i]->node_as<MatcherNode>()->metrics().snapshot();
-    matcher_batches += msnap.counters.at("matcher.batches_received");
+  const auto dsnap = dispatcher_host.wire_metrics().snapshot();
+  EXPECT_GE(dsnap.counters.at("wire.envelopes_sent"),
+            static_cast<std::uint64_t>(kMessages));
+  EXPECT_LT(dsnap.counters.at("wire.frames_sent"),
+            static_cast<std::uint64_t>(kMessages));
+  std::uint64_t requests = 0;
+  for (auto& h : matcher_hosts) {
+    requests += h->node_as<MatcherNode>()->metrics().snapshot().counters.at(
+        "matcher.requests");
   }
-  EXPECT_GT(matcher_batches, 0u);
+  EXPECT_EQ(requests, static_cast<std::uint64_t>(kMessages));
 
   for (auto& h : matcher_hosts) h->stop();
   dispatcher_host.stop();

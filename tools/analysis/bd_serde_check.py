@@ -27,6 +27,10 @@ Bodies canonicalize to op sequences:
     from struct field declarations parsed out of the headers)
   * `for (...) body` → ('loop', [body ops]) — the length varint that
     precedes it stays an explicit op on both sides
+  * `w.seq(items, fn)` / `r.seq<T>(fn)` → [varint, ('loop', [fn's ops])],
+    so a bounded reader-side seq mirrors a writer-side varint + for loop;
+    `fn` is a helper name (`read_range`) or a lambda whose own
+    Writer/Reader parameter carries the ops
   * `if (cond) {...}` with serde ops inside → ('cond', <normalized cond>,
     [ops]); the condition normalizes by dropping object prefixes, so
     writer `m.trace_id != 0` matches reader `m2.trace_id != 0`. Guard
@@ -166,6 +170,9 @@ class OpExtractor:
             rf"\b{re.escape(self.var)}\s*\.\s*(\w+)\s*\("
         )
         self.call_re = re.compile(r"\b(write_\w+|read_\w+)\s*\(")
+        self.seq_re = re.compile(
+            rf"\b{re.escape(self.var)}\s*\.\s*seq\s*(?:<[^>]*>)?\s*\("
+        )
 
     def extract(self, body):
         # body includes the outer braces
@@ -220,6 +227,15 @@ class OpExtractor:
     def _flat(self, text):
         """Serde ops and helper calls in a straight-line region."""
         found = []
+        for m in list(self.seq_re.finditer(text)):
+            close = find_matching(text, m.end() - 1, "(", ")")
+            if close == -1:
+                continue
+            found.append((m.start(), self._seq(text[m.end():close])))
+            # The element ops were taken above; blank the call so the scans
+            # below do not see them again.
+            text = text[:m.start()] + " " * (close + 1 - m.start()) + \
+                text[close + 1:]
         for m in self.ops_re.finditer(text):
             op = m.group(1)
             valid = WRITER_OPS if self.side == "w" else READER_OPS
@@ -233,6 +249,27 @@ class OpExtractor:
         for _, ops in sorted(found, key=lambda kv: kv[0]):
             out.extend(ops)
         return out
+
+    def _seq(self, args):
+        """[varint, loop] for the element function, the last seq argument."""
+        lam = re.search(r"\[[^\]]*\]\s*\(", args)
+        fn = args[lam.start():] if lam else args.rsplit(",", 1)[-1].strip()
+        named = re.fullmatch(r"(write_\w+|read_\w+)", fn)
+        inner = [("prim", "?seq")]  # unparsed: never matches the other side
+        if named:
+            token = self._helper_token(named.group(1), "", 0)
+            if token is not None:
+                inner = [("call", token)]
+        elif lam:
+            param = re.search(r"serde::(?:Writer|Reader)&\s*(\w+)", fn)
+            open_idx = fn.find("{")
+            close = find_matching(fn, open_idx, "{", "}") if open_idx != -1 \
+                else -1
+            if param and close != -1:
+                sub = OpExtractor(self.side, param.group(1), self.prog,
+                                  self.ctx)
+                inner = sub._block(fn[open_idx + 1:close])
+        return [("prim", "varint"), ("loop", tuple(inner))]
 
     def _prim(self, op):
         if op == "blob":

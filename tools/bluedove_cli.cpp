@@ -22,7 +22,8 @@
 //   --system=bluedove|p2p|full-rep     --matchers=N        --dispatchers=N
 //   --subs=N          --dims=K         --sigma=S           --width=W
 //   --policy=adaptive|response-time|sub-count|random
-//   --index=linear-scan|bucket|interval-tree|flat-bucket
+//   --index=linear-scan|flat-bucket   (default linear-scan; any other name
+//                     is an error)
 //   --match-batch=N   --msg-skew=J     --seed=N
 //   --reliable        --cores=N
 //   --cover           enable subscription covering (DESIGN.md §15): matchers
@@ -158,16 +159,8 @@ ExperimentConfig config_from(const CliArgs& args) {
     cfg.policy = PolicyKind::kAdaptive;
   }
 
-  const std::string index = args.get("index", "linear-scan");
-  if (index == "bucket") {
-    cfg.index_kind = IndexKind::kBucket;
-  } else if (index == "interval-tree") {
-    cfg.index_kind = IndexKind::kIntervalTree;
-  } else if (index == "flat-bucket") {
-    cfg.index_kind = IndexKind::kFlatBucket;
-  } else {
-    cfg.index_kind = IndexKind::kLinearScan;
-  }
+  // main() has already rejected any other name.
+  cfg.index_kind = *index_kind_from_string(args.get("index", "linear-scan"));
   cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
   cfg.cover = args.get_bool("cover", false);
   cfg.cover_budget = args.get_double("cover-budget", 0.05);
@@ -651,7 +644,7 @@ int cmd_blast(const CliArgs& args) {
   const obs::MetricsSnapshot snap = host.wire_metrics().snapshot();
   const auto frames = snap.counters.at("wire.frames_sent");
   std::printf(
-      "blast: %llu msgs in %.3fs -> %.0f msg/s  wire_batch=%d  frames=%llu "
+      "blast: %llu msgs in %.3fs -> %.0f msg/s  wire.batch=%d  frames=%llu "
       "(%.1f env/frame)  bytes=%llu  dropped=%llu\n",
       (unsigned long long)sent, secs, static_cast<double>(sent) / secs,
       wire.batch, (unsigned long long)frames,
@@ -811,6 +804,13 @@ int main(int argc, char** argv) {
                  "bluedove_cli: --simd=%s not available on this build/CPU "
                  "(try auto, scalar, off)\n",
                  simd_mode.c_str());
+    return 2;
+  }
+  const std::string index = args.get("index", "linear-scan");
+  if (!index_kind_from_string(index)) {
+    std::fprintf(stderr,
+                 "bluedove_cli: unknown --index=%s (linear-scan|flat-bucket)\n",
+                 index.c_str());
     return 2;
   }
   const std::string cmd = args.positional()[0];

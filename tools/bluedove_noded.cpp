@@ -9,7 +9,8 @@
 //   --dispatchers=id,...             dispatcher ids (matchers report to them)
 //   --sink=id                        delivery/metrics sink node id
 //   --dims=K --domain=L              schema (default 4 x [0,1000))
-//   --index=bucket|flat-bucket|interval-tree|linear-scan   (matcher only)
+//   --index=flat-bucket|linear-scan  matcher index (default flat-bucket);
+//                                    any other name is an error
 //   --match-batch=N                  matcher batch drain depth (default 1)
 //   --cover                          matcher subscription covering
 //                                    (DESIGN.md §15): near-duplicate
@@ -38,13 +39,10 @@
 //   --trace-sample=R                 dispatcher trace sampling rate [0,1]
 //   --wire-batch=N                   envelopes coalesced per TCP frame
 //                                    (default 64: a loop pass's envelopes
-//                                    to one peer share frames); >1 also
-//                                    enables (dispatcher) MatchRequest
-//                                    batching, which is off by default
+//                                    to one peer share frames)
 //   --wire-flush=SEC                 max wait for a wire batch to fill
 //                                    (default 0: frames close at the end
-//                                    of the loop pass; the dispatcher's
-//                                    MatchRequest batches wait 0.5 ms)
+//                                    of the loop pass)
 //   --wire-queue=N                   per-peer bound on unwritten envelopes;
 //                                    the newest is dropped beyond it
 //   --stats-json=PATH                periodically write the node's metrics
@@ -72,6 +70,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -169,16 +168,16 @@ int main(int argc, char** argv) {
     MatcherConfig cfg;
     cfg.domains = domains;
     cfg.cores = static_cast<int>(args.get_int("cores", 4));
-    const std::string index = args.get("index", "bucket");
-    if (index == "flat-bucket") {
-      cfg.index_kind = IndexKind::kFlatBucket;
-    } else if (index == "interval-tree") {
-      cfg.index_kind = IndexKind::kIntervalTree;
-    } else if (index == "linear-scan") {
-      cfg.index_kind = IndexKind::kLinearScan;
-    } else {
-      cfg.index_kind = IndexKind::kBucket;
+    const std::string index = args.get("index", "flat-bucket");
+    const std::optional<IndexKind> kind = index_kind_from_string(index);
+    if (!kind) {
+      std::fprintf(stderr,
+                   "bluedove_noded: unknown --index=%s "
+                   "(flat-bucket|linear-scan)\n",
+                   index.c_str());
+      return 2;
     }
+    cfg.index_kind = *kind;
     cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
     cfg.cover.enabled = args.get_bool("cover", false);
     cfg.cover.fp_volume_budget = args.get_double("cover-budget", 0.05);
@@ -195,8 +194,6 @@ int main(int argc, char** argv) {
     cfg.domains = domains;
     cfg.reliable_delivery = args.get_bool("reliable", false);
     cfg.trace_sample_rate = args.get_double("trace-sample", 0.0);
-    cfg.wire_batch = static_cast<int>(args.get_int("wire-batch", 1));
-    cfg.wire_flush_interval = args.get_double("wire-flush", 0.0005);
     auto dispatcher = std::make_unique<DispatcherNode>(id, cfg);
     if (!cluster.empty()) {
       dispatcher->set_bootstrap(bootstrap_table(cluster, domains));

@@ -57,7 +57,7 @@ pids+=($!)
 for i in 0 1 2 3; do
   "${noded}" --role=matcher --id="${m_ids[$i]}" --port=$((base + 100 + i)) \
     --cluster="${cluster}" --dispatchers="${dispatchers}" \
-    --sink="${sink_id}" --peers="${peers}" --cores=2 --index=bucket \
+    --sink="${sink_id}" --peers="${peers}" --cores=2 --index=flat-bucket \
     --trace-json="${tmp}/trace_m${i}.json" >"${tmp}/m${i}.log" 2>&1 &
   pids+=($!)
 done
