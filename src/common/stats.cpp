@@ -47,111 +47,4 @@ double OnlineStats::normalized_stdev() const {
   return mean() != 0.0 ? stdev() / mean() : 0.0;
 }
 
-QuantileReservoir::QuantileReservoir(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  sample_.reserve(capacity_);
-}
-
-void QuantileReservoir::add(double x) {
-  ++n_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(x);
-    return;
-  }
-  // Vitter's algorithm R.
-  lcg_ = lcg_ * 6364136223846793005ULL + 1442695040888963407ULL;
-  const std::uint64_t slot = (lcg_ >> 16) % n_;
-  if (slot < capacity_) sample_[slot] = x;
-}
-
-void QuantileReservoir::reset() {
-  n_ = 0;
-  sample_.clear();
-}
-
-double QuantileReservoir::quantile(double q) const {
-  if (sample_.empty()) return 0.0;
-  scratch_ = sample_;
-  std::sort(scratch_.begin(), scratch_.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(scratch_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, scratch_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return scratch_[lo] * (1.0 - frac) + scratch_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets == 0 ? 1 : buckets)),
-      counts_(buckets == 0 ? 1 : buckets, 0) {}
-
-void Histogram::add(double x) {
-  double idx = (x - lo_) / width_;
-  std::size_t b = 0;
-  if (idx >= static_cast<double>(counts_.size())) {
-    b = counts_.size() - 1;
-  } else if (idx > 0.0) {
-    b = static_cast<std::size_t>(idx);
-  }
-  ++counts_[b];
-  ++total_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.counts_.size() != counts_.size() || other.lo_ != lo_ ||
-      other.width_ != width_) {
-    return;  // incompatible layouts: merging would misattribute mass
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))),
-      1);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    if (seen + counts_[i] >= rank) {
-      const double frac = static_cast<double>(rank - seen) /
-                          static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * width_;
-    }
-    seen += counts_[i];
-  }
-  return bucket_lo(counts_.size() - 1) + width_;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double linear_regression_slope(const std::vector<double>& xs,
-                               const std::vector<double>& ys) {
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return 0.0;
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
-  }
-  const double mx = sx / static_cast<double>(n);
-  const double my = sy / static_cast<double>(n);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    num += (xs[i] - mx) * (ys[i] - my);
-    den += (xs[i] - mx) * (xs[i] - mx);
-  }
-  return den != 0.0 ? num / den : 0.0;
-}
-
 }  // namespace bluedove

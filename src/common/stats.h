@@ -1,9 +1,7 @@
 #pragma once
-// Streaming statistics helpers used by the metrics subsystem and benches.
+// Streaming mean/variance used by the metrics subsystem and benches.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace bluedove {
 
@@ -32,62 +30,5 @@ class OnlineStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Bounded-memory quantile estimator: keeps a uniform reservoir sample.
-/// Deterministic given the insertion order (uses an internal LCG).
-class QuantileReservoir {
- public:
-  explicit QuantileReservoir(std::size_t capacity = 4096);
-
-  void add(double x);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  /// q in [0, 1]; e.g. quantile(0.5) is the median. Returns 0 when empty.
-  double quantile(double q) const;
-
- private:
-  std::size_t capacity_;
-  std::size_t n_ = 0;
-  std::uint64_t lcg_ = 0x853c49e6748fea9bULL;
-  std::vector<double> sample_;
-  mutable std::vector<double> scratch_;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-/// first/last bucket. Used for response-time distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  void reset();
-
-  /// Accumulates another histogram's counts. The two must share the same
-  /// bucket layout (same lo / width / bucket count); combining per-node
-  /// response-time histograms cluster-wide without shipping raw samples.
-  void merge(const Histogram& other);
-
-  /// q in [0, 1]: linearly interpolated quantile estimate from the bucket
-  /// counts (each bucket's mass is spread uniformly over its range).
-  /// Returns 0 when the histogram is empty.
-  double quantile(double q) const;
-
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  double bucket_lo(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Least-squares slope of y over x; used by the saturation detector to test
-/// whether response time grows linearly with time (the paper's criterion).
-double linear_regression_slope(const std::vector<double>& xs,
-                               const std::vector<double>& ys);
 
 }  // namespace bluedove

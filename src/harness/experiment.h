@@ -13,11 +13,9 @@
 #include "baseline/full_replication.h"
 #include "baseline/single_dim_partition.h"
 #include "metrics/load_monitor.h"
-#include "metrics/loss_tracker.h"
 #include "metrics/response_tracker.h"
 #include "node/dispatcher_node.h"
 #include "node/matcher_node.h"
-#include "obs/trace.h"
 #include "sim/sim_cluster.h"
 #include "workload/generators.h"
 #include "workload/trace.h"
@@ -89,9 +87,9 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   sim::SimConfig sim;
 
-  /// Fraction of publications traced through the pipeline (obs/trace.h).
-  /// 0 = off (default; one branch per publish), 1 = every message. Traced
-  /// messages feed Deployment::breakdown() with per-stage latency.
+  /// Fraction of publications the dispatchers give a trace id, which tags
+  /// their flight-recorder events (obs/recorder.h) across nodes. 0 = off
+  /// (default; one branch per publish), 1 = every message.
   double trace_sample_rate = 0.0;
 };
 
@@ -123,20 +121,17 @@ class Deployment {
 
   // --- metrics ---------------------------------------------------------------
   ResponseTracker& responses() { return responses_; }
-  LossTracker& losses() { return losses_; }
   LoadMonitor& loads() { return loads_; }
   /// Feeds the LoadMonitor one busy-time sample per live matcher.
   void sample_loads();
   /// Sum of queued messages across live matchers.
   std::size_t backlog() const;
-  std::uint64_t published() const { return losses_.published_total(); }
-  std::uint64_t completed() const { return losses_.completed_total(); }
-  /// Per-stage latency breakdown of the traced messages (dispatch / queue /
-  /// match / deliver); empty unless trace_sample_rate > 0.
-  const obs::StageBreakdown& breakdown() const { return breakdown_; }
+  std::uint64_t published() const { return published_; }
+  std::uint64_t completed() const { return completed_; }
   /// Cluster-wide metrics: every node registry, the sim substrate stats and
-  /// the trace breakdown merged into one snapshot (the JSON/Prometheus
-  /// exporters in obs/export.h take it from here).
+  /// the sink's response-time histogram (sink.response_seconds) merged into
+  /// one snapshot (the JSON/Prometheus exporters in obs/export.h take it
+  /// from here).
   obs::MetricsSnapshot cluster_snapshot();
   /// Determinism digest of the sim's delivered event stream (0 unless
   /// config.sim.digest was set before start()).
@@ -225,9 +220,9 @@ class Deployment {
   std::uint64_t publish_epoch_ = 0;  ///< invalidates scheduled publishes
 
   ResponseTracker responses_;
-  LossTracker losses_;
+  std::uint64_t published_ = 0;
+  std::uint64_t completed_ = 0;
   LoadMonitor loads_;
-  obs::StageBreakdown breakdown_;
   std::unordered_set<MessageId> completed_ids_;  ///< dedup (reliable mode)
 
   bool started_ = false;

@@ -2,35 +2,16 @@
 
 namespace bluedove {
 
-ResponseTracker::ResponseTracker(double bucket_width)
-    : bucket_width_(bucket_width > 0 ? bucket_width : 1.0) {}
-
-void ResponseTracker::add(Timestamp now, double rt) {
-  ++count_;
+void ResponseTracker::add(double rt) {
   overall_.add(rt);
   window_.add(rt);
-  reservoir_.add(rt);
-  const auto bucket_start =
-      bucket_width_ * static_cast<double>(
-                          static_cast<long long>(now / bucket_width_));
-  if (buckets_.empty() || buckets_.back().start < bucket_start) {
-    buckets_.push_back(Bucket{bucket_start, {}});
-  }
-  buckets_.back().stats.add(rt);
+  hist_.record(rt);
 }
 
 OnlineStats ResponseTracker::window() {
   OnlineStats out = window_;
   window_.reset();
   return out;
-}
-
-void ResponseTracker::reset() {
-  count_ = 0;
-  overall_.reset();
-  window_.reset();
-  reservoir_.reset();
-  buckets_.clear();
 }
 
 }  // namespace bluedove

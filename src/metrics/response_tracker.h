@@ -2,46 +2,36 @@
 // Response-time accounting. The paper's response time is the duration from
 // a message's arrival at a dispatcher to its return to interested
 // subscribers; the tracker ingests one sample per matched message and keeps
-// both whole-run statistics and a time-bucketed series (for the
-// response-time-over-time plots of Figs 5, 9 and 10).
+// whole-run mean/variance, a resettable window for per-interval figures,
+// and a log-bucketed histogram for percentiles (merged into cluster
+// snapshots as sink.response_seconds).
 
-#include <vector>
+#include <cstdint>
 
 #include "common/stats.h"
-#include "common/types.h"
+#include "obs/metrics.h"
 
 namespace bluedove {
 
 class ResponseTracker {
  public:
-  explicit ResponseTracker(double bucket_width = 5.0);
+  /// Records one completed message's response time `rt` (seconds).
+  void add(double rt);
 
-  /// Records one completed message: completion time `now`, latency `rt`.
-  void add(Timestamp now, double rt);
-
-  std::uint64_t count() const { return count_; }
+  std::uint64_t count() const { return overall_.count(); }
   const OnlineStats& overall() const { return overall_; }
-  double quantile(double q) const { return reservoir_.quantile(q); }
-
-  struct Bucket {
-    Timestamp start = 0.0;
-    OnlineStats stats;
-  };
-  const std::vector<Bucket>& series() const { return buckets_; }
+  /// q in [0, 1], within the histogram's ~3% bucket resolution.
+  double quantile(double q) const { return hist_.snapshot().quantile(q); }
+  const obs::LatencyHistogram& histogram() const { return hist_; }
 
   /// Statistics accumulated since the previous window() call (for ladder
   /// probes that inspect each rate step separately).
   OnlineStats window();
 
-  void reset();
-
  private:
-  double bucket_width_;
-  std::uint64_t count_ = 0;
   OnlineStats overall_;
   OnlineStats window_;
-  QuantileReservoir reservoir_;
-  std::vector<Bucket> buckets_;
+  obs::LatencyHistogram hist_;
 };
 
 }  // namespace bluedove

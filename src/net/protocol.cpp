@@ -92,19 +92,6 @@ RemoveSubscription read_remove_subscription(serde::Reader& r) {
   return m;
 }
 
-void write_hops(serde::Writer& w, const obs::TraceHops& h) {
-  w.f64(h.enqueued_at);
-  w.f64(h.match_start);
-  w.f64(h.match_end);
-}
-obs::TraceHops read_hops(serde::Reader& r) {
-  obs::TraceHops h;
-  h.enqueued_at = r.f64();
-  h.match_start = r.f64();
-  h.match_end = r.f64();
-  return h;
-}
-
 void write_payload(serde::Writer& w, const MatchRequest& m) {
   write_message(w, m.msg);
   w.u16(m.dim);
@@ -113,10 +100,7 @@ void write_payload(serde::Writer& w, const MatchRequest& m) {
   // Trace block: one varint 0 for the (default) untraced case. The causal
   // span context rides inside the block so untraced messages cost nothing.
   w.varint(m.trace_id);
-  if (m.trace_id != 0) {
-    w.varint(m.parent_span);
-    write_hops(w, m.hops);
-  }
+  if (m.trace_id != 0) w.varint(m.parent_span);
 }
 MatchRequest read_match_request(serde::Reader& r) {
   MatchRequest m;
@@ -125,10 +109,7 @@ MatchRequest read_match_request(serde::Reader& r) {
   m.dispatched_at = r.f64();
   m.reply_to = r.u32();
   m.trace_id = r.varint();
-  if (m.trace_id != 0) {
-    m.parent_span = r.varint();
-    m.hops = read_hops(r);
-  }
+  if (m.trace_id != 0) m.parent_span = r.varint();
   return m;
 }
 
@@ -169,10 +150,6 @@ void write_payload(serde::Writer& w, const MatchCompleted& m) {
   w.u32(m.match_count);
   w.f64(m.work_units);
   w.varint(m.trace_id);
-  if (m.trace_id != 0) {
-    w.varint(m.parent_span);
-    write_hops(w, m.hops);
-  }
 }
 MatchCompleted read_match_completed(serde::Reader& r) {
   MatchCompleted m;
@@ -183,10 +160,6 @@ MatchCompleted read_match_completed(serde::Reader& r) {
   m.match_count = r.u32();
   m.work_units = r.f64();
   m.trace_id = r.varint();
-  if (m.trace_id != 0) {
-    m.parent_span = r.varint();
-    m.hops = read_hops(r);
-  }
   return m;
 }
 

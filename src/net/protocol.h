@@ -20,7 +20,7 @@
 #include "common/serde.h"
 #include "common/types.h"
 #include "net/cluster_table.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace bluedove {
 
@@ -65,17 +65,14 @@ struct MatchRequest {
   /// When valid, the matcher acknowledges completion to this dispatcher
   /// (reliable-delivery mode, the §VI message-persistence extension).
   NodeId reply_to = kInvalidNode;
-  /// Pipeline tracing (obs/trace.h): non-zero when this message was sampled
-  /// by the dispatcher; the matcher then fills the hop stamps as the
-  /// message moves through its stages.
+  /// Trace block {trace_id, parent_span}: trace_id is non-zero when the
+  /// dispatcher sampled this message (obs/recorder.h); parent_span names the
+  /// dispatcher-side span that emitted the request, so a merged cross-node
+  /// trace can link dispatch -> queue -> match -> delivery. parent_span is
+  /// only serialized when trace_id is non-zero, so untraced requests pay
+  /// one byte for the whole block.
   obs::TraceId trace_id = 0;
-  /// Flight-recorder causal context (obs/recorder.h): the dispatcher-side
-  /// span that emitted this request, so a merged cross-node trace can link
-  /// dispatch -> queue -> match -> delivery. Only serialized when trace_id
-  /// is non-zero (the whole trace block is), so untraced wire bytes are
-  /// unchanged.
   std::uint64_t parent_span = 0;
-  obs::TraceHops hops;
 };
 
 /// Matcher -> dispatcher: matching for `msg_id` completed (reliable mode).
@@ -110,13 +107,7 @@ struct MatchCompleted {
   Timestamp dispatched_at = 0.0;
   std::uint32_t match_count = 0;
   double work_units = 0.0;
-  /// Pipeline trace: id plus the matcher-side hop stamps (zero when the
-  /// message was not sampled). The metrics sink derives the per-stage
-  /// latency breakdown from these.
-  obs::TraceId trace_id = 0;
-  /// Echo of MatchRequest::parent_span (serialized only when traced).
-  std::uint64_t parent_span = 0;
-  obs::TraceHops hops;
+  obs::TraceId trace_id = 0;  ///< non-zero when the message was sampled
 };
 
 // --------------------------------------------------------------------------

@@ -21,7 +21,7 @@
 #include "core/segment_view.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace bluedove {
 
@@ -61,7 +61,7 @@ struct DispatcherConfig {
   int auto_scale_patience = 2;
   double auto_scale_cooldown = 30.0;
 
-  /// Fraction of publications given a pipeline trace id (obs/trace.h).
+  /// Fraction of publications given a trace id (obs/recorder.h).
   /// 0 disables sampling entirely — the publish hot path then pays exactly
   /// one branch and draws no random numbers; 1 traces every message.
   double trace_sample_rate = 0.0;
@@ -125,7 +125,7 @@ class DispatcherNode final : public Node {
 
   /// Forwards a message to the best candidate; returns the choice made
   /// (kInvalidNode matcher when no candidate exists). A non-zero `trace_id`
-  /// rides along in the MatchRequest for the pipeline-trace breakdown.
+  /// rides along in the MatchRequest and tags the matcher's recorder events.
   Assignment forward(const Message& msg, Timestamp dispatched_at,
                      const std::vector<NodeId>& exclude,
                      obs::TraceId trace_id = 0);

@@ -292,14 +292,10 @@ void MatcherNode::handle_match_request(MatchRequest msg) {
     DimSet& set = sets_[msg.dim];
     ++set.arrived_in_window;
     m_requests_->inc();
-    // Stamp the enqueue hop on every request (one double store); whether
-    // the stamps travel back on the wire is still gated by trace_id, but
-    // locally they feed the queue/match latency histograms for all traffic.
-    msg.hops.enqueued_at = ctx_->now();
     set.segload_requests->inc();
     obs::Recorder::instant(rec::enqueue(), msg.trace_id,
                            msg.trace_id != 0 ? msg.parent_span : msg.dim);
-    set.queue.push_back(std::move(msg));
+    set.queue.push_back(Queued{std::move(msg), ctx_->now()});
     const auto depth = static_cast<double>(set.queue.size());
     set.queue_depth->set(depth);
     set.queue_high_water->record_max(depth);
@@ -324,28 +320,26 @@ void MatcherNode::pump() {
       }
     }
     if (chosen == nullptr) return;
+    const Timestamp service_start = ctx_->now();
     std::vector<MatchRequest> batch;
     batch.reserve(std::min(batch_max, chosen->queue.size()));
     while (batch.size() < batch_max && !chosen->queue.empty()) {
-      batch.push_back(std::move(chosen->queue.front()));
+      Queued& q = chosen->queue.front();
+      m_queue_lat_->record(service_start - q.enqueued_at);
+      chosen->segload_queue_seconds->add(service_start - q.enqueued_at);
+      batch.push_back(std::move(q.req));
       chosen->queue.pop_front();
     }
     chosen->queue_depth->set(static_cast<double>(chosen->queue.size()));
     ++busy_cores_;
-    service_batch(std::move(batch));
+    service_batch(std::move(batch), service_start);
   }
 }
 
-void MatcherNode::service_batch(std::vector<MatchRequest> reqs) {
+void MatcherNode::service_batch(std::vector<MatchRequest> reqs,
+                                Timestamp service_start) {
   const DimId dim = reqs.front().dim;
   DimSet& set = sets_[dim];
-
-  const Timestamp service_start = ctx_->now();
-  for (MatchRequest& req : reqs) {
-    req.hops.match_start = service_start;
-    m_queue_lat_->record(service_start - req.hops.enqueued_at);
-    set.segload_queue_seconds->add(service_start - req.hops.enqueued_at);
-  }
 
   auto job = std::make_shared<ServiceJob>();
   job->reqs = std::move(reqs);
@@ -497,7 +491,6 @@ void MatcherNode::complete_batch(ServiceJob& job) {
   const double per_msg_latency = service_end - job.service_start;
   for (std::size_t i = 0; i < n; ++i) {
     MatchRequest& req = job.reqs[i];
-    req.hops.match_end = service_end;
     m_match_lat_->record(per_msg_latency);
     // Covered services count (and deliver) the expanded member hits, so
     // match_count and the delivered sets stay byte-identical to the
@@ -565,10 +558,6 @@ void MatcherNode::finish(const MatchRequest& req, std::uint32_t match_count,
     done.match_count = match_count;
     done.work_units = work_units;
     done.trace_id = req.trace_id;
-    if (req.trace_id != 0) {
-      done.parent_span = req.parent_span;
-      done.hops = req.hops;
-    }
     ctx_->send(config_.metrics_sink, Envelope::of(done));
   }
 }

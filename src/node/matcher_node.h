@@ -116,10 +116,17 @@ class MatcherNode final : public Node {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// A request waiting in a dimension queue, with its arrival time (feeds
+  /// matcher.queue_seconds and the segment's queue residency).
+  struct Queued {
+    MatchRequest req;
+    Timestamp enqueued_at = 0.0;
+  };
+
   struct DimSet {
     std::unique_ptr<SubscriptionIndex> index;
     std::unordered_set<SubscriptionId> ids;  ///< dedup guard
-    std::deque<MatchRequest> queue;
+    std::deque<Queued> queue;
     // Window counters for the load report (lambda / mu of the past w secs).
     std::uint64_t arrived_in_window = 0;
     std::uint64_t matched_in_window = 0;
@@ -194,7 +201,7 @@ class MatcherNode final : public Node {
   /// The probe itself is dispatched through NodeContext::offload — onto a
   /// real worker thread when the substrate granted a pool, inline (then
   /// charged) otherwise.
-  void service_batch(std::vector<MatchRequest> reqs);
+  void service_batch(std::vector<MatchRequest> reqs, Timestamp service_start);
   /// Write deferral on the pool path (DESIGN.md §10): offloaded probes
   /// read the live indexes, so a write waits in `held_` while any probe
   /// is in flight or an earlier write is waiting. Returns true when `env`

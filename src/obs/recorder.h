@@ -36,9 +36,13 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/trace.h"
 
 namespace bluedove::obs {
+
+/// Per-message trace id, assigned by the dispatcher to sampled publications
+/// and carried on the wire; 0 means "not traced". Recorder events with the
+/// same id form one message's causal chain across nodes.
+using TraceId = std::uint64_t;
 
 /// Event kinds stored in the ring. The numeric values are part of the dump
 /// ABI (trace_export and tools decode them), so only append.

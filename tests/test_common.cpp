@@ -142,90 +142,6 @@ TEST(OnlineStats, MergeWithEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// QuantileReservoir / Histogram / regression
-// ---------------------------------------------------------------------------
-
-TEST(QuantileReservoir, ExactWhenUnderCapacity) {
-  QuantileReservoir q(128);
-  for (int i = 1; i <= 100; ++i) q.add(i);
-  EXPECT_NEAR(q.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(q.quantile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(q.quantile(0.5), 50.5, 1.0);
-}
-
-TEST(QuantileReservoir, ApproximateWhenSampling) {
-  QuantileReservoir q(512);
-  Rng rng(3);
-  for (int i = 0; i < 100000; ++i) q.add(rng.uniform(0, 1000));
-  EXPECT_NEAR(q.quantile(0.5), 500.0, 60.0);
-  EXPECT_NEAR(q.quantile(0.9), 900.0, 60.0);
-  EXPECT_EQ(q.count(), 100000u);
-}
-
-TEST(QuantileReservoir, EmptyReturnsZero) {
-  QuantileReservoir q;
-  EXPECT_EQ(q.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bucket 0
-  h.add(9.5);    // bucket 9
-  h.add(-3.0);   // clamps to 0
-  h.add(42.0);   // clamps to 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);  // one sample per bucket
-  EXPECT_LE(h.quantile(0.0), 1.0);  // within the first occupied bucket
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 100.0, 1.0);
-  Histogram empty(0.0, 1.0, 4);
-  EXPECT_EQ(empty.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, MergeEqualsSequential) {
-  Histogram a(0.0, 10.0, 20);
-  Histogram b(0.0, 10.0, 20);
-  Histogram both(0.0, 10.0, 20);
-  for (int i = 0; i < 100; ++i) {
-    const double xa = (i % 10) + 0.1;
-    const double xb = (i % 7) + 0.4;
-    a.add(xa);
-    b.add(xb);
-    both.add(xa);
-    both.add(xb);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.total(), both.total());
-  for (std::size_t i = 0; i < a.bucket_count(); ++i) {
-    EXPECT_EQ(a.bucket(i), both.bucket(i)) << "bucket " << i;
-  }
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), both.quantile(0.5));
-}
-
-TEST(LinearRegression, RecoverSlope) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 * i + 7.0);
-  }
-  EXPECT_NEAR(linear_regression_slope(xs, ys), 3.0, 1e-9);
-}
-
-TEST(LinearRegression, FlatAndDegenerate) {
-  EXPECT_EQ(linear_regression_slope({1.0}, {5.0}), 0.0);
-  EXPECT_NEAR(linear_regression_slope({1, 2, 3}, {4, 4, 4}), 0.0, 1e-12);
-  EXPECT_EQ(linear_regression_slope({2, 2, 2}, {1, 2, 3}), 0.0);  // no x spread
-}
-
-// ---------------------------------------------------------------------------
 // serde
 // ---------------------------------------------------------------------------
 

@@ -233,26 +233,10 @@ TEST(Envelope, TracedMatchRequestRoundTrip) {
   MatchRequest req{sample_msg(), 2, 10.0};
   req.trace_id = 0xabcdef0123ull;
   req.parent_span = (77ull << 40) | 5;
-  req.hops.enqueued_at = 10.25;
-  req.hops.match_start = 10.5;
-  req.hops.match_end = 10.75;
   const auto back = round_trip(Envelope::of(req));
   const auto& got = std::get<MatchRequest>(back.payload);
   EXPECT_EQ(got.trace_id, req.trace_id);
   EXPECT_EQ(got.parent_span, req.parent_span);
-  EXPECT_DOUBLE_EQ(got.hops.enqueued_at, 10.25);
-  EXPECT_DOUBLE_EQ(got.hops.match_start, 10.5);
-  EXPECT_DOUBLE_EQ(got.hops.match_end, 10.75);
-
-  // Untraced requests must not pay for the trace block on the wire:
-  // trace_id 0 serializes as a single varint byte and the span context and
-  // hops are omitted. A traced request pays the hop stamps plus one varint
-  // byte for a zero parent span.
-  MatchRequest plain{sample_msg(), 2, 10.0};
-  MatchRequest traced = plain;
-  traced.trace_id = 1;
-  EXPECT_EQ(wire_size(Envelope::of(traced)),
-            wire_size(Envelope::of(plain)) + 3 * sizeof(double) + 1);
 }
 
 TEST(Envelope, TracedMatchCompletedRoundTrip) {
@@ -260,15 +244,29 @@ TEST(Envelope, TracedMatchCompletedRoundTrip) {
   m.msg_id = 5;
   m.matcher = 1001;
   m.trace_id = (1001ull << 40) | 7;
-  m.parent_span = (10ull << 40) | 3;
-  m.hops.enqueued_at = 1.0;
-  m.hops.match_start = 2.0;
-  m.hops.match_end = 3.0;
   const auto back = round_trip(Envelope::of(m));
-  const auto& got = std::get<MatchCompleted>(back.payload);
-  EXPECT_EQ(got.trace_id, m.trace_id);
-  EXPECT_EQ(got.parent_span, m.parent_span);
-  EXPECT_DOUBLE_EQ(got.hops.match_end, 3.0);
+  EXPECT_EQ(std::get<MatchCompleted>(back.payload).trace_id, m.trace_id);
+}
+
+TEST(Envelope, TraceBlockIsIdAndParentSpan) {
+  // The trace block is {trace_id, parent_span}, and only trace_id is
+  // written when it is 0: an untraced request pays one varint byte. With
+  // single-byte varints, a traced request pays one more byte (parent_span)
+  // and a traced completion, which carries only the id, pays nothing.
+  MatchRequest plain{sample_msg(), 2, 10.0};
+  MatchRequest traced = plain;
+  traced.trace_id = 1;
+  traced.parent_span = 2;
+  EXPECT_EQ(wire_size(Envelope::of(traced)),
+            wire_size(Envelope::of(plain)) + 1);
+
+  MatchCompleted done;
+  done.msg_id = 5;
+  done.matcher = 1001;
+  MatchCompleted traced_done = done;
+  traced_done.trace_id = 1;
+  EXPECT_EQ(wire_size(Envelope::of(traced_done)),
+            wire_size(Envelope::of(done)));
 }
 
 TEST(Envelope, TracedDeliveryRoundTrip) {

@@ -168,7 +168,6 @@ TEST(SpanContext, RoundTripsThroughSerializeParse) {
   MatchRequest req{std::move(msg), 1, 3.5};
   req.trace_id = (10ull << 40) | 123;
   req.parent_span = (10ull << 40) | 456;
-  req.hops.enqueued_at = 3.5;
   serde::Writer w;
   write_envelope(w, Envelope::of(req));
   serde::Reader r(w.bytes());
@@ -182,14 +181,12 @@ TEST(SpanContext, RoundTripsThroughSerializeParse) {
   done.msg_id = 11;
   done.matcher = 1000;
   done.trace_id = req.trace_id;
-  done.parent_span = req.parent_span;
   serde::Writer w2;
   write_envelope(w2, Envelope::of(done));
   serde::Reader r2(w2.bytes());
   const Envelope back2 = read_envelope(r2);
   ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(std::get<MatchCompleted>(back2.payload).parent_span,
-            req.parent_span);
+  EXPECT_EQ(std::get<MatchCompleted>(back2.payload).trace_id, req.trace_id);
 }
 
 TEST(SpanContext, UntracedRequestsCarryNoSpanBytes) {

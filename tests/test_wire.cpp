@@ -82,9 +82,7 @@ Envelope traced_match_request(MessageId id) {
   req.dim = 2;
   req.dispatched_at = 12.25;
   req.trace_id = 0xabcdef;
-  req.hops.enqueued_at = 1.125;
-  req.hops.match_start = 2.25;
-  req.hops.match_end = 4.5;
+  req.parent_span = 0x123456;
   return Envelope::of(std::move(req));
 }
 
@@ -118,7 +116,7 @@ TEST(WireFraming, SingleEnvelopeFrameMatchesLegacyBytesExactly) {
 TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
   // Assemble a 3-envelope frame the way the writer pool does: header +
   // bodies, then parse it back and compare each envelope's serialization
-  // byte for byte (the traced request carries hop timestamps, which must
+  // byte for byte (the traced request carries a trace block, which must
   // survive).
   const std::vector<Envelope> envs = {sample_publish(1),
                                       traced_match_request(2),
@@ -145,9 +143,7 @@ TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
   }
   const auto& req = std::get<MatchRequest>(parsed.envelopes[1].payload);
   EXPECT_EQ(req.trace_id, 0xabcdefu);
-  EXPECT_DOUBLE_EQ(req.hops.enqueued_at, 1.125);
-  EXPECT_DOUBLE_EQ(req.hops.match_start, 2.25);
-  EXPECT_DOUBLE_EQ(req.hops.match_end, 4.5);
+  EXPECT_EQ(req.parent_span, 0x123456u);
 }
 
 TEST(WireFraming, ParseRejectsTruncatedAndEmptyFrames) {

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "metrics/load_monitor.h"
-#include "metrics/loss_tracker.h"
 #include "metrics/response_tracker.h"
 #include "workload/distributions.h"
 #include "workload/generators.h"
@@ -237,57 +236,22 @@ TEST(WorkloadTrace, SortOrdersByTime) {
 // ---------------------------------------------------------------------------
 
 TEST(ResponseTracker, OverallAndQuantiles) {
-  ResponseTracker tracker(5.0);
-  for (int i = 1; i <= 100; ++i) tracker.add(i * 0.1, i * 0.001);
+  ResponseTracker tracker;
+  for (int i = 1; i <= 100; ++i) tracker.add(i * 0.001);
   EXPECT_EQ(tracker.count(), 100u);
   EXPECT_NEAR(tracker.overall().mean(), 0.0505, 1e-9);
   EXPECT_NEAR(tracker.quantile(0.5), 0.0505, 0.002);
 }
 
-TEST(ResponseTracker, SeriesBuckets) {
-  ResponseTracker tracker(5.0);
-  tracker.add(1.0, 0.010);
-  tracker.add(2.0, 0.020);
-  tracker.add(7.0, 0.100);
-  const auto& series = tracker.series();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0].start, 0.0);
-  EXPECT_NEAR(series[0].stats.mean(), 0.015, 1e-12);
-  EXPECT_DOUBLE_EQ(series[1].start, 5.0);
-  EXPECT_NEAR(series[1].stats.mean(), 0.100, 1e-12);
-}
-
 TEST(ResponseTracker, WindowResetsBetweenCalls) {
   ResponseTracker tracker;
-  tracker.add(0.1, 1.0);
-  tracker.add(0.2, 3.0);
+  tracker.add(1.0);
+  tracker.add(3.0);
   EXPECT_DOUBLE_EQ(tracker.window().mean(), 2.0);
-  tracker.add(0.3, 5.0);
+  tracker.add(5.0);
   EXPECT_DOUBLE_EQ(tracker.window().mean(), 5.0);
   EXPECT_EQ(tracker.window().count(), 0u);
   EXPECT_EQ(tracker.count(), 3u);  // overall unaffected
-}
-
-TEST(LossTracker, PerBucketLossRate) {
-  LossTracker tracker(5.0);
-  for (int i = 0; i < 100; ++i) tracker.on_published(1.0);
-  for (int i = 0; i < 95; ++i) tracker.on_completed(2.0);
-  for (int i = 0; i < 50; ++i) tracker.on_published(6.0);
-  for (int i = 0; i < 50; ++i) tracker.on_completed(7.0);
-  const auto& series = tracker.series();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_NEAR(series[0].loss_rate(), 0.05, 1e-12);
-  EXPECT_DOUBLE_EQ(series[1].loss_rate(), 0.0);
-  EXPECT_EQ(tracker.published_total(), 150u);
-  EXPECT_EQ(tracker.completed_total(), 145u);
-}
-
-TEST(LossTracker, MoreCompletionsThanPublishesIsNotNegative) {
-  LossTracker tracker(5.0);
-  tracker.on_published(1.0);
-  tracker.on_completed(1.5);
-  tracker.on_completed(1.6);  // drained backlog from an earlier bucket
-  EXPECT_DOUBLE_EQ(tracker.series()[0].loss_rate(), 0.0);
 }
 
 TEST(LoadMonitor, DifferentiatesBusySamples) {

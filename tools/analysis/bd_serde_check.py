@@ -21,8 +21,9 @@ Bodies canonicalize to op sequences:
   * primitives: w.u8/u16/u32/u64/f64/varint/str ↔ r.u8/.../str
   * w.blob(...) expands to [varint, bytes]; r.view(...) is [bytes] (so an
     explicit reader-side varint+view mirrors one writer-side blob)
-  * helper calls normalize to the pair key: write_hops/read_hops → hops,
-    write_payload(w, <expr of type T>) / read_<snake(T)> → payload:T
+  * helper calls normalize to the pair key: write_dim_load/read_dim_load
+    → dim_load, write_payload(w, <expr of type T>) / read_<snake(T)> →
+    payload:T
     (the expression's type is resolved from range-for loop variables and
     from struct field declarations parsed out of the headers)
   * `for (...) body` → ('loop', [body ops]) — the length varint that

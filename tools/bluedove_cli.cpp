@@ -2,7 +2,10 @@
 //
 // Subcommands:
 //   saturate   find the saturation message rate of a configuration
-//   run        steady-state run at a fixed rate; prints rt / load / loss
+//   run        steady-state run at a fixed rate; prints rt windows, the
+//              CPU-load summary and the per-stage latency rows
+//              (sink.response_seconds, matcher.queue_seconds,
+//              matcher.match_seconds)
 //   crash      fault-injection run (kill matchers periodically)
 //   scale      elasticity run (auto-scaler on, rising rate)
 //   stats      scrape a live bluedove_noded over TCP and print its metrics
@@ -38,12 +41,10 @@
 //                                      and vector paths produce identical
 //                                      results — DESIGN.md §12)
 //
-// Pipeline tracing (run): --trace-sample=R samples a fraction R of the
-// publications and prints the per-stage latency breakdown (dispatch /
-// queue / match / deliver) at the end; --stats-json=PATH additionally
-// writes the merged cluster metrics snapshot as JSON. --digest hashes the
-// sim's delivered event stream and prints determinism_digest=0x... at the
-// end (tools/determinism_check.sh compares two same-seed runs).
+// run output: --stats-json=PATH additionally writes the merged cluster
+// metrics snapshot as JSON. --digest hashes the sim's delivered event
+// stream and prints determinism_digest=0x... at the end
+// (tools/determinism_check.sh compares two same-seed runs).
 //
 // stats options:
 //   --peer=host:port   the noded to scrape (required)
@@ -85,7 +86,6 @@
 // Examples:
 //   bluedove_cli saturate --system=p2p --matchers=10
 //   bluedove_cli run --rate=20000 --duration=60
-//   bluedove_cli run --rate=5000 --duration=30 --trace-sample=0.1
 //   bluedove_cli crash --rate=10000 --kill-every=60 --kills=4
 //   bluedove_cli scale --step=500 --step-secs=30 --steps=12
 //   bluedove_cli stats --peer=127.0.0.1:8000
@@ -169,6 +169,20 @@ ExperimentConfig config_from(const CliArgs& args) {
   return cfg;
 }
 
+/// The histogram table `stats` and `run` print: one row per histogram,
+/// count then p50/p95/p99/mean in milliseconds.
+void print_histogram_header() {
+  std::printf("histograms (ms):%37s %10s %10s %10s %10s\n", "count", "p50",
+              "p95", "p99", "mean");
+}
+
+void print_histogram_row(const std::string& name,
+                         const obs::HistogramSnapshot& h) {
+  std::printf("  %-40s %10llu %10.3f %10.3f %10.3f %10.3f\n", name.c_str(),
+              (unsigned long long)h.count, h.quantile(0.50) * 1e3,
+              h.quantile(0.95) * 1e3, h.quantile(0.99) * 1e3, h.mean() * 1e3);
+}
+
 void print_window(Deployment& dep, Timestamp t0) {
   const OnlineStats w = dep.responses().window();
   std::size_t alive = 0;
@@ -201,8 +215,6 @@ int cmd_saturate(const CliArgs& args) {
 
 int cmd_run(const CliArgs& args) {
   ExperimentConfig cfg = config_from(args);
-  cfg.trace_sample_rate = args.get_double("trace-sample", 0.0);
-  if (cfg.trace_sample_rate > 0.0) cfg.full_matching = true;
   cfg.sim.digest = args.get_bool("digest", false);
   const double rate = args.get_double("rate", 10000.0);
   const double duration = args.get_double("duration", 60.0);
@@ -221,14 +233,17 @@ int cmd_run(const CliArgs& args) {
   const OnlineStats loads = dep.loads().distribution(dep.matcher_ids());
   std::printf("\nCPU load: mean=%.1f%% normalized stdev=%.2f\n",
               100.0 * loads.mean(), loads.normalized_stdev());
-  if (cfg.trace_sample_rate > 0.0) {
-    std::printf("\npipeline breakdown (%llu traced):\n%s",
-                (unsigned long long)dep.breakdown().traced(),
-                dep.breakdown().format().c_str());
+  const obs::MetricsSnapshot snap = dep.cluster_snapshot();
+  std::printf("\n");
+  print_histogram_header();
+  for (const char* name : {"sink.response_seconds", "matcher.queue_seconds",
+                           "matcher.match_seconds"}) {
+    const auto it = snap.histograms.find(name);
+    if (it != snap.histograms.end()) print_histogram_row(name, it->second);
   }
   const std::string stats_path = args.get("stats-json", "");
   if (!stats_path.empty()) {
-    if (obs::write_json_file(stats_path, dep.cluster_snapshot())) {
+    if (obs::write_json_file(stats_path, snap)) {
       std::printf("cluster metrics snapshot written to %s\n",
                   stats_path.c_str());
     } else {
@@ -388,16 +403,8 @@ int cmd_stats(const CliArgs& args) {
   for (const auto& [name, v] : snap.gauges) {
     std::printf("  %-40s %.6g\n", name.c_str(), v);
   }
-  if (!snap.histograms.empty()) {
-    std::printf("histograms (ms):%28s %10s %10s %10s %10s\n", "count", "p50",
-                "p95", "p99", "mean");
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    std::printf("  %-40s %10llu %10.3f %10.3f %10.3f %10.3f\n", name.c_str(),
-                (unsigned long long)h.count, h.quantile(0.50) * 1e3,
-                h.quantile(0.95) * 1e3, h.quantile(0.99) * 1e3,
-                h.mean() * 1e3);
-  }
+  if (!snap.histograms.empty()) print_histogram_header();
+  for (const auto& [name, h] : snap.histograms) print_histogram_row(name, h);
   return 0;
 }
 
