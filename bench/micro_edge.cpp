@@ -333,6 +333,8 @@ int main(int argc, char** argv) {
   snap.gauges["edge.resume_sessions_lost"] =
       static_cast<double>(swarm.sessions_lost());
   snap.gauges["edge.payload_copies"] = static_cast<double>(copies);
+  snap.gauges["edge.hardware_concurrency"] =
+      static_cast<double>(std::thread::hardware_concurrency());
   snap.histograms["edge.delivery_latency"] = lat;
   snap.merge(fe.metrics().snapshot());
   benchutil::write_bench_json("edge", snap);

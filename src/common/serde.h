@@ -1,11 +1,12 @@
 #pragma once
 // Minimal binary serialization.
 //
-// The cluster is in-process, so serialization is not needed for transport
-// correctness; it exists so the overhead experiments can account for the
-// bytes each protocol message would occupy on the wire (the paper reports
-// gossip traffic of ~2.9 KB/s per matcher, 60N-byte segment-table pulls and
-// 64-byte load updates), and so state handover is testable as a byte stream.
+// Every envelope the TCP transport and the edge put on a socket is encoded
+// here (net/protocol.h, net/wire.h). The simulator never serializes for
+// transport, but it uses the same encoding to account the bytes each
+// protocol message would occupy on the wire (the paper reports gossip
+// traffic of ~2.9 KB/s per matcher, 60N-byte segment-table pulls and
+// 64-byte load updates).
 //
 // Encoding: little-endian fixed-width integers/doubles, varint for sizes.
 
@@ -82,6 +83,12 @@ class Writer {
     if (n != 0) raw(p, n);
   }
 
+  /// Raw bytes with no length prefix (the caller writes the count); the
+  /// Reader's view() is the mirror read.
+  void bytes(const void* p, std::size_t n) {
+    if (n != 0) raw(p, n);
+  }
+
   template <typename T, typename Fn>
   void seq(const std::vector<T>& items, Fn&& write_one) {
     varint(items.size());
@@ -108,6 +115,9 @@ class Reader {
 
   bool ok() const { return ok_; }
   bool at_end() const { return pos_ == size_; }
+  /// Bytes not yet read; a count read from the wire is checked against it
+  /// before it sizes anything.
+  std::size_t remaining() const { return size_ - pos_; }
   /// Marks the stream bad for a value no reader accepts (an unknown tag).
   void fail() { ok_ = false; }
 

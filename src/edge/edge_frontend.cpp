@@ -259,7 +259,7 @@ void EdgeFrontend::deliver(const Delivery& d) {
   {
     bd::LockGuard lk(r.pending_mu);
     if (r.closed) return;
-    // The payload is a refcount bump, not a byte copy.
+    // The values and payload are refcount bumps, not byte copies.
     r.pending.push_back({d, at});
     if (r.pending.size() > 1) return;  // a drain is already on its way
   }
@@ -547,8 +547,8 @@ void EdgeFrontend::deliver_on_shard(Shard& r, Delivery&& d,
   }
   Session& s = *it->second;
   // The delivery moves into the event, the event is serialized where it
-  // lies and then moves into the replay ring: no copy of `values`, and the
-  // payload stays one view of the matcher frame.
+  // lies and then moves into the replay ring: the values and the payload
+  // stay views of the matcher frame.
   Envelope env = Envelope::of(EdgeEvent{s.next_seq++, std::move(d)});
   EdgeEvent& ev = std::get<EdgeEvent>(env.payload);
   auto g = s.global_to_client.find(ev.delivery.sub_id);

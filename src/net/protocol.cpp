@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <bit>
 #include <iterator>
 #include <type_traits>
 
@@ -11,7 +13,8 @@ namespace {
 // table is the only place that maps a type to its tag. A tag is never
 // reused: 22 named an application-level batch of MatchRequests, which the
 // transport's per-pass frames replaced, so a frame that carries it is
-// malformed.
+// malformed. Tag 29 is reserved for continuation records, which are not a
+// payload type (kContinuationTag in the header).
 struct PayloadInfo {
   std::uint8_t tag;
   const char* name;
@@ -32,6 +35,10 @@ constexpr PayloadInfo kPayloads[] = {
     {25, "EdgeHello"},         {26, "EdgeWelcome"},
     {27, "EdgeAck"},           {28, "EdgeEvent"}};
 static_assert(std::size(kPayloads) == std::variant_size_v<Payload>);
+static_assert(std::none_of(std::begin(kPayloads), std::end(kPayloads),
+                           [](const PayloadInfo& p) {
+                             return p.tag == kContinuationTag;
+                           }));
 
 template <typename T, typename... Ts>
 constexpr std::size_t variant_index(std::variant<Ts...>*) {
@@ -125,8 +132,7 @@ void write_payload(serde::Writer& w, const Delivery& m) {
   w.u64(m.sub_id);
   w.u64(m.subscriber);
   w.f64(m.dispatched_at);
-  w.varint(m.values.size());
-  for (Value v : m.values) w.f64(v);
+  write_values_ref(w, m.values);
   write_payload_ref(w, m.payload);
   w.varint(m.trace_id);
 }
@@ -136,9 +142,22 @@ Delivery read_delivery(serde::Reader& r) {
   m.sub_id = r.u64();
   m.subscriber = r.u64();
   m.dispatched_at = r.f64();
-  m.values = r.seq<Value>([](serde::Reader& in) { return in.f64(); });
+  m.values = read_values_ref(r);
   m.payload = read_payload_ref(r);
   m.trace_id = r.varint();
+  return m;
+}
+
+// A continuation record's fields after its tag: the hit alone. The body
+// comes from the Delivery before it (parse_continuation).
+void write_continuation(serde::Writer& w, const Delivery& m) {
+  w.varint(m.sub_id);
+  w.varint(m.subscriber);
+}
+Delivery read_continuation(serde::Reader& r) {
+  Delivery m;
+  m.sub_id = r.varint();
+  m.subscriber = r.varint();
   return m;
 }
 
@@ -421,6 +440,29 @@ Envelope read_envelope(serde::Reader& r) {
       r.fail();
       return {};
   }
+}
+
+bool same_body(const Delivery& prev, const Delivery& next) {
+  return prev.msg_id == next.msg_id && prev.trace_id == next.trace_id &&
+         std::bit_cast<std::uint64_t>(prev.dispatched_at) ==
+             std::bit_cast<std::uint64_t>(next.dispatched_at) &&
+         prev.values.bytes() == next.values.bytes() &&
+         prev.values.size() == next.values.size() &&
+         prev.payload.data() == next.payload.data() &&
+         prev.payload.size() == next.payload.size();
+}
+
+void append_continuation(serde::Writer& w, const Delivery& d) {
+  w.u8(kContinuationTag);
+  write_continuation(w, d);
+}
+
+Delivery parse_continuation(serde::Reader& r, const Delivery& body) {
+  const Delivery hit = read_continuation(r);
+  Delivery d = body;  // shares the body's values and payload blocks
+  d.sub_id = hit.sub_id;
+  d.subscriber = hit.subscriber;
+  return d;
 }
 
 std::size_t wire_size(const Envelope& env) {

@@ -3,10 +3,13 @@
 //
 // Every inter-node interaction in the system — client traffic, dispatch,
 // matching, gossip, load reporting, elasticity handover — is one of these
-// message structs carried in an Envelope. The transports move Envelopes
-// by value (the cluster is in-process); wire_size() reports what each
-// message would cost on a real network so the overhead experiments can
-// account bytes the way the paper does.
+// message structs carried in an Envelope. The simulator and the in-process
+// thread cluster move Envelopes by value; TcpHost and the edge serialize
+// them into frames (net/wire.h, net/reactor.h). wire_size() is the size of
+// one envelope encoded on its own: what the simulator accounts per send,
+// the way the paper accounts bytes. It is not what TcpHost sends, because
+// a frame may encode a Delivery as a continuation of the one before it
+// (kContinuationTag below).
 
 #include <cstdint>
 #include <memory>
@@ -88,13 +91,15 @@ struct MatchAck {
 // fan-out) lives in attr/payload.h now — Message carries one too, so the
 // whole pipeline from ClientPublish to Delivery shares a single block.
 
-/// Notification of one matching subscription (full-matching mode).
+/// Notification of one matching subscription (full-matching mode). Every
+/// field but (sub_id, subscriber) is the message's body, the same for every
+/// Delivery of one matched message; values and payload are shared blocks.
 struct Delivery {
   MessageId msg_id = 0;
   SubscriptionId sub_id = 0;
   SubscriberId subscriber = 0;
   Timestamp dispatched_at = 0.0;
-  std::vector<Value> values;  ///< the message's attribute coordinates
+  ValuesRef values;           ///< the message's coordinates, shared
   PayloadRef payload;         ///< shared across the fan-out, not copied
   obs::TraceId trace_id = 0;  ///< non-zero when the message was sampled
 };
@@ -292,9 +297,31 @@ std::size_t wire_size(const Envelope& env);
 std::uint8_t wire_tag(const Envelope& env);
 
 /// Serializes / parses an envelope; round-trips for every payload type. A
-/// tag that names no payload type (a retired one included) marks `r` bad.
+/// tag that names no payload type (a retired one, or the continuation tag
+/// below) marks `r` bad.
 void write_envelope(serde::Writer& w, const Envelope& env);
 Envelope read_envelope(serde::Reader& r);
+
+/// Run encoding inside a frame (net/wire.h). The reserved tag 29 marks a
+/// continuation record: varint sub_id, varint subscriber. It stands for a
+/// Delivery whose body is that of the Delivery just before it in the same
+/// frame, and it parses into one that shares that Delivery's values and
+/// payload blocks. A continuation anywhere else (first in a frame, after
+/// any other type, or read standalone) is malformed.
+inline constexpr std::uint8_t kContinuationTag = 29;
+
+/// True when `next` has `prev`'s body: the same msg_id, dispatched_at and
+/// trace_id, and the very same values and payload blocks. Block identity
+/// is exact only while something holds `prev`'s refs, so a writer keeps
+/// `prev` until its frame closes.
+bool same_body(const Delivery& prev, const Delivery& next);
+
+/// Appends `d` as a continuation record (tag included); valid only right
+/// after a Delivery with the same body in the same frame.
+void append_continuation(serde::Writer& w, const Delivery& d);
+/// Parses a continuation record's fields (its tag already consumed) into a
+/// Delivery with `body`'s body and blocks.
+Delivery parse_continuation(serde::Reader& r, const Delivery& body);
 
 const char* payload_name(const Envelope& env);
 

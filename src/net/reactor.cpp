@@ -359,7 +359,17 @@ int FrameWriter::append(const Envelope& env, int batch) {
     w_.u32(sender_);
     open_envs_ = 0;
   }
-  write_envelope(w_, env);
+  const auto* d = std::get_if<Delivery>(&env.payload);
+  if (d != nullptr && run_.has_value() && same_body(*run_, *d)) {
+    append_continuation(w_, *d);
+  } else {
+    write_envelope(w_, env);
+    if (d != nullptr) {
+      run_ = *d;
+    } else {
+      run_.reset();
+    }
+  }
   ++queued_;
   return ++open_envs_ >= batch ? close_frame() : 0;
 }
@@ -373,6 +383,7 @@ int FrameWriter::close_frame() {
   const int envs = open_envs_;
   open_ = kNone;
   open_envs_ = 0;
+  run_.reset();
   return envs;
 }
 

@@ -35,6 +35,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -231,7 +232,10 @@ class FrameWriter {
 
   /// Serializes `env` into the open frame, opening one when none is, and
   /// closes the frame once it holds `batch` envelopes. Returns the
-  /// envelope count of the frame this call closed, else 0.
+  /// envelope count of the frame this call closed, else 0. A Delivery with
+  /// the body of the Delivery just before it in the open frame is written
+  /// as a continuation record (net/protocol.h); it still counts as one
+  /// envelope.
   int append(const Envelope& env, int batch);
   /// Patches the open frame's length prefix; returns its envelope count
   /// (0 when no frame was open).
@@ -265,6 +269,10 @@ class FrameWriter {
   std::size_t queued_ = 0;
   std::uint32_t last_frame_bytes_ = 0;
   std::deque<Mark> closed_;      ///< closed frames not fully written
+  /// The open frame's last envelope when it is a Delivery: the body a next
+  /// Delivery may continue. Holding its blocks until the frame closes keeps
+  /// block identity exact (a freed block's address could be reused).
+  std::optional<Delivery> run_;
 };
 
 }  // namespace bluedove::net

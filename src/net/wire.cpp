@@ -36,7 +36,23 @@ ParsedFrame parse_frame(const std::uint8_t* body, std::size_t len,
   if (owner != nullptr) r.set_owner(std::move(owner));
   out.from = r.u32();
   while (r.ok() && !r.at_end()) {
-    out.envelopes.push_back(read_envelope(r));
+    if (body[len - r.remaining()] != kContinuationTag) {
+      out.envelopes.push_back(read_envelope(r));
+      continue;
+    }
+    // A continuation record continues the Delivery just before it, and
+    // nothing else.
+    const Delivery* prev = out.envelopes.empty()
+                               ? nullptr
+                               : std::get_if<Delivery>(
+                                     &out.envelopes.back().payload);
+    if (prev == nullptr) {
+      r.fail();
+      break;
+    }
+    r.u8();
+    Delivery d = parse_continuation(r, *prev);
+    out.envelopes.push_back(Envelope::of(std::move(d)));
   }
   out.ok = r.ok() && !out.envelopes.empty();
   out.payload_copies = r.copies();

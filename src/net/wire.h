@@ -10,7 +10,10 @@
 // receiver parses envelopes until the frame is exhausted. A single-envelope
 // frame is byte-identical to the historical one-message-per-frame format,
 // so batching peers interoperate with non-batching peers in both
-// directions.
+// directions. Inside a frame, a Delivery with the body of the Delivery
+// before it may be a continuation record (net/protocol.h): one body per
+// matched message, plus a few bytes per hit. Hosts that predate the
+// record reject such frames.
 //
 // These helpers serialize each envelope exactly once, directly into the
 // caller's (reusable) Writer buffer — the 4-byte length prefix is reserved
@@ -46,7 +49,9 @@ void fill_header(std::uint8_t out[8], std::uint32_t body_bytes,
 std::uint32_t read_frame_len(const std::uint8_t bytes[4]);
 
 /// Parses a frame body (everything after the length prefix): the sender id
-/// followed by one or more envelopes.
+/// followed by one or more envelopes. A continuation record becomes a
+/// Delivery that shares the blocks of the Delivery before it; anywhere
+/// else it fails the frame.
 ///
 /// When `owner` is supplied (the transport passes the refcounted frame
 /// buffer `body` points into), payload fields parse as zero-copy views

@@ -506,17 +506,18 @@ void MatcherNode::complete_batch(ServiceJob& job) {
     if (deliver && match_count != 0) {
       done_set.segload_deliveries->inc(match_count);
       // Zero-copy fan-out: every Delivery shares the request's payload
-      // block (producer string or inbound frame buffer) by refcount.
-      const PayloadRef payload(std::move(req.msg.payload));
+      // block (producer string or inbound frame buffer) and one values
+      // block by refcount, so the frame writer sends the body once.
+      Delivery body;
+      body.msg_id = req.msg.id;
+      body.dispatched_at = req.dispatched_at;
+      body.values = ValuesRef(std::move(req.msg.values));
+      body.payload = std::move(req.msg.payload);
+      body.trace_id = req.trace_id;
       auto send_one = [&](const MatchHit& hit) {
-        Delivery d;
-        d.msg_id = req.msg.id;
+        Delivery d = body;
         d.sub_id = hit.id;
         d.subscriber = hit.subscriber;
-        d.dispatched_at = req.dispatched_at;
-        d.values = req.msg.values;
-        d.payload = payload;
-        d.trace_id = req.trace_id;
         m_deliveries_->inc();
         ctx_->send(config_.delivery_sink, Envelope::of(std::move(d)));
       };

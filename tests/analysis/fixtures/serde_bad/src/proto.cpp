@@ -1,9 +1,11 @@
-// Golden fixture: three seeded serde asymmetries bd_serde_check must report:
+// Golden fixture: seeded serde asymmetries bd_serde_check must report:
 //   1. Ping: reader decodes m.seq as u32, writer encoded u64.
 //   2. Report: writer guards the trace block with `trace_id != 0`, reader
 //      reads it unconditionally.
 //   3. write_extra has no read_extra (orphan writer).
 //   4. Batch: writer loops f64 values, the reader's bounded seq reads u32.
+//   5. Block: writer emits raw bytes with no count, the reader reads a
+//      count varint before its view.
 #include "proto.h"
 
 namespace demo {
@@ -58,6 +60,16 @@ Range read_span(serde::Reader& r) {
   x.lo = r.f64();
   x.hi = r.f64();
   return x;
+}
+
+void write_block(serde::Writer& w, const Block& b) {
+  w.bytes(b.data, b.count * 8);
+}
+Block read_block(serde::Reader& r) {
+  Block b;
+  b.count = r.varint();
+  b.data = r.view(b.count * 8);
+  return b;
 }
 
 Envelope read_envelope(serde::Reader& r) {

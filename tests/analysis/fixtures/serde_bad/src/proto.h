@@ -29,6 +29,11 @@ struct Batch {
   Samples* ranges;
 };
 
+struct Block {
+  unsigned long count = 0;
+  const unsigned char* data = nullptr;
+};
+
 struct Envelope {
   template <typename T>
   static Envelope of(T);

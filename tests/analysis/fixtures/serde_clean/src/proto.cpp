@@ -2,7 +2,8 @@
 // trace conditional mirrored on both sides, a reader for every writer, a
 // loop whose length varint precedes it on both sides, and reader-side
 // bounded seqs (a lambda and a helper) that mirror a writer-side varint +
-// loop. bd_serde_check must pass.
+// loop, and a counted raw block (varint + bytes) read back as a view.
+// bd_serde_check must pass.
 #include "proto.h"
 
 namespace demo {
@@ -61,6 +62,17 @@ Range read_span(serde::Reader& r) {
   x.lo = r.f64();
   x.hi = r.f64();
   return x;
+}
+
+void write_block(serde::Writer& w, const Block& b) {
+  w.varint(b.count);
+  w.bytes(b.data, b.count * 8);
+}
+Block read_block(serde::Reader& r) {
+  Block b;
+  b.count = r.varint();
+  b.data = r.view(b.count * 8);
+  return b;
 }
 
 Envelope read_envelope(serde::Reader& r) {

@@ -90,6 +90,11 @@ def main():
         out,
     )
     check(
+        "serde_bad reports Block raw-bytes count asymmetry",
+        "pair 'block'" in out,
+        out,
+    )
+    check(
         "serde_bad reports orphan write_extra",
         "write_extra" in out,
         out,

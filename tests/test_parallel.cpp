@@ -533,7 +533,10 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
   }
   ASSERT_TRUE(eventually(
       [&] { return sink_state->completed() >= kRequests; }, 60.0))
-      << "completed " << sink_state->completed() << "/" << kRequests;
+      << "completed " << sink_state->completed() << "/" << kRequests
+      << ", dropped " << cluster.dropped_messages();
+  // A message the sink's inbox dropped is a drop, not a wrong match set.
+  ASSERT_EQ(cluster.dropped_messages(), 0u);
 
   // Differential: delivered set == brute force over the stable population.
   for (int i = 0; i < kRequests; ++i) {
@@ -569,7 +572,9 @@ TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
   }
   EXPECT_TRUE(eventually(
       [&] { return sink_state->completed() >= kRequests + kWave2; }, 60.0))
-      << "completed " << sink_state->completed();
+      << "completed " << sink_state->completed() << ", dropped "
+      << cluster.dropped_messages();
+  EXPECT_EQ(cluster.dropped_messages(), 0u);
 
   cluster.shutdown();
 }
@@ -747,7 +752,10 @@ TEST_P(OrderingDifferential, EachRequestSeesExactlyTheWritesBeforeIt) {
   const int total = static_cast<int>(injected);
   ASSERT_TRUE(eventually(
       [&] { return sink_state->completed() >= total; }, 60.0))
-      << "completed " << sink_state->completed() << "/" << total;
+      << "completed " << sink_state->completed() << "/" << total
+      << ", dropped " << cluster.dropped_messages();
+  // A message the sink's inbox dropped is a drop, not a wrong match set.
+  ASSERT_EQ(cluster.dropped_messages(), 0u);
   for (const auto& [msg_id, want] : expected) {
     EXPECT_EQ(sink_state->delivered(msg_id), want) << "msg " << msg_id;
   }

@@ -403,6 +403,33 @@ TEST(UntrustedCounts, DeliveryValues) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(UntrustedCounts, DeliveryValuesCountThatWrapsItsByteSize) {
+  // 2^61 + 1 values are 8 bytes modulo 2^64: a count multiplied before it
+  // is bounded would accept the 8 bytes that follow as the whole block.
+  serde::Writer w;
+  w.u8(wire_tag(Envelope::of(Delivery{})));
+  w.u64(1);    // msg_id
+  w.u64(2);    // sub_id
+  w.u64(3);    // subscriber
+  w.f64(4.0);  // dispatched_at
+  w.varint((std::uint64_t{1} << 61) + 1);
+  w.f64(5.0);
+  w.varint(0);  // payload
+  w.varint(0);  // trace_id
+  serde::Reader r(w.bytes());
+  EXPECT_NO_THROW((void)read_envelope(r));
+  EXPECT_FALSE(r.ok());
+
+  // The same bytes as a frame parsed with an owner, as TcpHost parses.
+  auto body = std::make_shared<std::vector<std::uint8_t>>(
+      std::vector<std::uint8_t>{1, 0, 0, 0});
+  body->insert(body->end(), w.bytes().begin(), w.bytes().end());
+  net::wire::ParsedFrame frame;
+  EXPECT_NO_THROW(frame =
+                      net::wire::parse_frame(body->data(), body->size(), body));
+  EXPECT_FALSE(frame.ok);
+}
+
 TEST(UntrustedCounts, MatcherStateSegments) {
   serde::Writer w;
   w.u32(1);  // id
@@ -427,6 +454,50 @@ TEST(UntrustedCounts, ClientPublishFrameFailsToParse) {
   net::wire::ParsedFrame frame;
   EXPECT_NO_THROW(frame = net::wire::parse_frame(w.data(), w.size()));
   EXPECT_FALSE(frame.ok);
+}
+
+// ---------------------------------------------------------------------------
+// ValuesRef: a Delivery's values are a shared view, like its payload
+// ---------------------------------------------------------------------------
+
+TEST(ValuesRef, ReadWithOwnerIsAViewAndWithoutOneACountedCopy) {
+  serde::Writer w;
+  write_values_ref(w, ValuesRef({1.0, -2.5, 1e300}));
+  // Byte-identical to the vector encoding it replaced.
+  serde::Writer legacy;
+  legacy.varint(3);
+  for (const Value v : {1.0, -2.5, 1e300}) legacy.f64(v);
+  EXPECT_EQ(w.bytes(), legacy.bytes());
+
+  auto buf = std::make_shared<std::vector<std::uint8_t>>(w.bytes());
+  serde::Reader viewed(*buf);
+  viewed.set_owner(buf);
+  const ValuesRef view = read_values_ref(viewed);
+  ASSERT_TRUE(viewed.ok());
+  EXPECT_EQ(viewed.copies(), 0u);
+  EXPECT_EQ(view, ValuesRef({1.0, -2.5, 1e300}));
+  EXPECT_EQ(view.bytes(), buf->data() + 1);  // just past the count
+  EXPECT_EQ(buf.use_count(), 3);  // buf, the reader's owner, the view
+
+  serde::Reader copied(w.bytes());
+  const ValuesRef copy = read_values_ref(copied);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(copied.copies(), 1u);
+  EXPECT_EQ(copied.copy_bytes(), 3 * sizeof(Value));
+  EXPECT_EQ(copy, view);
+  EXPECT_EQ(copy[2], 1e300);
+  EXPECT_EQ(copy.owner().use_count(), 1);
+}
+
+TEST(ValuesRef, CopiesShareOneBlock) {
+  const ValuesRef a(std::vector<Value>{3.0, 4.0});
+  const ValuesRef b = a;
+  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_EQ(a.owner().use_count(), 2);
+  EXPECT_EQ(b[1], 4.0);
+  EXPECT_EQ(ValuesRef{}.size(), 0u);
+  EXPECT_EQ(ValuesRef{}.bytes(), nullptr);
+  EXPECT_EQ(ValuesRef(std::vector<Value>{}), ValuesRef{});
 }
 
 // ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <set>
 #include <thread>
 
 #include "common/thread_safety.h"
@@ -577,6 +579,222 @@ TEST(ReadFrame, OneShotReadsLeaveTheNextFrameInTheSocket) {
   EXPECT_EQ(first.payload_copies + second.payload_copies, 0u);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Run encoding: a matched message's Deliveries are one body plus per-hit
+// continuation records
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kHitRecordBytes = 3;  ///< tag + two 1-byte varints
+
+/// `n` Deliveries of message `id` as the matcher fans them out: one values
+/// block and one payload shared by every hit; hit i is (sub i + 1,
+/// subscriber 10 + i).
+std::vector<Delivery> deliveries_of(MessageId id, int n) {
+  Delivery body;
+  body.msg_id = id;
+  body.dispatched_at = 3.25;
+  body.values = ValuesRef({1.5, 2.5, static_cast<Value>(id)});
+  body.payload = std::string(128, static_cast<char>('a' + id % 26));
+  std::vector<Delivery> out;
+  for (int i = 0; i < n; ++i) {
+    Delivery d = body;
+    d.sub_id = static_cast<SubscriptionId>(i + 1);
+    d.subscriber = static_cast<SubscriberId>(10 + i);
+    out.push_back(d);
+  }
+  return out;
+}
+
+std::vector<Envelope> envelopes_of(const std::vector<Delivery>& ds) {
+  std::vector<Envelope> out;
+  for (const Delivery& d : ds) out.push_back(Envelope::of(d));
+  return out;
+}
+
+/// Appends `envs` to a FrameWriter at `batch`, closes the open frame, and
+/// returns each frame's body (the bytes after its length prefix).
+std::vector<std::vector<std::uint8_t>> written_frames(
+    const std::vector<Envelope>& envs, int batch) {
+  net::FrameWriter writer(5);
+  for (const Envelope& env : envs) writer.append(env, batch);
+  writer.close_frame();
+  SocketPair sp;
+  net::FrameWriter::Sent sent;
+  EXPECT_EQ(writer.flush(sp.tx, &sent), net::FrameWriter::Flush::kDone);
+  EXPECT_EQ(sent.envelopes, envs.size());
+  std::vector<std::uint8_t> stream(sent.bytes);
+  EXPECT_TRUE(net::wire::read_all(sp.rx, stream.data(), stream.size()));
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t at = 0; at + 4 <= stream.size();) {
+    const std::uint32_t len = net::wire::read_frame_len(stream.data() + at);
+    frames.emplace_back(stream.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                        stream.begin() +
+                            static_cast<std::ptrdiff_t>(at + 4 + len));
+    at += 4 + len;
+  }
+  return frames;
+}
+
+/// The tag byte of each record in a frame body, in order. Walks the bytes
+/// itself, so it does not lean on parse_frame's run handling.
+std::vector<std::uint8_t> record_tags(const std::vector<std::uint8_t>& body) {
+  serde::Reader r(body);
+  r.u32();  // sender
+  std::vector<std::uint8_t> tags;
+  while (r.ok() && !r.at_end()) {
+    const std::uint8_t tag = body[body.size() - r.remaining()];
+    tags.push_back(tag);
+    if (tag == kContinuationTag) {
+      r.u8();
+      r.varint();
+      r.varint();
+    } else {
+      (void)read_envelope(r);
+    }
+  }
+  EXPECT_TRUE(r.ok());
+  return tags;
+}
+
+TEST(WireRuns, FortyDeliveriesOfOneMessageAreOneBodyAndThirtyNineHits) {
+  const std::vector<Envelope> envs = envelopes_of(deliveries_of(7, 40));
+  const auto frames = written_frames(envs, 64);
+  ASSERT_EQ(frames.size(), 1u);
+  const std::vector<std::uint8_t> tags = record_tags(frames[0]);
+  ASSERT_EQ(tags.size(), 40u);
+  EXPECT_EQ(tags[0], wire_tag(envs[0]));
+  EXPECT_EQ(std::count(tags.begin() + 1, tags.end(), kContinuationTag), 39);
+  EXPECT_EQ(frames[0].size(), net::wire::kFrameOverhead + wire_size(envs[0]) +
+                                  39 * kHitRecordBytes);
+
+  // Parsed the way TcpHost parses, with the frame buffer as owner: 40
+  // Deliveries equal to the originals, all viewing the frame's one body.
+  auto buf = std::make_shared<std::vector<std::uint8_t>>(frames[0]);
+  net::wire::ParsedFrame parsed =
+      net::wire::parse_frame(buf->data(), buf->size(), buf);
+  ASSERT_TRUE(parsed.ok);
+  EXPECT_EQ(parsed.from, 5u);
+  EXPECT_EQ(parsed.payload_copies, 0u);
+  ASSERT_EQ(parsed.envelopes.size(), 40u);
+  const auto& first = std::get<Delivery>(parsed.envelopes[0].payload);
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    EXPECT_EQ(serialize(parsed.envelopes[i]), serialize(envs[i]))
+        << "delivery " << i;
+    const auto& d = std::get<Delivery>(parsed.envelopes[i].payload);
+    EXPECT_EQ(d.values.bytes(), first.values.bytes()) << "delivery " << i;
+    EXPECT_EQ(d.payload.data(), first.payload.data()) << "delivery " << i;
+  }
+  EXPECT_GE(first.values.bytes(), buf->data());
+  EXPECT_LT(first.values.bytes(), buf->data() + buf->size());
+  EXPECT_EQ(buf.use_count(), 1 + 2 * 40);  // a values and a payload view each
+}
+
+TEST(WireRuns, RunParsedWithoutOwnerCopiesItsBodyOnce) {
+  const std::vector<Envelope> envs = envelopes_of(deliveries_of(8, 40));
+  const auto frames = written_frames(envs, 64);
+  ASSERT_EQ(frames.size(), 1u);
+  const net::wire::ParsedFrame parsed =
+      net::wire::parse_frame(frames[0].data(), frames[0].size());
+  ASSERT_TRUE(parsed.ok);
+  ASSERT_EQ(parsed.envelopes.size(), 40u);
+  // One values copy and one payload copy, both counted; every hit shares
+  // them.
+  EXPECT_EQ(parsed.payload_copies, 2u);
+  EXPECT_EQ(parsed.payload_bytes_copied, 3 * sizeof(Value) + 128);
+  const auto& first = std::get<Delivery>(parsed.envelopes[0].payload);
+  EXPECT_EQ(first.values.owner().use_count(), 40);
+  EXPECT_EQ(first.payload.owner().use_count(), 40);
+  const bool inside = first.values.bytes() >= frames[0].data() &&
+                      first.values.bytes() < frames[0].data() + frames[0].size();
+  EXPECT_FALSE(inside) << "copy must not alias the frame buffer";
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    EXPECT_EQ(serialize(parsed.envelopes[i]), serialize(envs[i]))
+        << "delivery " << i;
+  }
+}
+
+TEST(WireRuns, RunBreaksAtEveryBodyChangeAndFrameCut) {
+  const std::vector<Delivery> a = deliveries_of(1, 6);
+  const std::vector<Delivery> b = deliveries_of(2, 2);
+  // Message 1 again, with its payload but a values block of its own.
+  Delivery a_own_values = a[4];
+  a_own_values.values = ValuesRef({1.5, 2.5, 1.0});
+  MatchCompleted done;
+  done.msg_id = 1;
+  const std::vector<Envelope> envs = {
+      Envelope::of(a[0]), Envelope::of(a[1]),          // a run
+      Envelope::of(b[0]), Envelope::of(b[1]),          // another message
+      Envelope::of(a[2]), Envelope::of(done),          // interleaved
+      Envelope::of(a[3]), Envelope::of(a_own_values),  // another block
+      Envelope::of(a[5])};
+  const auto frames = written_frames(envs, 64);
+  ASSERT_EQ(frames.size(), 1u);
+  constexpr std::uint8_t kFull = 6;
+  constexpr std::uint8_t kDone = 7;
+  EXPECT_EQ(record_tags(frames[0]),
+            (std::vector<std::uint8_t>{kFull, kContinuationTag, kFull,
+                                       kContinuationTag, kFull, kDone, kFull,
+                                       kFull, kFull}));
+  const net::wire::ParsedFrame parsed =
+      net::wire::parse_frame(frames[0].data(), frames[0].size());
+  ASSERT_TRUE(parsed.ok);
+  ASSERT_EQ(parsed.envelopes.size(), envs.size());
+  for (std::size_t i = 0; i < envs.size(); ++i) {
+    EXPECT_EQ(serialize(parsed.envelopes[i]), serialize(envs[i]))
+        << "envelope " << i;
+  }
+
+  // A frame closed at `batch` ends the run; the next frame opens in full.
+  const auto cut = written_frames(envelopes_of(a), 4);
+  ASSERT_EQ(cut.size(), 2u);
+  EXPECT_EQ(record_tags(cut[0]),
+            (std::vector<std::uint8_t>{kFull, kContinuationTag,
+                                       kContinuationTag, kContinuationTag}));
+  EXPECT_EQ(record_tags(cut[1]),
+            (std::vector<std::uint8_t>{kFull, kContinuationTag}));
+}
+
+TEST(WireRuns, ContinuationOutOfPlaceIsMalformed) {
+  const std::vector<std::uint8_t> hit = {kContinuationTag, 1, 2};
+  {
+    serde::Reader r(hit);
+    EXPECT_NO_THROW((void)read_envelope(r));
+    EXPECT_FALSE(r.ok()) << "standalone read_envelope";
+  }
+  MatchCompleted done;
+  done.msg_id = 3;
+  EdgeEvent ev;  // carries a Delivery, but is not one
+  ev.delivery = deliveries_of(3, 1)[0];
+  const std::vector<std::vector<Envelope>> before = {
+      {}, {Envelope::of(done)}, {Envelope::of(ev)}};
+  for (const std::vector<Envelope>& lead : before) {
+    serde::Writer w;
+    w.u32(5);
+    for (const Envelope& env : lead) write_envelope(w, env);
+    for (const std::uint8_t byte : hit) w.u8(byte);
+    net::wire::ParsedFrame frame;
+    EXPECT_NO_THROW(frame = net::wire::parse_frame(w.data(), w.size()));
+    EXPECT_FALSE(frame.ok) << lead.size() << " envelope(s) before it";
+
+    // Through a FrameReader, after a valid frame: that one comes out, then
+    // kMalformed.
+    SocketPair sp;
+    auto bytes = publish_stream(1);
+    std::vector<std::uint8_t> bad(8);
+    bad.insert(bad.end(), w.data() + 4, w.data() + w.size());
+    net::wire::fill_header(bad.data(), static_cast<std::uint32_t>(w.size() - 4),
+                           5);
+    bytes.insert(bytes.end(), bad.begin(), bad.end());
+    ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));
+    std::vector<std::uint8_t> scratch(net::kRecvBufferBytes);
+    net::FrameReader reader;
+    std::vector<net::wire::ParsedFrame> frames;
+    EXPECT_EQ(drain(reader, sp.rx, scratch, &frames),
+              net::FrameReader::Status::kMalformed);
+    EXPECT_EQ(frames.size(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,6 +1420,93 @@ TEST(WireCluster, MatchRequestsShareFramesDispatcherToMatcher) {
   for (auto& h : matcher_hosts) h->stop();
   dispatcher_host.stop();
   sink.stop();
+}
+
+TEST(WireCluster, FortyHitMessageCrossesTheWireAsOneBody) {
+  // One matcher whose delivery sink is a dispatcher, over loopback. One
+  // request matches 40 subscriptions: the dispatcher sees 40 whole
+  // Deliveries with one shared body, and the matcher sends about one
+  // Delivery's bytes plus a few bytes per hit.
+  constexpr NodeId kDispatcher = 10;
+  constexpr NodeId kMatcher = 1000;
+  constexpr int kHits = 40;
+  const std::vector<Range> domains(3, Range{0, 1000});
+  const std::vector<NodeId> matcher_ids{kMatcher};
+
+  bd::Mutex mu;
+  std::vector<Delivery> got;  // guarded by mu
+  DispatcherConfig dcfg;
+  dcfg.domains = domains;
+  dcfg.table_pull_interval = 60.0;
+  auto dnode = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
+  dnode->set_bootstrap(bootstrap_table(matcher_ids, domains));
+  dnode->on_delivery = [&](const Delivery& d) {
+    bd::LockGuard lk(mu);
+    got.push_back(d);
+  };
+  TcpHost dispatcher(kDispatcher, 0, std::move(dnode));
+
+  MatcherConfig mcfg;
+  mcfg.domains = domains;
+  mcfg.cores = 1;
+  mcfg.index_kind = IndexKind::kFlatBucket;
+  mcfg.load_report_interval = 60.0;
+  mcfg.gossip.round_interval = 60.0;
+  mcfg.delivery_sink = kDispatcher;
+  auto mnode = std::make_unique<MatcherNode>(kMatcher, mcfg);
+  mnode->set_bootstrap(bootstrap_table(matcher_ids, domains));
+  TcpHost matcher(kMatcher, 0, std::move(mnode));
+  matcher.add_peer(kDispatcher, {"127.0.0.1", dispatcher.port()});
+  dispatcher.add_peer(kMatcher, {"127.0.0.1", matcher.port()});
+  dispatcher.start();
+  matcher.start();
+
+  for (int i = 0; i < kHits; ++i) {
+    Subscription sub;
+    sub.id = static_cast<SubscriptionId>(i + 1);
+    sub.subscriber = static_cast<SubscriberId>(100 + i);
+    sub.ranges = {Range{100.0 + i, 900}, Range{0, 1000}, Range{0, 1000}};
+    matcher.inject(kDispatcher, Envelope::of(StoreSubscription{sub, 0}));
+  }
+  const auto bytes_sent = [&matcher] {
+    return matcher.wire_metrics().snapshot().counters.at("wire.bytes_sent");
+  };
+  const std::uint64_t before = bytes_sent();
+  MatchRequest req;
+  req.msg.id = 77;
+  req.msg.values = {500.0, 500.0, 500.0};
+  req.msg.payload = std::string(128, 'q');
+  req.dim = 0;
+  req.dispatched_at = 1.5;
+  matcher.inject(kDispatcher, Envelope::of(std::move(req)));
+  EXPECT_TRUE(eventually([&] {
+    bd::LockGuard lk(mu);
+    return got.size() == kHits;
+  }));
+  const std::uint64_t sent = bytes_sent() - before;
+  matcher.stop();
+  dispatcher.stop();
+
+  bd::LockGuard lk(mu);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kHits));
+  std::set<std::pair<SubscriptionId, SubscriberId>> hits;
+  for (const Delivery& d : got) {
+    hits.emplace(d.sub_id, d.subscriber);
+    EXPECT_EQ(d.msg_id, 77u);
+    EXPECT_EQ(d.dispatched_at, 1.5);
+    EXPECT_EQ(d.values, ValuesRef({500.0, 500.0, 500.0}));
+    EXPECT_EQ(d.payload.view(), std::string(128, 'q'));
+    EXPECT_EQ(d.values.bytes(), got[0].values.bytes());
+    EXPECT_EQ(d.payload.data(), got[0].payload.data());
+  }
+  std::set<std::pair<SubscriptionId, SubscriberId>> want;
+  for (int i = 0; i < kHits; ++i) {
+    want.emplace(static_cast<SubscriptionId>(i + 1),
+                 static_cast<SubscriberId>(100 + i));
+  }
+  EXPECT_EQ(hits, want);
+  const std::size_t full = wire_size(Envelope::of(got[0]));
+  EXPECT_LT(sent, kHits * full / 4) << "one Delivery is " << full << " B";
 }
 
 }  // namespace

@@ -19,8 +19,9 @@ helper `write_X` pairs with `read_X`. Orphans on either side are errors.
 Bodies canonicalize to op sequences:
 
   * primitives: w.u8/u16/u32/u64/f64/varint/str ↔ r.u8/.../str
-  * w.blob(...) expands to [varint, bytes]; r.view(...) is [bytes] (so an
-    explicit reader-side varint+view mirrors one writer-side blob)
+  * w.blob(...) expands to [varint, bytes]; w.bytes(...) and r.view(...)
+    are [bytes] (so an explicit reader-side varint+view mirrors one
+    writer-side blob, or a writer-side varint+bytes)
   * helper calls normalize to the pair key: write_dim_load/read_dim_load
     → dim_load, write_payload(w, <expr of type T>) / read_<snake(T)> →
     payload:T
@@ -51,7 +52,8 @@ import re
 import sys
 from collections import defaultdict
 
-WRITER_OPS = ("u8", "u16", "u32", "u64", "f64", "varint", "str", "blob", "raw")
+WRITER_OPS = ("u8", "u16", "u32", "u64", "f64", "varint", "str", "blob",
+              "bytes", "raw")
 READER_OPS = ("u8", "u16", "u32", "u64", "f64", "varint", "str", "view", "raw")
 
 
@@ -275,7 +277,7 @@ class OpExtractor:
     def _prim(self, op):
         if op == "blob":
             return [("prim", "varint"), ("prim", "bytes")]
-        if op == "view":
+        if op in ("view", "bytes"):
             return [("prim", "bytes")]
         return [("prim", op)]
 
