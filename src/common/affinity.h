@@ -17,7 +17,7 @@
 //
 //  * Runtime checker — every substrate binds the current thread's role
 //    before running node code (ScopedNodeBind in SimCluster event
-//    callbacks, ThreadCluster::node_loop, TcpHost::node_loop) or worker
+//    callbacks, net::NodeLoop's node thread) or worker
 //    code (ScopedWorkerBind in MatchExecutor::worker_loop). Annotated
 //    entry points then call BD_ASSERT_NODE_THREAD(ctx) /
 //    BD_ASSERT_WORKER_THREAD(), which verify the binding against the

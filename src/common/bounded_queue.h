@@ -1,31 +1,20 @@
 #pragma once
-// Thread-safe bounded MPMC queue used by the SEDA runtime and the threaded
-// transport. Blocking push/pop with shutdown support; simple mutex+condvar
-// implementation (the per-node message rates in the in-process runtime do
-// not justify a lock-free design, and correctness is easier to audit).
+// QueueStats: depth accounting for a bounded stage queue — a node loop's
+// inbox (net/node_loop.h), whose bound it enforces and whose accounting
+// the kQueueAccounting audit checks when the loop stops.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <utility>
-
-#include "common/thread_safety.h"
 
 namespace bluedove {
 
-/// Shared stage-queue instrumentation (depth, high-water mark, enqueue
-/// blocks, drops). All fields are relaxed atomics so producers, consumers
-/// and an out-of-band metrics scraper can touch them concurrently; the
-/// observability layer snapshots these into per-stage gauges/counters.
+/// Stage-queue depth, high-water mark and flow counts. All fields are
+/// relaxed atomics, so producers and the consumer touch them concurrently.
 struct QueueStats {
   std::atomic<std::int64_t> depth{0};
   std::atomic<std::int64_t> high_water{0};
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> dequeued{0};
-  std::atomic<std::uint64_t> blocked{0};  ///< pushes that had to wait for room
-  std::atomic<std::uint64_t> dropped{0};  ///< try_pushes rejected when full
 
   void on_enqueue() {
     enqueued.fetch_add(1, std::memory_order_relaxed);
@@ -39,108 +28,6 @@ struct QueueStats {
     dequeued.fetch_add(1, std::memory_order_relaxed);
     depth.fetch_sub(1, std::memory_order_relaxed);
   }
-};
-
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity = 4096)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Attaches a stats block (not owned; must outlive the queue). Call
-  /// before producers/consumers start.
-  void attach_stats(QueueStats* stats) { stats_ = stats; }
-
-  /// Blocks until space is available or the queue is closed.
-  /// Returns false if the queue was closed.
-  bool push(T item) BD_EXCLUDES(mu_) {
-    bd::UniqueLock lock(mu_);
-    if (stats_ != nullptr && !closed_ && items_.size() >= capacity_) {
-      stats_->blocked.fetch_add(1, std::memory_order_relaxed);
-    }
-    while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    if (stats_ != nullptr) stats_->on_enqueue();
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T item) BD_EXCLUDES(mu_) {
-    {
-      bd::LockGuard lock(mu_);
-      if (closed_ || items_.size() >= capacity_) {
-        if (stats_ != nullptr && !closed_) {
-          stats_->dropped.fetch_add(1, std::memory_order_relaxed);
-        }
-        return false;
-      }
-      items_.push_back(std::move(item));
-      if (stats_ != nullptr) stats_->on_enqueue();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available or the queue is closed and drained.
-  std::optional<T> pop() BD_EXCLUDES(mu_) {
-    bd::UniqueLock lock(mu_);
-    while (!closed_ && items_.empty()) not_empty_.wait(lock);
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    if (stats_ != nullptr) stats_->on_dequeue();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() BD_EXCLUDES(mu_) {
-    std::optional<T> out;
-    {
-      bd::LockGuard lock(mu_);
-      if (items_.empty()) return std::nullopt;
-      out = std::move(items_.front());
-      items_.pop_front();
-      if (stats_ != nullptr) stats_->on_dequeue();
-    }
-    not_full_.notify_one();
-    return out;
-  }
-
-  /// Wakes all waiters; subsequent pushes fail, pops drain remaining items.
-  void close() BD_EXCLUDES(mu_) {
-    {
-      bd::LockGuard lock(mu_);
-      closed_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const BD_EXCLUDES(mu_) {
-    bd::LockGuard lock(mu_);
-    return closed_;
-  }
-
-  std::size_t size() const BD_EXCLUDES(mu_) {
-    bd::LockGuard lock(mu_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  QueueStats* stats_ = nullptr;
-  mutable bd::Mutex mu_;
-  bd::CondVar not_empty_;
-  bd::CondVar not_full_;
-  std::deque<T> items_ BD_GUARDED_BY(mu_);
-  bool closed_ BD_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace bluedove

@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 
-#include "common/affinity.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
 
@@ -57,7 +56,7 @@ std::size_t raise_fd_limit(std::size_t want) {
 }
 
 // ---------------------------------------------------------------------------
-// Connection and context
+// Connections
 // ---------------------------------------------------------------------------
 
 /// One socket of the host, inbound or outbound; node-thread only.
@@ -76,67 +75,6 @@ struct TcpHost::Conn {
   obs::Gauge* high_water = nullptr;  ///< wire.peer<id>.queue_high_water
 };
 
-class TcpHost::Context final : public NodeContext {
- public:
-  Context(TcpHost* host, std::uint64_t seed) : host_(host), rng_(seed) {}
-
-  NodeId self() const override { return host_->self_; }
-
-  Timestamp now() const override {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         host_->epoch_)
-        .count();
-  }
-
-  void send(NodeId to, Envelope env) override {
-    TcpHost* h = host_;
-    if (h->reactor_.in_loop()) {
-      if (!h->send_to(to, env)) h->dropped_sends_.fetch_add(1);
-      return;
-    }
-    // Another thread (a test, a load generator): hand the envelope
-    // to the node thread, which owns every socket.
-    const bool posted = h->reactor_.post([h, to, env = std::move(env)] {
-      if (!h->send_to(to, env)) h->dropped_sends_.fetch_add(1);
-    });
-    if (!posted) h->dropped_sends_.fetch_add(1);
-  }
-
-  TimerId set_timer(Timestamp delay, std::function<void()> fn) override {
-    return host_->reactor_.add_timer(delay, std::move(fn));
-  }
-
-  void cancel_timer(TimerId id) override { host_->reactor_.cancel_timer(id); }
-
-  void charge(double /*work_units*/, std::function<void()> done) override {
-    // Real cycles were already spent; defer to a later turn of the loop so
-    // core-bounded callers do not recurse.
-    host_->reactor_.post(std::move(done));
-  }
-
-  Rng& rng() override { return rng_; }
-
-  bool enable_offload(int workers, std::size_t lanes) override {
-    return host_->enable_offload(workers, lanes);
-  }
-
-  void offload(std::size_t lane, OffloadWork work, OffloadDone done) override {
-    if (host_->executor_ != nullptr &&
-        host_->executor_->submit(lane, work, done)) {
-      return;
-    }
-    // No pool or the lane is full: run inline on the node thread and defer
-    // the completion, matching the single-threaded contract.
-    OffloadWorker self{-1, &rng_};
-    const double units = work(self);
-    charge(units, [done = std::move(done), units] { done(units); });
-  }
-
- private:
-  TcpHost* host_;
-  Rng rng_;
-};
-
 // ---------------------------------------------------------------------------
 // Lifecycle
 // ---------------------------------------------------------------------------
@@ -145,12 +83,13 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
                  std::unique_ptr<Node> node, std::uint64_t seed,
                  WireConfig wire)
     : self_(self),
-      node_(std::move(node)),
       wire_(wire),
-      seed_(seed ^ self),
-      ctx_(std::make_unique<Context>(this, seed ^ self)),
-      reactor_([this](int fd, std::uint32_t events) { on_io(fd, events); }),
-      epoch_(std::chrono::steady_clock::now()) {
+      loop_(
+          self, std::move(node), seed ^ self, std::chrono::steady_clock::now(),
+          [this](NodeId to, Envelope&& env) { send(to, std::move(env)); },
+          [this](int fd, std::uint32_t events) { on_io(fd, events); },
+          /*inbox_capacity=*/0, &wire_metrics_),
+      reactor_(loop_.reactor()) {
   if (wire_.batch < 1) wire_.batch = 1;
   if (wire_.queue_capacity == 0) wire_.queue_capacity = 1;
   m_envelopes_ = &wire_metrics_.counter("wire.envelopes_sent");
@@ -166,6 +105,7 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
   m_frame_envs_ = &wire_metrics_.histogram("wire.frame_envelopes");
   m_frame_bytes_ = &wire_metrics_.histogram("wire.frame_bytes");
   listen_fd_ = listen_tcp("127.0.0.1", listen_port, 64, &port_);
+  if (listen_fd_ >= 0) reactor_.watch(listen_fd_);
   reactor_.at_pass_end([this] { flush_dirty(); });
 }
 
@@ -189,32 +129,11 @@ void TcpHost::add_peer(NodeId id, TcpEndpoint endpoint) {
 }
 
 void TcpHost::start() {
-  if (listen_fd_ < 0) return;
-  {
-    bd::LockGuard lock(mu_);
-    if (started_ || stopping_) return;
-    started_ = true;
-  }
-  reactor_.watch(listen_fd_);
-  thread_ = std::thread([this] {
-    // The node thread is the serialized context for the hosted node:
-    // sockets, handlers, timer callbacks and offload completions all
-    // execute here.
-    affinity::ScopedNodeBind bind(ctx_.get());
-    obs::Recorder::bind_node(self_);
-    obs::Recorder::label_thread("node" + std::to_string(self_));
-    reactor_.run([this] { node_->start(*ctx_); });
-  });
+  if (listen_fd_ >= 0) loop_.start();
 }
 
 void TcpHost::stop() {
-  {
-    bd::LockGuard lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  reactor_.stop();
-  if (thread_.joinable()) thread_.join();
+  if (!loop_.stop()) return;
   // Output still queued is dropped, as the send contract allows.
   for (auto& [fd, conn] : conns_) ::close(fd);
   conns_.clear();
@@ -224,25 +143,19 @@ void TcpHost::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // Stop the offload pool after the node thread is gone: no new submissions
-  // can arrive, running jobs finish, and their completions are dropped by
-  // the stopped reactor.
-  if (executor_ != nullptr) executor_->stop();
-  if (node_) node_->stop();
 }
 
-bool TcpHost::enable_offload(int workers, std::size_t lanes) {
-  if (workers < 1) return false;
-  if (executor_ != nullptr) return true;
-  runtime::MatchExecutorConfig cfg;
-  cfg.workers = workers;
-  cfg.lanes = std::max<std::size_t>(lanes, 1);
-  cfg.seed = seed_;
-  cfg.owner = self_;
-  executor_ = std::make_unique<runtime::MatchExecutor>(
-      cfg, [this](std::function<void()> fn) { reactor_.post(std::move(fn)); },
-      &wire_metrics_);
-  return true;
+void TcpHost::send(NodeId to, Envelope&& env) {
+  if (reactor_.in_loop()) {
+    if (!send_to(to, env)) dropped_sends_.fetch_add(1);
+    return;
+  }
+  // Another thread (a test, a load generator): hand the envelope to the
+  // node thread, which owns every socket.
+  const bool posted = reactor_.post([this, to, env = std::move(env)] {
+    if (!send_to(to, env)) dropped_sends_.fetch_add(1);
+  });
+  if (!posted) dropped_sends_.fetch_add(1);
 }
 
 void TcpHost::inject(NodeId from, Envelope&& env) {
@@ -256,7 +169,7 @@ void TcpHost::admit() {
   while (congested_ == 0 && !held_.empty()) {
     auto [from, env] = std::move(held_.front());
     held_.pop_front();
-    node_->on_receive(from, std::move(env));
+    loop_.node()->on_receive(from, std::move(env));
   }
 }
 
@@ -355,7 +268,7 @@ bool TcpHost::read_frames(Conn& c) {
     // endpoint (admin scrapers, NAT'd clients).
     if (frame.from != kInvalidNode) learned_[frame.from] = c.fd;
     for (Envelope& env : frame.envelopes) {
-      node_->on_receive(frame.from, std::move(env));
+      loop_.node()->on_receive(frame.from, std::move(env));
     }
     // A handler's reply may have written this very connection and, on a
     // socket error, closed it (its fd possibly reused since).

@@ -14,12 +14,13 @@
 //   u32  sender node id
 //   ...  one or more serialized Envelopes, back to back
 //
-// Threading: one thread per host. The node thread runs a net::Reactor
-// (net/reactor.h) that owns every socket of the host — the listener,
-// inbound connections, outbound connections dialed without blocking, and
-// learned return paths — plus the node's timers, inject()ed envelopes and
-// offload completions. A complete inbound frame goes straight to
-// Node::on_receive. send() serializes once into the peer connection's
+// Threading: one thread per host, the node thread of the host's
+// net::NodeLoop (net/node_loop.h) — the same loop a ThreadCluster node
+// runs on. Its net::Reactor (net/reactor.h) owns every socket of the host —
+// the listener, inbound connections, outbound connections dialed without
+// blocking, and learned return paths — plus the node's timers, inject()ed
+// envelopes and offload completions. A complete inbound frame goes straight
+// to Node::on_receive. send() serializes once into the peer connection's
 // outbound buffer; each loop pass ends by writing what it queued, and
 // EPOLLOUT is armed only while a peer has unsent bytes. The only other
 // threads are the node's offload workers (enable_offload).
@@ -49,15 +50,14 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/thread_safety.h"
+#include "net/node_loop.h"
 #include "net/reactor.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
-#include "runtime/match_executor.h"
 
 namespace bluedove::net {
 
@@ -108,11 +108,12 @@ class TcpHost {
   /// Stops serving and joins the node thread and the offload workers.
   /// Idempotent; never waits on a peer.
   void stop();
+  bool running() const { return loop_.running(); }
 
-  Node* node() { return node_.get(); }
+  Node* node() { return loop_.node(); }
   template <typename T>
   T* node_as() {
-    return static_cast<T*>(node_.get());
+    return static_cast<T*>(loop_.node());
   }
 
   std::uint64_t dropped_sends() const { return dropped_sends_.load(); }
@@ -142,8 +143,6 @@ class TcpHost {
                             double timeout_sec = 5.0);
 
  private:
-  class Context;
-  friend class Context;
   struct Conn;
 
   // Everything below but the constructor, stop() and the thread-safe
@@ -158,6 +157,8 @@ class TcpHost {
   /// closed.
   bool read_frames(Conn& c);
   void close_conn(Conn& c);
+  /// The node's send(), from any thread: queued on the node thread.
+  void send(NodeId to, Envelope&& env);
   /// Queues `env` for `peer`; false when it is dropped.
   bool send_to(NodeId peer, const Envelope& env);
   /// The connection `peer` is reached by: its dialed connection (dialing
@@ -172,30 +173,16 @@ class TcpHost {
   /// Hands held inject()ed envelopes to the node while no peer is
   /// congested.
   void admit();
-  /// Creates the node's offload worker pool (idempotent); completions are
-  /// posted back to the node thread. Called from Node::start.
-  bool enable_offload(int workers, std::size_t lanes);
 
   NodeId self_;
-  std::unique_ptr<Node> node_;
   WireConfig wire_;
-  std::uint64_t seed_ = 0;  ///< node seed; also seeds offload worker streams
-  std::unique_ptr<Context> ctx_;
-  /// Offload worker pool (created by enable_offload on the node thread,
-  /// stopped after the node thread joins; its exec.* instruments live in
-  /// wire_metrics_ so stats exports pick them up).
-  std::unique_ptr<runtime::MatchExecutor> executor_;
-  Reactor reactor_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> dropped_sends_{0};
 
   bd::Mutex mu_;
   /// Dialable peers; add_peer may run on any thread.
   std::map<NodeId, TcpEndpoint> endpoints_ BD_GUARDED_BY(mu_);
-  bool started_ BD_GUARDED_BY(mu_) = false;
-  bool stopping_ BD_GUARDED_BY(mu_) = false;
 
   // Node-thread state.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
@@ -230,7 +217,11 @@ class TcpHost {
   obs::LatencyHistogram* m_frame_envs_ = nullptr;   ///< envelopes per frame
   obs::LatencyHistogram* m_frame_bytes_ = nullptr;  ///< bytes per frame
 
-  std::thread thread_;  ///< the node thread; last, as it uses all of the above
+  /// The node, its context and its thread; last, as the thread uses all of
+  /// the above. The offload pool's exec.* instruments go to wire_metrics_,
+  /// so stats exports pick them up.
+  NodeLoop loop_;
+  Reactor& reactor_;  ///< loop_'s
 };
 
 }  // namespace bluedove::net

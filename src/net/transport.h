@@ -2,11 +2,15 @@
 // Transport abstraction.
 //
 // Node logic (dispatchers, matchers) is written once against NodeContext and
-// runs unchanged on two substrates:
+// runs unchanged on three substrates, with two event loops between them:
 //   * sim::SimCluster — deterministic discrete-event simulation; time is
 //     virtual and CPU cost is charged from work units (drives experiments).
-//   * runtime::ThreadCluster — one real thread per node with real queues
-//     (drives the examples and threaded integration tests).
+//     Its loop is the simulator's event queue.
+//   * runtime::ThreadCluster — every node of an in-process cluster on its
+//     own real-time net::NodeLoop (drives the Service facade, the examples
+//     and the threaded integration tests).
+//   * net::TcpHost — one node per host on the same net::NodeLoop, with
+//     sockets to its peers (drives multi-process deployments).
 
 #include <cstddef>
 #include <cstdint>

@@ -16,7 +16,7 @@
 //    not), so a dump can always read every ring that ever existed.
 //  * Substrate-agnostic attribution. Every event carries the NodeId the
 //    current thread is bound to (set by the substrates next to their
-//    affinity bindings: once per node loop on ThreadCluster / TcpHost, per
+//    affinity bindings: once per net::NodeLoop node thread, per
 //    delivered event on SimCluster, per pool worker in MatchExecutor), so
 //    one OS thread multiplexing many simulated nodes still attributes each
 //    event to the right node.

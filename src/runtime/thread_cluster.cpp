@@ -1,386 +1,79 @@
 #include "runtime/thread_cluster.h"
 
-#include <algorithm>
-#include <string>
-
-#include "common/affinity.h"
-#include "common/logging.h"
-#include "obs/audit.h"
-#include "obs/recorder.h"
-#include "runtime/match_executor.h"
-
 namespace bluedove::runtime {
 
-namespace {
-using Clock = std::chrono::steady_clock;
-}
-
-class ThreadCluster::Context final : public NodeContext {
- public:
-  Context(ThreadCluster* cluster, NodeId id, std::uint64_t seed)
-      : cluster_(cluster), id_(id), rng_(seed) {}
-
-  NodeId self() const override { return id_; }
-  Timestamp now() const override { return cluster_->now(); }
-  void send(NodeId to, Envelope env) override {
-    cluster_->enqueue(to, id_, std::move(env));
-  }
-  TimerId set_timer(Timestamp delay, std::function<void()> fn) override;
-  void cancel_timer(TimerId id) override;
-  void charge(double work_units, std::function<void()> done) override;
-  Rng& rng() override { return rng_; }
-  bool enable_offload(int workers, std::size_t lanes) override {
-    return cluster_->enable_offload(id_, workers, lanes);
-  }
-  void offload(std::size_t lane, OffloadWork work, OffloadDone done) override;
-
- private:
-  ThreadCluster* cluster_;
-  NodeId id_;
-  Rng rng_;
-};
-
-struct ThreadCluster::NodeRuntime {
-  NodeId id = kInvalidNode;
-  std::uint64_t seed = 0;  ///< also seeds the node's offload worker streams
-  std::unique_ptr<Node> node;
-  std::unique_ptr<Context> ctx;
-  /// Per-node exec.* instruments (worker pool); merged into the cluster
-  /// snapshot under runtime.node<id>.
-  obs::MetricsRegistry exec_metrics;
-
-  mutable bd::Mutex mu;
-  bd::CondVar cv;
-  /// Messages and deferred completions, FIFO.
-  std::deque<std::function<void()>> tasks BD_GUARDED_BY(mu);
-  /// Pending timers keyed by deadline.
-  std::multimap<Clock::time_point, std::pair<TimerId, std::function<void()>>>
-      timers BD_GUARDED_BY(mu);
-  std::uint64_t next_timer_id BD_GUARDED_BY(mu) = 1;
-  bool stopping BD_GUARDED_BY(mu) = false;
-  bool started BD_GUARDED_BY(mu) = false;
-  /// Written by start(), joined by stop(); the control-plane callers are
-  /// serialized by the `started`/`stopping` handshake under mu.
-  std::thread thread;
-  std::size_t inbox_capacity = 65536;
-  /// SEDA-stage instrumentation for the task queue (messages + deferred
-  /// completions): depth, high-water mark, drops when the inbox is full.
-  QueueStats inbox_stats;
-  /// Offload worker pool; created lazily by Context::enable_offload on the
-  /// node thread while e.g. a metrics scraper may already be snapshotting,
-  /// so the pointer itself is published under mu. Declared last so it is
-  /// destroyed first: its workers reference the fields above through the
-  /// completion-post closure.
-  std::unique_ptr<MatchExecutor> executor BD_GUARDED_BY(mu);
-};
-
 ThreadCluster::ThreadCluster(ThreadClusterConfig config)
-    : config_(config), epoch_(Clock::now()), seed_rng_(config.seed) {}
+    : config_(config),
+      epoch_(std::chrono::steady_clock::now()),
+      seed_rng_(config.seed) {}
 
 ThreadCluster::~ThreadCluster() { shutdown(); }
 
 Timestamp ThreadCluster::now() const {
-  return std::chrono::duration<double>(Clock::now() - epoch_).count();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
 }
 
 void ThreadCluster::add_node(NodeId id, std::unique_ptr<Node> node) {
-  auto rt = std::make_unique<NodeRuntime>();
-  rt->id = id;
-  rt->seed = seed_rng_.next_u64();
-  rt->node = std::move(node);
-  rt->ctx = std::make_unique<Context>(this, id, rt->seed);
-  rt->inbox_capacity = config_.inbox_capacity;
+  auto loop = std::make_unique<net::NodeLoop>(
+      id, std::move(node), seed_rng_.next_u64(), epoch_,
+      [this, id](NodeId to, Envelope&& env) {
+        deliver(to, id, std::move(env));
+      },
+      /*on_io=*/nullptr, config_.inbox_capacity, /*exec_metrics=*/nullptr);
   bd::LockGuard lock(nodes_mu_);
-  nodes_[id] = std::move(rt);
+  nodes_[id] = std::move(loop);
 }
 
-ThreadCluster::NodeRuntime* ThreadCluster::runtime(NodeId id) {
+net::NodeLoop* ThreadCluster::loop(NodeId id) const {
   bd::LockGuard lock(nodes_mu_);
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : it->second.get();
 }
 
-const ThreadCluster::NodeRuntime* ThreadCluster::runtime(NodeId id) const {
+std::vector<NodeId> ThreadCluster::ids() const {
   bd::LockGuard lock(nodes_mu_);
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  std::vector<NodeId> out;
+  for (const auto& [id, loop] : nodes_) out.push_back(id);
+  return out;
 }
 
 void ThreadCluster::start(NodeId id) {
-  NodeRuntime* rt = runtime(id);
-  if (rt == nullptr) return;
-  {
-    bd::LockGuard lock(rt->mu);
-    if (rt->started) return;  // racing second start() loses here
-    rt->started = true;
-  }
-  rt->thread = std::thread([this, rt] { node_loop(*rt); });
+  if (net::NodeLoop* l = loop(id)) l->start();
 }
 
 void ThreadCluster::start_all() {
-  std::vector<NodeId> ids;
-  {
-    bd::LockGuard lock(nodes_mu_);
-    for (const auto& [id, rt] : nodes_) ids.push_back(id);
-  }
-  for (NodeId id : ids) start(id);
+  for (NodeId id : ids()) start(id);
 }
 
 void ThreadCluster::stop(NodeId id) {
-  NodeRuntime* rt = runtime(id);
-  if (rt == nullptr) return;
-  {
-    bd::LockGuard lock(rt->mu);
-    if (!rt->started || rt->stopping) return;
-    rt->stopping = true;
-  }
-  rt->cv.notify_all();
-  if (rt->thread.joinable()) rt->thread.join();
-  // Stop the offload pool after the node thread is gone: no new submissions
-  // can arrive, running jobs finish, and their completions are dropped by
-  // post_completion's stopping check.
-  MatchExecutor* executor = nullptr;
-  {
-    bd::LockGuard lock(rt->mu);
-    executor = rt->executor.get();
-  }
-  if (executor != nullptr) executor->stop();
-  // The inbox is quiescent now (producers bail on `stopping` before touching
-  // the counters), so its accounting must close exactly.
-  const QueueStats& s = rt->inbox_stats;
-  obs::audit_queue_accounting(
-      ("node" + std::to_string(id) + ".inbox").c_str(),
-      s.depth.load(std::memory_order_relaxed),
-      s.high_water.load(std::memory_order_relaxed),
-      s.enqueued.load(std::memory_order_relaxed),
-      s.dequeued.load(std::memory_order_relaxed));
+  if (net::NodeLoop* l = loop(id)) l->stop();
 }
 
 void ThreadCluster::shutdown() {
-  std::vector<NodeId> ids;
-  {
-    bd::LockGuard lock(nodes_mu_);
-    for (const auto& [id, rt] : nodes_) ids.push_back(id);
-  }
-  for (NodeId id : ids) stop(id);
+  for (NodeId id : ids()) stop(id);
 }
 
 bool ThreadCluster::running(NodeId id) const {
-  const NodeRuntime* rt = runtime(id);
-  if (rt == nullptr) return false;
-  bd::LockGuard lock(rt->mu);
-  return rt->started && !rt->stopping;
+  const net::NodeLoop* l = loop(id);
+  return l != nullptr && l->running();
 }
 
 Node* ThreadCluster::node(NodeId id) {
-  NodeRuntime* rt = runtime(id);
-  return rt != nullptr ? rt->node.get() : nullptr;
+  net::NodeLoop* l = loop(id);
+  return l != nullptr ? l->node() : nullptr;
 }
 
-void ThreadCluster::enqueue(NodeId to, NodeId from, Envelope env) {
-  NodeRuntime* rt = runtime(to);
-  if (rt == nullptr) {
+void ThreadCluster::deliver(NodeId to, NodeId from, Envelope&& env) {
+  net::NodeLoop* target = loop(to);
+  if (target == nullptr || !target->deliver(from, std::move(env))) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
   }
-  {
-    bd::LockGuard lock(rt->mu);
-    if (!rt->started) {
-      // Never accepting yet: a cluster-level drop, but not an inbox drop,
-      // so the per-node stats stay untouched.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (rt->stopping || rt->tasks.size() >= rt->inbox_capacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      rt->inbox_stats.dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    rt->tasks.push_back([rt, from, env = std::move(env)]() mutable {
-      rt->node->on_receive(from, std::move(env));
-    });
-    rt->inbox_stats.on_enqueue();
-  }
-  rt->cv.notify_one();
 }
 
 void ThreadCluster::inject(NodeId to, Envelope env) {
-  enqueue(to, kInvalidNode, std::move(env));
-}
-
-void ThreadCluster::node_loop(NodeRuntime& rt) {
-  // This thread IS the node's serialized execution context for its whole
-  // lifetime: start, message handlers, timer callbacks, offload
-  // completions. One binding covers them all.
-  affinity::ScopedNodeBind bind(rt.ctx.get());
-  // Flight-recorder identity: every event this thread emits carries the
-  // node id, and the Perfetto export names the track after it.
-  obs::Recorder::bind_node(rt.id);
-  obs::Recorder::label_thread("node" + std::to_string(rt.id));
-  rt.node->start(*rt.ctx);
-  bd::UniqueLock lock(rt.mu);
-  while (true) {
-    // Fire due timers.
-    const auto now_tp = Clock::now();
-    while (!rt.timers.empty() && rt.timers.begin()->first <= now_tp) {
-      auto fn = std::move(rt.timers.begin()->second.second);
-      rt.timers.erase(rt.timers.begin());
-      lock.unlock();
-      fn();
-      lock.lock();
-    }
-    if (rt.stopping) break;
-    if (!rt.tasks.empty()) {
-      auto task = std::move(rt.tasks.front());
-      rt.tasks.pop_front();
-      rt.inbox_stats.on_dequeue();
-      lock.unlock();
-      task();
-      lock.lock();
-      continue;
-    }
-    if (rt.timers.empty()) {
-      while (!rt.stopping && rt.tasks.empty() && rt.timers.empty()) {
-        rt.cv.wait(lock);
-      }
-    } else {
-      rt.cv.wait_until(lock, rt.timers.begin()->first);
-    }
-  }
-  lock.unlock();
-  rt.node->stop();
-}
-
-TimerId ThreadCluster::Context::set_timer(Timestamp delay,
-                                          std::function<void()> fn) {
-  NodeRuntime* rt = cluster_->runtime(id_);
-  if (rt == nullptr) return kInvalidTimer;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(std::max(delay, 0.0)));
-  TimerId id = 0;
-  {
-    bd::LockGuard lock(rt->mu);
-    id = rt->next_timer_id++;
-    rt->timers.emplace(deadline, std::make_pair(id, std::move(fn)));
-  }
-  rt->cv.notify_one();
-  return id;
-}
-
-void ThreadCluster::Context::cancel_timer(TimerId id) {
-  NodeRuntime* rt = cluster_->runtime(id_);
-  if (rt == nullptr || id == kInvalidTimer) return;
-  bd::LockGuard lock(rt->mu);
-  for (auto it = rt->timers.begin(); it != rt->timers.end(); ++it) {
-    if (it->second.first == id) {
-      rt->timers.erase(it);
-      return;
-    }
-  }
-}
-
-void ThreadCluster::Context::charge(double /*work_units*/,
-                                    std::function<void()> done) {
-  // On the threaded substrate the computation already ran on this node's
-  // thread; the completion is deferred through the task queue so callers
-  // that bound their in-flight work (the matcher's core accounting) do not
-  // recurse.
-  NodeRuntime* rt = cluster_->runtime(id_);
-  if (rt == nullptr) return;
-  {
-    bd::LockGuard lock(rt->mu);
-    if (rt->stopping) return;
-    rt->tasks.push_back(std::move(done));
-    rt->inbox_stats.on_enqueue();
-  }
-  rt->cv.notify_one();
-}
-
-bool ThreadCluster::enable_offload(NodeId id, int workers, std::size_t lanes) {
-  NodeRuntime* rt = runtime(id);
-  if (rt == nullptr || workers < 1) return false;
-  {
-    bd::LockGuard lock(rt->mu);
-    if (rt->executor != nullptr) return true;
-  }
-  MatchExecutorConfig cfg;
-  cfg.workers = workers;
-  cfg.lanes = std::max<std::size_t>(lanes, 1);
-  cfg.lane_capacity = rt->inbox_capacity;
-  cfg.seed = rt->seed;
-  cfg.owner = id;
-  auto executor = std::make_unique<MatchExecutor>(
-      cfg,
-      [this, rt](std::function<void()> fn) {
-        post_completion(*rt, std::move(fn));
-      },
-      &rt->exec_metrics);
-  // Publish under the node lock: a metrics scraper may already be walking
-  // nodes_ and dereferencing rt->executor while Node::start runs here.
-  bd::LockGuard lock(rt->mu);
-  rt->executor = std::move(executor);
-  return true;
-}
-
-void ThreadCluster::post_completion(NodeRuntime& rt, std::function<void()> fn) {
-  {
-    bd::LockGuard lock(rt.mu);
-    if (rt.stopping) return;
-    rt.tasks.push_back(std::move(fn));
-    rt.inbox_stats.on_enqueue();
-  }
-  rt.cv.notify_one();
-}
-
-void ThreadCluster::Context::offload(std::size_t lane, OffloadWork work,
-                                     OffloadDone done) {
-  NodeRuntime* rt = cluster_->runtime(id_);
-  MatchExecutor* executor = nullptr;
-  if (rt != nullptr) {
-    bd::LockGuard lock(rt->mu);
-    executor = rt->executor.get();
-  }
-  if (executor != nullptr && executor->submit(lane, work, done)) {
-    return;
-  }
-  // No pool (enable_offload never accepted) or the lane is full: run inline
-  // on the node thread and defer the completion, exactly like the
-  // single-threaded substrate contract.
-  OffloadWorker self{-1, &rng_};
-  const double units = work(self);
-  charge(units, [done = std::move(done), units] { done(units); });
-}
-
-const QueueStats* ThreadCluster::inbox_stats(NodeId id) const {
-  const NodeRuntime* rt = runtime(id);
-  return rt != nullptr ? &rt->inbox_stats : nullptr;
-}
-
-obs::MetricsSnapshot ThreadCluster::metrics_snapshot() const {
-  obs::MetricsSnapshot snap;
-  bd::LockGuard lock(nodes_mu_);
-  for (const auto& [id, rt] : nodes_) {
-    const QueueStats& s = rt->inbox_stats;
-    const std::string prefix = "runtime.node" + std::to_string(id);
-    snap.gauges[prefix + ".inbox_depth"] =
-        static_cast<double>(s.depth.load(std::memory_order_relaxed));
-    snap.gauges[prefix + ".inbox_high_water"] =
-        static_cast<double>(s.high_water.load(std::memory_order_relaxed));
-    snap.counters[prefix + ".inbox_enqueued"] =
-        s.enqueued.load(std::memory_order_relaxed);
-    snap.counters[prefix + ".inbox_dequeued"] =
-        s.dequeued.load(std::memory_order_relaxed);
-    snap.counters[prefix + ".inbox_dropped"] =
-        s.dropped.load(std::memory_order_relaxed);
-    bd::LockGuard node_lock(rt->mu);
-    if (rt->executor != nullptr) {
-      snap.merge(rt->exec_metrics.snapshot().prefixed(prefix + "."));
-    }
-  }
-  snap.counters["runtime.dropped_messages"] =
-      dropped_.load(std::memory_order_relaxed);
-  return snap;
+  deliver(to, kInvalidNode, std::move(env));
 }
 
 }  // namespace bluedove::runtime

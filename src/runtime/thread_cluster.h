@@ -1,27 +1,23 @@
 #pragma once
-// ThreadCluster: the real-time substrate. Each node runs on its own thread
-// with a SEDA-style task queue (messages, timer firings, deferred work
-// completions), so the exact same Node implementations that drive the
-// simulator also run as a live in-process cluster. This substrate backs the
-// public bluedove::Service facade and the examples; performance experiments
-// use the deterministic simulator instead.
+// ThreadCluster: the in-process real-time substrate. Each node runs on its
+// own net::NodeLoop (net/node_loop.h) — the same Reactor-backed loop, node
+// thread and NodeContext a net::TcpHost runs — and a send() posts straight
+// into the target node's loop, with no socket in between. So the exact
+// same Node implementations that drive the simulator also run as a live
+// in-process cluster. This substrate backs the public bluedove::Service
+// facade and the examples; performance experiments use the deterministic
+// simulator instead.
 
 #include <atomic>
 #include <chrono>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/affinity.h"
-#include "common/bounded_queue.h"
-#include "common/thread_safety.h"
 #include "common/rng.h"
+#include "common/thread_safety.h"
+#include "net/node_loop.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
 
 namespace bluedove::runtime {
 
@@ -61,48 +57,29 @@ class ThreadCluster {
   }
 
   /// Seconds since cluster construction (the Timestamp axis for this
-  /// substrate).
+  /// substrate; every node's now() shares it).
   Timestamp now() const;
 
   /// Delivers a message from outside the cluster (a client).
   void inject(NodeId to, Envelope env);
 
+  /// Messages dropped: sent to a node that is unknown, not started or
+  /// stopping, or whose inbox held `inbox_capacity` tasks.
   std::uint64_t dropped_messages() const { return dropped_.load(); }
 
-  /// Inbox instrumentation for one node (depth, high-water mark, enqueue /
-  /// dequeue / drop counts); nullptr when the node is unknown. The fields
-  /// are relaxed atomics, safe to read while the node runs.
-  const QueueStats* inbox_stats(NodeId id) const;
-
-  /// Substrate-level metrics: per-node inbox gauges/counters plus the
-  /// cluster-wide drop total, named so they merge cleanly with the nodes'
-  /// own registries in a cluster snapshot.
-  obs::MetricsSnapshot metrics_snapshot() const;
-
  private:
-  struct NodeRuntime;
-  class Context;
-
-  NodeRuntime* runtime(NodeId id) BD_EXCLUDES(nodes_mu_);
-  const NodeRuntime* runtime(NodeId id) const BD_EXCLUDES(nodes_mu_);
-  void enqueue(NodeId to, NodeId from, Envelope env);
-  BD_NODE_THREAD void node_loop(NodeRuntime& rt);
-  /// Creates the node's MatchExecutor pool (idempotent). Called by the
-  /// node's Context from Node::start, i.e. on the node thread.
-  bool enable_offload(NodeId id, int workers, std::size_t lanes);
-  /// Ships an offload completion into the node's task queue. Unlike
-  /// enqueue(), completions are never dropped for capacity — a caller that
-  /// bounds its in-flight work by completions (the matcher's core
-  /// accounting) must see every one of them.
-  void post_completion(NodeRuntime& rt, std::function<void()> fn);
+  net::NodeLoop* loop(NodeId id) const BD_EXCLUDES(nodes_mu_);
+  std::vector<NodeId> ids() const BD_EXCLUDES(nodes_mu_);
+  /// Hands `env` to `to`'s loop, counting a drop when it refuses.
+  void deliver(NodeId to, NodeId from, Envelope&& env);
 
   ThreadClusterConfig config_;
   std::chrono::steady_clock::time_point epoch_;
   Rng seed_rng_;
   mutable bd::Mutex nodes_mu_;
-  /// The map itself is guarded; the pointed-to NodeRuntimes are stable
-  /// (never erased before shutdown) and carry their own lock.
-  std::unordered_map<NodeId, std::unique_ptr<NodeRuntime>> nodes_
+  /// The map itself is guarded; the loops are stable (never erased before
+  /// the cluster) and carry their own lock.
+  std::unordered_map<NodeId, std::unique_ptr<net::NodeLoop>> nodes_
       BD_GUARDED_BY(nodes_mu_);
   std::atomic<std::uint64_t> dropped_{0};
 };

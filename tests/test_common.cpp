@@ -1,12 +1,12 @@
-// Unit tests for src/common: rng, stats, serde, bounded queue, logging.
+// Unit tests for src/common: rng, stats, serde, cli args, logging.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "common/cli.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -194,52 +194,6 @@ TEST(Serde, CorruptLengthDoesNotAllocate) {
   });
   EXPECT_TRUE(items.empty());
   EXPECT_FALSE(r.ok());
-}
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-// ---------------------------------------------------------------------------
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.try_push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.try_pop().value(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BoundedQueue, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(BoundedQueue, CloseDrainsThenEmpty) {
-  BoundedQueue<int> q(8);
-  q.try_push(1);
-  q.try_push(2);
-  q.close();
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, ProducerConsumerThreads) {
-  BoundedQueue<int> q(32);
-  constexpr int kItems = 5000;
-  std::int64_t sum = 0;
-  std::thread consumer([&] {
-    while (auto item = q.pop()) sum += *item;
-  });
-  std::thread producer([&] {
-    for (int i = 1; i <= kItems; ++i) q.push(i);
-    q.close();
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(sum, static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
 }
 
 // ---------------------------------------------------------------------------

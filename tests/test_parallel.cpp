@@ -261,6 +261,7 @@ TEST(ThreadClusterOffload, WorkRunsOffNodeThreadCompletionOnIt) {
   EXPECT_GE(probe->worker_index.load(), 0);
   EXPECT_LT(probe->worker_index.load(), 2);
   EXPECT_DOUBLE_EQ(probe->done_units.load(), 7.0);
+  EXPECT_EQ(cluster.dropped_messages(), 0u);
   cluster.shutdown();
 }
 

@@ -1,13 +1,17 @@
-// Tests for the threaded runtime substrate (ThreadCluster) in isolation —
-// the Service facade exercises it end-to-end; these pin the transport
-// semantics themselves.
+// Tests for the real-time substrates in isolation — the Service facade
+// exercises them end-to-end; these pin the transport semantics themselves.
+// The context tests run once per owner of the shared net::NodeLoop: a
+// ThreadCluster node and a loopback TcpHost.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
+#include "common/thread_safety.h"
+#include "net/tcp_transport.h"
 #include "runtime/thread_cluster.h"
 
 namespace bluedove {
@@ -48,22 +52,120 @@ class ProbeNode final : public Node {
   std::atomic<NodeId> last_from{kInvalidNode};
 };
 
-TEST(ThreadCluster, StartDeliversAndStops) {
-  runtime::ThreadCluster cluster;
+/// Node 1 of a ThreadCluster.
+class ClusterOwner {
+ public:
+  explicit ClusterOwner(std::unique_ptr<Node> node) {
+    cluster_.add_node(1, std::move(node));
+  }
+  void start() { cluster_.start(1); }
+  bool running() const { return cluster_.running(1); }
+  void inject(Envelope env) { cluster_.inject(1, std::move(env)); }
+  void stop() { cluster_.stop(1); }
+
+ private:
+  runtime::ThreadCluster cluster_;
+};
+
+/// A TcpHost on an ephemeral loopback port.
+class TcpOwner {
+ public:
+  explicit TcpOwner(std::unique_ptr<Node> node) : host_(1, 0, std::move(node)) {}
+  void start() { host_.start(); }
+  bool running() const { return host_.running(); }
+  void inject(Envelope env) { host_.inject(kInvalidNode, std::move(env)); }
+  void stop() { host_.stop(); }
+
+ private:
+  net::TcpHost host_;
+};
+
+template <typename Owner>
+void start_delivers_and_stops() {
   auto node = std::make_unique<ProbeNode>();
   ProbeNode* probe = node.get();
-  cluster.add_node(1, std::move(node));
-  EXPECT_FALSE(cluster.running(1));
-  cluster.start(1);
+  Owner owner(std::move(node));
+  EXPECT_FALSE(owner.running());
+  owner.start();
   EXPECT_TRUE(eventually([&] { return probe->started.load(); }));
-  EXPECT_TRUE(cluster.running(1));
-  cluster.inject(1, Envelope::of(JoinRequest{}));
+  EXPECT_TRUE(owner.running());
+  owner.inject(Envelope::of(JoinRequest{}));
   EXPECT_TRUE(eventually([&] { return probe->received.load() == 1; }));
   EXPECT_EQ(probe->last_from.load(), kInvalidNode);
-  cluster.stop(1);
+  owner.stop();
   EXPECT_TRUE(probe->stopped.load());
-  EXPECT_FALSE(cluster.running(1));
+  EXPECT_FALSE(owner.running());
 }
+
+template <typename Owner>
+void timers_and_cancellation() {
+  auto node = std::make_unique<ProbeNode>();
+  ProbeNode* probe = node.get();
+  Owner owner(std::move(node));
+  owner.start();
+  ASSERT_TRUE(eventually([&] { return probe->started.load(); }));
+  std::atomic<int> fired{0};
+  probe->ctx_->set_timer(0.03, [&] { fired.fetch_add(1); });
+  const TimerId cancel_me =
+      probe->ctx_->set_timer(0.03, [&] { fired.fetch_add(100); });
+  probe->ctx_->cancel_timer(cancel_me);
+  EXPECT_TRUE(eventually([&] { return fired.load() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_EQ(fired.load(), 1);
+  owner.stop();
+}
+
+template <typename Owner>
+void charge_defers_without_recursion() {
+  auto node = std::make_unique<ProbeNode>();
+  ProbeNode* probe = node.get();
+  Owner owner(std::move(node));
+  owner.start();
+  ASSERT_TRUE(eventually([&] { return probe->started.load(); }));
+  std::atomic<int> done{0};
+  // A long chain of charge() completions must not blow the stack.
+  std::function<void()> step;
+  step = [&] {
+    if (done.fetch_add(1) < 5000) probe->ctx_->charge(1.0, step);
+  };
+  probe->ctx_->charge(1.0, step);
+  EXPECT_TRUE(eventually([&] { return done.load() >= 5001; }, 10.0));
+  owner.stop();
+}
+
+template <typename Owner>
+void now_advances() {
+  auto node = std::make_unique<ProbeNode>();
+  ProbeNode* probe = node.get();
+  Owner owner(std::move(node));
+  owner.start();
+  ASSERT_TRUE(eventually([&] { return probe->started.load(); }));
+  const Timestamp t0 = probe->ctx_->now();
+  EXPECT_GE(t0, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_GT(probe->ctx_->now(), t0 + 0.02);
+  owner.stop();
+}
+
+TEST(ThreadCluster, StartDeliversAndStops) {
+  start_delivers_and_stops<ClusterOwner>();
+}
+TEST(TcpHost, StartDeliversAndStops) { start_delivers_and_stops<TcpOwner>(); }
+
+TEST(ThreadCluster, TimersAndCancellation) {
+  timers_and_cancellation<ClusterOwner>();
+}
+TEST(TcpHost, TimersAndCancellation) { timers_and_cancellation<TcpOwner>(); }
+
+TEST(ThreadCluster, ChargeDefersWithoutRecursion) {
+  charge_defers_without_recursion<ClusterOwner>();
+}
+TEST(TcpHost, ChargeDefersWithoutRecursion) {
+  charge_defers_without_recursion<TcpOwner>();
+}
+
+TEST(ThreadCluster, NowAdvances) { now_advances<ClusterOwner>(); }
+TEST(TcpHost, NowAdvances) { now_advances<TcpOwner>(); }
 
 TEST(ThreadCluster, MessagesRelayThroughChain) {
   runtime::ThreadCluster cluster;
@@ -80,6 +182,15 @@ TEST(ThreadCluster, MessagesRelayThroughChain) {
   EXPECT_TRUE(eventually([&] { return nodes[2]->received.load() == 1; }));
   EXPECT_EQ(nodes[2]->last_from.load(), 2u);
   EXPECT_EQ(nodes[1]->last_from.load(), 1u);
+  // Every node reads the cluster's clock.
+  ASSERT_TRUE(eventually([&] { return nodes[0]->started.load(); }));
+  const Timestamp before = cluster.now();
+  const Timestamp first = nodes[0]->ctx_->now();
+  const Timestamp third = nodes[2]->ctx_->now();
+  const Timestamp after = cluster.now();
+  EXPECT_LE(before, first);
+  EXPECT_LE(first, third);
+  EXPECT_LE(third, after);
   cluster.shutdown();
 }
 
@@ -95,47 +206,72 @@ TEST(ThreadCluster, SendToMissingNodeCountsDrop) {
   cluster.shutdown();
 }
 
-TEST(ThreadCluster, TimersAndCancellation) {
-  runtime::ThreadCluster cluster;
-  auto node = std::make_unique<ProbeNode>();
-  ProbeNode* probe = node.get();
-  cluster.add_node(1, std::move(node));
-  cluster.start(1);
-  ASSERT_TRUE(eventually([&] { return probe->started.load(); }));
-  std::atomic<int> fired{0};
-  probe->ctx_->set_timer(0.03, [&] { fired.fetch_add(1); });
-  const TimerId cancel_me =
-      probe->ctx_->set_timer(0.03, [&] { fired.fetch_add(100); });
-  probe->ctx_->cancel_timer(cancel_me);
-  EXPECT_TRUE(eventually([&] { return fired.load() == 1; }));
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_EQ(fired.load(), 1);
-  cluster.shutdown();
+Envelope publish(MessageId id) {
+  ClientPublish p;
+  p.msg.id = id;
+  return Envelope::of(std::move(p));
 }
 
-TEST(ThreadCluster, ChargeDefersWithoutRecursion) {
-  runtime::ThreadCluster cluster;
-  auto node = std::make_unique<ProbeNode>();
-  ProbeNode* probe = node.get();
+/// Holds the node thread in message 0's handler until released, then posts
+/// charge() completions and one self-send while its inbox is still full.
+/// Records the order the other messages run in.
+class LatchNode final : public Node {
+ public:
+  static constexpr int kCharges = 8;
+
+  void start(NodeContext& ctx) override { ctx_ = &ctx; }
+  void on_receive(NodeId /*from*/, Envelope env) override {
+    const MessageId id = std::get<ClientPublish>(env.payload).msg.id;
+    if (id != 0) {
+      bd::LockGuard lock(mu);
+      order.push_back(id);
+      return;
+    }
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (int i = 0; i < kCharges; ++i) {
+      ctx_->charge(1.0, [this] { charged.fetch_add(1); });
+    }
+    ctx_->send(ctx_->self(), publish(99));
+  }
+
+  NodeContext* ctx_ = nullptr;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> charged{0};
+  bd::Mutex mu;
+  std::vector<MessageId> order BD_GUARDED_BY(mu);
+};
+
+TEST(ThreadCluster, FullInboxDropsNewestButNeverCompletions) {
+  runtime::ThreadCluster cluster(
+      runtime::ThreadClusterConfig{.inbox_capacity = 4});
+  auto node = std::make_unique<LatchNode>();
+  LatchNode* latch = node.get();
   cluster.add_node(1, std::move(node));
   cluster.start(1);
-  ASSERT_TRUE(eventually([&] { return probe->started.load(); }));
-  std::atomic<int> done{0};
-  // A long chain of charge() completions must not blow the stack.
-  std::function<void()> step;
-  step = [&] {
-    if (done.fetch_add(1) < 5000) probe->ctx_->charge(1.0, step);
-  };
-  probe->ctx_->charge(1.0, step);
-  EXPECT_TRUE(eventually([&] { return done.load() >= 5001; }, 10.0));
+  cluster.inject(1, publish(0));
+  EXPECT_TRUE(eventually([&] { return latch->entered.load(); }));
+  for (MessageId id = 1; id <= 10; ++id) cluster.inject(1, publish(id));
+  // The first four wait to run; the six newest found the inbox full.
+  EXPECT_EQ(cluster.dropped_messages(), 6u);
+  latch->release.store(true);
+  // Posted onto an inbox already full, every completion still runs; the
+  // self-send posted after them is dropped.
+  EXPECT_TRUE(eventually([&] {
+    return latch->charged.load() == LatchNode::kCharges;
+  }));
+  EXPECT_TRUE(eventually([&] {
+    bd::LockGuard lock(latch->mu);
+    return latch->order.size() == 4;
+  }));
   cluster.shutdown();
-}
-
-TEST(ThreadCluster, NowAdvances) {
-  runtime::ThreadCluster cluster;
-  const Timestamp t0 = cluster.now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_GT(cluster.now(), t0 + 0.02);
+  EXPECT_EQ(cluster.dropped_messages(), 7u);
+  EXPECT_EQ(latch->charged.load(), LatchNode::kCharges);
+  bd::LockGuard lock(latch->mu);
+  EXPECT_EQ(latch->order, (std::vector<MessageId>{1, 2, 3, 4}));
 }
 
 TEST(ThreadCluster, ShutdownIdempotentAndSafeWithTraffic) {

@@ -123,21 +123,6 @@ TEST(TcpHost, SendToDeadPeerCountsDropAndRecovers) {
   a.stop();
 }
 
-TEST(TcpHost, TimersFire) {
-  TcpHost a(1, 0, std::make_unique<CountingNode>());
-  auto* na = a.node_as<CountingNode>();
-  a.start();
-  ASSERT_TRUE(eventually([&] { return na->ctx() != nullptr; }));
-  std::atomic<int> fired{0};
-  na->ctx()->set_timer(0.05, [&] { fired.fetch_add(1); });
-  const TimerId cancelled = na->ctx()->set_timer(0.05, [&] { fired.fetch_add(1); });
-  na->ctx()->cancel_timer(cancelled);
-  EXPECT_TRUE(eventually([&] { return fired.load() == 1; }, 5.0));
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(fired.load(), 1);
-  a.stop();
-}
-
 // ---------------------------------------------------------------------------
 // A real BlueDove cluster over loopback TCP: 1 dispatcher, 3 matchers, a
 // delivery/metrics sink — subscribe, publish, receive.

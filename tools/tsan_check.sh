@@ -55,7 +55,7 @@ if [[ ${#labels[@]} -gt 0 ]]; then
   done
 else
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-    -R 'Tcp|Wire|ThreadCluster|Logger|Registry|BoundedQueue|LatencyHistogram' \
+    -R 'Tcp|Wire|ThreadCluster|Logger|Registry|LatencyHistogram' \
     ${ctest_args[@]+"${ctest_args[@]}"}
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
     -L parallel ${ctest_args[@]+"${ctest_args[@]}"}
