@@ -3,17 +3,20 @@
 // One net::TcpHost matcher (flat-bucket index, match_batch=32) is preloaded
 // with N subscriptions over the wire, then blasted with plain MatchRequest
 // envelopes from a client host, which its transport coalesces into frames
-// of up to 32 (WireConfig::batch). The matcher's --cores worth of offload
-// workers drain the per-dimension lanes; the bench times from first blast
-// send until matcher.matched has counted every request, sweeping
-// cores in {1, 2, 4, 8}.
+// of up to 32 (WireConfig::batch). At cores >= 2 that many offload workers
+// drain the per-dimension lanes; at cores = 1 the matcher's node thread
+// probes inline and no pool exists (exec.jobs reads 0). The bench times
+// from first blast send until matcher.matched has counted every request,
+// sweeping cores in {1, 2, 4, 8}, so the speedup rows compare pools with
+// the node thread alone.
 //
 // Emits BENCH_parallel.json (obs JSON schema): one msgs/sec gauge per
 // (cores, subs) cell, speedup gauges vs cores=1, executor job/steal
 // counters, and the host's hardware_concurrency (speedups can only
 // materialize when the machine actually has the cores). Exits nonzero when
 // any cell leaves a request unmatched, so a reduced-scale run doubles as a
-// smoke test of the pool path over real TCP (tools/check_all.sh).
+// smoke test of the inline and the pool paths over real TCP
+// (tools/check_all.sh and CI).
 //
 // Flags: --subs N (default 100000), --requests N (default 40000),
 //        --large (adds a 1,000,000-subscription sweep).

@@ -32,10 +32,12 @@
 // internal locking. What offloaded probes read are the representative
 // Subscriptions themselves, which live in the shared SubscriptionStore
 // arena like raw subscriptions; the matcher holds back writes while a
-// probe is in flight, so on the pool path the table a completion
-// expands against is the one that was probed. On the simulator's inline
-// path a write can still land between probe and completion (the probe's
-// time is charged first). Representative ids therefore carry a per-slot
+// probe is in flight whenever the substrate granted offload (a worker
+// pool, or at cores = 1 the node thread, whose completion is still a
+// later loop task), so there the table a completion expands against is
+// the one that was probed. On the simulator, which grants no offload, a
+// write can still land between probe and completion (the probe's time is
+// charged first). Representative ids therefore carry a per-slot
 // generation (bit 63 flags a representative, then 35 generation bits over
 // 28 slot bits), so a hit from an overtaken probe can never alias a
 // recycled group: expand() drops ids whose generation no longer matches.

@@ -134,7 +134,11 @@ void NodeLoop::charge(double /*work_units*/, std::function<void()> done) {
 
 bool NodeLoop::enable_offload(int workers, std::size_t lanes) {
   if (workers < 1) return false;
-  if (executor_ != nullptr) return true;
+  // One worker is the node thread itself: offload() runs the work inline
+  // and defers `done` through charge(). A one-thread pool would overlap a
+  // job with the node's other work only by paying two cross-thread
+  // hand-offs per job (a condvar signal out, an eventfd write back).
+  if (workers == 1 || executor_ != nullptr) return true;
   runtime::MatchExecutorConfig cfg;
   cfg.workers = workers;
   cfg.lanes = std::max<std::size_t>(lanes, 1);
@@ -149,8 +153,8 @@ bool NodeLoop::enable_offload(int workers, std::size_t lanes) {
 
 void NodeLoop::offload(std::size_t lane, OffloadWork work, OffloadDone done) {
   if (executor_ != nullptr && executor_->submit(lane, work, done)) return;
-  // No pool, or the lane is full: run inline on the node thread and defer
-  // the completion, as on the single-threaded substrate.
+  // One worker, or the lane is full: run inline on the node thread and
+  // defer the completion, as on the single-threaded substrate.
   NodeContext::offload(lane, std::move(work), std::move(done));
 }
 

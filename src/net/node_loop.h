@@ -5,7 +5,10 @@
 // each node-to-node send straight into the target's loop.
 //
 // A NodeLoop owns a net::Reactor, the hosted Node, the node's NodeContext
-// (the loop itself), the lazily created offload pool and the node thread.
+// (the loop itself), the node thread and, when the node asks for two or
+// more offload workers, the offload pool. A node that asks for one worker
+// is granted offload with no pool: the node thread is that worker, so its
+// work runs inline and its completion is a later loop task.
 // The node thread binds itself as the node's serialized execution context
 // (affinity::ScopedNodeBind, flight-recorder node id and track "node<id>"),
 // runs Node::start as the reactor's first task, serves the reactor until
@@ -114,8 +117,9 @@ class NodeLoop final : private NodeContext {
   bool started_ BD_GUARDED_BY(mu_) = false;
   bool stopping_ BD_GUARDED_BY(mu_) = false;
 
-  /// Created by enable_offload on the node thread, stopped after it joins.
-  /// Declared after everything its workers' completion posts reach.
+  /// Created by enable_offload on the node thread for two or more workers,
+  /// stopped after it joins. Declared after everything its workers'
+  /// completion posts reach.
   std::unique_ptr<runtime::MatchExecutor> executor_;
   std::thread thread_;
 };

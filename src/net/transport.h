@@ -55,14 +55,17 @@ class NodeContext {
   /// Per-node deterministic random stream.
   virtual Rng& rng() = 0;
 
-  /// Asks the substrate to service offload() with `workers` real threads
+  /// Asks the substrate to service offload() with `workers` workers
   /// draining `lanes` work queues (the matcher passes one lane per
-  /// dimension). Returns true when real parallelism is available. The
-  /// default — and the simulator — return false: offload() then stays the
-  /// deterministic inline-work + charge() path, which is what keeps the
-  /// discrete-event experiments bit-identical while the same node code
-  /// saturates real cores on the threaded substrates. Call once, from
-  /// Node::start.
+  /// dimension). Returns true when offload is granted (the matcher then
+  /// holds index writes back while work is in flight). A grant does not
+  /// mean real threads exist: the real-time substrates back two or more
+  /// workers with a pool, and one worker with the node thread itself (work
+  /// inline, completion deferred). The default — and the simulator —
+  /// return false: offload() then stays the deterministic inline-work +
+  /// charge() path, which is what keeps the discrete-event experiments
+  /// bit-identical while the same node code saturates real cores on the
+  /// threaded substrates. Call once, from Node::start.
   virtual bool enable_offload(int workers, std::size_t lanes) {
     (void)workers;
     (void)lanes;
@@ -71,12 +74,13 @@ class NodeContext {
 
   /// Runs `work` (a read-only computation returning the work units it
   /// spent), then `done(units)` back on this node's serialized execution
-  /// context. When enable_offload() accepted, work runs on a pool worker —
-  /// queued on `lane`, stolen by idle workers when its home lane backs up —
-  /// and only `done` returns to the node context. Otherwise work runs
-  /// inline here and the completion is deferred through charge(), so
-  /// callers that bound their in-flight services (the matcher's core
-  /// accounting) behave identically on every substrate.
+  /// context. When enable_offload() granted a pool, work runs on a pool
+  /// worker — queued on `lane`, stolen by idle workers when its home lane
+  /// backs up — and only `done` returns to the node context. Otherwise
+  /// (one worker, no grant, or a full lane) work runs inline here with
+  /// OffloadWorker::index -1 and the completion is deferred through
+  /// charge(), so callers that bound their in-flight services (the
+  /// matcher's core accounting) behave identically on every substrate.
   virtual void offload(std::size_t lane, OffloadWork work, OffloadDone done) {
     (void)lane;
     OffloadWorker self{-1, &rng()};

@@ -44,9 +44,9 @@ std::uint16_t merge() {
 }  // namespace rec
 
 // True when `env` mutates an index or the set layout that an offloaded
-// probe may be reading, so on the pool path it waits for the probes to
-// drain (MatcherNode::hold_back). A store/remove on a dimension the
-// matcher does not have is dropped by its handler, so it never waits.
+// probe may be reading, so when offload was granted it waits for the
+// probes to drain (MatcherNode::hold_back). A store/remove on a dimension
+// the matcher does not have is dropped by its handler, so it never waits.
 bool is_index_write(const Envelope& env, std::size_t dims) {
   return std::visit(
       [dims](const auto& msg) -> bool {
@@ -259,7 +259,7 @@ void MatcherNode::handle_remove(const RemoveSubscription& msg) {
 }
 
 // --------------------------------------------------------------------------
-// Write deferral (pool path): probes read the live indexes, writes wait
+// Write deferral (granted offload): probes read the live indexes, writes wait
 // --------------------------------------------------------------------------
 
 bool MatcherNode::hold_back(NodeId from, Envelope& env) {
@@ -346,9 +346,9 @@ void MatcherNode::service_batch(std::vector<MatchRequest> reqs,
   job->service_start = service_start;
   if (set.cover != nullptr) job->cover_stamp = set.cover->mutations();
 
-  // The probe reads the live dimension and wide indexes. On the pool path
-  // busy_cores_ holds writes back (hold_back) until the completion runs;
-  // on the inline path probe and writes share the node thread anyway.
+  // The probe reads the live dimension and wide indexes. When offload was
+  // granted, busy_cores_ holds writes back (hold_back) until the completion
+  // runs; on the simulator writes apply as they arrive.
   const SubscriptionIndex* dim_index = set.index.get();
   const SubscriptionIndex* wide_index = wide_.get();
 

@@ -9,9 +9,10 @@
 // load to all dispatchers, and implements the elasticity protocol (segment
 // split on join, merge on leave).
 //
-// When the substrate grants a worker pool, offloaded probes read the live
-// indexes with no locks; writes are held back until no probe is in flight
-// (hold_back / release_held, DESIGN.md §10).
+// When the substrate grants offload (a worker pool, or for one core the
+// node thread itself), probes read the live indexes with no locks; writes
+// are held back until no probe is in flight (hold_back / release_held,
+// DESIGN.md §10).
 
 #include <deque>
 #include <memory>
@@ -34,7 +35,10 @@ struct MatcherConfig {
   /// Schema: number of dimensions and their domains (for index layout).
   std::vector<Range> domains;
 
-  int cores = 4;  ///< paper testbed: 4-core VMs
+  /// Services in flight at once (paper testbed: 4-core VMs). On the
+  /// real-time substrates 2 or more are backed by that many offload
+  /// worker threads; 1 is the node thread itself, with no pool.
+  int cores = 4;
 
   IndexKind index_kind = IndexKind::kLinearScan;
 
@@ -202,7 +206,7 @@ class MatcherNode final : public Node {
   /// real worker thread when the substrate granted a pool, inline (then
   /// charged) otherwise.
   void service_batch(std::vector<MatchRequest> reqs, Timestamp service_start);
-  /// Write deferral on the pool path (DESIGN.md §10): offloaded probes
+  /// Write deferral whenever offload was granted (DESIGN.md §10): probes
   /// read the live indexes, so a write waits in `held_` while any probe
   /// is in flight or an earlier write is waiting. Returns true when `env`
   /// was held back instead of handled now.
@@ -268,12 +272,13 @@ class MatcherNode final : public Node {
   std::unique_ptr<SubscriptionIndex> wide_;  ///< always-searched wide set
   std::unordered_set<SubscriptionId> wide_ids_;
   /// Arena shared by slot-backed dimension indexes (kFlatBucket only). A
-  /// slot is released only by a write, and on the pool path writes wait
-  /// until no probe is in flight (hold_back).
+  /// slot is released only by a write, and when offload was granted writes
+  /// wait until no probe is in flight (hold_back).
   std::shared_ptr<SubscriptionStore> store_;
-  /// True when the substrate granted a real worker pool (enable_offload);
-  /// offloaded probes then read the live indexes while writes are held
-  /// back (hold_back) instead of running beside them.
+  /// True when the substrate granted offload (enable_offload): a worker
+  /// pool, or at cores = 1 the node thread, whose completion still runs as
+  /// a later task. Probes then read the live indexes while writes are held
+  /// back (hold_back) until their completions have run.
   bool parallel_ = false;
   /// Per-worker probe scratch, indexed by OffloadWorker::index; the last
   /// slot serves inline runs (index -1), which the node thread serializes.

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/thread_safety.h"
+#include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
 #include "index/subscription_store.h"
 #include "net/cluster_table.h"
@@ -859,6 +860,109 @@ TEST(WriteDeferral, OutOfRangeWriteNeverWaits) {
   EXPECT_EQ(snap.counters.at("matcher.writes_deferred"), 1u);
   EXPECT_EQ(matcher->raw_set_size(0), 1001u);
   EXPECT_EQ(matcher->raw_set_size(1), 1000u);
+}
+
+/// Hosts a node behind a latch: a ClientPublish, which a matcher never
+/// receives, holds the node thread until released; every other envelope
+/// goes to the hosted node.
+class LatchedNode final : public Node {
+ public:
+  explicit LatchedNode(std::unique_ptr<Node> inner)
+      : inner_(std::move(inner)) {}
+  void start(NodeContext& ctx) override { inner_->start(ctx); }
+  void on_receive(NodeId from, Envelope env) override {
+    if (!std::holds_alternative<ClientPublish>(env.payload)) {
+      inner_->on_receive(from, std::move(env));
+      return;
+    }
+    entered.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  void stop() override { inner_->stop(); }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+
+ private:
+  std::unique_ptr<Node> inner_;
+};
+
+// At cores = 1 the real-time substrates run the probe inline on the node
+// thread, but its completion is still a later loop task. A write that
+// lands between the two must wait for the completion, whose cover
+// expansion reads the group as it was probed.
+TEST(WriteDeferral, OneCoreHoldsWriteUntilCompletion) {
+  constexpr NodeId kMatcher = 100;
+  constexpr NodeId kSink = 7;
+  const std::vector<Range> domains(2, Range{0.0, 100.0});
+
+  runtime::ThreadCluster cluster;
+  auto sink_state = std::make_shared<SinkState>();
+  cluster.add_node(kSink, std::make_unique<FunctionNode>(
+                              [sink_state](NodeId, const Envelope& env,
+                                           Timestamp) {
+                                sink_state->record(env);
+                              }));
+  MatcherConfig mcfg;
+  mcfg.domains = domains;
+  mcfg.cores = 1;
+  mcfg.cover.enabled = true;
+  mcfg.index_kind = IndexKind::kFlatBucket;
+  mcfg.metrics_sink = kSink;
+  mcfg.delivery_sink = kSink;
+  mcfg.load_report_interval = 10.0;
+  mcfg.gossip.round_interval = 10.0;
+  auto matcher_owned = std::make_unique<MatcherNode>(kMatcher, mcfg);
+  const MatcherNode* matcher = matcher_owned.get();
+  matcher_owned->set_bootstrap(bootstrap_table({kMatcher}, domains));
+  auto latched = std::make_unique<LatchedNode>(std::move(matcher_owned));
+  LatchedNode* latch = latched.get();
+  cluster.add_node(kMatcher, std::move(latched));
+  cluster.start_all();
+
+  // Exact duplicates share one cover group: the probe hits its
+  // representative, and the completion expands it into the members.
+  auto duplicate = [](SubscriptionId id) {
+    Subscription sub;
+    sub.id = id;
+    sub.subscriber = id;
+    sub.ranges = {Range{40.0, 60.0}, Range{40.0, 60.0}};
+    return sub;
+  };
+  LinearScanIndex probed_table(0);
+  for (SubscriptionId id = 1; id <= 3; ++id) {
+    probed_table.insert(std::make_shared<const Subscription>(duplicate(id)));
+    cluster.inject(kMatcher,
+                   Envelope::of(StoreSubscription{duplicate(id), 0}));
+  }
+  cluster.inject(kMatcher, Envelope::of(ClientPublish{}));
+  ASSERT_TRUE(eventually([&] { return latch->entered.load(); }));
+  // Both wait behind the latch: the request's probe runs first, and the
+  // write joins the group before the completion unless it is held.
+  MatchRequest req;
+  req.msg.id = 1;
+  req.msg.values = {50.0, 50.0};
+  req.dim = 0;
+  MatchScratch scratch;
+  const std::vector<SubscriptionId> want =
+      hit_ids(probed_table, req.msg, scratch);
+  cluster.inject(kMatcher, Envelope::of(std::move(req)));
+  cluster.inject(kMatcher, Envelope::of(StoreSubscription{duplicate(4), 0}));
+  latch->release.store(true);
+
+  ASSERT_TRUE(eventually([&] { return sink_state->completed() >= 1; }));
+  cluster.shutdown();
+  EXPECT_EQ(cluster.dropped_messages(), 0u);
+  const obs::MetricsSnapshot snap = matcher->metrics().snapshot();
+  EXPECT_EQ(snap.counters.at("matcher.writes_deferred"), 1u);
+  const std::set<SubscriptionId> delivered = sink_state->delivered(1);
+  EXPECT_EQ(std::vector<SubscriptionId>(delivered.begin(), delivered.end()),
+            want);
+  EXPECT_EQ(want.size(), 3u);
+  EXPECT_EQ(matcher->raw_set_size(0), 4u);
+  EXPECT_EQ(matcher->set_size(0), 1u);
 }
 
 // ---------------------------------------------------------------------------

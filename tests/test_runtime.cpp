@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/thread_safety.h"
-#include "net/tcp_transport.h"
+#include "node_owners.h"
 #include "runtime/thread_cluster.h"
 
 namespace bluedove {
@@ -52,33 +52,8 @@ class ProbeNode final : public Node {
   std::atomic<NodeId> last_from{kInvalidNode};
 };
 
-/// Node 1 of a ThreadCluster.
-class ClusterOwner {
- public:
-  explicit ClusterOwner(std::unique_ptr<Node> node) {
-    cluster_.add_node(1, std::move(node));
-  }
-  void start() { cluster_.start(1); }
-  bool running() const { return cluster_.running(1); }
-  void inject(Envelope env) { cluster_.inject(1, std::move(env)); }
-  void stop() { cluster_.stop(1); }
-
- private:
-  runtime::ThreadCluster cluster_;
-};
-
-/// A TcpHost on an ephemeral loopback port.
-class TcpOwner {
- public:
-  explicit TcpOwner(std::unique_ptr<Node> node) : host_(1, 0, std::move(node)) {}
-  void start() { host_.start(); }
-  bool running() const { return host_.running(); }
-  void inject(Envelope env) { host_.inject(kInvalidNode, std::move(env)); }
-  void stop() { host_.stop(); }
-
- private:
-  net::TcpHost host_;
-};
+using testing_owners::ClusterOwner;
+using testing_owners::TcpOwner;
 
 template <typename Owner>
 void start_delivers_and_stops() {

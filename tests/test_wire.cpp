@@ -28,6 +28,7 @@
 #include "net/wire.h"
 #include "node/dispatcher_node.h"
 #include "node/matcher_node.h"
+#include "node_owners.h"
 
 namespace bluedove {
 namespace {
@@ -1316,6 +1317,96 @@ TEST(WireThreads, HostAddsOneThreadPlusOffloadWorkers) {
             static_cast<std::size_t>(1 + OffloadEchoNode::kWorkers));
   host.stop();
   for (auto& p : peers) p->stop();
+}
+
+/// Asks for one offload worker in start() and offloads one computation per
+/// received message, recording where and when the work and its completion
+/// ran.
+class OneWorkerNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override {
+    node_thread_ = std::this_thread::get_id();
+    granted.store(ctx.enable_offload(1, 3));
+    // Publish last: the test thread polls ctx() to know start() finished.
+    ctx_.store(&ctx, std::memory_order_release);
+  }
+  void on_receive(NodeId /*from*/, Envelope /*env*/) override {
+    in_offload_ = true;
+    ctx()->offload(
+        2,
+        [this](OffloadWorker& w) {
+          work_on_node_thread.store(std::this_thread::get_id() ==
+                                    node_thread_);
+          worker_index.store(w.index);
+          return 7.0;
+        },
+        [this](double units) {
+          done_after_return.store(!in_offload_);
+          done_on_node_thread.store(std::this_thread::get_id() ==
+                                    node_thread_);
+          done_units.store(units);
+          completions.fetch_add(1);
+        });
+    in_offload_ = false;
+  }
+  NodeContext* ctx() const { return ctx_.load(std::memory_order_acquire); }
+
+  std::atomic<NodeContext*> ctx_{nullptr};
+  std::thread::id node_thread_;
+  bool in_offload_ = false;  ///< node thread only
+  std::atomic<bool> granted{false};
+  std::atomic<bool> work_on_node_thread{false};
+  std::atomic<int> worker_index{-2};
+  std::atomic<bool> done_after_return{false};
+  std::atomic<bool> done_on_node_thread{false};
+  std::atomic<double> done_units{0.0};
+  std::atomic<int> completions{0};
+};
+
+/// A one-worker offload is granted with no pool: the process gains only the
+/// node thread, the work runs inline on it as worker -1, and the completion
+/// runs on it after offload() has returned.
+template <typename Owner>
+void one_worker_offload_is_the_node_thread() {
+  auto node = std::make_unique<OneWorkerNode>();
+  OneWorkerNode* probe = node.get();
+  Owner owner(std::move(node));
+  // A sanitizer runtime may start a helper thread of its own at the
+  // process's first thread creation; let that happen before the count.
+  std::thread([] {}).join();
+  const std::size_t before = process_threads();
+  owner.start();
+  ASSERT_TRUE(eventually([&] { return probe->ctx() != nullptr; }));
+  EXPECT_TRUE(probe->granted.load());
+  EXPECT_EQ(process_threads() - before, 1u);
+  owner.inject(Envelope::of(JoinRequest{}));
+  ASSERT_TRUE(eventually([&] { return probe->completions.load() == 1; }));
+  EXPECT_TRUE(probe->work_on_node_thread.load());
+  EXPECT_EQ(probe->worker_index.load(), -1);
+  EXPECT_TRUE(probe->done_after_return.load());
+  EXPECT_TRUE(probe->done_on_node_thread.load());
+  EXPECT_EQ(probe->done_units.load(), 7.0);
+  owner.stop();
+  if constexpr (std::is_same_v<Owner, testing_owners::TcpOwner>) {
+    // No pool registered its exec.* instruments with the host.
+    const obs::MetricsSnapshot snap = owner.host().wire_metrics().snapshot();
+    auto exec = [](const auto& series) {
+      return std::count_if(series.begin(), series.end(), [](const auto& kv) {
+        return kv.first.rfind("exec.", 0) == 0;
+      });
+    };
+    EXPECT_EQ(exec(snap.counters), 0);
+    EXPECT_EQ(exec(snap.gauges), 0);
+    EXPECT_EQ(exec(snap.histograms), 0);
+  }
+}
+
+TEST(WireThreads, OneOffloadWorkerIsTheNodeThreadOnThreadCluster) {
+  one_worker_offload_is_the_node_thread<testing_owners::ClusterOwner>();
+}
+
+TEST(WireThreads, OneOffloadWorkerIsTheNodeThreadOnTcpHost) {
+  one_worker_offload_is_the_node_thread<testing_owners::TcpOwner>();
 }
 
 // ---------------------------------------------------------------------------

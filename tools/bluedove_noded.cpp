@@ -19,11 +19,12 @@
 //                                    at delivery
 //   --cover-budget=F                 covering false-positive volume budget
 //                                    (default 0.05)
-//   --cores=N                        matcher offload worker threads
-//                                    (default 4): index probes run on a
-//                                    work-stealing pool off the node
-//                                    thread, one lane per dimension
-//                                    (DESIGN.md §10)
+//   --cores=N                        matcher cores (default 4): for
+//                                    N >= 2, index probes run on a pool
+//                                    of N work-stealing threads off the
+//                                    node thread, one lane per dimension;
+//                                    N = 1 probes on the node thread and
+//                                    starts no pool (DESIGN.md §10)
 //   --simd=auto|scalar|off|avx2|avx512|neon  match-probe kernel (matcher;
 //                                    default auto: widest ISA the CPU
 //                                    supports, scalar/vector results are

@@ -21,10 +21,11 @@
 #       (connection ramp + sustained fan-out + resume; exits nonzero on any
 #       sequence gap, duplicate, lost session, or payload copy). Runs in a
 #       scratch directory so the committed BENCH_edge.json stays untouched.
-#   5e. reduced-scale micro_parallel smoke: the matcher's worker pool
-#       probing its live indexes at cores 1/2/4/8 over loopback TCP; exits
-#       nonzero when any request goes unmatched. Runs in a scratch
-#       directory so the committed BENCH_parallel.json stays untouched.
+#   5e. reduced-scale micro_parallel smoke: the matcher probing its live
+#       indexes over loopback TCP on the node thread (cores 1) and on
+#       worker pools (cores 2/4/8); exits nonzero when any request goes
+#       unmatched. Runs in a scratch directory so the committed
+#       BENCH_parallel.json stays untouched.
 #   5f. reduced-count micro_wire smoke: TcpHost to TcpHost blasts at wire
 #       batch 1/8/32 and the default WireConfig; exits nonzero when a
 #       publication is missing that the sender's drop counter does not
