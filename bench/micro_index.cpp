@@ -3,6 +3,7 @@
 // Also serves as the ablation for the DESIGN.md index-engine choice.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -12,7 +13,10 @@
 #include <thread>
 
 #include "attr/schema.h"
+#include "cover/cover_table.h"
+#include "index/flat_bucket_index.h"
 #include "index/subscription_index.h"
+#include "index/subscription_store.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "simd/range_kernel.h"
@@ -117,10 +121,11 @@ void sweep_match(obs::MetricsSnapshot& snap,
 /// ~25% pivot selectivity (EXPERIMENTS.md). The acceptance bar for the
 /// vectorized probe is vector >= 2x scalar here.
 ///
-/// "bucketed" is the same 1M ranges distributed into FlatBucketIndex's
-/// 64 per-bucket column replicas (one copy per overlapped bucket); each
-/// probe scans only the bucket its value maps to. Because every resident
-/// range overlaps its bucket, ~94% of the probed rows match, the
+/// "bucketed" is the same 1M ranges grouped by FlatBucketIndex's 64 pivot
+/// buckets: each probe scans the rows whose bucket span contains its
+/// value's bucket, the candidate set the engine scans (as one run per
+/// bucket it looks back at; one contiguous column here). Because every
+/// scanned range overlaps the bucket, ~94% of the probed rows match, the
 /// selection write traffic approaches one entry per row, and the scan
 /// saturates cache bandwidth — the vector win is structurally smaller.
 /// Recorded next to the headline number so the engine-shaped cost is
@@ -228,6 +233,112 @@ void sweep_dim0_scan(obs::MetricsSnapshot& snap,
   run_shape("bucketed.", [&](double v) -> const Columns& {
     return buckets[bucket_of(v)];
   });
+}
+
+// ---------------------------------------------------------------------------
+// Memory attribution: heap bytes per stored subscription copy for each
+// structure a matcher keeps for one dimension set, measured as mallinfo2
+// deltas around building that structure alone from the same inputs. The
+// index's id map is what its build adds beyond its columns and its store.
+// Gauges go to BENCH_index.json; `--memory-only` runs just this section,
+// and `--memory-scale=F` scales both shapes' populations.
+// ---------------------------------------------------------------------------
+
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;  // small-chunk + mmapped allocations
+}
+
+/// Returns false when a FlatBucketIndex holds more column entries than
+/// subscriptions (each copy must be filed exactly once).
+bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
+  struct Shape {
+    const char* name;
+    std::size_t subs;
+    double width;
+  };
+  // The e2e `probe` and `paper` subscription shapes on 4 dimensions.
+  const Shape shapes[] = {{"probe", 100000, 60.0}, {"paper", 8000, 250.0}};
+  const AttributeSchema schema = AttributeSchema::uniform(4);
+  std::vector<Range> domains;
+  for (DimId d = 0; d < schema.dimensions(); ++d) {
+    domains.push_back(schema.domain(d));
+  }
+  bool ok = true;
+  std::printf("memory per subscription copy (bytes)\n");
+  std::printf("%-6s %8s %9s %9s %9s %9s %9s %8s\n", "shape", "copies",
+              "columns", "store", "id_map", "cover", "total", "entries");
+  for (const Shape& shape : shapes) {
+    const auto subs = std::max<std::size_t>(
+        1, static_cast<std::size_t>(static_cast<double>(shape.subs) * scale));
+    SubscriptionWorkload wl;
+    wl.schema = schema;
+    wl.predicate_width = shape.width;
+    std::vector<SubPtr> input;
+    SubscriptionGenerator gen(wl, 2011);
+    for (std::size_t i = 0; i < subs; ++i) {
+      input.push_back(std::make_shared<const Subscription>(gen.next()));
+    }
+
+    std::size_t store_bytes = 0;
+    {
+      const std::size_t before = heap_in_use();
+      SubscriptionStore store;
+      for (const SubPtr& sub : input) store.acquire(*sub);
+      store_bytes = heap_in_use() - before;
+    }
+    std::size_t index_bytes = 0;
+    std::size_t column_bytes = 0;
+    std::size_t entries = 0;
+    {
+      const std::size_t before = heap_in_use();
+      FlatBucketIndex index(0, schema.domain(0));
+      for (const SubPtr& sub : input) index.insert(sub);
+      index_bytes = heap_in_use() - before;
+      column_bytes = index.column_capacity_bytes();
+      entries = index.column_entries();
+    }
+    std::size_t cover_bytes = 0;
+    {
+      CoverConfig cfg;
+      cfg.enabled = true;
+      const std::size_t before = heap_in_use();
+      CoverTable cover(cfg, domains);
+      for (const SubPtr& sub : input) cover.add(*sub);
+      cover_bytes = heap_in_use() - before;
+    }
+
+    const double n = static_cast<double>(subs);
+    const double id_map_bytes =
+        static_cast<double>(index_bytes) -
+        static_cast<double>(store_bytes + column_bytes);
+    const double per[] = {static_cast<double>(column_bytes) / n,
+                          static_cast<double>(store_bytes) / n,
+                          id_map_bytes / n,
+                          static_cast<double>(cover_bytes) / n};
+    const char* names[] = {"columns", "store", "id_map", "cover"};
+    double total = 0.0;
+    for (std::size_t c = 0; c < 4; ++c) {
+      total += per[c];
+      snap.gauges[std::string("index.memory.") + shape.name + "." + names[c] +
+                  ".bytes_per_copy"] = per[c];
+    }
+    snap.gauges[std::string("index.memory.") + shape.name +
+                ".total.bytes_per_copy"] = total;
+    snap.gauges[std::string("index.memory.") + shape.name +
+                ".column_entries_per_copy"] = static_cast<double>(entries) / n;
+    std::printf("%-6s %8zu %9.1f %9.1f %9.1f %9.1f %9.1f %8.3f\n", shape.name,
+                subs, per[0], per[1], per[2], per[3], total,
+                static_cast<double>(entries) / n);
+    if (entries > subs) {
+      std::fprintf(stderr,
+                   "%s: FlatBucketIndex holds %zu column entries for %zu "
+                   "subscriptions\n",
+                   shape.name, entries, subs);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 void BM_IndexMatch(benchmark::State& state) {
@@ -369,11 +480,17 @@ int main(int argc, char** argv) {
   // it does not know). auto sweeps every kernel the CPU can run; a kernel
   // name restricts the sweep and pins the gbench section to that kernel.
   std::string simd_mode = "auto";
+  bool memory_only = false;
+  double memory_scale = 1.0;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--simd=", 0) == 0) {
       simd_mode = arg.substr(7);
+    } else if (arg == "--memory-only") {
+      memory_only = true;
+    } else if (arg.rfind("--memory-scale=", 0) == 0) {
+      memory_scale = std::stod(arg.substr(15));
     } else {
       argv[kept++] = argv[i];
     }
@@ -399,6 +516,8 @@ int main(int argc, char** argv) {
   obs::MetricsSnapshot sweep_snap;
   sweep_snap.gauges["index.hardware_concurrency"] =
       static_cast<double>(std::thread::hardware_concurrency());
+  const bool memory_ok = memory_attribution(sweep_snap, memory_scale);
+  if (memory_only) return memory_ok ? 0 : 1;
   std::printf("simd sweep (kernels:");
   for (const simd::RangeKernel* k : kernels) std::printf(" %s", k->name);
   std::printf(")\n");
@@ -421,5 +540,5 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "failed to write %s\n", path);
   }
-  return 0;
+  return memory_ok ? 0 : 1;
 }

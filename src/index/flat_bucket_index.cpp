@@ -9,8 +9,7 @@
 namespace bluedove {
 
 namespace {
-/// Smallest lockstep reservation for a bucket's slot array and columns;
-/// also the floor below which compact_storage never bothers shrinking.
+/// Smallest lockstep reservation for a bucket's slot array and columns.
 constexpr std::size_t kMinBucketCapacity = 16;
 }  // namespace
 
@@ -42,10 +41,11 @@ std::pair<std::size_t, std::size_t> FlatBucketIndex::span_of(
   return {first, std::max(first, last)};
 }
 
-void FlatBucketIndex::bucket_insert(Bucket& b, Slot slot,
-                                    const Subscription& sub) {
+void FlatBucketIndex::bucket_insert(std::size_t first, std::size_t reach,
+                                    Slot slot, const Subscription& sub) {
+  Bucket& b = buckets_[first];
   if (sub.dimensions() != columns_) {
-    b.irregular.push_back(slot);
+    b.irregular.push_back({slot, static_cast<std::uint32_t>(first + reach)});
     return;
   }
   if (b.lo.size() != columns_) {
@@ -66,32 +66,65 @@ void FlatBucketIndex::bucket_insert(Bucket& b, Slot slot,
   }
   b.slots.push_back(slot);
   for (std::size_t d = 0; d < columns_; ++d) {
-    b.lo[d].push_back(sub.ranges[d].lo);
-    b.hi[d].push_back(sub.ranges[d].hi);
+    b.lo[d].push_back(0.0);
+    b.hi[d].push_back(0.0);
   }
+  if (b.reach_end.size() <= reach) b.reach_end.resize(reach + 1, 0);
+  // Open a hole at the end of the reach-`reach` class: each narrower class
+  // hands its first entry to the hole past its last, shifting by one.
+  std::size_t hole = b.slots.size() - 1;
+  for (std::size_t r = 0; r < reach; ++r) {
+    move_entry(b, b.reach_end[r + 1], hole);
+    hole = b.reach_end[r + 1];
+  }
+  b.slots[hole] = slot;
+  for (std::size_t d = 0; d < columns_; ++d) {
+    b.lo[d][hole] = sub.ranges[d].lo;
+    b.hi[d][hole] = sub.ranges[d].hi;
+  }
+  for (std::size_t r = 0; r <= reach; ++r) ++b.reach_end[r];
 }
 
-void FlatBucketIndex::bucket_erase(Bucket& b, Slot slot) {
-  for (std::size_t i = 0; i < b.slots.size(); ++i) {
-    if (b.slots[i] != slot) continue;
-    // Swap-remove. pop_back never releases vector capacity, and insert
-    // reserves in lockstep, so steady-state churn cannot thrash the column
-    // allocations; capacity is released only by compact_storage().
-    const std::size_t last = b.slots.size() - 1;
-    b.slots[i] = b.slots[last];
-    b.slots.pop_back();
-    for (std::size_t d = 0; d < b.lo.size(); ++d) {
-      b.lo[d][i] = b.lo[d][last];
-      b.lo[d].pop_back();
-      b.hi[d][i] = b.hi[d][last];
-      b.hi[d].pop_back();
+void FlatBucketIndex::bucket_erase(std::size_t first, std::size_t reach,
+                                   Slot slot) {
+  Bucket& b = buckets_[first];
+  std::size_t hole = run_length(b, reach + 1);
+  const std::size_t end = run_length(b, reach);
+  while (hole < end && b.slots[hole] != slot) ++hole;
+  if (hole == end) {
+    const auto it =
+        std::find_if(b.irregular.begin(), b.irregular.end(),
+                     [slot](const Irregular& e) { return e.slot == slot; });
+    if (it != b.irregular.end()) {
+      *it = b.irregular.back();
+      b.irregular.pop_back();
     }
     return;
   }
-  const auto it = std::find(b.irregular.begin(), b.irregular.end(), slot);
-  if (it != b.irregular.end()) {
-    *it = b.irregular.back();
-    b.irregular.pop_back();
+  // Close the hole: each class from `reach` down to the narrowest hands its
+  // last entry to the hole left before it. pop_back never releases vector
+  // capacity, and insert reserves in lockstep, so steady-state churn cannot
+  // thrash the column allocations.
+  for (std::size_t r = reach + 1; r-- > 0;) {
+    const std::size_t last = --b.reach_end[r];
+    move_entry(b, last, hole);
+    hole = last;
+  }
+  b.slots.pop_back();
+  for (std::size_t d = 0; d < b.lo.size(); ++d) {
+    b.lo[d].pop_back();
+    b.hi[d].pop_back();
+  }
+  while (!b.reach_end.empty() && b.reach_end.back() == 0) {
+    b.reach_end.pop_back();
+  }
+}
+
+void FlatBucketIndex::move_entry(Bucket& b, std::size_t from, std::size_t to) {
+  b.slots[to] = b.slots[from];
+  for (std::size_t d = 0; d < b.lo.size(); ++d) {
+    b.lo[d][to] = b.lo[d][from];
+    b.hi[d][to] = b.hi[d][from];
   }
 }
 
@@ -111,9 +144,8 @@ void FlatBucketIndex::insert(SubPtr sub) {
   local_.emplace(sub->id, slot);
   const Subscription& stored = store_->at(slot);
   const auto [first, last] = span_of_sub(stored);
-  for (std::size_t b = first; b <= last; ++b) {
-    bucket_insert(buckets_[b], slot, stored);
-  }
+  max_reach_ = std::max(max_reach_, last - first);
+  bucket_insert(first, last - first, slot, stored);
 }
 
 bool FlatBucketIndex::erase(SubscriptionId id) {
@@ -121,7 +153,7 @@ bool FlatBucketIndex::erase(SubscriptionId id) {
   if (it == local_.end()) return false;
   const Slot slot = it->second;
   const auto [first, last] = span_of_sub(store_->at(slot));
-  for (std::size_t b = first; b <= last; ++b) bucket_erase(buckets_[b], slot);
+  bucket_erase(first, last - first, slot);
   local_.erase(it);
   store_->release(id);
   return true;
@@ -130,27 +162,25 @@ bool FlatBucketIndex::erase(SubscriptionId id) {
 void FlatBucketIndex::clear() {
   for (const auto& [id, slot] : local_) store_->release(id);
   local_.clear();
+  max_reach_ = 0;
   // Keep column capacity: clear() precedes a rebuild of (usually) the same
-  // scale, and dropping every allocation here just to re-grow it is the
-  // churn thrash compact_storage() exists to control.
+  // scale, and dropping every allocation here just to re-grow it would
+  // thrash the allocator.
   for (Bucket& b : buckets_) {
     b.slots.clear();
+    b.reach_end.clear();
     b.irregular.clear();
     for (auto& c : b.lo) c.clear();
     for (auto& c : b.hi) c.clear();
   }
 }
 
-void FlatBucketIndex::compact_storage() {
-  for (Bucket& b : buckets_) {
-    const std::size_t used = b.slots.size();
-    if (b.slots.capacity() <= std::max(kMinBucketCapacity, 4 * used)) {
-      continue;  // not oversized enough to be worth a reallocation
-    }
-    b.slots.shrink_to_fit();
-    for (auto& c : b.lo) c.shrink_to_fit();
-    for (auto& c : b.hi) c.shrink_to_fit();
+std::size_t FlatBucketIndex::column_entries() const {
+  std::size_t entries = 0;
+  for (const Bucket& b : buckets_) {
+    entries += b.slots.size() + b.irregular.size();
   }
+  return entries;
 }
 
 std::size_t FlatBucketIndex::column_capacity_bytes() const {
@@ -163,59 +193,80 @@ std::size_t FlatBucketIndex::column_capacity_bytes() const {
   return bytes;
 }
 
+std::size_t FlatBucketIndex::select(const simd::RangeKernel& k,
+                                    const Bucket& b, std::size_t n,
+                                    const Message& m,
+                                    std::uint32_t* sel) const {
+  // The pivot goes last: every entry of the run overlaps the message's
+  // pivot bucket, so the pivot column rejects the fewest rows, and the
+  // selective dimensions first often empty the selection before the later
+  // passes run. The first pass scans one contiguous column run and emits
+  // the selection vector; the others compact it in place. Every order
+  // selects the same rows in ascending order.
+  const std::size_t last = std::min(static_cast<std::size_t>(pivot_),
+                                    columns_ - 1);
+  const auto dim_at = [&](std::size_t i) {
+    return i + 1 == columns_ ? last : (i < last ? i : i + 1);
+  };
+  std::size_t d = dim_at(0);
+  std::size_t count =
+      k.scan(b.lo[d].data(), b.hi[d].data(), n, m.values[d], sel);
+  for (std::size_t i = 1; i < columns_ && count != 0; ++i) {
+    d = dim_at(i);
+    count =
+        k.compact(b.lo[d].data(), b.hi[d].data(), m.values[d], sel, count);
+  }
+  return count;
+}
+
 void FlatBucketIndex::probe(const Message& m, std::vector<Slot>& out,
                             std::vector<std::uint32_t>& sel,
                             WorkCounter& wc) const {
   ++wc.probes;
-  const Bucket& b = buckets_[bucket_of(m.value(pivot_))];
-  const std::size_t n = b.slots.size();
-  wc.comparisons += n + b.irregular.size();
-  if (n != 0 && m.dimensions() == columns_) {
-    sel.resize(n);
-    const simd::RangeKernel& k = simd::active_kernel();
-    // First pass over one full contiguous column emits the selection
-    // vector; the remaining dimensions compact it in place. Both loops run
-    // through the dispatched kernel (AVX2 / NEON / scalar).
-    std::size_t count =
-        k.scan(b.lo[0].data(), b.hi[0].data(), n, m.values[0], sel.data());
-    for (std::size_t d = 1; d < columns_ && count != 0; ++d) {
-      count = k.compact(b.lo[d].data(), b.hi[d].data(), m.values[d],
-                        sel.data(), count);
+  const std::size_t target = bucket_of(m.value(pivot_));
+  const bool columnar = m.dimensions() == columns_;
+  const simd::RangeKernel& k = simd::active_kernel();
+  // Bucket j contributes the prefix of its entries that reach `target`;
+  // together these runs are every copy whose pivot span contains it.
+  for (std::size_t j = target - std::min(target, max_reach_); j <= target;
+       ++j) {
+    const Bucket& b = buckets_[j];
+    const std::size_t n = run_length(b, target - j);
+    wc.comparisons += n;
+    if (n != 0 && columnar) {
+      sel.resize(std::max(sel.size(), n));
+      const std::size_t count = select(k, b, n, m, sel.data());
+      if (k.kind != simd::KernelKind::kScalar && obs::Audit::enabled()) {
+        audit_probe(m, b, n, sel, count);
+      }
+      for (std::size_t i = 0; i < count; ++i) out.push_back(b.slots[sel[i]]);
     }
-    if (k.kind != simd::KernelKind::kScalar && obs::Audit::enabled()) {
-      audit_probe(m, b, sel, count);
+    for (const Irregular& e : b.irregular) {
+      if (e.last < target) continue;
+      ++wc.comparisons;
+      if (store_->at(e.slot).matches(m)) out.push_back(e.slot);
     }
-    for (std::size_t j = 0; j < count; ++j) out.push_back(b.slots[sel[j]]);
-  }
-  for (const Slot slot : b.irregular) {
-    if (store_->at(slot).matches(m)) out.push_back(slot);
   }
 }
 
 void FlatBucketIndex::audit_probe(const Message& m, const Bucket& b,
+                                  std::size_t n,
                                   const std::vector<std::uint32_t>& sel,
                                   std::size_t count) const {
-  // Sample: every 64th vectorized probe per thread replays the scalar
-  // oracle over the same bucket and compares the selections exactly.
+  // Sample: every 64th vectorized run per thread replays the scalar oracle
+  // over the same run and compares the selections exactly.
   thread_local std::uint64_t tick = 0;
   if ((tick++ & 63u) != 0) return;
   thread_local std::vector<std::uint32_t> oracle;
-  const std::size_t n = b.slots.size();
   oracle.resize(n);
-  const simd::RangeKernel& s = simd::scalar_kernel();
-  std::size_t oc =
-      s.scan(b.lo[0].data(), b.hi[0].data(), n, m.values[0], oracle.data());
-  for (std::size_t d = 1; d < columns_ && oc != 0; ++d) {
-    oc = s.compact(b.lo[d].data(), b.hi[d].data(), m.values[d], oracle.data(),
-                   oc);
-  }
+  const std::size_t oc = select(simd::scalar_kernel(), b, n, m, oracle.data());
   if (oc != count ||
       !std::equal(sel.begin(), sel.begin() + static_cast<std::ptrdiff_t>(count),
                   oracle.begin())) {
     obs::Audit::report(
         obs::AuditKind::kSimdKernel,
         std::string("vector probe diverged from scalar oracle: kernel=") +
-            simd::active_kernel().name + " bucket_size=" + std::to_string(n) +
+            simd::active_kernel().name + " run_size=" + std::to_string(n) +
             " vector_hits=" + std::to_string(count) +
             " scalar_hits=" + std::to_string(oc));
   }
@@ -322,7 +373,13 @@ void FlatBucketIndex::for_each(
 }
 
 std::size_t FlatBucketIndex::bucket_size(std::size_t i) const {
-  return buckets_[i].slots.size() + buckets_[i].irregular.size();
+  std::size_t n = 0;
+  for (std::size_t j = i - std::min(i, max_reach_); j <= i; ++j) {
+    const Bucket& b = buckets_[j];
+    n += run_length(b, i - j);
+    for (const Irregular& e : b.irregular) n += e.last >= i ? 1 : 0;
+  }
+  return n;
 }
 
 }  // namespace bluedove

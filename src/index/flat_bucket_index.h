@@ -1,15 +1,29 @@
 #pragma once
 // Columnar bucket engine: the product index.
 //
-// Subscriptions are interned once in a SubscriptionStore arena; each
-// fixed-width bucket along the pivot dimension holds struct-of-arrays
-// predicate data — contiguous lo[d][]/hi[d][] columns per dimension plus a
-// parallel slot-id array. A probe first scans one contiguous column
-// branchlessly to build a selection vector, then compacts it through the
-// remaining dimensions, so the k-predicate verify is a handful of tight
-// loops over packed doubles (auto-vectorizable) instead of a virtual
-// pointer-chase per candidate. The probe returns compact slot ids; SubPtrs
-// are materialized only on the cold paths (for_each, legacy match()).
+// Subscriptions are interned once in a SubscriptionStore arena. The pivot
+// domain is cut into fixed-width buckets, and each subscription copy is
+// filed exactly once, in the bucket that holds its pivot `lo`. A bucket
+// stores struct-of-arrays predicate data: contiguous lo[d][]/hi[d][]
+// columns per dimension plus a parallel slot-id array, 4 + 16k bytes per
+// copy for k dimensions.
+//
+// Within a bucket, entries are ordered by reach (how many buckets past
+// this one the pivot range extends), widest first, so the entries of
+// bucket j that reach bucket b form the prefix [0, reach_end[b - j]). A
+// probe of bucket b scans that prefix in each bucket b - max_reach .. b;
+// the union of those runs is exactly the set of copies whose pivot span
+// contains b, so the candidate set and the comparison count are those of
+// filing every copy in every bucket it overlaps, at one entry per copy.
+// Insert and erase shift one entry per reach class below the entry's own
+// (O(reach) moves), so no probe needs a search.
+//
+// Each run is verified by scanning one contiguous column branchlessly to
+// build a selection vector, then compacting it through the remaining
+// dimensions: a handful of tight loops over packed doubles instead of a
+// virtual pointer-chase per candidate. The probe returns compact slot
+// ids; SubPtrs are materialized only on the cold paths (for_each, legacy
+// match()).
 
 #include <unordered_map>
 #include <vector>
@@ -36,6 +50,9 @@ class FlatBucketIndex final : public SubscriptionIndex {
   void insert(SubPtr sub) override;
   bool erase(SubscriptionId id) override;
   std::size_t size() const override { return local_.size(); }
+  bool contains(SubscriptionId id) const override {
+    return local_.count(id) != 0;
+  }
   void clear() override;
 
   void match(const Message& m, std::vector<SubPtr>& out,
@@ -51,46 +68,74 @@ class FlatBucketIndex final : public SubscriptionIndex {
 
   const SubscriptionStore& store() const { return *store_; }
   std::size_t bucket_count() const { return buckets_.size(); }
+  /// Copies whose pivot span contains bucket `i`: the entries a probe of
+  /// bucket `i` compares against.
   std::size_t bucket_size(std::size_t i) const;
 
-  /// Quiesce-time storage compaction: releases column capacity in buckets
-  /// that retain far more than they use. Steady-state churn never shrinks
-  /// (erase is swap-remove, insert reserves in lockstep), so capacity
-  /// cannot thrash; call this from maintenance points (handover, idle).
-  void compact_storage();
+  /// Entries held across all buckets' columns and irregular lists: one per
+  /// stored copy.
+  std::size_t column_entries() const;
   /// Bytes currently reserved by slot arrays + lo/hi columns across all
-  /// buckets (capacity, not size) — the churn regression test pins this.
+  /// buckets (capacity, not size). Columns grow in lockstep by doubling and
+  /// never shrink on erase, so churn cannot thrash reallocation.
   std::size_t column_capacity_bytes() const;
 
  private:
   using Slot = SubscriptionStore::Slot;
 
+  /// An entry whose dimension count differs from the column layout; it is
+  /// verified scalar-wise through the arena (never hit in practice: one
+  /// matcher serves one schema).
+  struct Irregular {
+    Slot slot;
+    std::uint32_t last;  ///< last bucket its pivot span reaches
+  };
+
+  /// The copies whose pivot span starts in this bucket.
   struct Bucket {
     std::vector<Slot> slots;             ///< parallel to the column entries
     std::vector<std::vector<Value>> lo;  ///< lo[d][i]: dim-major columns
     std::vector<std::vector<Value>> hi;
-    /// Entries whose dimension count differs from the column layout; they
-    /// are verified scalar-wise through the arena (never hit in practice —
-    /// one matcher serves one schema).
-    std::vector<Slot> irregular;
+    /// reach_end[r]: entries reaching at least r buckets past this one.
+    /// Entries are ordered by reach, widest first, so those are the prefix
+    /// [0, reach_end[r]); reach_end[0] == slots.size(), and the vector ends
+    /// at the widest reach held here (empty when there are no entries).
+    std::vector<std::uint32_t> reach_end;
+    std::vector<Irregular> irregular;
   };
 
   std::size_t bucket_of(Value v) const;
   std::pair<std::size_t, std::size_t> span_of(const Range& r) const;
   std::pair<std::size_t, std::size_t> span_of_sub(const Subscription& s) const;
-  void bucket_insert(Bucket& b, Slot slot, const Subscription& sub);
-  void bucket_erase(Bucket& b, Slot slot);
-  /// Appends the slots in `m`'s bucket that match all predicates. `sel` is
-  /// the caller's selection-vector scratch: the single-threaded entry
-  /// points pass the members below, match_batch threads the per-worker
-  /// MatchScratch through so concurrent probes of one index never share.
+  /// Entries of bucket `j` that reach bucket `j + reach`.
+  static std::size_t run_length(const Bucket& b, std::size_t reach) {
+    return reach < b.reach_end.size() ? b.reach_end[reach] : 0;
+  }
+  /// Files `slot` in bucket `first` among the entries reaching `reach`
+  /// buckets further; O(reach) entry moves.
+  void bucket_insert(std::size_t first, std::size_t reach, Slot slot,
+                     const Subscription& sub);
+  void bucket_erase(std::size_t first, std::size_t reach, Slot slot);
+  static void move_entry(Bucket& b, std::size_t from, std::size_t to);
+  /// Writes to `sel` the ascending indices among the first `n` entries of
+  /// `b` that match all of `m`'s predicates, using kernel `k`; returns
+  /// their count.
+  std::size_t select(const simd::RangeKernel& k, const Bucket& b,
+                     std::size_t n, const Message& m,
+                     std::uint32_t* sel) const;
+  /// Appends the slots whose pivot span contains `m`'s bucket and that
+  /// match all predicates. `sel` is the caller's selection-vector scratch:
+  /// the single-threaded entry points pass the members below, match_batch
+  /// threads the per-worker MatchScratch through so concurrent probes of
+  /// one index never share.
   void probe(const Message& m, std::vector<Slot>& out,
              std::vector<std::uint32_t>& sel, WorkCounter& wc) const;
   /// Sampled differential oracle: re-runs the scalar kernel over the same
-  /// bucket and reports an AuditKind::kSimdKernel violation when the
-  /// vectorized selection differs. Called only while a wide kernel is
-  /// active and the auditor is enabled.
-  void audit_probe(const Message& m, const Bucket& b,
+  /// run (the first `n` entries of `b`) and reports an
+  /// AuditKind::kSimdKernel violation when the vectorized selection
+  /// differs. Called only while a wide kernel is active and the auditor is
+  /// enabled.
+  void audit_probe(const Message& m, const Bucket& b, std::size_t n,
                    const std::vector<std::uint32_t>& sel,
                    std::size_t count) const;
 
@@ -99,6 +144,9 @@ class FlatBucketIndex final : public SubscriptionIndex {
   std::shared_ptr<SubscriptionStore> store_;
   std::vector<Bucket> buckets_;
   std::size_t columns_ = 0;  ///< dims of the SoA layout; fixed by first insert
+  /// Widest reach ever filed since the last clear(): a probe of bucket b
+  /// looks back at buckets b - max_reach_ .. b.
+  std::size_t max_reach_ = 0;
   std::unordered_map<SubscriptionId, Slot> local_;  ///< ids this index holds
   /// Fallback probe scratch for the single-threaded entry points;
   /// match_batch threads a caller-owned MatchScratch through instead.

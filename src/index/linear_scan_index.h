@@ -21,6 +21,9 @@ class LinearScanIndex final : public SubscriptionIndex {
   void insert(SubPtr sub) override;
   bool erase(SubscriptionId id) override;
   std::size_t size() const override { return entries_.size(); }
+  bool contains(SubscriptionId id) const override {
+    return slot_.count(id) != 0;
+  }
   void clear() override;
 
   void match(const Message& m, std::vector<SubPtr>& out,

@@ -94,6 +94,8 @@ class SubscriptionIndex {
   /// Removes by id; returns false when the id is not present.
   virtual bool erase(SubscriptionId id) = 0;
   virtual std::size_t size() const = 0;
+  /// True when a subscription with this id is stored.
+  virtual bool contains(SubscriptionId id) const = 0;
   virtual void clear() = 0;
 
   /// Appends every stored subscription matching `m` (all k predicates) to

@@ -202,14 +202,19 @@ void MatcherNode::dispatch(NodeId from, Envelope env) {
 
 void MatcherNode::store_one(const Subscription& sub, DimId dim) {
   if (dim == kWideDim) {
-    if (wide_ids_.insert(sub.id).second) {
+    if (!wide_->contains(sub.id)) {
       wide_->insert(std::make_shared<const Subscription>(sub));
     }
     return;
   }
   if (dim >= dims()) return;
   DimSet& set = sets_[dim];
-  if (!set.ids.insert(sub.id).second) return;
+  // A duplicate store is a no-op. With covering on, the index holds
+  // representatives, so membership is the cover table's.
+  if (set.cover != nullptr ? set.cover->contains(sub.id)
+                           : set.index->contains(sub.id)) {
+    return;
+  }
   if (set.cover != nullptr) {
     CoverTable::AddResult ops = set.cover->add(sub);
     if (ops.kind == CoverTable::AddKind::kAbsorbed) {
@@ -228,13 +233,9 @@ void MatcherNode::store_one(const Subscription& sub, DimId dim) {
 }
 
 bool MatcherNode::remove_one(SubscriptionId id, DimId dim) {
-  if (dim == kWideDim) {
-    if (wide_ids_.erase(id) == 0) return false;
-    return wide_->erase(id);
-  }
+  if (dim == kWideDim) return wide_->erase(id);
   if (dim >= dims()) return false;
   DimSet& set = sets_[dim];
-  if (set.ids.erase(id) == 0) return false;
   if (set.cover != nullptr) {
     // A member leaving a multi-member group needs no index change: the
     // representative stays and the expansion table excludes the member
@@ -577,8 +578,7 @@ DimLoad MatcherNode::snapshot_dim(const DimSet& set) const {
   load.service_time = set.ewma_service_time;
   // Load balancing weighs raw subscriptions, not compressed index entries:
   // a covered matcher still owns (and delivers to) every member.
-  load.subscriptions =
-      set.cover != nullptr ? set.cover->raw_count() : set.index->size();
+  load.subscriptions = raw_count(set);
   load.work_rate = set.work_in_window / config_.load_report_interval;
   return load;
 }
@@ -587,8 +587,7 @@ void MatcherNode::refresh_segload_gauges() {
   const MatcherState* mine = gossiper_.self_state();
   for (std::size_t d = 0; d < dims(); ++d) {
     DimSet& set = sets_[d];
-    set.segload_subs->set(static_cast<double>(
-        set.cover != nullptr ? set.cover->raw_count() : set.index->size()));
+    set.segload_subs->set(static_cast<double>(raw_count(set)));
     if (mine != nullptr && d < mine->segments.size()) {
       set.segload_lo->set(mine->segments[d].lo);
       set.segload_hi->set(mine->segments[d].hi);
@@ -673,9 +672,7 @@ void MatcherNode::for_each_stored(
 }
 
 Value MatcherNode::split_boundary(DimId dim, const Range& segment) const {
-  const std::size_t stored = sets_[dim].cover != nullptr
-                                 ? sets_[dim].cover->raw_count()
-                                 : sets_[dim].index->size();
+  const std::size_t stored = raw_count(sets_[dim]);
   if (config_.split_policy == MatcherConfig::SplitPolicy::kMedian &&
       stored >= 8) {
     // Median of the stored (raw) predicates' centres, clipped to the
@@ -852,8 +849,12 @@ std::size_t MatcherNode::set_size(DimId dim) const {
   return dim < dims() ? sets_[dim].index->size() : 0;
 }
 
+std::size_t MatcherNode::raw_count(const DimSet& set) {
+  return set.cover != nullptr ? set.cover->raw_count() : set.index->size();
+}
+
 std::size_t MatcherNode::raw_set_size(DimId dim) const {
-  return dim < dims() ? sets_[dim].ids.size() : 0;
+  return dim < dims() ? raw_count(sets_[dim]) : 0;
 }
 
 const CoverTable* MatcherNode::cover_table(DimId dim) const {
@@ -871,8 +872,8 @@ std::size_t MatcherNode::total_queued() const {
 }
 
 std::size_t MatcherNode::stored_copies() const {
-  std::size_t total = wide_ids_.size();
-  for (const DimSet& set : sets_) total += set.ids.size();
+  std::size_t total = wide_->size();
+  for (const DimSet& set : sets_) total += raw_count(set);
   return total;
 }
 

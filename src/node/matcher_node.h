@@ -16,7 +16,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -108,7 +107,7 @@ class MatcherNode final : public Node {
   /// off; >= set_size when the cover table compressed the set).
   std::size_t raw_set_size(DimId dim) const;
   const CoverTable* cover_table(DimId dim) const;
-  std::size_t wide_set_size() const { return wide_ids_.size(); }
+  std::size_t wide_set_size() const { return wide_->size(); }
   std::size_t queue_length(DimId dim) const;
   std::size_t total_queued() const;
   /// Total distinct (dim, id) copies stored.
@@ -129,7 +128,6 @@ class MatcherNode final : public Node {
 
   struct DimSet {
     std::unique_ptr<SubscriptionIndex> index;
-    std::unordered_set<SubscriptionId> ids;  ///< dedup guard
     std::deque<Queued> queue;
     // Window counters for the load report (lambda / mu of the past w secs).
     std::uint64_t arrived_in_window = 0;
@@ -228,6 +226,9 @@ class MatcherNode final : public Node {
   /// sizes) so scrapes and load reports see current values.
   void refresh_segload_gauges();
   DimLoad snapshot_dim(const DimSet& set) const;
+  /// Raw subscriptions the set holds: cover-table members and
+  /// pass-throughs when covering is on, index entries otherwise.
+  static std::size_t raw_count(const DimSet& set);
   static bool changed_enough(const DimLoad& a, const DimLoad& b,
                              double threshold);
 
@@ -270,7 +271,6 @@ class MatcherNode final : public Node {
 
   std::vector<DimSet> sets_;
   std::unique_ptr<SubscriptionIndex> wide_;  ///< always-searched wide set
-  std::unordered_set<SubscriptionId> wide_ids_;
   /// Arena shared by slot-backed dimension indexes (kFlatBucket only). A
   /// slot is released only by a write, and when offload was granted writes
   /// wait until no probe is in flight (hold_back).

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "attr/schema.h"
@@ -276,6 +277,8 @@ TEST_P(IndexTest, MatchBatchOffsetsPartitionHits) {
 TEST(IndexDifferential, AllEnginesAgreeUnderChurn) {
   const Range domain{0, 1000};
   constexpr DimId pivot = 1;
+  constexpr std::size_t kBuckets = 64;  // make_index's flat-bucket default
+  const double cell = domain.width() / kBuckets;
   const std::vector<IndexKind> kinds = {IndexKind::kLinearScan,
                                         IndexKind::kFlatBucket};
   std::vector<std::unique_ptr<SubscriptionIndex>> engines;
@@ -291,35 +294,89 @@ TEST(IndexDifferential, AllEnginesAgreeUnderChurn) {
   MessageGenerator mgen(mwl, 5678);
   Rng rng(99);
 
+  // The pivot bucket span a subscription's pivot range covers, computed
+  // the way the flat-bucket engine cuts its domain: hi is exclusive, and
+  // values outside the domain clamp to the edge buckets.
+  const auto bucket_of = [&](double v) {
+    const auto idx = static_cast<long long>((v - domain.lo) / cell);
+    return std::clamp<long long>(idx, 0, kBuckets - 1);
+  };
+  const auto span_contains = [&](const Subscription& sub, long long b) {
+    const Range r = sub.range(pivot);
+    const double inside_hi = std::max(r.lo, r.hi - 1e-12 * std::max(1.0, r.hi));
+    const long long first = bucket_of(r.lo);
+    return first <= b && b <= std::max(first, bucket_of(inside_hi));
+  };
+
+  // Mixed pivot widths: near-point, narrow, full-domain, ending exactly on
+  // a bucket boundary, and partly outside the domain.
+  SubscriptionId next_mixed = 1u << 30;
+  const auto mixed_sub = [&]() {
+    const double edge = cell * static_cast<double>(rng.next_below(kBuckets));
+    const double x = rng.uniform(domain.lo, domain.hi);
+    Range r;
+    switch (rng.next_below(6)) {
+      case 0: r = {x, x + 1e-3}; break;
+      case 1: r = {x, x + 5.0}; break;
+      case 2: r = domain; break;
+      case 3: r = {edge - cell * rng.uniform(0.5, 3.0), edge}; break;
+      case 4: r = {domain.lo - 50.0, domain.lo + rng.uniform(1.0, 60.0)}; break;
+      default: r = {domain.hi - rng.uniform(1.0, 60.0), domain.hi + 80.0};
+    }
+    Subscription s;
+    s.id = next_mixed++;
+    s.subscriber = s.id;
+    for (DimId d = 0; d < 3; ++d) {
+      const double lo = rng.uniform(0.0, 600.0);
+      s.ranges.push_back(d == pivot ? r : Range{lo, lo + 400.0});
+    }
+    return std::make_shared<const Subscription>(std::move(s));
+  };
+  // Messages on bucket edges, just below them, and outside the domain.
+  const auto edge_message = [&](int q) {
+    Message msg = mgen.next();
+    const double edge =
+        cell * static_cast<double>(rng.next_below(kBuckets + 1));
+    switch (q % 4) {
+      case 0: msg.values[pivot] = edge; break;
+      case 1: msg.values[pivot] = std::nextafter(edge, -1e9); break;
+      case 2: msg.values[pivot] = domain.lo - rng.uniform(0.0, 100.0); break;
+      default: msg.values[pivot] = domain.hi + rng.uniform(0.0, 100.0);
+    }
+    return msg;
+  };
+
   std::vector<SubPtr> live;
-  const auto check_round = [&](int round) {
-    for (int q = 0; q < 25; ++q) {
-      const Message msg = mgen.next();
-      std::set<SubscriptionId> reference;
-      bool have_reference = false;
-      for (std::size_t e = 0; e < engines.size(); ++e) {
-        std::vector<MatchHit> hits;
-        WorkCounter wc;
-        engines[e]->match_hits(msg, hits, wc);
-        std::set<SubscriptionId> got;
-        for (const auto& h : hits) got.insert(h.id);
-        EXPECT_EQ(got.size(), hits.size())
-            << to_string(kinds[e]) << " returned duplicates, round " << round;
-        if (!have_reference) {
-          reference = std::move(got);
-          have_reference = true;
-        } else {
-          EXPECT_EQ(got, reference)
-              << to_string(kinds[e]) << " diverged on round " << round;
-        }
+  const auto check = [&](const Message& msg, int round) {
+    std::set<SubscriptionId> reference;
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      std::vector<MatchHit> hits;
+      WorkCounter wc;
+      engines[e]->match_hits(msg, hits, wc);
+      std::set<SubscriptionId> got;
+      for (const auto& h : hits) got.insert(h.id);
+      EXPECT_EQ(got.size(), hits.size())
+          << to_string(kinds[e]) << " returned duplicates, round " << round;
+      if (kinds[e] == IndexKind::kLinearScan) {
+        reference = std::move(got);
+        continue;
       }
+      EXPECT_EQ(got, reference)
+          << to_string(kinds[e]) << " diverged on round " << round
+          << " at pivot value " << msg.values[pivot];
+      const long long b = bucket_of(msg.values[pivot]);
+      std::uint64_t overlapping = 0;
+      for (const SubPtr& sub : live) overlapping += span_contains(*sub, b);
+      EXPECT_EQ(wc.comparisons, overlapping)
+          << to_string(kinds[e]) << " round " << round << " bucket " << b;
     }
   };
 
   for (int round = 0; round < 8; ++round) {
     // Insert a batch into every engine.
-    for (int i = 0; i < 120; ++i) {
-      auto sub = std::make_shared<const Subscription>(gen.next());
+    for (int i = 0; i < 150; ++i) {
+      auto sub = i < 120 ? std::make_shared<const Subscription>(gen.next())
+                         : mixed_sub();
       live.push_back(sub);
       for (auto& engine : engines) engine->insert(sub);
     }
@@ -338,7 +395,8 @@ TEST(IndexDifferential, AllEnginesAgreeUnderChurn) {
     for (auto& engine : engines) {
       EXPECT_EQ(engine->size(), live.size()) << "round " << round;
     }
-    check_round(round);
+    for (int q = 0; q < 25; ++q) check(mgen.next(), round);
+    for (int q = 0; q < 40; ++q) check(edge_message(q), round);
   }
 }
 
@@ -413,11 +471,10 @@ TEST(FlatBucketIndex, SlotsAreRecycledAfterChurn) {
 }
 
 TEST(FlatBucketIndex, ChurnKeepsCapacityBoundedAndResultsCorrect) {
-  // Regression test for the swap-remove capacity thrash: columns grow in
-  // lockstep with insertions (doubling, never per-element), erase never
-  // reallocates, and compact_storage() is the only thing that releases
-  // memory. Throughout heavy interleaved churn the engine must keep
-  // agreeing with a LinearScanIndex oracle.
+  // Regression test for the capacity thrash: columns grow in lockstep with
+  // insertions (doubling, never per-element) and erase never reallocates.
+  // Throughout heavy interleaved churn the engine must keep agreeing with a
+  // LinearScanIndex oracle.
   const Range domain{0, 1000};
   constexpr DimId pivot = 0;
   FlatBucketIndex flat(pivot, domain);
@@ -466,17 +523,12 @@ TEST(FlatBucketIndex, ChurnKeepsCapacityBoundedAndResultsCorrect) {
       EXPECT_EQ(got, want) << "round " << round;
     }
     // Capacity never shrinks on erase (no thrash), so it is monotone within
-    // the run until compact_storage() is invoked below.
+    // the run.
     EXPECT_GE(flat.column_capacity_bytes(), peak_capacity) << "round " << round;
     peak_capacity = flat.column_capacity_bytes();
   }
 
-  // Quiesce: drain almost everything, then compact. Capacity must drop.
   for (const SubPtr& sub : live) EXPECT_TRUE(flat.erase(sub->id));
-  const std::size_t before = flat.column_capacity_bytes();
-  flat.compact_storage();
-  const std::size_t after = flat.column_capacity_bytes();
-  EXPECT_LT(after, before) << "compact_storage released nothing";
   EXPECT_EQ(flat.size(), 0u);
 }
 
@@ -493,6 +545,33 @@ TEST(FlatBucketIndex, RangeSpanningManyBucketsFoundEverywhere) {
   out.clear();
   index.match(Message{1, {950.0, 5}, ""}, out, wc);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(FlatBucketIndex, WideRangesAreFiledOncePerCopy) {
+  // 10k pivot ranges 900 wide over 64 buckets each overlap ~58 buckets;
+  // the columns must hold one entry per copy, not one per overlapped
+  // bucket: capacity within the doubling slack of one entry each, plus the
+  // smallest reservation of every bucket.
+  constexpr std::size_t kSubs = 10000;
+  constexpr std::size_t kDims = 2;
+  constexpr std::size_t kBuckets = 64;
+  FlatBucketIndex index(0, Range{0, 1000}, nullptr, kBuckets);
+  Rng rng(17);
+  for (std::size_t i = 1; i <= kSubs; ++i) {
+    const double lo = rng.uniform(0.0, 100.0);
+    index.insert(make_sub(i, {{lo, lo + 900.0}, {0, 1000}}));
+  }
+  const std::size_t entry_bytes = 4 + 16 * kDims;
+  EXPECT_EQ(index.column_entries(), kSubs);
+  EXPECT_LE(index.column_capacity_bytes(),
+            2 * kSubs * entry_bytes + kBuckets * 16 * entry_bytes);
+  // Each bucket still reports every range that overlaps it.
+  EXPECT_EQ(index.bucket_size(40), kSubs);
+  std::vector<MatchHit> hits;
+  WorkCounter wc;
+  index.match_hits(Message{1, {500.0, 5}, ""}, hits, wc);
+  EXPECT_EQ(hits.size(), kSubs);
+  EXPECT_EQ(wc.comparisons, kSubs);
 }
 
 TEST(FlatBucketIndex, ColdBucketIsCheap) {

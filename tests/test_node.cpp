@@ -58,7 +58,7 @@ struct MatcherFixture {
                           MatcherConfig::SplitPolicy split_policy =
                               MatcherConfig::SplitPolicy::kMidpoint,
                           IndexKind index_kind = IndexKind::kLinearScan,
-                          int match_batch = 1) {
+                          int match_batch = 1, bool cover = false) {
     sim::SimConfig scfg;
     scfg.net_jitter = 0.0;
     scfg.sec_per_work_unit = 1e-5;  // coarse so queues are observable
@@ -82,6 +82,7 @@ struct MatcherFixture {
     cfg.split_policy = split_policy;
     cfg.index_kind = index_kind;
     cfg.match_batch = match_batch;
+    cfg.cover.enabled = cover;
     cfg.dispatchers = {kDispatcher};
     cfg.metrics_sink = kSink;
     cfg.delivery_sink = kSink;
@@ -124,12 +125,32 @@ TEST(MatcherNode, StoresPerDimensionSets) {
 }
 
 TEST(MatcherNode, DuplicateStoreIgnored) {
-  MatcherFixture fx;
-  for (int i = 0; i < 3; ++i) {
-    fx.store(kM0, sub_with({{0, 100}, {0, 100}}, 1), 0);
+  // Membership is the index's, or the cover table's when covering is on:
+  // a repeated store changes nothing, and neither does removing an id that
+  // was never stored.
+  struct Case {
+    IndexKind kind;
+    bool cover;
+  };
+  for (const Case c : {Case{IndexKind::kLinearScan, false},
+                       Case{IndexKind::kFlatBucket, false},
+                       Case{IndexKind::kFlatBucket, true}}) {
+    SCOPED_TRACE(std::string(to_string(c.kind)) + (c.cover ? " covered" : ""));
+    MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4,
+                      MatcherConfig::SplitPolicy::kMidpoint, c.kind, 1,
+                      c.cover);
+    for (int i = 0; i < 3; ++i) {
+      fx.store(kM0, sub_with({{0, 100}, {0, 100}}, 1), 0);
+      fx.store(kM0, sub_with({{0, 1000}, {0, 1000}}, 7), kWideDim);
+    }
+    fx.sim->inject(kM0, Envelope::of(RemoveSubscription{42, 0}));
+    fx.sim->inject(kM0, Envelope::of(RemoveSubscription{42, kWideDim}));
+    fx.sim->run_for(0.01);
+    EXPECT_EQ(fx.matchers[kM0]->set_size(0), 1u);
+    EXPECT_EQ(fx.matchers[kM0]->raw_set_size(0), 1u);
+    EXPECT_EQ(fx.matchers[kM0]->wide_set_size(), 1u);
+    EXPECT_EQ(fx.matchers[kM0]->stored_copies(), 2u);
   }
-  fx.sim->run_for(0.01);
-  EXPECT_EQ(fx.matchers[kM0]->set_size(0), 1u);
 }
 
 TEST(MatcherNode, RemoveSubscription) {
