@@ -12,6 +12,7 @@
 //   residual_checks_per_event, residual_reject_rate
 //   identical                1 iff delivered (id, subscriber) sets are
 //                            byte-identical to the baseline on every message
+// plus cover.hardware_concurrency, the host's core count.
 //
 // The skew=0 cells double as the no-regression guard: covering with no
 // duplicates must stay within a few percent of the raw index.
@@ -23,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attr/schema.h"
@@ -323,6 +325,8 @@ int main(int argc, char** argv) {
 
   obs::MetricsSnapshot snap;
   snap.gauges["cover.fp_volume_budget"] = budget;
+  snap.gauges["cover.hardware_concurrency"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 
   std::vector<std::size_t> sizes{subs};
   if (large) sizes.push_back(1000000);

@@ -47,77 +47,161 @@ double CoverTable::volume(const std::vector<Range>& ranges) const {
   return v;
 }
 
-bool CoverTable::box_covers(const std::vector<Range>& bbox,
+bool CoverTable::box_covers(std::uint32_t slot,
                             const std::vector<Range>& ranges) const {
   for (std::size_t d = 0; d < k_; ++d) {
-    if (!bbox[d].covers(ranges[d])) return false;
+    if (!Range{g_lo_[slot * k_ + d], g_hi_[slot * k_ + d]}.covers(ranges[d])) {
+      return false;
+    }
   }
   return true;
 }
 
-std::uint32_t CoverTable::alloc_member(const Subscription& raw) {
-  std::uint32_t slot;
-  if (!free_members_.empty()) {
-    slot = free_members_.back();
-    free_members_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(m_id_.size());
-    m_id_.push_back(0);
-    m_subscriber_.push_back(0);
-    m_lo_.resize(m_lo_.size() + k_);
-    m_hi_.resize(m_hi_.size() + k_);
-  }
-  m_id_[slot] = raw.id;
-  m_subscriber_[slot] = raw.subscriber;
+bool CoverTable::box_equals(std::uint32_t slot,
+                            const std::vector<Range>& ranges) const {
   for (std::size_t d = 0; d < k_; ++d) {
-    m_lo_[slot * k_ + d] = raw.ranges[d].lo;
-    m_hi_[slot * k_ + d] = raw.ranges[d].hi;
+    if (!(Range{g_lo_[slot * k_ + d], g_hi_[slot * k_ + d]} == ranges[d])) {
+      return false;
+    }
   }
-  return slot;
+  return true;
 }
 
-void CoverTable::free_member(std::uint32_t slot) {
-  free_members_.push_back(slot);
+const Value* CoverTable::member_lo(std::uint32_t at) const {
+  const Member& m = members_[at];
+  return m.row != kNil ? &m_lo_[std::size_t{m.row} * k_]
+                       : &g_lo_[std::size_t{m.group} * k_];
+}
+
+const Value* CoverTable::member_hi(std::uint32_t at) const {
+  const Member& m = members_[at];
+  return m.row != kNil ? &m_hi_[std::size_t{m.row} * k_]
+                       : &g_hi_[std::size_t{m.group} * k_];
+}
+
+std::uint32_t CoverTable::BlockPool::alloc(unsigned c) {
+  if (c >= free.size()) free.resize(c + 1);
+  unsigned from = c;
+  while (from < free.size() && free[from].empty()) ++from;
+  if (from == free.size()) {
+    const std::uint32_t offset = end;
+    end += 1u << c;
+    return offset;
+  }
+  const std::uint32_t offset = free[from].back();
+  free[from].pop_back();
+  // Keep the first 1 << c entries; the rest of the block splits into one
+  // free block per class from c up to from - 1.
+  for (unsigned split = c; split < from; ++split) {
+    free[split].push_back(offset + (1u << split));
+  }
+  return offset;
+}
+
+std::uint32_t CoverTable::alloc_group() {
+  if (!free_groups_.empty()) {
+    const std::uint32_t slot = free_groups_.back();
+    free_groups_.pop_back();
+    return slot;
+  }
+  groups_.emplace_back();
+  g_lo_.resize(g_lo_.size() + k_);
+  g_hi_.resize(g_hi_.size() + k_);
+  return static_cast<std::uint32_t>(groups_.size() - 1);
 }
 
 void CoverTable::free_group(std::uint32_t slot) {
   Group& g = groups_[slot];
-  auto it = chains_.find(g.key);
-  if (it != chains_.end()) {
-    auto& chain = it->second;
-    chain.erase(std::remove(chain.begin(), chain.end(), slot), chain.end());
-    if (chain.empty()) chains_.erase(it);
+  if (g.newer != kNil) {
+    groups_[g.newer].older = g.older;
+  } else if (g.older != kNil) {
+    chains_.set(g.key, g.older);
+  } else {
+    chains_.erase(g.key);
   }
-  g.live = false;
+  if (g.older != kNil) groups_[g.older].newer = g.newer;
+  g.newer = g.older = kNil;
+  member_blocks_.release(g.members, g.block_class);
+  g.count = 0;
   ++g.generation;  // stale hits with the old rep id now miss
-  g.members.clear();
-  g.bbox.clear();
   free_groups_.push_back(slot);
   --live_groups_;
 }
 
-void CoverTable::retighten(Group& g) {
+void CoverTable::append_member(std::uint32_t slot, const Subscription& raw) {
+  Group& g = groups_[slot];
+  if (g.count == 1u << g.block_class) {
+    const std::uint32_t block = member_blocks_.alloc(g.block_class + 1);
+    members_.resize(std::max<std::size_t>(members_.size(),
+                                          member_blocks_.end));
+    for (std::uint32_t i = 0; i < g.count; ++i) {
+      members_[block + i] = members_[g.members + i];
+      member_of_.set(members_[block + i].id, block + i);
+    }
+    member_blocks_.release(g.members, g.block_class);
+    g.members = block;
+    g.block_class = g.block_class + 1;
+  }
+  const std::uint32_t at = g.members + g.count;
+  members_[at] = Member{raw.id, raw.subscriber, slot, kNil};
+  member_of_.set(raw.id, at);
+  ++g.count;
+}
+
+std::size_t CoverTable::alloc_row(std::uint32_t at) {
+  std::uint32_t row;
+  if (!free_rows_.empty()) {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  } else {
+    row = static_cast<std::uint32_t>(m_lo_.size() / k_);
+    m_lo_.resize(m_lo_.size() + k_);
+    m_hi_.resize(m_hi_.size() + k_);
+  }
+  members_[at].row = row;
+  return std::size_t{row} * k_;
+}
+
+void CoverTable::free_row(std::uint32_t at) {
+  Member& m = members_[at];
+  if (m.row == kNil) return;
+  free_rows_.push_back(m.row);
+  m.row = kNil;
+}
+
+void CoverTable::retighten(std::uint32_t slot) {
+  Group& g = groups_[slot];
   double max_vol = 0.0;
   bool uniform = true;
-  std::vector<Range> mr(k_);
-  for (const std::uint32_t ms : g.members) {
+  for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+    const Value* lo = member_lo(at);
+    const Value* hi = member_hi(at);
     double v = 1.0;
     for (std::size_t d = 0; d < k_; ++d) {
-      mr[d] = Range{m_lo_[ms * k_ + d], m_hi_[ms * k_ + d]};
-      v *= mr[d].width();
+      const Range r{lo[d], hi[d]};
+      v *= r.width();
+      uniform = uniform && r == Range{g_lo_[slot * k_ + d],
+                                      g_hi_[slot * k_ + d]};
     }
     max_vol = std::max(max_vol, v);
-    uniform = uniform && mr == g.bbox;
   }
   g.covered_lb = max_vol;
-  g.uniform = uniform;
+  if (uniform && !g.uniform) {
+    for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+      free_row(at);
+    }
+  }
+  g.uniform = uniform ? 1 : 0;
 }
 
 Subscription CoverTable::rep_subscription(std::uint32_t slot) const {
   Subscription rep;
   rep.id = rep_id_of(slot);
   rep.subscriber = 0;  // never delivered as-is; expansion supplies members
-  rep.ranges = groups_[slot].bbox;
+  rep.ranges.resize(k_);
+  for (std::size_t d = 0; d < k_; ++d) {
+    rep.ranges[d] = Range{g_lo_[slot * k_ + d], g_hi_[slot * k_ + d]};
+  }
   return rep;
 }
 
@@ -139,96 +223,108 @@ CoverTable::AddResult CoverTable::add(const Subscription& raw) {
   const std::uint64_t key = key_of(raw.ranges);
   const double raw_vol = volume(raw.ranges);
 
-  std::uint32_t target = UINT32_MAX;
+  std::uint32_t target = kNil;
   bool contained = false;
   double merged_covered_lb = 0.0;
-  std::vector<Range> merged_bbox;
-  auto chain_it = chains_.find(key);
-  if (chain_it != chains_.end()) {
-    const auto& chain = chain_it->second;
-    const std::size_t probes = std::min(config_.max_chain, chain.size());
-    for (std::size_t i = 0; i < probes; ++i) {
-      const std::uint32_t slot = chain[chain.size() - 1 - i];
-      const Group& g = groups_[slot];
-      if (box_covers(g.bbox, raw.ranges)) {
-        target = slot;
-        contained = true;
-        break;
-      }
-      if (target != UINT32_MAX) continue;  // already have a widening option
-      std::vector<Range> nb(k_);
-      std::vector<Range> inter(k_);
-      double inter_vol = 1.0;
-      for (std::size_t d = 0; d < k_; ++d) {
-        nb[d] = Range{std::min(g.bbox[d].lo, raw.ranges[d].lo),
-                      std::max(g.bbox[d].hi, raw.ranges[d].hi)};
-        inter_vol *= g.bbox[d].intersect(raw.ranges[d]).width();
-      }
-      const double covered_lb = g.covered_lb + raw_vol - inter_vol;
-      const double nb_vol = volume(nb);
-      if (inter_vol >= config_.min_overlap * nb_vol &&
-          nb_vol - covered_lb <= config_.fp_volume_budget * nb_vol) {
-        target = slot;
-        merged_covered_lb = covered_lb;
-        merged_bbox = std::move(nb);
-      }
+  std::size_t probes = 0;
+  for (std::uint32_t slot = chains_.find(key);
+       slot != kNil && probes < config_.max_chain;
+       slot = groups_[slot].older, ++probes) {
+    if (box_covers(slot, raw.ranges)) {
+      target = slot;
+      contained = true;
+      break;
+    }
+    if (target != kNil) continue;  // already have a widening option
+    double inter_vol = 1.0;
+    double nb_vol = 1.0;
+    for (std::size_t d = 0; d < k_; ++d) {
+      const Range box{g_lo_[slot * k_ + d], g_hi_[slot * k_ + d]};
+      const Range& r = raw.ranges[d];
+      inter_vol *= box.intersect(r).width();
+      nb_vol *= Range{std::min(box.lo, r.lo), std::max(box.hi, r.hi)}.width();
+    }
+    const double covered_lb = groups_[slot].covered_lb + raw_vol - inter_vol;
+    if (inter_vol >= config_.min_overlap * nb_vol &&
+        nb_vol - covered_lb <= config_.fp_volume_budget * nb_vol) {
+      target = slot;
+      merged_covered_lb = covered_lb;
     }
   }
 
-  if (target == UINT32_MAX) {
+  if (target == kNil) {
     // New group. A raw id that already uses the representative bit would be
     // ambiguous on the delivery path, so such ids are represented from the
     // start instead of passed through.
-    std::uint32_t slot;
-    if (!free_groups_.empty()) {
-      slot = free_groups_.back();
-      free_groups_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(groups_.size());
-      groups_.emplace_back();
-    }
+    const std::uint32_t slot = alloc_group();
     Group& g = groups_[slot];
     g.key = key;
-    g.live = true;
-    g.bbox = raw.ranges;
     g.covered_lb = raw_vol;
-    g.uniform = true;
-    g.indexed_raw = !is_rep(raw.id);
-    g.raw_id = raw.id;
-    const std::uint32_t ms = alloc_member(raw);
-    member_of_[raw.id] = MemberRef{slot, 0};
-    g.members.push_back(ms);
-    chains_[key].push_back(slot);
+    g.uniform = 1;
+    g.indexed_raw = is_rep(raw.id) ? 0 : 1;
+    g.block_class = 0;
+    g.members = member_blocks_.alloc(0);
+    members_.resize(std::max<std::size_t>(members_.size(),
+                                          member_blocks_.end));
+    for (std::size_t d = 0; d < k_; ++d) {
+      g_lo_[slot * k_ + d] = raw.ranges[d].lo;
+      g_hi_[slot * k_ + d] = raw.ranges[d].hi;
+    }
+    g.older = chains_.find(key);
+    g.newer = kNil;
+    if (g.older != kNil) groups_[g.older].newer = slot;
+    chains_.set(key, slot);
+    append_member(slot, raw);
     ++live_groups_;
     ++mutations_;
     res.kind = AddKind::kNewGroup;
     res.insert = true;
-    res.insert_sub = g.indexed_raw ? raw : rep_subscription(slot);
+    res.insert_sub = is_rep(raw.id) ? rep_subscription(slot) : raw;
     return res;
   }
 
   Group& g = groups_[target];
-  const std::uint32_t ms = alloc_member(raw);
-  member_of_[raw.id] =
-      MemberRef{target, static_cast<std::uint32_t>(g.members.size())};
-  g.members.push_back(ms);
+  const SubscriptionId first_id = members_[g.members].id;
+  const bool uniform = g.uniform && contained && box_equals(target, raw.ranges);
+  if (g.uniform && !uniform) {
+    // Every member so far equals the (pre-widening) box.
+    for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+      const std::size_t row = alloc_row(at);
+      for (std::size_t d = 0; d < k_; ++d) {
+        m_lo_[row + d] = g_lo_[target * k_ + d];
+        m_hi_[row + d] = g_hi_[target * k_ + d];
+      }
+    }
+  }
+  append_member(target, raw);
+  if (!uniform) {
+    const std::size_t row = alloc_row(g.members + g.count - 1);
+    for (std::size_t d = 0; d < k_; ++d) {
+      m_lo_[row + d] = raw.ranges[d].lo;
+      m_hi_[row + d] = raw.ranges[d].hi;
+    }
+  }
   ++mutations_;
+  g.uniform = uniform ? 1 : 0;
   if (contained) {
-    g.uniform = g.uniform && raw.ranges == g.bbox;
     res.kind = AddKind::kAbsorbed;
   } else {
-    g.bbox = std::move(merged_bbox);
+    for (std::size_t d = 0; d < k_; ++d) {
+      Value& lo = g_lo_[target * k_ + d];
+      Value& hi = g_hi_[target * k_ + d];
+      lo = std::min(lo, raw.ranges[d].lo);
+      hi = std::max(hi, raw.ranges[d].hi);
+    }
     g.covered_lb = merged_covered_lb;
-    g.uniform = false;
     res.kind = AddKind::kWidened;
   }
   if (g.indexed_raw) {
     // Second member: retire the pass-through entry, index the box.
     res.erase = true;
-    res.erase_id = g.raw_id;
+    res.erase_id = first_id;
     res.insert = true;
     res.insert_sub = rep_subscription(target);
-    g.indexed_raw = false;
+    g.indexed_raw = 0;
   } else if (res.kind == AddKind::kWidened) {
     // Re-insert the same representative id with the wider box.
     res.erase = true;
@@ -250,27 +346,27 @@ CoverTable::RemoveResult CoverTable::remove(SubscriptionId id) {
     res.erase_id = id;
     return res;
   }
-  auto it = member_of_.find(id);
-  if (it == member_of_.end()) return res;
-  const MemberRef ref = it->second;
-  Group& g = groups_[ref.group];
-  const std::uint32_t ms = g.members[ref.pos];
-  const std::uint32_t last = static_cast<std::uint32_t>(g.members.size() - 1);
-  if (ref.pos != last) {
-    g.members[ref.pos] = g.members[last];
-    member_of_[m_id_[g.members[ref.pos]]].pos = ref.pos;
+  const std::uint32_t at = member_of_.find(id);
+  if (at == kNil) return res;
+  member_of_.erase(id);
+  free_row(at);
+  const std::uint32_t slot = members_[at].group;
+  Group& g = groups_[slot];
+  // Swap-remove: the group's last member takes the leaver's place.
+  const std::uint32_t last = g.count - 1;
+  if (at != g.members + last) {
+    members_[at] = members_[g.members + last];
+    member_of_.set(members_[at].id, at);
   }
-  g.members.pop_back();
-  free_member(ms);
-  member_of_.erase(it);
+  g.count = last;
   ++mutations_;
   res.found = true;
-  if (g.members.empty()) {
+  if (g.count == 0) {
     res.erase = true;
-    res.erase_id = g.indexed_raw ? g.raw_id : rep_id_of(ref.group);
-    free_group(ref.group);
+    res.erase_id = g.indexed_raw ? id : rep_id_of(slot);
+    free_group(slot);
   } else {
-    retighten(g);
+    retighten(slot);
   }
   return res;
 }
@@ -281,26 +377,33 @@ bool CoverTable::expand(SubscriptionId rep_id,
   const auto slot = static_cast<std::uint32_t>(rep_id & kSlotMask);
   if (slot >= groups_.size()) return false;
   const Group& g = groups_[slot];
-  if (!g.live || rep_id_of(slot) != rep_id) return false;  // stale hit
+  if (g.count == 0 || rep_id_of(slot) != rep_id) return false;  // stale hit
   if (values.size() != k_) return true;  // mirrors Subscription::matches
-  for (const std::uint32_t ms : g.members) {
-    if (!g.uniform) {
-      if (stats != nullptr) ++stats->checks;
-      bool ok = true;
-      const Value* lo = &m_lo_[ms * k_];
-      const Value* hi = &m_hi_[ms * k_];
-      for (std::size_t d = 0; d < k_; ++d) {
-        if (!(lo[d] <= values[d] && values[d] < hi[d])) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) {
-        if (stats != nullptr) ++stats->rejects;
-        continue;
+  const Member* members = &members_[g.members];
+  const std::uint32_t n = g.count;
+  if (g.uniform) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out.push_back(MatchHit{members[i].id, members[i].subscriber});
+    }
+    if (stats != nullptr) stats->emitted += n;
+    return true;
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (stats != nullptr) ++stats->checks;
+    const Value* lo = &m_lo_[std::size_t{members[i].row} * k_];
+    const Value* hi = &m_hi_[std::size_t{members[i].row} * k_];
+    bool ok = true;
+    for (std::size_t d = 0; d < k_; ++d) {
+      if (!(lo[d] <= values[d] && values[d] < hi[d])) {
+        ok = false;
+        break;
       }
     }
-    out.push_back(MatchHit{m_id_[ms], m_subscriber_[ms]});
+    if (!ok) {
+      if (stats != nullptr) ++stats->rejects;
+      continue;
+    }
+    out.push_back(MatchHit{members[i].id, members[i].subscriber});
     if (stats != nullptr) ++stats->emitted;
   }
   return true;
@@ -310,17 +413,18 @@ void CoverTable::collect_matches(const std::vector<Value>& values,
                                  std::vector<MatchHit>& out) const {
   if (values.size() == k_) {
     for (const Group& g : groups_) {
-      if (!g.live) continue;
-      for (const std::uint32_t ms : g.members) {
+      for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+        const Value* lo = member_lo(at);
+        const Value* hi = member_hi(at);
         bool ok = true;
         for (std::size_t d = 0; d < k_; ++d) {
           const Value v = values[d];
-          if (!(m_lo_[ms * k_ + d] <= v && v < m_hi_[ms * k_ + d])) {
+          if (!(lo[d] <= v && v < hi[d])) {
             ok = false;
             break;
           }
         }
-        if (ok) out.push_back(MatchHit{m_id_[ms], m_subscriber_[ms]});
+        if (ok) out.push_back(MatchHit{members_[at].id, members_[at].subscriber});
       }
     }
   }
@@ -342,13 +446,12 @@ void CoverTable::for_each_member(
   Subscription sub;
   sub.ranges.resize(k_);
   for (const Group& g : groups_) {
-    if (!g.live) continue;
-    for (const std::uint32_t ms : g.members) {
-      sub.id = m_id_[ms];
-      sub.subscriber = m_subscriber_[ms];
-      for (std::size_t d = 0; d < k_; ++d) {
-        sub.ranges[d] = Range{m_lo_[ms * k_ + d], m_hi_[ms * k_ + d]};
-      }
+    for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+      const Value* lo = member_lo(at);
+      const Value* hi = member_hi(at);
+      sub.id = members_[at].id;
+      sub.subscriber = members_[at].subscriber;
+      for (std::size_t d = 0; d < k_; ++d) sub.ranges[d] = Range{lo[d], hi[d]};
       fn(sub);
     }
   }

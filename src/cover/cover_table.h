@@ -18,17 +18,29 @@
 //       containment).
 //
 // Only the group representative (the bounding box) is inserted into the
-// SubscriptionStore / FlatBucketIndex hot path; a representative→members
-// expansion table — SoA member arena (parallel id/subscriber columns plus
-// member-major lo/hi range rows), free-list recycled — is consulted at
-// delivery time to produce concrete subscriber lists. Because a widened box
-// can admit points no member wants, every expansion re-checks the exact
-// per-member residual predicate unless the group is `uniform` (all members
-// byte-equal to the box), so delivered results stay byte-identical to the
-// uncovered system.
+// SubscriptionStore / FlatBucketIndex hot path; the table's representative
+// -> members expansion is consulted at delivery time to produce concrete
+// subscriber lists. Because a widened box can admit points no member
+// wants, every expansion re-checks the exact per-member residual predicate
+// unless the group is `uniform` (all members byte-equal to the box), so
+// delivered results stay byte-identical to the uncovered system.
+//
+// Layout: flat arenas with no heap allocation per group or member. A group
+// is a 40-byte record; its box is row `slot` of g_lo_/g_hi_ (k values
+// each). Its members (id, subscriber, range row) sit contiguously in one
+// block of the member arena, in admission order, and a removal moves the
+// last member into the leaver's place; blocks are powers of two, grow by
+// moving to the next size class and are recycled per class. Member range
+// rows (m_lo_/m_hi_, one free-listed row per member) exist only for
+// members of non-uniform groups: a uniform member's ranges are its
+// group's box, so rows are created when a group first stops being
+// uniform and dropped when removals make it uniform again. A quantized
+// cell's groups form an intrusive newest-first chain through the group
+// records; one FlatIdMap maps each cell to its newest group, another each
+// member id to its member entry.
 //
 // Concurrency: the table is owned by the matcher's node thread; every
-// mutation and every expansion happens there, so the member arena needs no
+// mutation and every expansion happens there, so the arenas need no
 // internal locking. What offloaded probes read are the representative
 // Subscriptions themselves, which live in the shared SubscriptionStore
 // arena like raw subscriptions; the matcher holds back writes while a
@@ -38,9 +50,10 @@
 // the one that was probed. On the simulator, which grants no offload, a
 // write can still land between probe and completion (the probe's time is
 // charged first). Representative ids therefore carry a per-slot
-// generation (bit 63 flags a representative, then 35 generation bits over
-// 28 slot bits), so a hit from an overtaken probe can never alias a
-// recycled group: expand() drops ids whose generation no longer matches.
+// generation (bit 63 flags a representative, then a 7-bit table salt and
+// 28 generation bits over 28 slot bits), so a hit from an overtaken probe
+// can never alias a recycled group: expand() drops ids whose generation no
+// longer matches.
 //
 // Singleton pass-through: a group with one member indexes the raw
 // subscription itself (raw id, raw box). With duplicate_skew=0 workloads the
@@ -53,8 +66,9 @@
 #include <vector>
 
 #include "attr/subscription.h"
-#include "common/affinity.h"
 #include "attr/value.h"
+#include "common/affinity.h"
+#include "common/flat_id_map.h"
 #include "common/types.h"
 #include "index/subscription_index.h"
 
@@ -149,7 +163,7 @@ class CoverTable {
   BD_NODE_THREAD RemoveResult remove(SubscriptionId id);
 
   bool contains(SubscriptionId id) const {
-    return member_of_.count(id) != 0 || passthrough_.count(id) != 0;
+    return member_of_.contains(id) || passthrough_.count(id) != 0;
   }
 
   /// Delivery-time expansion: appends one MatchHit per member of `rep_id`
@@ -167,7 +181,7 @@ class CoverTable {
   void collect_matches(const std::vector<Value>& values,
                        std::vector<MatchHit>& out) const;
 
-  /// Visits every raw member (reconstructed from the arena) and
+  /// Visits every raw member (reconstructed from the arenas) and
   /// pass-through, in deterministic slot order. Segment split/merge hands
   /// over raw subscriptions so cover sets re-partition cleanly on the
   /// receiving matcher.
@@ -187,51 +201,83 @@ class CoverTable {
   const CoverConfig& config() const { return config_; }
 
  private:
+  static constexpr std::uint32_t kNil = FlatIdMap::kNone;
+
+  /// A group's fixed-size record; its box is row `slot` of g_lo_/g_hi_.
   struct Group {
-    std::uint64_t key = 0;
-    std::uint64_t generation = 1;
-    std::vector<Range> bbox;
-    std::vector<std::uint32_t> members;  ///< arena slots
+    std::uint64_t key = 0;  ///< quantized geometry cell
     /// Conservative lower bound on the volume the members truly cover.
     double covered_lb = 0.0;
-    bool live = false;
-    bool uniform = true;  ///< all members byte-equal to bbox → skip residuals
+    std::uint32_t members = 0;   ///< member block offset in members_
+    std::uint32_t newer = kNil;  ///< neighbours in the cell's chain
+    std::uint32_t older = kNil;
+    std::uint32_t count : 27 = 0;  ///< members; 0 while the slot is free
+    std::uint32_t block_class : 5 = 0;  ///< the block holds 1 << block_class
+    /// Bumped when the slot is freed; rep ids carry it (28 bits).
+    std::uint32_t generation : 28 = 1;
+    std::uint32_t uniform : 1 = 1;  ///< all members equal the box: no residuals
     /// Singleton pass-through: the index holds the sole member's raw
     /// subscription instead of a representative.
-    bool indexed_raw = false;
-    SubscriptionId raw_id = 0;  ///< valid while indexed_raw
+    std::uint32_t indexed_raw : 1 = 0;
+  };
+  static_assert(sizeof(Group) == 40);
+
+  struct Member {
+    SubscriptionId id = 0;
+    SubscriberId subscriber = 0;
+    std::uint32_t group = 0;
+    std::uint32_t row = kNil;  ///< m_lo_/m_hi_ row; kNil in uniform groups
   };
 
-  struct MemberRef {
-    std::uint32_t group = 0;
-    std::uint32_t pos = 0;  ///< position in Group::members
+  /// Blocks of 1 << c entries carved from one growing arena. Freed blocks
+  /// are recycled per size class c; a request with none of its class free
+  /// splits a larger free block before the arena grows.
+  struct BlockPool {
+    std::uint32_t end = 0;  ///< arena entries handed out so far
+    std::vector<std::vector<std::uint32_t>> free;  ///< offsets, per class
+
+    std::uint32_t alloc(unsigned c);
+    void release(std::uint32_t offset, unsigned c) {
+      free[c].push_back(offset);
+    }
   };
 
   SubscriptionId rep_id_of(std::uint32_t slot) const {
     return kRepBit |
            (static_cast<SubscriptionId>(salt_ & kSaltMask) << kSaltShift) |
-           ((groups_[slot].generation & kGenMask) << kSlotBits) |
+           (static_cast<SubscriptionId>(groups_[slot].generation)
+            << kSlotBits) |
            static_cast<SubscriptionId>(slot);
   }
   Subscription rep_subscription(std::uint32_t slot) const;
 
   std::uint64_t key_of(const std::vector<Range>& ranges) const;
   double volume(const std::vector<Range>& ranges) const;
-  bool box_covers(const std::vector<Range>& bbox,
-                  const std::vector<Range>& ranges) const;
+  bool box_covers(std::uint32_t slot, const std::vector<Range>& ranges) const;
+  bool box_equals(std::uint32_t slot, const std::vector<Range>& ranges) const;
+  /// Exact predicate of member entry `at`: its own row, or its group's box
+  /// while the group is uniform.
+  const Value* member_lo(std::uint32_t at) const;
+  const Value* member_hi(std::uint32_t at) const;
 
-  std::uint32_t alloc_member(const Subscription& raw);
-  void free_member(std::uint32_t slot);
+  std::uint32_t alloc_group();
   void free_group(std::uint32_t slot);
+  /// Appends `raw` to group `slot`, moving the members to a block of the
+  /// next size class when theirs is full.
+  void append_member(std::uint32_t slot, const Subscription& raw);
+  /// Gives member entry `at` a range row; returns its offset in m_lo_/m_hi_
+  /// for the caller to fill.
+  std::size_t alloc_row(std::uint32_t at);
+  void free_row(std::uint32_t at);
   /// Recomputes covered_lb (max single-member volume — a valid lower bound)
-  /// and the uniform flag after a member left.
-  void retighten(Group& g);
+  /// and the uniform flag after a member left; drops the rows of a group
+  /// that became uniform.
+  void retighten(std::uint32_t slot);
 
   // Rep id layout: [63] rep flag | [56..62] table salt | [28..55] generation
   // | [0..27] slot.
   static constexpr int kSlotBits = 28;
   static constexpr SubscriptionId kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint64_t kGenMask = (1ull << 28) - 1;
   static constexpr int kSaltShift = 56;
   static constexpr std::uint32_t kSaltMask = (1u << 7) - 1;
 
@@ -240,23 +286,24 @@ class CoverTable {
   std::uint32_t salt_ = 0;
   std::size_t k_ = 0;
 
-  // Member arena, SoA: parallel columns for id/subscriber plus member-major
-  // range rows (member slot m owns m_lo_[m*k .. m*k+k)), so the residual
-  // filter walks one contiguous strip per candidate.
-  std::vector<SubscriptionId> m_id_;
-  std::vector<SubscriberId> m_subscriber_;
-  std::vector<Value> m_lo_;
-  std::vector<Value> m_hi_;
-  std::vector<std::uint32_t> free_members_;
-
   std::vector<Group> groups_;
+  std::vector<Value> g_lo_;  ///< group slot g owns [g*k, g*k + k)
+  std::vector<Value> g_hi_;
   std::vector<std::uint32_t> free_groups_;
   std::size_t live_groups_ = 0;
 
-  /// Quantized geometry key → group slots (newest last; admission probes
-  /// the most recent config_.max_chain).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> chains_;
-  std::unordered_map<SubscriptionId, MemberRef> member_of_;
+  std::vector<Member> members_;  ///< a group's members are one block
+  BlockPool member_blocks_;
+  /// Member range rows, k values each; only members of non-uniform groups
+  /// hold one.
+  std::vector<Value> m_lo_;
+  std::vector<Value> m_hi_;
+  std::vector<std::uint32_t> free_rows_;
+
+  /// Quantized geometry key → the cell's newest group; admission walks
+  /// Group::older from there, at most config_.max_chain groups.
+  FlatIdMap chains_;
+  FlatIdMap member_of_;  ///< raw id → its entry in members_
   /// Dimension-mismatched subscriptions indexed raw (kept whole so the
   /// oracle can still evaluate them).
   std::unordered_map<SubscriptionId, Subscription> passthrough_;

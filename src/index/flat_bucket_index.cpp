@@ -138,10 +138,10 @@ std::pair<std::size_t, std::size_t> FlatBucketIndex::span_of_sub(
 }
 
 void FlatBucketIndex::insert(SubPtr sub) {
-  if (local_.count(sub->id) != 0) return;  // dedup; matcher guards this too
+  if (local_.contains(sub->id)) return;  // dedup; matcher guards this too
   if (columns_ == 0) columns_ = sub->dimensions();
   const Slot slot = store_->acquire(*sub);
-  local_.emplace(sub->id, slot);
+  local_.set(sub->id, slot);
   const Subscription& stored = store_->at(slot);
   const auto [first, last] = span_of_sub(stored);
   max_reach_ = std::max(max_reach_, last - first);
@@ -149,18 +149,17 @@ void FlatBucketIndex::insert(SubPtr sub) {
 }
 
 bool FlatBucketIndex::erase(SubscriptionId id) {
-  const auto it = local_.find(id);
-  if (it == local_.end()) return false;
-  const Slot slot = it->second;
+  const Slot slot = local_.find(id);
+  if (slot == FlatIdMap::kNone) return false;
   const auto [first, last] = span_of_sub(store_->at(slot));
   bucket_erase(first, last - first, slot);
-  local_.erase(it);
+  local_.erase(id);
   store_->release(id);
   return true;
 }
 
 void FlatBucketIndex::clear() {
-  for (const auto& [id, slot] : local_) store_->release(id);
+  local_.for_each([&](SubscriptionId id, Slot) { store_->release(id); });
   local_.clear();
   max_reach_ = 0;
   // Keep column capacity: clear() precedes a rebuild of (usually) the same
@@ -367,9 +366,9 @@ double FlatBucketIndex::match_cost(const Message& m) const {
 
 void FlatBucketIndex::for_each(
     const std::function<void(const SubPtr&)>& fn) const {
-  for (const auto& [id, slot] : local_) {
+  local_.for_each([&](SubscriptionId, Slot slot) {
     fn(std::make_shared<const Subscription>(store_->at(slot)));
-  }
+  });
 }
 
 std::size_t FlatBucketIndex::bucket_size(std::size_t i) const {

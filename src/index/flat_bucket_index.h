@@ -25,9 +25,9 @@
 // ids; SubPtrs are materialized only on the cold paths (for_each, legacy
 // match()).
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "index/subscription_index.h"
 #include "index/subscription_store.h"
 
@@ -51,7 +51,7 @@ class FlatBucketIndex final : public SubscriptionIndex {
   bool erase(SubscriptionId id) override;
   std::size_t size() const override { return local_.size(); }
   bool contains(SubscriptionId id) const override {
-    return local_.count(id) != 0;
+    return local_.contains(id);
   }
   void clear() override;
 
@@ -147,7 +147,7 @@ class FlatBucketIndex final : public SubscriptionIndex {
   /// Widest reach ever filed since the last clear(): a probe of bucket b
   /// looks back at buckets b - max_reach_ .. b.
   std::size_t max_reach_ = 0;
-  std::unordered_map<SubscriptionId, Slot> local_;  ///< ids this index holds
+  FlatIdMap local_;  ///< id -> store slot of each copy this index holds
   /// Fallback probe scratch for the single-threaded entry points;
   /// match_batch threads a caller-owned MatchScratch through instead.
   mutable MatchScratch scratch_;

@@ -3,18 +3,17 @@
 namespace bluedove {
 
 void LinearScanIndex::insert(SubPtr sub) {
-  slot_[sub->id] = entries_.size();
+  slot_.set(sub->id, static_cast<FlatIdMap::Value>(entries_.size()));
   entries_.push_back(std::move(sub));
 }
 
 bool LinearScanIndex::erase(SubscriptionId id) {
-  auto it = slot_.find(id);
-  if (it == slot_.end()) return false;
-  const std::size_t i = it->second;
-  slot_.erase(it);
+  const FlatIdMap::Value i = slot_.find(id);
+  if (i == FlatIdMap::kNone) return false;
+  slot_.erase(id);
   if (i + 1 != entries_.size()) {
     entries_[i] = std::move(entries_.back());
-    slot_[entries_[i]->id] = i;
+    slot_.set(entries_[i]->id, i);
   }
   entries_.pop_back();
   return true;

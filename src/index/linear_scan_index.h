@@ -5,9 +5,9 @@
 // replication; "D has only 4 subscriptions to search" in Fig 3): the work of
 // matching one message is proportional to the size of the searched set.
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "index/subscription_index.h"
 
 namespace bluedove {
@@ -22,7 +22,7 @@ class LinearScanIndex final : public SubscriptionIndex {
   bool erase(SubscriptionId id) override;
   std::size_t size() const override { return entries_.size(); }
   bool contains(SubscriptionId id) const override {
-    return slot_.count(id) != 0;
+    return slot_.contains(id);
   }
   void clear() override;
 
@@ -34,7 +34,7 @@ class LinearScanIndex final : public SubscriptionIndex {
  private:
   DimId pivot_;
   std::vector<SubPtr> entries_;
-  std::unordered_map<SubscriptionId, std::size_t> slot_;  ///< id -> index
+  FlatIdMap slot_;  ///< id -> index in entries_
 };
 
 }  // namespace bluedove

@@ -5,10 +5,9 @@
 namespace bluedove {
 
 SubscriptionStore::Slot SubscriptionStore::acquire(const Subscription& sub) {
-  const auto it = by_id_.find(sub.id);
-  if (it != by_id_.end()) {
-    ++refs_[it->second];
-    return it->second;
+  if (const Slot found = by_id_.find(sub.id); found != kNoSlot) {
+    ++refs_[found];
+    return found;
   }
   Slot slot;
   if (!free_.empty()) {
@@ -26,18 +25,17 @@ SubscriptionStore::Slot SubscriptionStore::acquire(const Subscription& sub) {
   }
   slot_ref(slot) = sub;
   refs_[slot] = 1;
-  by_id_.emplace(sub.id, slot);
+  by_id_.set(sub.id, slot);
   BD_AUDIT(obs::AuditKind::kStoreAccounting, accounting_balanced(),
            "store: live+free != allocated after acquire");
   return slot;
 }
 
 bool SubscriptionStore::release(SubscriptionId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return false;
-  const Slot slot = it->second;
+  const Slot slot = by_id_.find(id);
+  if (slot == kNoSlot) return false;
   if (--refs_[slot] == 0) {
-    by_id_.erase(it);
+    by_id_.erase(id);
     // No index references the slot any more, so no probe can be reading
     // it: recycle at once, LIFO (the simulator's determinism depends on
     // this order). Clearing the entry drops its ranges allocation now.

@@ -24,12 +24,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "attr/subscription.h"
+#include "common/flat_id_map.h"
 #include "common/types.h"
 
 namespace bluedove {
@@ -37,7 +36,7 @@ namespace bluedove {
 class SubscriptionStore {
  public:
   using Slot = std::uint32_t;
-  static constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
+  static constexpr Slot kNoSlot = FlatIdMap::kNone;
 
   /// Interns `sub`: returns the existing slot (refcount bumped) when a
   /// subscription with the same id is already stored, else copies it into a
@@ -50,10 +49,7 @@ class SubscriptionStore {
   bool release(SubscriptionId id);
 
   /// Slot of a stored subscription id, or kNoSlot.
-  Slot slot_of(SubscriptionId id) const {
-    const auto it = by_id_.find(id);
-    return it == by_id_.end() ? kNoSlot : it->second;
-  }
+  Slot slot_of(SubscriptionId id) const { return by_id_.find(id); }
 
   /// The subscription in a slot. Address-stable: safe to call from offload
   /// workers for any slot the index they probe references, while the node
@@ -94,7 +90,7 @@ class SubscriptionStore {
   Slot next_ = 0;  ///< allocation high-water mark
   std::vector<std::uint32_t> refs_;  ///< indexed by slot; 0 = free
   std::vector<Slot> free_;
-  std::unordered_map<SubscriptionId, Slot> by_id_;
+  FlatIdMap by_id_;
 };
 
 }  // namespace bluedove

@@ -1,13 +1,16 @@
-// Unit tests for src/common: rng, stats, serde, cli args, logging.
+// Unit tests for src/common: rng, stats, serde, cli args, logging, the
+// flat id map.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "common/cli.h"
+#include "common/flat_id_map.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/serde.h"
@@ -15,6 +18,46 @@
 
 namespace bluedove {
 namespace {
+
+// ---------------------------------------------------------------------------
+// FlatIdMap
+// ---------------------------------------------------------------------------
+
+// Seeded churn against std::map over a key pool small enough that probe
+// runs collide, wrap around the bucket array and are shifted back on
+// erase; the pool includes 0, all-ones and representative-style keys
+// (bit 63 set), none of which may be mistaken for an empty bucket.
+TEST(FlatIdMap, AgreesWithStdMapUnderChurn) {
+  Rng rng(7);
+  std::vector<std::uint64_t> pool{0, ~0ull, 1ull << 63, (1ull << 63) | 5};
+  for (int i = 0; i < 400; ++i) pool.push_back(rng.next_u64() >> (i % 64));
+  FlatIdMap map;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = pool[rng.next_below(pool.size())];
+    if (rng.next_below(3) == 0) {
+      EXPECT_EQ(map.erase(key), ref.erase(key) == 1);
+    } else {
+      const auto value = static_cast<std::uint32_t>(rng.next_below(1000));
+      map.set(key, value);
+      ref[key] = value;
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    if (step % 500 == 0) {
+      for (const std::uint64_t k : pool) {
+        const auto it = ref.find(k);
+        ASSERT_EQ(map.find(k), it == ref.end() ? FlatIdMap::kNone : it->second)
+            << "key " << k << " at step " << step;
+      }
+      std::map<std::uint64_t, std::uint32_t> seen;
+      map.for_each([&](std::uint64_t k, std::uint32_t v) { seen[k] = v; });
+      ASSERT_EQ(seen, ref);
+    }
+  }
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  for (const std::uint64_t k : pool) EXPECT_FALSE(map.contains(k));
+}
 
 // ---------------------------------------------------------------------------
 // Rng

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cover/cover_table.h"
@@ -37,6 +40,13 @@ Subscription make_sub(SubscriptionId id, std::vector<Range> ranges) {
   sub.ranges = std::move(ranges);
   return sub;
 }
+
+// CoverTable.AdmissionGoldenOnJitteredSequence, recorded with the
+// vector-per-group table this layout replaced.
+constexpr std::size_t kGoldenGroupsAfterAdd = 9159;
+constexpr std::size_t kGoldenIndexedAfterAdd = 9159;
+constexpr std::size_t kGoldenGroupsAfterChurn = 7724;
+constexpr std::size_t kGoldenIndexedAfterChurn = 7724;
 
 std::vector<MatchHit> sorted(std::vector<MatchHit> hits) {
   std::sort(hits.begin(), hits.end(),
@@ -238,6 +248,267 @@ TEST(CoverTable, RandomizedDifferentialAgainstUncoveredIndex) {
     matched += want.size();
   }
   EXPECT_GT(matched, 0u);
+}
+
+// Walks one table through every layout transition (singleton pass-through,
+// absorbed duplicate, absorbed strict subset, widening of a uniform and of a
+// non-uniform group, removals back to one member, back to uniform, empty,
+// slot recycled) and then through seeded churn. After each step the
+// caller's index (kept from the returned IndexOps), expansion, the oracle,
+// handover and the id bookkeeping must agree with a shadow raw set.
+class CoverLayoutWalk {
+ public:
+  CoverLayoutWalk() : table_(config(), domains2()), rng_(2011) {}
+
+  static CoverConfig config() {
+    CoverConfig cc;
+    cc.enabled = true;
+    cc.fp_volume_budget = 0.25;
+    return cc;
+  }
+
+  CoverTable::AddKind add(SubscriptionId id, std::vector<Range> ranges) {
+    const Subscription sub = make_sub(id, std::move(ranges));
+    const auto res = table_.add(sub);
+    apply(res);
+    shadow_[id] = sub;
+    return res.kind;
+  }
+
+  void remove(SubscriptionId id) {
+    const auto res = table_.remove(id);
+    EXPECT_TRUE(res.found) << id;
+    apply(res);
+    shadow_.erase(id);
+    removed_.push_back(id);
+  }
+
+  /// Representative id the index holds for the group containing `id`.
+  SubscriptionId rep_holding(SubscriptionId id) const {
+    for (const auto& [iid, sub] : index_) {
+      if (!CoverTable::is_rep(iid)) continue;
+      bool inside = true;
+      for (std::size_t d = 0; d < 2; ++d) {
+        inside = inside && sub.ranges[d].covers(shadow_.at(id).ranges[d]);
+      }
+      if (inside) return iid;
+    }
+    return 0;
+  }
+
+  CoverTable& table() { return table_; }
+
+  void check(const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(table_.raw_count(), shadow_.size());
+    EXPECT_EQ(table_.indexed_count(), index_.size());
+    for (const auto& [id, sub] : shadow_) EXPECT_TRUE(table_.contains(id));
+    for (const SubscriptionId id : removed_) {
+      EXPECT_EQ(table_.contains(id), shadow_.count(id) != 0) << id;
+    }
+
+    // Handover sees exactly the raw set.
+    std::vector<MemberKey> got;
+    table_.for_each_member(
+        [&](const Subscription& sub) { got.push_back(key_of(sub)); });
+    std::sort(got.begin(), got.end());
+    std::vector<MemberKey> want;
+    for (const auto& [id, sub] : shadow_) want.push_back(key_of(sub));
+    EXPECT_EQ(got, want);
+
+    // Stale representatives expand to nothing.
+    for (const SubscriptionId rep : stale_) {
+      if (index_.count(rep) != 0) continue;
+      std::vector<MatchHit> hits;
+      EXPECT_FALSE(table_.expand(rep, {15.0, 15.0}, hits, nullptr)) << rep;
+      EXPECT_TRUE(hits.empty());
+    }
+
+    // Probe the caller's index, expand, compare with a brute-force scan.
+    std::uniform_real_distribution<double> coord(0.0, 100.0);
+    for (int i = 0; i < 64; ++i) {
+      const std::vector<Value> point{coord(rng_), coord(rng_)};
+      std::vector<MatchHit> want_hits;
+      for (const auto& [id, sub] : shadow_) {
+        if (sub.ranges[0].contains(point[0]) &&
+            sub.ranges[1].contains(point[1])) {
+          want_hits.push_back(MatchHit{id, sub.subscriber});
+        }
+      }
+      std::vector<MatchHit> got_hits;
+      for (const auto& [id, sub] : index_) {
+        if (!sub.ranges[0].contains(point[0]) ||
+            !sub.ranges[1].contains(point[1])) {
+          continue;
+        }
+        if (CoverTable::is_rep(id)) {
+          ASSERT_TRUE(table_.expand(id, point, got_hits, nullptr));
+        } else {
+          got_hits.push_back(MatchHit{id, sub.subscriber});
+        }
+      }
+      ASSERT_EQ(sorted(got_hits), sorted(want_hits));
+      std::vector<MatchHit> oracle;
+      table_.collect_matches(point, oracle);
+      ASSERT_EQ(sorted(oracle), sorted(want_hits));
+    }
+  }
+
+ private:
+  using MemberKey = std::tuple<SubscriptionId, SubscriberId,
+                               std::vector<std::pair<Value, Value>>>;
+  static MemberKey key_of(const Subscription& sub) {
+    std::vector<std::pair<Value, Value>> ranges;
+    for (const Range& r : sub.ranges) ranges.emplace_back(r.lo, r.hi);
+    return {sub.id, sub.subscriber, ranges};
+  }
+
+  void apply(const CoverTable::IndexOp& op) {
+    if (op.erase) {
+      ASSERT_EQ(index_.erase(op.erase_id), 1u) << op.erase_id;
+      if (CoverTable::is_rep(op.erase_id)) stale_.push_back(op.erase_id);
+    }
+    if (op.insert) index_[op.insert_sub.id] = op.insert_sub;
+  }
+
+  CoverTable table_;
+  std::mt19937_64 rng_;
+  std::map<SubscriptionId, Subscription> shadow_;
+  std::map<SubscriptionId, Subscription> index_;  ///< what the caller indexes
+  std::vector<SubscriptionId> removed_;
+  std::vector<SubscriptionId> stale_;
+};
+
+TEST(CoverTable, LayoutTransitionsKeepExpansionExact) {
+  using Kind = CoverTable::AddKind;
+  CoverLayoutWalk walk;
+  const std::vector<Range> a{{10.0, 20.0}, {10.0, 20.0}};
+  EXPECT_EQ(walk.add(1, a), Kind::kNewGroup);
+  walk.check("singleton pass-through");
+  EXPECT_EQ(walk.add(2, a), Kind::kAbsorbed);
+  walk.check("absorbed duplicate: uniform group");
+  const SubscriptionId rep_a = walk.rep_holding(1);
+  ASSERT_NE(rep_a, 0u);
+  {
+    std::vector<MatchHit> hits;
+    CoverTable::ExpandStats stats;
+    ASSERT_TRUE(walk.table().expand(rep_a, {15.0, 15.0}, hits, &stats));
+    EXPECT_EQ(stats.checks, 0u);
+  }
+  EXPECT_EQ(walk.add(3, {{12.0, 18.0}, {12.0, 18.0}}), Kind::kAbsorbed);
+  walk.check("absorbed subset: group no longer uniform");
+  EXPECT_EQ(walk.add(4, {{11.0, 21.0}, {10.0, 20.0}}), Kind::kWidened);
+  walk.check("widened non-uniform group");
+
+  // Widening straight out of a uniform group of duplicates.
+  const std::vector<Range> b{{50.0, 60.0}, {50.0, 60.0}};
+  EXPECT_EQ(walk.add(10, b), Kind::kNewGroup);
+  EXPECT_EQ(walk.add(11, b), Kind::kAbsorbed);
+  EXPECT_EQ(walk.add(12, {{51.0, 61.0}, {50.0, 60.0}}), Kind::kWidened);
+  walk.check("widened uniform group");
+  // A member equal to the widened box, then the others leave: the group is
+  // uniform again.
+  EXPECT_EQ(walk.add(13, {{50.0, 61.0}, {50.0, 60.0}}), Kind::kAbsorbed);
+  const SubscriptionId rep_b = walk.rep_holding(13);
+  walk.remove(10);
+  walk.check("middle member removed");
+  walk.remove(13);
+  walk.remove(12);
+  walk.check("one member left, narrower than its box");
+  walk.add(13, {{50.0, 61.0}, {50.0, 60.0}});
+  walk.remove(11);
+  walk.check("back to uniform");
+  {
+    std::vector<MatchHit> hits;
+    CoverTable::ExpandStats stats;
+    ASSERT_TRUE(walk.table().expand(rep_b, {55.0, 55.0}, hits, &stats));
+    EXPECT_EQ(stats.checks, 0u);
+    EXPECT_EQ(hits.size(), 1u);
+  }
+
+  // Group a: removals down to one member, then empty.
+  walk.remove(2);
+  walk.remove(1);
+  walk.remove(4);
+  walk.check("removals back to one member");
+  walk.remove(3);
+  walk.check("empty group: representative erased");
+  {
+    std::vector<MatchHit> hits;
+    EXPECT_FALSE(walk.table().expand(rep_a, {15.0, 15.0}, hits, nullptr));
+  }
+  // The freed slot is recycled under a new generation.
+  EXPECT_EQ(walk.add(20, {{70.0, 80.0}, {70.0, 80.0}}), Kind::kNewGroup);
+  EXPECT_EQ(walk.add(21, {{70.0, 80.0}, {70.0, 80.0}}), Kind::kAbsorbed);
+  const SubscriptionId rep_c = walk.rep_holding(20);
+  EXPECT_NE(rep_c, rep_a);
+  EXPECT_EQ(rep_c & 0xfffffffull, rep_a & 0xfffffffull)
+      << "the freed slot should be the one reused";
+  walk.check("slot recycled");
+
+  // Seeded churn over a few templates keeps every transition in play.
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<int> pick(0, 3);
+  std::uniform_real_distribution<double> jitter(-1.5, 1.5);
+  std::vector<SubscriptionId> live{13, 20, 21};
+  SubscriptionId next = 100;
+  auto add_random = [&] {
+    const double base = 20.0 * pick(rng) + 5.0;
+    std::vector<Range> r;
+    for (int d = 0; d < 2; ++d) {
+      const double lo = base + (rng() % 3 == 0 ? 0.0 : jitter(rng));
+      r.push_back(Range{lo, lo + 10.0 + (rng() % 2 == 0 ? 0.0 : jitter(rng))});
+    }
+    walk.add(next, r);
+    live.push_back(next++);
+  };
+  for (int step = 0; step < 400; ++step) {
+    if (live.size() > 4 && pick(rng) == 0) {
+      const std::size_t at = static_cast<std::size_t>(rng() % live.size());
+      walk.remove(live[at]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    } else {
+      add_random();
+    }
+    if (step % 20 == 19) walk.check("churn");
+  }
+  walk.check("after churn");
+
+  // Empty every group, then refill: the new groups' blocks are split from
+  // the large ones the emptied groups left behind.
+  for (const SubscriptionId id : live) walk.remove(id);
+  live.clear();
+  walk.check("every group emptied");
+  for (int i = 0; i < 120; ++i) add_random();
+  walk.check("refilled");
+}
+
+// Admission decisions are pinned: a fixed jittered 20k-subscription
+// sequence with removals and re-adds must form exactly the groups it formed
+// before the table's layout changed.
+TEST(CoverTable, AdmissionGoldenOnJitteredSequence) {
+  const AttributeSchema schema = AttributeSchema::uniform(4);
+  SubscriptionWorkload wl;
+  wl.schema = schema;
+  wl.predicate_width = 60.0;
+  wl.duplicate_skew = 0.6;
+  wl.duplicate_templates = 2048;
+  wl.duplicate_jitter = 2.0;
+  SubscriptionGenerator gen(wl, 31337);
+  CoverConfig cc;
+  cc.enabled = true;
+  CoverTable table(cc, {schema.domain(0), schema.domain(1), schema.domain(2),
+                        schema.domain(3)});
+  const std::vector<Subscription> subs = gen.batch(20000);
+  for (const Subscription& sub : subs) table.add(sub);
+  EXPECT_EQ(table.group_count(), kGoldenGroupsAfterAdd);
+  EXPECT_EQ(table.indexed_count(), kGoldenIndexedAfterAdd);
+  for (std::size_t i = 0; i < subs.size(); i += 3) table.remove(subs[i].id);
+  for (std::size_t i = 0; i < subs.size(); i += 6) table.add(subs[i]);
+  const std::size_t n = subs.size();
+  EXPECT_EQ(table.raw_count(), n - (n + 2) / 3 + (n + 5) / 6);
+  EXPECT_EQ(table.group_count(), kGoldenGroupsAfterChurn);
+  EXPECT_EQ(table.indexed_count(), kGoldenIndexedAfterChurn);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@
 # index code moves raw slots instead of shared_ptrs, so this is the
 # lifetime/bounds safety net for src/index, and
 # the connection buffers in src/net get the same coverage. The `cover` label
-# (subscription covering layer) rides along: its member arena stores raw
-# per-member range strips that the residual filter walks by offset, the
-# classic place for a bounds slip.
+# (subscription covering layer) rides along: expansion reads its member
+# blocks and range rows by raw offset, and a group's members move when its
+# block grows, the classic place for a bounds slip.
 #
 # Usage: tools/sanitize_check.sh [--label LABEL] [ctest-args...]
 #   --label LABEL restricts the run to one ctest label (repeatable); any
