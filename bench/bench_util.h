@@ -9,8 +9,10 @@
 // rates therefore differ from the paper; the comparisons (who wins, how
 // ratios move with cluster size and skew) are the reproduced result.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "obs/export.h"
@@ -60,6 +62,17 @@ inline void header(const char* fig, const char* title) {
 
 inline void note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
+}
+
+/// Value at quantile `q` in [0, 1] of a non-empty sample, interpolating
+/// linearly between ranks; benches that repeat a measurement in rounds
+/// report its median (0.5) and quartiles (0.25, 0.75).
+inline double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
 /// Writes `snap` to BENCH_<name>.json in the working directory (the obs

@@ -5,14 +5,17 @@
 // envelopes from a client host, which its transport coalesces into frames
 // of up to 32 (WireConfig::batch). At cores >= 2 that many offload workers
 // drain the per-dimension lanes; at cores = 1 the matcher's node thread
-// probes inline and no pool exists (exec.jobs reads 0). The bench times
-// from first blast send until matcher.matched has counted every request,
-// sweeping cores in {1, 2, 4, 8}, so the speedup rows compare pools with
-// the node thread alone.
+// probes inline and no pool exists (exec.jobs reads 0). A cell times from
+// first blast send until matcher.matched has counted every request. Each
+// of kRounds rounds runs one cell per cores value in {1, 2, 4, 8}, in an
+// order rotated per round, so the speedup of a pool is read against the
+// same round's cores = 1 cell; one sweep per invocation swings too widely
+// to say whether a pool pays.
 //
-// Emits BENCH_parallel.json (obs JSON schema): one msgs/sec gauge per
-// (cores, subs) cell, speedup gauges vs cores=1, executor job/steal
-// counters, and the host's hardware_concurrency (speedups can only
+// Emits BENCH_parallel.json (obs JSON schema): per (cores, subs) cell the
+// median msgs/sec with its quartiles, the median per-round speedup vs
+// cores=1 and the rounds it beat cores=1, the median executor job/steal
+// counts, and the host's hardware_concurrency (speedups can only
 // materialize when the machine actually has the cores). Exits nonzero when
 // any cell leaves a request unmatched, so a reduced-scale run doubles as a
 // smoke test of the inline and the pool paths over real TCP
@@ -197,6 +200,9 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   return result;
 }
 
+/// Sweep rounds per subscription count (see the header comment).
+constexpr int kRounds = 10;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -232,33 +238,65 @@ int main(int argc, char** argv) {
   obs::MetricsSnapshot snap;
   snap.gauges["parallel.hardware_concurrency"] = static_cast<double>(hw);
   snap.gauges["parallel.requests"] = static_cast<double>(requests);
+  snap.gauges["parallel.rounds"] = kRounds;
   if (degraded) snap.gauges["parallel.degraded"] = 1.0;
 
   std::vector<std::uint64_t> sizes{subs};
   if (large) sizes.push_back(1000000);
-  const int cores_sweep[] = {1, 2, 4, 8};
+  constexpr int kCores[] = {1, 2, 4, 8};
+  constexpr int kCells = 4;
   bool complete = true;
   for (const std::uint64_t n : sizes) {
-    std::printf("\nsubscriptions=%llu, requests=%llu:\n",
-                (unsigned long long)n, (unsigned long long)requests);
-    std::printf("%8s %14s %10s %12s %12s\n", "cores", "msgs/sec", "speedup",
-                "exec.jobs", "exec.steals");
-    double base = 0.0;
-    for (const int cores : cores_sweep) {
-      const CellResult cell = run_cell(cores, n, requests);
-      complete = complete && cell.complete;
-      if (cores == 1) base = cell.tput;
-      const double speedup = base > 0.0 ? cell.tput / base : 0.0;
-      std::printf("%8d %14.0f %9.2fx %12.0f %12.0f\n", cores, cell.tput,
-                  speedup, cell.exec_jobs, cell.exec_steals);
+    // cells[c][r]: round r's cell at kCores[c].
+    std::vector<CellResult> cells[kCells];
+    for (int r = 0; r < kRounds; ++r) {
+      for (int i = 0; i < kCells; ++i) {
+        const int c = (r + i) % kCells;
+        cells[c].push_back(run_cell(kCores[c], n, requests));
+        complete = complete && cells[c].back().complete;
+      }
+    }
+    std::printf("\nsubscriptions=%llu, requests=%llu, %d rounds:\n",
+                (unsigned long long)n, (unsigned long long)requests, kRounds);
+    std::printf("%6s %12s %12s %12s %9s %6s %10s %12s\n", "cores",
+                "median msg/s", "q1", "q3", "speedup", "wins", "exec.jobs",
+                "exec.steals");
+    for (int c = 0; c < kCells; ++c) {
+      std::vector<double> tput, speedup, jobs, steals;
+      int wins = 0;
+      for (int r = 0; r < kRounds; ++r) {
+        const CellResult& cell = cells[c][r];
+        const double base = cells[0][r].tput;
+        tput.push_back(cell.tput);
+        speedup.push_back(base > 0.0 ? cell.tput / base : 0.0);
+        jobs.push_back(cell.exec_jobs);
+        steals.push_back(cell.exec_steals);
+        if (c > 0 && cell.tput > base) ++wins;
+      }
+      const double med = benchutil::quantile(tput, 0.5);
+      const double q1 = benchutil::quantile(tput, 0.25);
+      const double q3 = benchutil::quantile(tput, 0.75);
+      const double med_speedup = benchutil::quantile(speedup, 0.5);
+      const auto med_jobs =
+          static_cast<std::uint64_t>(benchutil::quantile(jobs, 0.5));
+      const auto med_steals =
+          static_cast<std::uint64_t>(benchutil::quantile(steals, 0.5));
+      std::printf("%6d %12.0f %12.0f %12.0f %8.2fx %3d/%-2d %10llu %12llu\n",
+                  kCores[c], med, q1, q3, med_speedup, wins, kRounds,
+                  (unsigned long long)med_jobs,
+                  (unsigned long long)med_steals);
       const std::string suffix =
-          "cores" + std::to_string(cores) + "_subs" + std::to_string(n);
-      snap.gauges["parallel.tput_" + suffix] = cell.tput;
-      if (!degraded) snap.gauges["parallel.speedup_" + suffix] = speedup;
-      snap.counters["parallel.jobs_" + suffix] =
-          static_cast<std::uint64_t>(cell.exec_jobs);
-      snap.counters["parallel.steals_" + suffix] =
-          static_cast<std::uint64_t>(cell.exec_steals);
+          "cores" + std::to_string(kCores[c]) + "_subs" + std::to_string(n);
+      snap.gauges["parallel.tput_" + suffix] = med;
+      snap.gauges["parallel.tput_" + suffix + "_q1"] = q1;
+      snap.gauges["parallel.tput_" + suffix + "_q3"] = q3;
+      if (!degraded) {
+        snap.gauges["parallel.speedup_" + suffix] = med_speedup;
+        snap.counters["parallel.wins_" + suffix] =
+            static_cast<std::uint64_t>(wins);
+      }
+      snap.counters["parallel.jobs_" + suffix] = med_jobs;
+      snap.counters["parallel.steals_" + suffix] = med_steals;
     }
   }
 

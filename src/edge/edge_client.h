@@ -1,8 +1,7 @@
 #pragma once
 // EdgeClient: a blocking, single-connection client for the edge session
-// protocol (edge_frontend.h) — the counterpart TcpClient is to the
-// node<->node transport. One socket, one background reader thread; used by
-// the edge tests and as the building block for small `bluedove_cli
+// protocol (edge_frontend.h). One socket, one background reader thread;
+// used by the edge tests and as the building block for small `bluedove_cli
 // edge-blast` runs. For six-figure connection counts use edge::Swarm,
 // which multiplexes many sessions per thread.
 //

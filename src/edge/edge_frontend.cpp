@@ -24,8 +24,9 @@ namespace bluedove::edge {
 namespace {
 
 /// Edge-minted subscription/message ids carry this bit so they can never
-/// collide with ids chosen by direct (TcpClient) clients of the same
-/// cluster, which count up from 1.
+/// collide with ids chosen by direct clients of the same cluster (peers
+/// that send ClientSubscribe/ClientPublish themselves), which count up
+/// from 1.
 constexpr std::uint64_t kEdgeIdBit = 1ull << 62;
 
 double mono_seconds() {

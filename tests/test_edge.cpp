@@ -26,7 +26,6 @@
 #include "edge/edge_frontend.h"
 #include "edge/edge_swarm.h"
 #include "net/cluster_table.h"
-#include "net/tcp_client.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
 #include "node/dispatcher_node.h"
@@ -120,8 +119,9 @@ TEST(EdgeFrontendTest, HandshakeCreatesSessionAndRewritesIds) {
   ASSERT_TRUE(eventually([&] { return ingress.count<ClientSubscribe>() == 1; }));
   const ClientSubscribe sub = ingress.all<ClientSubscribe>()[0];
   // The edge rewrites the client-chosen id to an edge-global one (tagged so
-  // it cannot collide with direct TcpClient ids) and stamps the session id
-  // as the subscriber — that is how deliveries find their way back.
+  // it cannot collide with ids a direct client of the cluster picks) and
+  // stamps the session id as the subscriber — that is how deliveries find
+  // their way back.
   EXPECT_NE(sub.sub.id, client_sub);
   EXPECT_NE(sub.sub.id & (1ull << 62), 0u);
   EXPECT_EQ(sub.sub.subscriber, client.session());
@@ -986,10 +986,11 @@ TEST(EdgeClusterTest, EndToEndPubSubWithZeroPayloadCopies) {
 }
 
 // ---------------------------------------------------------------------------
-// TcpClient behaviour across a server restart (satellite: reconnect/retry)
+// A direct client's publish across a server restart (satellite:
+// reconnect/retry)
 // ---------------------------------------------------------------------------
 
-TEST(EdgeSatelliteTest, TcpClientRecoversAfterServerRestart) {
+TEST(EdgeSatelliteTest, DirectPublishRecoversAfterServerRestart) {
   constexpr NodeId kDispatcher = 10;
   const std::vector<Range> domains(2, Range{0, 1000});
   DispatcherConfig dcfg;
@@ -1004,20 +1005,29 @@ TEST(EdgeSatelliteTest, TcpClientRecoversAfterServerRestart) {
   const std::uint16_t port = host->port();
   host->start();
 
-  net::TcpClient client(3, 0, TcpEndpoint{"127.0.0.1", port});
-  EXPECT_NE(client.publish({1, 2}, "up"), 0u);
+  // A direct client publishes by dialing the dispatcher once per message.
+  MessageId next_id = 1;
+  const auto publish = [&](std::vector<Value> values, std::string payload) {
+    Message msg;
+    msg.id = next_id++;
+    msg.values = std::move(values);
+    msg.payload = std::move(payload);
+    return TcpHost::send_once(TcpEndpoint{"127.0.0.1", port},
+                              Envelope::of(ClientPublish{std::move(msg)}));
+  };
+  EXPECT_TRUE(publish({1, 2}, "up"));
 
   // Server gone: every operation fails cleanly (no crash, no hang)...
   host->stop();
   host.reset();
-  EXPECT_EQ(client.publish({1, 2}, "down"), 0u);
+  EXPECT_FALSE(publish({1, 2}, "down"));
 
   // ...and recovers as soon as a server returns on the same port (each
   // client operation dials fresh, so no stale-connection state lingers).
   host = make_host(port);
   ASSERT_EQ(host->port(), port);
   host->start();
-  EXPECT_TRUE(eventually([&] { return client.publish({1, 2}, "back") != 0; }));
+  EXPECT_TRUE(eventually([&] { return publish({1, 2}, "back"); }));
   host->stop();
 }
 

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <thread>
 
-#include "net/tcp_client.h"
 #include "net/tcp_transport.h"
 #include "node/dispatcher_node.h"
 #include "node/matcher_node.h"
@@ -231,8 +230,24 @@ TEST(TcpCluster, EndToEndPubSub) {
 }
 
 // ---------------------------------------------------------------------------
-// TcpClient against a TCP cluster: the client IS the delivery sink.
+// A client host against a TCP cluster: the client IS the delivery sink.
 // ---------------------------------------------------------------------------
+
+/// Client endpoint's node: hands each delivery to `on_delivery` (set before
+/// start) on the host's node thread and counts completions.
+class SinkNode final : public Node {
+ public:
+  void start(NodeContext& /*ctx*/) override {}
+  void on_receive(NodeId /*from*/, Envelope env) override {
+    if (const auto* d = std::get_if<Delivery>(&env.payload)) {
+      if (on_delivery) on_delivery(*d);
+    } else if (std::holds_alternative<MatchCompleted>(env.payload)) {
+      completions.fetch_add(1);
+    }
+  }
+  std::function<void(const Delivery&)> on_delivery;
+  std::atomic<std::uint64_t> completions{0};
+};
 
 TEST(TcpClusterClient, SubscribePublishUnsubscribe) {
   constexpr NodeId kClient = 3;
@@ -247,8 +262,26 @@ TEST(TcpClusterClient, SubscribePublishUnsubscribe) {
   dnode->set_bootstrap(bootstrap_table(matcher_ids, domains));
   TcpHost dispatcher_host(kDispatcher, 0, std::move(dnode));
 
-  net::TcpClient client(kClient, 0,
-                        TcpEndpoint{"127.0.0.1", dispatcher_host.port()});
+  std::atomic<int> hits{0};
+  auto sink = std::make_unique<SinkNode>();
+  sink->on_delivery = [&](const Delivery& d) {
+    EXPECT_EQ(d.values.size(), 2u);
+    hits.fetch_add(1);
+  };
+  SinkNode* client = sink.get();
+  TcpHost client_host(kClient, 0, std::move(sink));
+  const TcpEndpoint dispatcher{"127.0.0.1", dispatcher_host.port()};
+  // Each client operation dials the dispatcher once, as a direct client
+  // without a peer link would.
+  const auto publish = [&](MessageId id, std::vector<Value> values,
+                           std::string payload) {
+    Message msg;
+    msg.id = id;
+    msg.values = std::move(values);
+    msg.payload = std::move(payload);
+    return TcpHost::send_once(dispatcher,
+                              Envelope::of(ClientPublish{std::move(msg)}));
+  };
 
   MatcherConfig mcfg;
   mcfg.domains = domains;
@@ -266,7 +299,7 @@ TEST(TcpClusterClient, SubscribePublishUnsubscribe) {
     matcher_hosts.push_back(std::make_unique<TcpHost>(id, 0, std::move(node)));
   }
   std::map<NodeId, TcpEndpoint> directory;
-  directory[kClient] = {"127.0.0.1", client.port()};
+  directory[kClient] = {"127.0.0.1", client_host.port()};
   directory[kDispatcher] = {"127.0.0.1", dispatcher_host.port()};
   for (std::size_t i = 0; i < matcher_ids.size(); ++i) {
     directory[matcher_ids[i]] = {"127.0.0.1", matcher_hosts[i]->port()};
@@ -279,33 +312,34 @@ TEST(TcpClusterClient, SubscribePublishUnsubscribe) {
   for (const auto& [id, ep] : directory) {
     if (id != kDispatcher) dispatcher_host.add_peer(id, ep);
   }
+  client_host.start();
   dispatcher_host.start();
   for (auto& host : matcher_hosts) host->start();
 
-  std::atomic<int> hits{0};
-  const SubscriptionId sub = client.subscribe(
-      {Range{0, 500}, Range{0, 1000}},
-      [&](const Delivery& d) {
-        EXPECT_EQ(d.values.size(), 2u);
-        hits.fetch_add(1);
-      });
-  ASSERT_NE(sub, 0u);
+  Subscription sub;
+  sub.id = 1;
+  sub.subscriber = 1;
+  sub.ranges = {Range{0, 500}, Range{0, 1000}};
+  ASSERT_TRUE(
+      TcpHost::send_once(dispatcher, Envelope::of(ClientSubscribe{sub})));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  EXPECT_NE(client.publish({100, 100}, "hit"), 0u);
-  EXPECT_NE(client.publish({700, 100}, "miss"), 0u);
-  EXPECT_TRUE(eventually([&] { return client.completions() == 2; }));
+  EXPECT_TRUE(publish(1, {100, 100}, "hit"));
+  EXPECT_TRUE(publish(2, {700, 100}, "miss"));
+  EXPECT_TRUE(eventually([&] { return client->completions.load() == 2; }));
   EXPECT_TRUE(eventually([&] { return hits.load() == 1; }));
 
-  ASSERT_TRUE(client.unsubscribe(sub));
+  ASSERT_TRUE(
+      TcpHost::send_once(dispatcher, Envelope::of(ClientUnsubscribe{sub})));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_NE(client.publish({100, 100}, "after-unsub"), 0u);
-  EXPECT_TRUE(eventually([&] { return client.completions() == 3; }));
+  EXPECT_TRUE(publish(3, {100, 100}, "after-unsub"));
+  EXPECT_TRUE(eventually([&] { return client->completions.load() == 3; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(hits.load(), 1);
 
   for (auto& host : matcher_hosts) host->stop();
   dispatcher_host.stop();
+  client_host.stop();
 }
 
 }  // namespace

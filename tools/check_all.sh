@@ -23,8 +23,8 @@
 #       scratch directory so the committed BENCH_edge.json stays untouched.
 #   5e. reduced-scale micro_parallel smoke: the matcher probing its live
 #       indexes over loopback TCP on the node thread (cores 1) and on
-#       worker pools (cores 2/4/8); exits nonzero when any request goes
-#       unmatched. Runs in a scratch directory so the committed
+#       worker pools (cores 2/4/8), ten rounds; exits nonzero when any
+#       request goes unmatched. Runs in a scratch directory so the committed
 #       BENCH_parallel.json stays untouched.
 #   5f. reduced-count micro_wire smoke: TcpHost to TcpHost blasts at wire
 #       batch 1/8/32 and the default WireConfig; exits nonzero when a

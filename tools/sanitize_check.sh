@@ -21,16 +21,17 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
+labels=()
 ctest_args=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --label)
       [[ $# -ge 2 ]] || { echo "--label needs an argument" >&2; exit 2; }
-      ctest_args+=(-L "$2")
+      labels+=("$2")
       shift 2
       ;;
     --label=*)
-      ctest_args+=(-L "${1#--label=}")
+      labels+=("${1#--label=}")
       shift
       ;;
     *)
@@ -47,5 +48,14 @@ cmake --build "${build_dir}" -j "${jobs}"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
-ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
-  ${ctest_args[@]+"${ctest_args[@]}"}
+# One ctest run per label: repeated -L options would select only the tests
+# that carry every label.
+if [[ ${#labels[@]} -gt 0 ]]; then
+  for label in "${labels[@]}"; do
+    ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
+      -L "${label}" ${ctest_args[@]+"${ctest_args[@]}"}
+  done
+else
+  ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
+    ${ctest_args[@]+"${ctest_args[@]}"}
+fi
