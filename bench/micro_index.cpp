@@ -16,7 +16,6 @@
 #include "cover/cover_table.h"
 #include "index/flat_bucket_index.h"
 #include "index/subscription_index.h"
-#include "index/subscription_store.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "simd/range_kernel.h"
@@ -239,7 +238,7 @@ void sweep_dim0_scan(obs::MetricsSnapshot& snap,
 // Memory attribution: heap bytes per stored subscription copy for each
 // structure a matcher keeps for one dimension set, measured as mallinfo2
 // deltas around building that structure alone from the same inputs. The
-// index's id map is what its build adds beyond its columns and its store.
+// index's id map is what its build adds beyond its columns.
 // Gauges go to BENCH_index.json; `--memory-only` runs just this section,
 // and `--memory-scale=F` scales both shapes' populations.
 // ---------------------------------------------------------------------------
@@ -273,8 +272,8 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
   }
   bool ok = true;
   std::printf("memory per subscription copy (bytes)\n");
-  std::printf("%-6s %8s %9s %9s %9s %9s %9s %8s\n", "shape", "copies",
-              "columns", "store", "id_map", "cover", "total", "entries");
+  std::printf("%-6s %8s %9s %9s %9s %9s %8s\n", "shape", "copies",
+              "columns", "id_map", "cover", "total", "entries");
   for (const Shape& shape : shapes) {
     const auto subs = std::max<std::size_t>(
         1, static_cast<std::size_t>(static_cast<double>(shape.subs) * scale));
@@ -287,13 +286,6 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
       input.push_back(std::make_shared<const Subscription>(gen.next()));
     }
 
-    std::size_t store_bytes = 0;
-    {
-      const std::size_t before = heap_in_use();
-      SubscriptionStore store;
-      for (const SubPtr& sub : input) store.acquire(*sub);
-      store_bytes = heap_in_use() - before;
-    }
     std::size_t index_bytes = 0;
     std::size_t column_bytes = 0;
     std::size_t entries = 0;
@@ -316,16 +308,14 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
     }
 
     const double n = static_cast<double>(subs);
-    const double id_map_bytes =
-        static_cast<double>(index_bytes) -
-        static_cast<double>(store_bytes + column_bytes);
+    const double id_map_bytes = static_cast<double>(index_bytes) -
+                                static_cast<double>(column_bytes);
     const double per[] = {static_cast<double>(column_bytes) / n,
-                          static_cast<double>(store_bytes) / n,
                           id_map_bytes / n,
                           static_cast<double>(cover_bytes) / n};
-    const char* names[] = {"columns", "store", "id_map", "cover"};
+    const char* names[] = {"columns", "id_map", "cover"};
     double total = 0.0;
-    for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t c = 0; c < 3; ++c) {
       total += per[c];
       snap.gauges[std::string("index.memory.") + shape.name + "." + names[c] +
                   ".bytes_per_copy"] = per[c];
@@ -334,8 +324,8 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
                 ".total.bytes_per_copy"] = total;
     snap.gauges[std::string("index.memory.") + shape.name +
                 ".column_entries_per_copy"] = static_cast<double>(entries) / n;
-    std::printf("%-6s %8zu %9.1f %9.1f %9.1f %9.1f %9.1f %8.3f\n", shape.name,
-                subs, per[0], per[1], per[2], per[3], total,
+    std::printf("%-6s %8zu %9.1f %9.1f %9.1f %9.1f %8.3f\n", shape.name,
+                subs, per[0], per[1], per[2], total,
                 static_cast<double>(entries) / n);
     if (entries > subs) {
       std::fprintf(stderr,
@@ -345,11 +335,11 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
       ok = false;
     }
     if (std::string(shape.name) == "probe" &&
-        per[3] > kCoverBudgetBytesPerCopy) {
+        per[2] > kCoverBudgetBytesPerCopy) {
       std::fprintf(stderr,
                    "%s: cover table holds %.1f B per copy, over the %.0f B "
                    "budget\n",
-                   shape.name, per[3], kCoverBudgetBytesPerCopy);
+                   shape.name, per[2], kCoverBudgetBytesPerCopy);
       ok = false;
     }
   }

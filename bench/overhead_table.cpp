@@ -255,7 +255,9 @@ void recorder_overhead_section() {
   snap.gauges["obs.match_tput_recorder_off"] = median(m_tput[0]);
 
   // --- loopback wire path (micro_wire configuration) -----------------------
-  constexpr std::uint64_t kWireMsgs = 60000;
+  // ~0.5 s per configuration at the ~1.4 M msgs/s this blast reaches on a
+  // 4-vCPU host: long enough that a round's overhead resolves the 5 % bar.
+  constexpr std::uint64_t kWireMsgs = 800000;
   wire_throughput(false, kWireMsgs / 10);  // warm the stack / page cache
   std::vector<double> w_tput[2];
   for (int r = 0; r < kRounds; ++r) {

@@ -28,16 +28,6 @@ struct Subscription {
     }
     return true;
   }
-
-  /// Membership test that skips dimension `known`, for callers that already
-  /// verified it (e.g. an index probe along that dimension).
-  bool matches_except(const Message& m, DimId known) const {
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      if (i == known) continue;
-      if (!ranges[i].contains(m.values[i])) return false;
-    }
-    return true;
-  }
 };
 
 void write_subscription(serde::Writer& w, const Subscription& s);

@@ -1,6 +1,6 @@
 #pragma once
 // FlatIdMap: an open-addressing map from a 64-bit key (a subscription id,
-// or a geometry hash) to a 32-bit value (an arena slot).
+// or a geometry hash) to a 32-bit value (an entry index or offset).
 //
 // Keys and values live in two parallel power-of-two arrays, 12 bytes per
 // bucket and no per-entry allocation, where a node-based

@@ -20,12 +20,8 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-CoverTable::CoverTable(CoverConfig config, std::vector<Range> domains,
-                       std::uint32_t salt)
-    : config_(config),
-      domains_(std::move(domains)),
-      salt_(salt),
-      k_(domains_.size()) {}
+CoverTable::CoverTable(CoverConfig config, std::vector<Range> domains)
+    : config_(config), domains_(std::move(domains)), k_(domains_.size()) {}
 
 std::uint64_t CoverTable::key_of(const std::vector<Range>& ranges) const {
   std::uint64_t h = kFnvOffset;
@@ -209,17 +205,6 @@ CoverTable::AddResult CoverTable::add(const Subscription& raw) {
   AddResult res;
   if (contains(raw.id)) return res;  // kNoop
 
-  if (raw.ranges.size() != k_) {
-    // Shape the table can't box: index it raw, remember it whole for the
-    // oracle and for handover.
-    passthrough_.emplace(raw.id, raw);
-    ++mutations_;
-    res.kind = AddKind::kPassthrough;
-    res.insert = true;
-    res.insert_sub = raw;
-    return res;
-  }
-
   const std::uint64_t key = key_of(raw.ranges);
   const double raw_vol = volume(raw.ranges);
 
@@ -337,15 +322,6 @@ CoverTable::AddResult CoverTable::add(const Subscription& raw) {
 
 CoverTable::RemoveResult CoverTable::remove(SubscriptionId id) {
   RemoveResult res;
-  auto pit = passthrough_.find(id);
-  if (pit != passthrough_.end()) {
-    passthrough_.erase(pit);
-    ++mutations_;
-    res.found = true;
-    res.erase = true;
-    res.erase_id = id;
-    return res;
-  }
   const std::uint32_t at = member_of_.find(id);
   if (at == kNil) return res;
   member_of_.erase(id);
@@ -378,7 +354,6 @@ bool CoverTable::expand(SubscriptionId rep_id,
   if (slot >= groups_.size()) return false;
   const Group& g = groups_[slot];
   if (g.count == 0 || rep_id_of(slot) != rep_id) return false;  // stale hit
-  if (values.size() != k_) return true;  // mirrors Subscription::matches
   const Member* members = &members_[g.members];
   const std::uint32_t n = g.count;
   if (g.uniform) {
@@ -411,33 +386,20 @@ bool CoverTable::expand(SubscriptionId rep_id,
 
 void CoverTable::collect_matches(const std::vector<Value>& values,
                                  std::vector<MatchHit>& out) const {
-  if (values.size() == k_) {
-    for (const Group& g : groups_) {
-      for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
-        const Value* lo = member_lo(at);
-        const Value* hi = member_hi(at);
-        bool ok = true;
-        for (std::size_t d = 0; d < k_; ++d) {
-          const Value v = values[d];
-          if (!(lo[d] <= v && v < hi[d])) {
-            ok = false;
-            break;
-          }
+  for (const Group& g : groups_) {
+    for (std::uint32_t at = g.members; at < g.members + g.count; ++at) {
+      const Value* lo = member_lo(at);
+      const Value* hi = member_hi(at);
+      bool ok = true;
+      for (std::size_t d = 0; d < k_; ++d) {
+        const Value v = values[d];
+        if (!(lo[d] <= v && v < hi[d])) {
+          ok = false;
+          break;
         }
-        if (ok) out.push_back(MatchHit{members_[at].id, members_[at].subscriber});
       }
+      if (ok) out.push_back(MatchHit{members_[at].id, members_[at].subscriber});
     }
-  }
-  for (const auto& [id, sub] : passthrough_) {
-    if (sub.ranges.size() != values.size()) continue;
-    bool ok = true;
-    for (std::size_t d = 0; d < sub.ranges.size(); ++d) {
-      if (!sub.ranges[d].contains(values[d])) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(MatchHit{sub.id, sub.subscriber});
   }
 }
 
@@ -455,7 +417,6 @@ void CoverTable::for_each_member(
       fn(sub);
     }
   }
-  for (const auto& [id, s] : passthrough_) fn(s);
 }
 
 }  // namespace bluedove

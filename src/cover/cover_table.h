@@ -18,12 +18,13 @@
 //       containment).
 //
 // Only the group representative (the bounding box) is inserted into the
-// SubscriptionStore / FlatBucketIndex hot path; the table's representative
-// -> members expansion is consulted at delivery time to produce concrete
-// subscriber lists. Because a widened box can admit points no member
-// wants, every expansion re-checks the exact per-member residual predicate
-// unless the group is `uniform` (all members byte-equal to the box), so
-// delivered results stay byte-identical to the uncovered system.
+// dimension index (the FlatBucketIndex hot path); the table's
+// representative -> members expansion is consulted at delivery time to
+// produce concrete subscriber lists. Because a widened box can admit
+// points no member wants, every expansion re-checks the exact per-member
+// residual predicate unless the group is `uniform` (all members
+// byte-equal to the box), so delivered results stay byte-identical to the
+// uncovered system.
 //
 // Layout: flat arenas with no heap allocation per group or member. A group
 // is a 40-byte record; its box is row `slot` of g_lo_/g_hi_ (k values
@@ -41,28 +42,31 @@
 //
 // Concurrency: the table is owned by the matcher's node thread; every
 // mutation and every expansion happens there, so the arenas need no
-// internal locking. What offloaded probes read are the representative
-// Subscriptions themselves, which live in the shared SubscriptionStore
-// arena like raw subscriptions; the matcher holds back writes while a
-// probe is in flight whenever the substrate granted offload (a worker
-// pool, or at cores = 1 the node thread, whose completion is still a
-// later loop task), so there the table a completion expands against is
-// the one that was probed. On the simulator, which grants no offload, a
-// write can still land between probe and completion (the probe's time is
-// charged first). Representative ids therefore carry a per-slot
-// generation (bit 63 flags a representative, then a 7-bit table salt and
-// 28 generation bits over 28 slot bits), so a hit from an overtaken probe
-// can never alias a recycled group: expand() drops ids whose generation no
-// longer matches.
+// internal locking. What offloaded probes read are the representatives'
+// entries in the dimension index, filed there like raw subscriptions; the
+// matcher holds back writes while a probe is in flight whenever the
+// substrate granted offload (a worker pool, or at cores = 1 the node
+// thread, whose completion is still a later loop task), so there the
+// table a completion expands against is the one that was probed. On the
+// simulator, which grants no offload, a write can still land between
+// probe and completion (the probe's time is charged first). Representative ids therefore carry a per-slot
+// generation (bit 63 flags a representative, then 28 generation bits over
+// 28 slot bits), so a hit from an overtaken probe can never alias a
+// recycled group: expand() drops ids whose generation no longer matches.
+// Each dimension set has its own table and its own index, so ids minted by
+// two tables never meet.
 //
 // Singleton pass-through: a group with one member indexes the raw
 // subscription itself (raw id, raw box). With duplicate_skew=0 workloads the
 // index contents are therefore byte-identical to the uncovered system and
 // the only per-hit overhead on the delivery path is one bit test.
+//
+// Arity: every subscription added and every point expanded must have one
+// value per domain; the matcher rejects other arities before they reach
+// the table.
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "attr/subscription.h"
@@ -123,11 +127,10 @@ class CoverTable {
   };
 
   enum class AddKind {
-    kNoop,         ///< duplicate id — nothing changed
-    kNewGroup,     ///< started a new group (insert: raw pass-through or rep)
-    kAbsorbed,     ///< contained in an existing box (no widening)
-    kWidened,      ///< merged by widening an existing box within budget
-    kPassthrough,  ///< dimension mismatch — indexed raw, never grouped
+    kNoop,      ///< duplicate id — nothing changed
+    kNewGroup,  ///< started a new group (insert: raw pass-through or rep)
+    kAbsorbed,  ///< contained in an existing box (no widening)
+    kWidened,   ///< merged by widening an existing box within budget
   };
 
   struct AddResult : IndexOp {
@@ -144,16 +147,10 @@ class CoverTable {
     std::uint32_t rejects = 0;
   };
 
-  /// `salt` distinguishes rep ids minted by different tables that feed the
-  /// same SubscriptionStore (one table per dimension on a matcher). Without
-  /// it, two dimensions' tables would mint the same id for (slot, gen) and
-  /// the store's by-id dedup would alias one dimension's representative box
-  /// to another's, silently dropping matches.
-  CoverTable(CoverConfig config, std::vector<Range> domains,
-             std::uint32_t salt = 0);
+  CoverTable(CoverConfig config, std::vector<Range> domains);
 
   /// Registers a raw subscription. The returned ops keep the caller's index
-  /// holding exactly one entry per group plus the pass-throughs.
+  /// holding exactly one entry per group.
   BD_NODE_THREAD AddResult add(const Subscription& raw);
 
   /// Unregisters a raw subscription. A group whose last member leaves has
@@ -162,9 +159,7 @@ class CoverTable {
   /// correctness and the admission bound is re-tightened conservatively.
   BD_NODE_THREAD RemoveResult remove(SubscriptionId id);
 
-  bool contains(SubscriptionId id) const {
-    return member_of_.contains(id) || passthrough_.count(id) != 0;
-  }
+  bool contains(SubscriptionId id) const { return member_of_.contains(id); }
 
   /// Delivery-time expansion: appends one MatchHit per member of `rep_id`
   /// whose exact predicate accepts `values` (all members for uniform
@@ -175,24 +170,23 @@ class CoverTable {
                              std::vector<MatchHit>& out,
                              ExpandStats* stats = nullptr);
 
-  /// Brute-force oracle over every raw member and pass-through: the
-  /// differential reference the kCover audit and tests compare expanded
-  /// results against.
+  /// Brute-force oracle over every raw member: the differential reference
+  /// the kCover audit and tests compare expanded results against.
   void collect_matches(const std::vector<Value>& values,
                        std::vector<MatchHit>& out) const;
 
-  /// Visits every raw member (reconstructed from the arenas) and
-  /// pass-through, in deterministic slot order. Segment split/merge hands
-  /// over raw subscriptions so cover sets re-partition cleanly on the
-  /// receiving matcher.
+  /// Visits every raw member (reconstructed from the arenas), in
+  /// deterministic slot order. Segment split/merge hands over raw
+  /// subscriptions so cover sets re-partition cleanly on the receiving
+  /// matcher.
   void for_each_member(
       const std::function<void(const Subscription&)>& fn) const;
 
   // --- introspection --------------------------------------------------------
-  std::size_t raw_count() const { return member_of_.size() + passthrough_.size(); }
+  std::size_t raw_count() const { return member_of_.size(); }
   std::size_t group_count() const { return live_groups_; }
-  /// Entries the caller's index holds on our behalf (groups + pass-throughs).
-  std::size_t indexed_count() const { return live_groups_ + passthrough_.size(); }
+  /// Entries the caller's index holds on our behalf: one per group.
+  std::size_t indexed_count() const { return live_groups_; }
   /// Monotonic mutation stamp: bumps on every add/remove, so callers can
   /// tell whether the table changed between a probe and its completion
   /// (gates the differential audit).
@@ -244,7 +238,6 @@ class CoverTable {
 
   SubscriptionId rep_id_of(std::uint32_t slot) const {
     return kRepBit |
-           (static_cast<SubscriptionId>(salt_ & kSaltMask) << kSaltShift) |
            (static_cast<SubscriptionId>(groups_[slot].generation)
             << kSlotBits) |
            static_cast<SubscriptionId>(slot);
@@ -274,16 +267,12 @@ class CoverTable {
   /// that became uniform.
   void retighten(std::uint32_t slot);
 
-  // Rep id layout: [63] rep flag | [56..62] table salt | [28..55] generation
-  // | [0..27] slot.
+  // Rep id layout: [63] rep flag | [28..55] generation | [0..27] slot.
   static constexpr int kSlotBits = 28;
   static constexpr SubscriptionId kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr int kSaltShift = 56;
-  static constexpr std::uint32_t kSaltMask = (1u << 7) - 1;
 
   CoverConfig config_;
   std::vector<Range> domains_;
-  std::uint32_t salt_ = 0;
   std::size_t k_ = 0;
 
   std::vector<Group> groups_;
@@ -304,9 +293,6 @@ class CoverTable {
   /// Group::older from there, at most config_.max_chain groups.
   FlatIdMap chains_;
   FlatIdMap member_of_;  ///< raw id → its entry in members_
-  /// Dimension-mismatched subscriptions indexed raw (kept whole so the
-  /// oracle can still evaluate them).
-  std::unordered_map<SubscriptionId, Subscription> passthrough_;
 
   std::uint64_t mutations_ = 0;
 };

@@ -77,9 +77,6 @@ MatcherConfig Deployment::matcher_config() const {
                                          : MatcherConfig::MatchMode::kCostOnly;
   cfg.load_report_interval = config_.load_report_interval;
   cfg.gossip = config_.gossip;
-  cfg.split_policy = config_.median_split
-                         ? MatcherConfig::SplitPolicy::kMedian
-                         : MatcherConfig::SplitPolicy::kMidpoint;
   cfg.dispatchers = dispatcher_ids_;
   cfg.metrics_sink = kMetricsSink;
   cfg.delivery_sink = kDeliverySink;

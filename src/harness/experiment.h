@@ -80,9 +80,6 @@ struct ExperimentConfig {
   /// re-dispatch unacknowledged messages, eliminating the failure-window
   /// loss of Fig 10 at the cost of possible duplicates.
   bool reliable_delivery = false;
-  /// Cut joiner segments at the stored-predicate median instead of the
-  /// midpoint (ablation; see MatcherConfig::SplitPolicy).
-  bool median_split = false;
 
   std::uint64_t seed = 1;
   sim::SimConfig sim;

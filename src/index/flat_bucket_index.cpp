@@ -9,17 +9,15 @@
 namespace bluedove {
 
 namespace {
-/// Smallest lockstep reservation for a bucket's slot array and columns.
+/// Smallest lockstep reservation for a bucket's entry arrays.
 constexpr std::size_t kMinBucketCapacity = 16;
 }  // namespace
 
 FlatBucketIndex::FlatBucketIndex(DimId pivot, Range domain,
-                                 std::shared_ptr<SubscriptionStore> store,
                                  std::size_t buckets)
     : pivot_(pivot),
       domain_(domain),
-      store_(store ? std::move(store) : std::make_shared<SubscriptionStore>()),
-      buckets_(std::max<std::size_t>(buckets, 1)) {}
+      buckets_(std::clamp<std::size_t>(buckets, 1, kMaxBuckets)) {}
 
 std::size_t FlatBucketIndex::bucket_of(Value v) const {
   if (domain_.width() <= 0.0) return 0;
@@ -42,29 +40,27 @@ std::pair<std::size_t, std::size_t> FlatBucketIndex::span_of(
 }
 
 void FlatBucketIndex::bucket_insert(std::size_t first, std::size_t reach,
-                                    Slot slot, const Subscription& sub) {
+                                    const Subscription& sub) {
   Bucket& b = buckets_[first];
-  if (sub.dimensions() != columns_) {
-    b.irregular.push_back({slot, static_cast<std::uint32_t>(first + reach)});
-    return;
-  }
   if (b.lo.size() != columns_) {
     b.lo.resize(columns_);
     b.hi.resize(columns_);
   }
-  if (b.slots.size() == b.slots.capacity()) {
-    // Grow the slot array and all 2k columns in lockstep under one policy:
-    // one reallocation event per doubling instead of 2k+1 vectors doubling
-    // independently as the churn stream interleaves inserts and erases.
-    const std::size_t cap =
-        std::max(kMinBucketCapacity, b.slots.capacity() * 2);
-    b.slots.reserve(cap);
+  if (b.ids.size() == b.ids.capacity()) {
+    // Grow the id/subscriber arrays and all 2k columns in lockstep under
+    // one policy: one reallocation event per doubling instead of 2k+2
+    // vectors doubling independently as the churn stream interleaves
+    // inserts and erases.
+    const std::size_t cap = std::max(kMinBucketCapacity, b.ids.capacity() * 2);
+    b.ids.reserve(cap);
+    b.subscribers.reserve(cap);
     for (std::size_t d = 0; d < columns_; ++d) {
       b.lo[d].reserve(cap);
       b.hi[d].reserve(cap);
     }
   }
-  b.slots.push_back(slot);
+  b.ids.push_back(0);
+  b.subscribers.push_back(0);
   for (std::size_t d = 0; d < columns_; ++d) {
     b.lo[d].push_back(0.0);
     b.hi[d].push_back(0.0);
@@ -72,12 +68,13 @@ void FlatBucketIndex::bucket_insert(std::size_t first, std::size_t reach,
   if (b.reach_end.size() <= reach) b.reach_end.resize(reach + 1, 0);
   // Open a hole at the end of the reach-`reach` class: each narrower class
   // hands its first entry to the hole past its last, shifting by one.
-  std::size_t hole = b.slots.size() - 1;
+  std::size_t hole = b.ids.size() - 1;
   for (std::size_t r = 0; r < reach; ++r) {
     move_entry(b, b.reach_end[r + 1], hole);
     hole = b.reach_end[r + 1];
   }
-  b.slots[hole] = slot;
+  b.ids[hole] = sub.id;
+  b.subscribers[hole] = sub.subscriber;
   for (std::size_t d = 0; d < columns_; ++d) {
     b.lo[d][hole] = sub.ranges[d].lo;
     b.hi[d][hole] = sub.ranges[d].hi;
@@ -86,21 +83,10 @@ void FlatBucketIndex::bucket_insert(std::size_t first, std::size_t reach,
 }
 
 void FlatBucketIndex::bucket_erase(std::size_t first, std::size_t reach,
-                                   Slot slot) {
+                                   SubscriptionId id) {
   Bucket& b = buckets_[first];
   std::size_t hole = run_length(b, reach + 1);
-  const std::size_t end = run_length(b, reach);
-  while (hole < end && b.slots[hole] != slot) ++hole;
-  if (hole == end) {
-    const auto it =
-        std::find_if(b.irregular.begin(), b.irregular.end(),
-                     [slot](const Irregular& e) { return e.slot == slot; });
-    if (it != b.irregular.end()) {
-      *it = b.irregular.back();
-      b.irregular.pop_back();
-    }
-    return;
-  }
+  while (b.ids[hole] != id) ++hole;  // the id map says it is in this class
   // Close the hole: each class from `reach` down to the narrowest hands its
   // last entry to the hole left before it. pop_back never releases vector
   // capacity, and insert reserves in lockstep, so steady-state churn cannot
@@ -110,7 +96,8 @@ void FlatBucketIndex::bucket_erase(std::size_t first, std::size_t reach,
     move_entry(b, last, hole);
     hole = last;
   }
-  b.slots.pop_back();
+  b.ids.pop_back();
+  b.subscribers.pop_back();
   for (std::size_t d = 0; d < b.lo.size(); ++d) {
     b.lo[d].pop_back();
     b.hi[d].pop_back();
@@ -121,54 +108,53 @@ void FlatBucketIndex::bucket_erase(std::size_t first, std::size_t reach,
 }
 
 void FlatBucketIndex::move_entry(Bucket& b, std::size_t from, std::size_t to) {
-  b.slots[to] = b.slots[from];
+  b.ids[to] = b.ids[from];
+  b.subscribers[to] = b.subscribers[from];
   for (std::size_t d = 0; d < b.lo.size(); ++d) {
     b.lo[d][to] = b.lo[d][from];
     b.hi[d][to] = b.hi[d][from];
   }
 }
 
-// A subscription without a pivot predicate (fewer dimensions than the
-// pivot) can never match a message that has one; park it in bucket 0 so
-// insert/erase stay symmetric without indexing past its ranges.
-std::pair<std::size_t, std::size_t> FlatBucketIndex::span_of_sub(
-    const Subscription& sub) const {
-  if (pivot_ >= sub.dimensions()) return {0, 0};
-  return span_of(sub.range(pivot_));
+Subscription FlatBucketIndex::entry(const Bucket& b, std::size_t i) const {
+  Subscription sub;
+  sub.id = b.ids[i];
+  sub.subscriber = b.subscribers[i];
+  sub.ranges.resize(columns_);
+  for (std::size_t d = 0; d < columns_; ++d) {
+    sub.ranges[d] = Range{b.lo[d][i], b.hi[d][i]};
+  }
+  return sub;
 }
 
 void FlatBucketIndex::insert(SubPtr sub) {
   if (local_.contains(sub->id)) return;  // dedup; matcher guards this too
   if (columns_ == 0) columns_ = sub->dimensions();
-  const Slot slot = store_->acquire(*sub);
-  local_.set(sub->id, slot);
-  const Subscription& stored = store_->at(slot);
-  const auto [first, last] = span_of_sub(stored);
-  max_reach_ = std::max(max_reach_, last - first);
-  bucket_insert(first, last - first, slot, stored);
+  const auto [first, last] = span_of(sub->range(pivot_));
+  const std::size_t reach = last - first;
+  max_reach_ = std::max(max_reach_, reach);
+  local_.set(sub->id, static_cast<std::uint32_t>(first << 16 | reach));
+  bucket_insert(first, reach, *sub);
 }
 
 bool FlatBucketIndex::erase(SubscriptionId id) {
-  const Slot slot = local_.find(id);
-  if (slot == FlatIdMap::kNone) return false;
-  const auto [first, last] = span_of_sub(store_->at(slot));
-  bucket_erase(first, last - first, slot);
+  const std::uint32_t place = local_.find(id);
+  if (place == FlatIdMap::kNone) return false;
+  bucket_erase(place >> 16, place & 0xffffu, id);
   local_.erase(id);
-  store_->release(id);
   return true;
 }
 
 void FlatBucketIndex::clear() {
-  local_.for_each([&](SubscriptionId id, Slot) { store_->release(id); });
   local_.clear();
   max_reach_ = 0;
   // Keep column capacity: clear() precedes a rebuild of (usually) the same
   // scale, and dropping every allocation here just to re-grow it would
   // thrash the allocator.
   for (Bucket& b : buckets_) {
-    b.slots.clear();
+    b.ids.clear();
+    b.subscribers.clear();
     b.reach_end.clear();
-    b.irregular.clear();
     for (auto& c : b.lo) c.clear();
     for (auto& c : b.hi) c.clear();
   }
@@ -176,16 +162,15 @@ void FlatBucketIndex::clear() {
 
 std::size_t FlatBucketIndex::column_entries() const {
   std::size_t entries = 0;
-  for (const Bucket& b : buckets_) {
-    entries += b.slots.size() + b.irregular.size();
-  }
+  for (const Bucket& b : buckets_) entries += b.ids.size();
   return entries;
 }
 
 std::size_t FlatBucketIndex::column_capacity_bytes() const {
   std::size_t bytes = 0;
   for (const Bucket& b : buckets_) {
-    bytes += b.slots.capacity() * sizeof(Slot);
+    bytes += b.ids.capacity() * sizeof(SubscriptionId);
+    bytes += b.subscribers.capacity() * sizeof(SubscriberId);
     for (const auto& c : b.lo) bytes += c.capacity() * sizeof(Value);
     for (const auto& c : b.hi) bytes += c.capacity() * sizeof(Value);
   }
@@ -218,12 +203,11 @@ std::size_t FlatBucketIndex::select(const simd::RangeKernel& k,
   return count;
 }
 
-void FlatBucketIndex::probe(const Message& m, std::vector<Slot>& out,
-                            std::vector<std::uint32_t>& sel,
-                            WorkCounter& wc) const {
+template <typename Emit>
+void FlatBucketIndex::probe(const Message& m, std::vector<std::uint32_t>& sel,
+                            WorkCounter& wc, Emit&& emit) const {
   ++wc.probes;
   const std::size_t target = bucket_of(m.value(pivot_));
-  const bool columnar = m.dimensions() == columns_;
   const simd::RangeKernel& k = simd::active_kernel();
   // Bucket j contributes the prefix of its entries that reach `target`;
   // together these runs are every copy whose pivot span contains it.
@@ -232,20 +216,23 @@ void FlatBucketIndex::probe(const Message& m, std::vector<Slot>& out,
     const Bucket& b = buckets_[j];
     const std::size_t n = run_length(b, target - j);
     wc.comparisons += n;
-    if (n != 0 && columnar) {
-      sel.resize(std::max(sel.size(), n));
-      const std::size_t count = select(k, b, n, m, sel.data());
-      if (k.kind != simd::KernelKind::kScalar && obs::Audit::enabled()) {
-        audit_probe(m, b, n, sel, count);
-      }
-      for (std::size_t i = 0; i < count; ++i) out.push_back(b.slots[sel[i]]);
+    if (n == 0) continue;
+    sel.resize(std::max(sel.size(), n));
+    const std::size_t count = select(k, b, n, m, sel.data());
+    if (k.kind != simd::KernelKind::kScalar && obs::Audit::enabled()) {
+      audit_probe(m, b, n, sel, count);
     }
-    for (const Irregular& e : b.irregular) {
-      if (e.last < target) continue;
-      ++wc.comparisons;
-      if (store_->at(e.slot).matches(m)) out.push_back(e.slot);
-    }
+    for (std::size_t i = 0; i < count; ++i) emit(b, sel[i]);
   }
+}
+
+void FlatBucketIndex::probe_hits(const Message& m,
+                                 std::vector<std::uint32_t>& sel,
+                                 WorkCounter& wc,
+                                 std::vector<MatchHit>& out) const {
+  probe(m, sel, wc, [&out](const Bucket& b, std::uint32_t i) {
+    out.push_back({b.ids[i], b.subscribers[i]});
+  });
 }
 
 void FlatBucketIndex::audit_probe(const Message& m, const Bucket& b,
@@ -273,12 +260,7 @@ void FlatBucketIndex::audit_probe(const Message& m, const Bucket& b,
 
 void FlatBucketIndex::match_hits(const Message& m, std::vector<MatchHit>& out,
                                  WorkCounter& wc) const {
-  scratch_.slots.clear();
-  probe(m, scratch_.slots, scratch_.sel, wc);
-  for (const Slot slot : scratch_.slots) {
-    const Subscription& sub = store_->at(slot);
-    out.push_back({sub.id, sub.subscriber});
-  }
+  probe_hits(m, scratch_.sel, wc, out);
 }
 
 void FlatBucketIndex::match_batch(std::span<const Message> msgs,
@@ -294,12 +276,7 @@ void FlatBucketIndex::match_batch(std::span<const Message> msgs,
     for (const Message& m : msgs) {
       offsets.push_back(static_cast<std::uint32_t>(hits.size()));
       const WorkCounter before = wc;
-      s.slots.clear();
-      probe(m, s.slots, s.sel, wc);
-      for (const Slot slot : s.slots) {
-        const Subscription& sub = store_->at(slot);
-        hits.push_back({sub.id, sub.subscriber});
-      }
+      probe_hits(m, s.sel, wc, hits);
       if (per_msg_work != nullptr) {
         const WorkCounter delta{wc.comparisons - before.comparisons,
                                 wc.probes - before.probes};
@@ -327,14 +304,11 @@ void FlatBucketIndex::match_batch(std::span<const Message> msgs,
   for (const std::uint64_t packed : s.order) {
     const auto idx = static_cast<std::size_t>(packed & 0xffffffffu);
     const WorkCounter before = wc;
-    s.slots.clear();
-    probe(msgs[idx], s.slots, s.sel, wc);
-    s.staged_off[2 * idx] = static_cast<std::uint32_t>(s.staged.size());
-    s.staged_off[2 * idx + 1] = static_cast<std::uint32_t>(s.slots.size());
-    for (const Slot slot : s.slots) {
-      const Subscription& sub = store_->at(slot);
-      s.staged.push_back({sub.id, sub.subscriber});
-    }
+    const std::size_t start = s.staged.size();
+    probe_hits(msgs[idx], s.sel, wc, s.staged);
+    s.staged_off[2 * idx] = static_cast<std::uint32_t>(start);
+    s.staged_off[2 * idx + 1] =
+        static_cast<std::uint32_t>(s.staged.size() - start);
     const WorkCounter delta{wc.comparisons - before.comparisons,
                             wc.probes - before.probes};
     s.staged_work[idx] = delta.total();
@@ -353,11 +327,9 @@ void FlatBucketIndex::match_batch(std::span<const Message> msgs,
 
 void FlatBucketIndex::match(const Message& m, std::vector<SubPtr>& out,
                             WorkCounter& wc) const {
-  scratch_.slots.clear();
-  probe(m, scratch_.slots, scratch_.sel, wc);
-  for (const Slot slot : scratch_.slots) {
-    out.push_back(std::make_shared<const Subscription>(store_->at(slot)));
-  }
+  probe(m, scratch_.sel, wc, [&](const Bucket& b, std::uint32_t i) {
+    out.push_back(std::make_shared<const Subscription>(entry(b, i)));
+  });
 }
 
 double FlatBucketIndex::match_cost(const Message& m) const {
@@ -366,17 +338,17 @@ double FlatBucketIndex::match_cost(const Message& m) const {
 
 void FlatBucketIndex::for_each(
     const std::function<void(const SubPtr&)>& fn) const {
-  local_.for_each([&](SubscriptionId, Slot slot) {
-    fn(std::make_shared<const Subscription>(store_->at(slot)));
-  });
+  for (const Bucket& b : buckets_) {
+    for (std::size_t i = 0; i < b.ids.size(); ++i) {
+      fn(std::make_shared<const Subscription>(entry(b, i)));
+    }
+  }
 }
 
 std::size_t FlatBucketIndex::bucket_size(std::size_t i) const {
   std::size_t n = 0;
   for (std::size_t j = i - std::min(i, max_reach_); j <= i; ++j) {
-    const Bucket& b = buckets_[j];
-    n += run_length(b, i - j);
-    for (const Irregular& e : b.irregular) n += e.last >= i ? 1 : 0;
+    n += run_length(buckets_[j], i - j);
   }
   return n;
 }

@@ -1,12 +1,14 @@
 #pragma once
 // Columnar bucket engine: the product index.
 //
-// Subscriptions are interned once in a SubscriptionStore arena. The pivot
-// domain is cut into fixed-width buckets, and each subscription copy is
-// filed exactly once, in the bucket that holds its pivot `lo`. A bucket
-// stores struct-of-arrays predicate data: contiguous lo[d][]/hi[d][]
-// columns per dimension plus a parallel slot-id array, 4 + 16k bytes per
-// copy for k dimensions.
+// The index is its own storage: there is no side arena. The pivot domain
+// is cut into fixed-width buckets, and each subscription copy is filed
+// exactly once, in the bucket that holds its pivot `lo`. A bucket stores
+// struct-of-arrays entries: contiguous lo[d][]/hi[d][] columns per
+// dimension plus parallel id and subscriber arrays, 16 + 16k bytes per
+// copy for k dimensions. A probe emits each hit's {id, subscriber}
+// straight from the bucket; the cold paths (for_each, legacy match())
+// rebuild the Subscription from the columns.
 //
 // Within a bucket, entries are ordered by reach (how many buckets past
 // this one the pivot range extends), widest first, so the entries of
@@ -16,20 +18,23 @@
 // contains b, so the candidate set and the comparison count are those of
 // filing every copy in every bucket it overlaps, at one entry per copy.
 // Insert and erase shift one entry per reach class below the entry's own
-// (O(reach) moves), so no probe needs a search.
+// (O(reach) moves), so no probe needs a search. The id map records each
+// copy's bucket and reach, which is all erase needs to find it.
 //
 // Each run is verified by scanning one contiguous column branchlessly to
 // build a selection vector, then compacting it through the remaining
 // dimensions: a handful of tight loops over packed doubles instead of a
-// virtual pointer-chase per candidate. The probe returns compact slot
-// ids; SubPtrs are materialized only on the cold paths (for_each, legacy
-// match()).
+// virtual pointer-chase per candidate.
+//
+// Arity: the first insert fixes the column count, and every later
+// subscription and every probed message must have exactly that many
+// dimensions. The index does not check; nodes reject other arities where
+// input enters them (DispatcherNode, MatcherNode).
 
 #include <vector>
 
 #include "common/flat_id_map.h"
 #include "index/subscription_index.h"
-#include "index/subscription_store.h"
 
 namespace bluedove {
 
@@ -40,10 +45,10 @@ struct RangeKernel;
 class FlatBucketIndex final : public SubscriptionIndex {
  public:
   /// `domain` is the pivot dimension's value domain; `buckets` the number of
-  /// fixed-width cells. When `store` is null the index owns a private arena.
-  FlatBucketIndex(DimId pivot, Range domain,
-                  std::shared_ptr<SubscriptionStore> store = nullptr,
-                  std::size_t buckets = 64);
+  /// fixed-width cells (at most kMaxBuckets).
+  FlatBucketIndex(DimId pivot, Range domain, std::size_t buckets = 64);
+
+  static constexpr std::size_t kMaxBuckets = 0xffff;
 
   DimId pivot() const override { return pivot_; }
 
@@ -66,70 +71,64 @@ class FlatBucketIndex final : public SubscriptionIndex {
   double match_cost(const Message& m) const override;
   void for_each(const std::function<void(const SubPtr&)>& fn) const override;
 
-  const SubscriptionStore& store() const { return *store_; }
   std::size_t bucket_count() const { return buckets_.size(); }
   /// Copies whose pivot span contains bucket `i`: the entries a probe of
   /// bucket `i` compares against.
   std::size_t bucket_size(std::size_t i) const;
 
-  /// Entries held across all buckets' columns and irregular lists: one per
-  /// stored copy.
+  /// Entries held across all buckets' columns: one per stored copy.
   std::size_t column_entries() const;
-  /// Bytes currently reserved by slot arrays + lo/hi columns across all
-  /// buckets (capacity, not size). Columns grow in lockstep by doubling and
-  /// never shrink on erase, so churn cannot thrash reallocation.
+  /// Bytes currently reserved by id/subscriber arrays + lo/hi columns
+  /// across all buckets (capacity, not size). Columns grow in lockstep by
+  /// doubling and never shrink on erase, so churn cannot thrash
+  /// reallocation.
   std::size_t column_capacity_bytes() const;
 
  private:
-  using Slot = SubscriptionStore::Slot;
-
-  /// An entry whose dimension count differs from the column layout; it is
-  /// verified scalar-wise through the arena (never hit in practice: one
-  /// matcher serves one schema).
-  struct Irregular {
-    Slot slot;
-    std::uint32_t last;  ///< last bucket its pivot span reaches
-  };
-
   /// The copies whose pivot span starts in this bucket.
   struct Bucket {
-    std::vector<Slot> slots;             ///< parallel to the column entries
-    std::vector<std::vector<Value>> lo;  ///< lo[d][i]: dim-major columns
+    std::vector<SubscriptionId> ids;      ///< parallel to the column entries
+    std::vector<SubscriberId> subscribers;
+    std::vector<std::vector<Value>> lo;   ///< lo[d][i]: dim-major columns
     std::vector<std::vector<Value>> hi;
     /// reach_end[r]: entries reaching at least r buckets past this one.
     /// Entries are ordered by reach, widest first, so those are the prefix
-    /// [0, reach_end[r]); reach_end[0] == slots.size(), and the vector ends
+    /// [0, reach_end[r]); reach_end[0] == ids.size(), and the vector ends
     /// at the widest reach held here (empty when there are no entries).
     std::vector<std::uint32_t> reach_end;
-    std::vector<Irregular> irregular;
   };
 
   std::size_t bucket_of(Value v) const;
   std::pair<std::size_t, std::size_t> span_of(const Range& r) const;
-  std::pair<std::size_t, std::size_t> span_of_sub(const Subscription& s) const;
   /// Entries of bucket `j` that reach bucket `j + reach`.
   static std::size_t run_length(const Bucket& b, std::size_t reach) {
     return reach < b.reach_end.size() ? b.reach_end[reach] : 0;
   }
-  /// Files `slot` in bucket `first` among the entries reaching `reach`
+  /// Files `sub` in bucket `first` among the entries reaching `reach`
   /// buckets further; O(reach) entry moves.
-  void bucket_insert(std::size_t first, std::size_t reach, Slot slot,
+  void bucket_insert(std::size_t first, std::size_t reach,
                      const Subscription& sub);
-  void bucket_erase(std::size_t first, std::size_t reach, Slot slot);
+  void bucket_erase(std::size_t first, std::size_t reach, SubscriptionId id);
   static void move_entry(Bucket& b, std::size_t from, std::size_t to);
+  /// The copy in entry `i` of `b`, rebuilt from the columns.
+  Subscription entry(const Bucket& b, std::size_t i) const;
   /// Writes to `sel` the ascending indices among the first `n` entries of
   /// `b` that match all of `m`'s predicates, using kernel `k`; returns
   /// their count.
   std::size_t select(const simd::RangeKernel& k, const Bucket& b,
                      std::size_t n, const Message& m,
                      std::uint32_t* sel) const;
-  /// Appends the slots whose pivot span contains `m`'s bucket and that
-  /// match all predicates. `sel` is the caller's selection-vector scratch:
-  /// the single-threaded entry points pass the members below, match_batch
-  /// threads the per-worker MatchScratch through so concurrent probes of
-  /// one index never share.
-  void probe(const Message& m, std::vector<Slot>& out,
-             std::vector<std::uint32_t>& sel, WorkCounter& wc) const;
+  /// Calls emit(bucket, entry) for every copy whose pivot span contains
+  /// `m`'s bucket and that matches all predicates. `sel` is the caller's
+  /// selection-vector scratch: the single-threaded entry points pass the
+  /// member below, match_batch threads the per-worker MatchScratch through
+  /// so concurrent probes of one index never share.
+  template <typename Emit>
+  void probe(const Message& m, std::vector<std::uint32_t>& sel,
+             WorkCounter& wc, Emit&& emit) const;
+  /// Appends the probe's hits for `m` to `out`.
+  void probe_hits(const Message& m, std::vector<std::uint32_t>& sel,
+                  WorkCounter& wc, std::vector<MatchHit>& out) const;
   /// Sampled differential oracle: re-runs the scalar kernel over the same
   /// run (the first `n` entries of `b`) and reports an
   /// AuditKind::kSimdKernel violation when the vectorized selection
@@ -141,13 +140,14 @@ class FlatBucketIndex final : public SubscriptionIndex {
 
   DimId pivot_;
   Range domain_;
-  std::shared_ptr<SubscriptionStore> store_;
   std::vector<Bucket> buckets_;
   std::size_t columns_ = 0;  ///< dims of the SoA layout; fixed by first insert
   /// Widest reach ever filed since the last clear(): a probe of bucket b
   /// looks back at buckets b - max_reach_ .. b.
   std::size_t max_reach_ = 0;
-  FlatIdMap local_;  ///< id -> store slot of each copy this index holds
+  /// id -> where its copy is filed: first bucket << 16 | reach (both below
+  /// kMaxBuckets, so never FlatIdMap::kNone).
+  FlatIdMap local_;
   /// Fallback probe scratch for the single-threaded entry points;
   /// match_batch threads a caller-owned MatchScratch through instead.
   mutable MatchScratch scratch_;

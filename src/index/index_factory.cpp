@@ -1,7 +1,6 @@
 #include "index/flat_bucket_index.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
-#include "index/subscription_store.h"
 
 namespace bluedove {
 
@@ -50,21 +49,15 @@ std::optional<IndexKind> index_kind_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-std::unique_ptr<SubscriptionIndex> make_index(
-    IndexKind kind, DimId pivot, Range domain,
-    std::shared_ptr<SubscriptionStore> store) {
+std::unique_ptr<SubscriptionIndex> make_index(IndexKind kind, DimId pivot,
+                                              Range domain) {
   switch (kind) {
     case IndexKind::kLinearScan:
       return std::make_unique<LinearScanIndex>(pivot);
     case IndexKind::kFlatBucket:
-      return std::make_unique<FlatBucketIndex>(pivot, domain, std::move(store));
+      return std::make_unique<FlatBucketIndex>(pivot, domain);
   }
   return nullptr;
-}
-
-std::unique_ptr<SubscriptionIndex> make_index(IndexKind kind, DimId pivot,
-                                              Range domain) {
-  return make_index(kind, pivot, domain, nullptr);
 }
 
 }  // namespace bluedove

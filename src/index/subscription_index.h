@@ -17,8 +17,8 @@
 // MatchScratch, match_cost) may run on several threads over one live index
 // at once, provided nothing mutates that index meanwhile; the matcher holds
 // its writes back while an offloaded probe is in flight (DESIGN.md §10).
-// Arena-backed engines share a SubscriptionStore whose chunks are
-// address-stable, so a slot read by a probe never moves.
+// A probe reads only its own index's storage: no index shares state with
+// another, so writes to one index never disturb a probe of the next.
 
 #include <cstdint>
 #include <functional>
@@ -34,13 +34,11 @@
 
 namespace bluedove {
 
-class SubscriptionStore;
-
 using SubPtr = std::shared_ptr<const Subscription>;
 
 /// One matching subscription, reduced to what the delivery fan-out needs.
-/// The probe path returns these instead of `SubPtr` so engines backed by an
-/// arena never touch a refcount while matching.
+/// The probe path returns these instead of `SubPtr` so columnar engines
+/// never touch a refcount while matching.
 struct MatchHit {
   SubscriptionId id = 0;
   SubscriberId subscriber = 0;
@@ -48,13 +46,12 @@ struct MatchHit {
   friend bool operator==(const MatchHit&, const MatchHit&) = default;
 };
 
-/// Reusable probe scratch (selection vector, slot hits) threaded through
+/// Reusable probe scratch (selection vector, batch staging) threaded through
 /// match_batch so repeated probes reallocate nothing. Each offload worker
 /// owns one instance — an engine's internal fallback scratch is not safe
 /// once one index is probed from several threads at a time.
 struct MatchScratch {
   std::vector<std::uint32_t> sel;
-  std::vector<std::uint32_t> slots;
   // Batched-probe staging (FlatBucketIndex::match_batch): messages are
   // probed in bucket order so consecutive probes hit the same columns, but
   // hits must be emitted in message order. The probe results are staged
@@ -104,8 +101,8 @@ class SubscriptionIndex {
                      WorkCounter& wc) const = 0;
 
   /// Hot-path variant of match(): appends compact MatchHits instead of
-  /// handing out shared_ptrs. The default adapts match(); arena-backed
-  /// engines override it to keep the probe allocation- and refcount-free.
+  /// handing out shared_ptrs. The default adapts match(); columnar engines
+  /// override it to keep the probe allocation- and refcount-free.
   virtual void match_hits(const Message& m, std::vector<MatchHit>& out,
                           WorkCounter& wc) const;
 
@@ -142,7 +139,7 @@ class SubscriptionIndex {
 /// removed kind leaves a gap.
 enum class IndexKind {
   kLinearScan = 0,  ///< scan the whole set; the cost model the paper implies
-  kFlatBucket = 3   ///< arena-backed buckets with columnar (SoA) predicates
+  kFlatBucket = 3   ///< buckets of columnar (SoA) bounds, ids and subscribers
 };
 
 /// "linear-scan" or "flat-bucket".
@@ -154,12 +151,5 @@ std::optional<IndexKind> index_kind_from_string(std::string_view name);
 /// partition the pivot domain need its extent, hence `domain`.
 std::unique_ptr<SubscriptionIndex> make_index(IndexKind kind, DimId pivot,
                                               Range domain);
-
-/// As above, but arena-backed engines (kFlatBucket) intern subscriptions in
-/// `store`, so one matcher's k dimension indexes share a single arena. Other
-/// kinds ignore `store`.
-std::unique_ptr<SubscriptionIndex> make_index(
-    IndexKind kind, DimId pivot, Range domain,
-    std::shared_ptr<SubscriptionStore> store);
 
 }  // namespace bluedove

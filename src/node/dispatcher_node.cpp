@@ -38,6 +38,7 @@ DispatcherNode::DispatcherNode(NodeId id, DispatcherConfig config)
   m_dropped_ = &metrics_.counter("dispatcher.dropped_no_candidate");
   m_sampled_ = &metrics_.counter("dispatcher.traced");
   m_stats_reqs_ = &metrics_.counter("dispatcher.stats_requests");
+  m_arity_rejects_ = &metrics_.counter("dispatcher.arity_rejects");
 }
 
 void DispatcherNode::set_bootstrap(ClusterTable table) {
@@ -100,7 +101,17 @@ void DispatcherNode::on_receive(NodeId from, Envelope env) {
 // Client traffic
 // --------------------------------------------------------------------------
 
+bool DispatcherNode::arity_ok(std::size_t dims) {
+  // Client input is where arity enters the cluster: placement and
+  // forwarding read one range or value per schema dimension, and so does
+  // every matcher downstream.
+  if (dims == config_.domains.size()) return true;
+  m_arity_rejects_->inc();
+  return false;
+}
+
 void DispatcherNode::handle_subscribe(const ClientSubscribe& msg) {
+  if (!arity_ok(msg.sub.dimensions())) return;
   const std::vector<Assignment> assignments =
       strategy_->assign(view_, msg.sub);
   if (assignments.empty()) {
@@ -115,6 +126,7 @@ void DispatcherNode::handle_subscribe(const ClientSubscribe& msg) {
 }
 
 void DispatcherNode::handle_unsubscribe(const ClientUnsubscribe& msg) {
+  if (!arity_ok(msg.sub.dimensions())) return;
   auto it = placements_.find(msg.sub.id);
   std::vector<Assignment> assignments;
   if (it != placements_.end()) {
@@ -172,6 +184,7 @@ Assignment DispatcherNode::forward(const Message& msg, Timestamp dispatched_at,
 }
 
 void DispatcherNode::handle_publish(ClientPublish msg) {
+  if (!arity_ok(msg.msg.dimensions())) return;
   ++published_;
   m_published_->inc();
   const Timestamp now = ctx_->now();

@@ -116,6 +116,9 @@ class DispatcherNode final : public Node {
     std::vector<NodeId> tried;
   };
 
+  /// True when client input with `dims` dimensions fits the schema;
+  /// otherwise counts it in dispatcher.arity_rejects for the caller to drop.
+  bool arity_ok(std::size_t dims);
   BD_NODE_THREAD void handle_subscribe(const ClientSubscribe& msg);
   BD_NODE_THREAD void handle_unsubscribe(const ClientUnsubscribe& msg);
   BD_NODE_THREAD void handle_publish(ClientPublish msg);
@@ -147,6 +150,7 @@ class DispatcherNode final : public Node {
   obs::Counter* m_dropped_ = nullptr;
   obs::Counter* m_sampled_ = nullptr;     ///< publications given a trace id
   obs::Counter* m_stats_reqs_ = nullptr;  ///< StatsRequest scrapes answered
+  obs::Counter* m_arity_rejects_ = nullptr;  ///< client input of wrong arity
   std::uint64_t trace_seq_ = 0;           ///< per-dispatcher trace id counter
   std::uint64_t span_seq_ = 0;            ///< causal span ids (recorder)
 

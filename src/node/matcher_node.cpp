@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "index/linear_scan_index.h"
-#include "index/subscription_store.h"
 #include "obs/audit.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -76,14 +75,9 @@ MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
   m_deliveries_ = &metrics_.counter("matcher.deliveries");
   m_stats_reqs_ = &metrics_.counter("matcher.stats_requests");
   m_writes_deferred_ = &metrics_.counter("matcher.writes_deferred");
+  m_arity_rejects_ = &metrics_.counter("matcher.arity_rejects");
   m_queue_lat_ = &metrics_.histogram("matcher.queue_seconds");
   m_match_lat_ = &metrics_.histogram("matcher.match_seconds");
-  // Arena-backed engines share one per-matcher store across the k
-  // dimension indexes, so a subscription copied into several sets is still
-  // held once.
-  if (config_.index_kind == IndexKind::kFlatBucket) {
-    store_ = std::make_shared<SubscriptionStore>();
-  }
   if (config_.cover.enabled) {
     cov_expansions_ = &metrics_.counter("cover.expansions");
     cov_expanded_ = &metrics_.counter("cover.expanded_members");
@@ -98,12 +92,10 @@ MatcherNode::MatcherNode(NodeId id, MatcherConfig config)
   sets_.resize(k);
   for (std::size_t d = 0; d < k; ++d) {
     sets_[d].index = make_index(config_.index_kind, static_cast<DimId>(d),
-                                config_.domains[d], store_);
+                                config_.domains[d]);
     if (config_.cover.enabled) {
-      // Per-dim salt: all dim indexes share this node's SubscriptionStore,
-      // so rep ids must be unique across the tables feeding it.
-      sets_[d].cover = std::make_unique<CoverTable>(
-          config_.cover, config_.domains, static_cast<std::uint32_t>(d));
+      sets_[d].cover =
+          std::make_unique<CoverTable>(config_.cover, config_.domains);
     }
     const std::string prefix = "matcher.dim" + std::to_string(d);
     sets_[d].queue_depth = &metrics_.gauge(prefix + ".queue_depth");
@@ -201,6 +193,13 @@ void MatcherNode::dispatch(NodeId from, Envelope env) {
 // --------------------------------------------------------------------------
 
 void MatcherNode::store_one(const Subscription& sub, DimId dim) {
+  // Every store path (client stores, split handovers, leave merges) passes
+  // here, so this is where a subscription of the wrong arity is refused:
+  // the indexes and cover tables read one range per schema dimension.
+  if (sub.dimensions() != dims()) {
+    m_arity_rejects_->inc();
+    return;
+  }
   if (dim == kWideDim) {
     if (!wide_->contains(sub.id)) {
       wide_->insert(std::make_shared<const Subscription>(sub));
@@ -289,6 +288,11 @@ void MatcherNode::release_held() {
 // --------------------------------------------------------------------------
 
 void MatcherNode::handle_match_request(MatchRequest msg) {
+  // The probes read one value per schema dimension.
+  if (msg.msg.dimensions() != dims()) {
+    m_arity_rejects_->inc();
+    return;
+  }
   if (!left_ && msg.dim < dims()) {
     DimSet& set = sets_[msg.dim];
     ++set.arrived_in_window;
@@ -682,7 +686,6 @@ Value MatcherNode::split_boundary(DimId dim, const Range& segment) const {
     std::vector<Value> centers;
     centers.reserve(stored);
     for_each_stored(dim, [&](const Subscription& sub) {
-      if (dim >= sub.dimensions()) return;
       const Range clipped = sub.range(dim).intersect(segment);
       if (!clipped.empty()) centers.push_back(0.5 * (clipped.lo + clipped.hi));
     });
@@ -718,7 +721,6 @@ void MatcherNode::handle_split(NodeId /*from*/, const SplitCommand& msg) {
   // its share on arrival, so a box never straddles a segment boundary it
   // shouldn't.
   for_each_stored(msg.dim, [&](const Subscription& sub) {
-    if (msg.dim >= sub.dimensions()) return;
     if (sub.range(msg.dim).overlaps(upper)) handover.subs.push_back(sub);
     if (!sub.range(msg.dim).overlaps(lower)) to_remove.push_back(sub.id);
   });

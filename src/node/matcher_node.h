@@ -226,8 +226,8 @@ class MatcherNode final : public Node {
   /// sizes) so scrapes and load reports see current values.
   void refresh_segload_gauges();
   DimLoad snapshot_dim(const DimSet& set) const;
-  /// Raw subscriptions the set holds: cover-table members and
-  /// pass-throughs when covering is on, index entries otherwise.
+  /// Raw subscriptions the set holds: cover-table members when covering
+  /// is on, index entries otherwise.
   static std::size_t raw_count(const DimSet& set);
   static bool changed_enough(const DimLoad& a, const DimLoad& b,
                              double threshold);
@@ -252,6 +252,9 @@ class MatcherNode final : public Node {
   obs::Counter* m_deliveries_ = nullptr;  ///< Delivery envelopes sent
   obs::Counter* m_stats_reqs_ = nullptr;  ///< StatsRequest scrapes answered
   obs::Counter* m_writes_deferred_ = nullptr;  ///< writes that had to wait
+  /// Stores and match requests dropped for a dimension count other than
+  /// the schema's.
+  obs::Counter* m_arity_rejects_ = nullptr;
   obs::LatencyHistogram* m_queue_lat_ = nullptr;  ///< enqueue -> match start
   obs::LatencyHistogram* m_match_lat_ = nullptr;  ///< match start -> end
   // cover.* instruments; registered (and non-null) only when covering is
@@ -271,10 +274,6 @@ class MatcherNode final : public Node {
 
   std::vector<DimSet> sets_;
   std::unique_ptr<SubscriptionIndex> wide_;  ///< always-searched wide set
-  /// Arena shared by slot-backed dimension indexes (kFlatBucket only). A
-  /// slot is released only by a write, and when offload was granted writes
-  /// wait until no probe is in flight (hold_back).
-  std::shared_ptr<SubscriptionStore> store_;
   /// True when the substrate granted offload (enable_offload): a worker
   /// pool, or at cores = 1 the node thread, whose completion still runs as
   /// a later task. Probes then read the live indexes while writes are held

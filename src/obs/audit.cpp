@@ -45,8 +45,6 @@ const char* to_string(AuditKind kind) {
       return "segment";
     case AuditKind::kGossipVersion:
       return "gossip-version";
-    case AuditKind::kStoreAccounting:
-      return "store-accounting";
     case AuditKind::kQueueAccounting:
       return "queue-accounting";
     case AuditKind::kSimdKernel:

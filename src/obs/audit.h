@@ -18,8 +18,6 @@
 //                   harness quiesce points)
 //   kGossipVersion  a gossip endpoint's (generation, version) never moves
 //                   backwards in a local table
-//   kStoreAccounting  SubscriptionStore slot partition closes:
-//                   live + free == allocated capacity
 //   kQueueAccounting  bounded-queue stats close: enqueued - dequeued ==
 //                   depth, 0 <= depth <= high_water
 //   kSimdKernel     a vectorized match probe agrees with the scalar
@@ -47,10 +45,11 @@
 
 namespace bluedove::obs {
 
+/// The values are fixed (violation counters are indexed by them), so a
+/// removed kind leaves a gap.
 enum class AuditKind : int {
   kSegment = 0,
   kGossipVersion = 1,
-  kStoreAccounting = 2,
   kQueueAccounting = 3,
   kSimdKernel = 4,
   kCover = 5,

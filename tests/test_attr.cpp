@@ -123,14 +123,6 @@ TEST(Subscription, MatchesRejectsArityMismatch) {
   EXPECT_FALSE(s.matches(Message{1, {5, 25, 45}, ""}));
 }
 
-TEST(Subscription, MatchesExceptSkipsKnownDimension) {
-  const Subscription s = make_sub({{0, 10}, {20, 30}});
-  const Message m{1, {99, 25}, ""};  // dim0 fails, dim1 passes
-  EXPECT_FALSE(s.matches(m));
-  EXPECT_TRUE(s.matches_except(m, 0));
-  EXPECT_FALSE(s.matches_except(m, 1));
-}
-
 TEST(Subscription, MatchPropertySweep) {
   // Property: matches(m) iff every range contains the coordinate.
   Rng rng(1234);

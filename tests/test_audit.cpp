@@ -11,7 +11,6 @@
 #include "common/affinity.h"
 #include "gossip/gossiper.h"
 #include "harness/experiment.h"
-#include "index/subscription_store.h"
 #include "obs/audit.h"
 
 namespace bluedove {
@@ -160,53 +159,6 @@ TEST_F(AuditTest, GossipVersionAdvanceStaysClean) {
   gossiper.table().find_mutable(7)->version = 1;     // ...version restarts
   EXPECT_EQ(gossiper.audit_versions(), 0u);
   EXPECT_EQ(Audit::violations(AuditKind::kGossipVersion), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// SubscriptionStore slot accounting
-// ---------------------------------------------------------------------------
-
-Subscription sub_with_id(SubscriptionId id) {
-  Subscription s;
-  s.id = id;
-  s.ranges = {{0.0, 10.0}};
-  return s;
-}
-
-TEST_F(AuditTest, StoreSlotLeakTrips) {
-  SubscriptionStore store;
-  store.acquire(sub_with_id(1));
-  store.acquire(sub_with_id(2));
-  store.release(1);
-  EXPECT_TRUE(store.accounting_balanced());
-  EXPECT_EQ(Audit::violations(AuditKind::kStoreAccounting), 0u);
-
-  store.leak_slot_for_audit_test();
-  EXPECT_FALSE(store.accounting_balanced());
-  // The next mutation's BD_AUDIT notices the imbalance.
-  store.acquire(sub_with_id(3));
-  EXPECT_GE(Audit::violations(AuditKind::kStoreAccounting), 1u);
-  const std::uint64_t after_acquire =
-      Audit::violations(AuditKind::kStoreAccounting);
-  store.release(2);
-  EXPECT_GT(Audit::violations(AuditKind::kStoreAccounting), after_acquire);
-}
-
-TEST_F(AuditTest, StoreChurnStaysBalanced) {
-  SubscriptionStore store;
-  for (SubscriptionId id = 1; id <= 64; ++id) store.acquire(sub_with_id(id));
-  // Shared slots: a second reference keeps ids 1..16 live through one
-  // release each.
-  for (SubscriptionId id = 1; id <= 16; ++id) store.acquire(sub_with_id(id));
-  for (SubscriptionId id = 1; id <= 32; ++id) store.release(id);
-  EXPECT_EQ(store.live(), 48u);
-  EXPECT_TRUE(store.accounting_balanced());
-  // Freed slots recycle before the arena grows.
-  for (SubscriptionId id = 65; id <= 80; ++id) store.acquire(sub_with_id(id));
-  EXPECT_EQ(store.capacity(), 64u);
-  for (SubscriptionId id = 81; id <= 96; ++id) store.acquire(sub_with_id(id));
-  EXPECT_TRUE(store.accounting_balanced());
-  EXPECT_EQ(Audit::violations(AuditKind::kStoreAccounting), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -884,65 +886,97 @@ TEST(EdgeSwarmTest, OpenDropResumeRoundTrip) {
 // MatcherNode -> DispatcherNode (delivery sink) -> EdgeFrontend -> client.
 // ---------------------------------------------------------------------------
 
-TEST(EdgeClusterTest, EndToEndPubSubWithZeroPayloadCopies) {
-  constexpr NodeId kDispatcher = 10;
-  const std::vector<NodeId> matcher_ids{1000, 1001};
-  const std::vector<Range> domains(2, Range{0, 1000});
+/// One edge-enabled dispatcher host and two flat-bucket matcher hosts on
+/// loopback; the dispatcher is the matchers' metrics and delivery sink and
+/// hands deliveries to the edge front end.
+class EdgeCluster {
+  // Declared first, so they are initialized before the hosts below that
+  // are built from them.
+  const std::vector<NodeId> matcher_ids_{1000, 1001};
+  const std::vector<Range> domains_ = std::vector<Range>(2, Range{0, 1000});
 
-  DispatcherConfig dcfg;
-  dcfg.domains = domains;
-  dcfg.table_pull_interval = 0.5;
-  auto dnode = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
-  dnode->set_bootstrap(bootstrap_table(matcher_ids, domains));
-  TcpHost dispatcher_host(kDispatcher, 0, std::move(dnode));
-  auto* dispatcher = dispatcher_host.node_as<DispatcherNode>();
+ public:
+  static constexpr NodeId kDispatcher = 10;
 
-  EdgeConfig ecfg;
-  ecfg.host = "127.0.0.1";
-  EdgeFrontend fe(ecfg, kDispatcher, [&](Envelope&& env) {
-    dispatcher_host.inject(kInvalidNode, std::move(env));
-  });
-  dispatcher->on_delivery = [&](const Delivery& d) { fe.deliver(d); };
-  dispatcher->add_stats_registry(&fe.metrics());
+  EdgeCluster()
+      : dispatcher_host(kDispatcher, 0, make_dispatcher()),
+        dispatcher(dispatcher_host.node_as<DispatcherNode>()),
+        fe(edge_config(), kDispatcher, [this](Envelope&& env) {
+          dispatcher_host.inject(kInvalidNode, std::move(env));
+        }) {
+    dispatcher->on_delivery = [this](const Delivery& d) { fe.deliver(d); };
+    dispatcher->add_stats_registry(&fe.metrics());
 
-  MatcherConfig mcfg;
-  mcfg.domains = domains;
-  mcfg.cores = 1;
-  mcfg.index_kind = IndexKind::kFlatBucket;
-  mcfg.load_report_interval = 0.2;
-  mcfg.gossip.round_interval = 0.2;
-  mcfg.dispatchers = {kDispatcher};
-  mcfg.metrics_sink = kDispatcher;
-  mcfg.delivery_sink = kDispatcher;
-  std::vector<std::unique_ptr<TcpHost>> matcher_hosts;
-  for (NodeId id : matcher_ids) {
-    auto node = std::make_unique<MatcherNode>(id, mcfg);
-    node->set_bootstrap(bootstrap_table(matcher_ids, domains));
-    matcher_hosts.push_back(std::make_unique<TcpHost>(id, 0, std::move(node)));
-  }
-  std::map<NodeId, TcpEndpoint> directory;
-  directory[kDispatcher] = {"127.0.0.1", dispatcher_host.port()};
-  for (std::size_t i = 0; i < matcher_ids.size(); ++i) {
-    directory[matcher_ids[i]] = {"127.0.0.1", matcher_hosts[i]->port()};
-  }
-  for (auto& host : matcher_hosts) {
-    for (const auto& [id, ep] : directory) {
-      if (id != host->id()) host->add_peer(id, ep);
+    MatcherConfig mcfg;
+    mcfg.domains = domains_;
+    mcfg.cores = 1;
+    mcfg.index_kind = IndexKind::kFlatBucket;
+    mcfg.load_report_interval = 0.2;
+    mcfg.gossip.round_interval = 0.2;
+    mcfg.dispatchers = {kDispatcher};
+    mcfg.metrics_sink = kDispatcher;
+    mcfg.delivery_sink = kDispatcher;
+    for (NodeId id : matcher_ids_) {
+      auto node = std::make_unique<MatcherNode>(id, mcfg);
+      node->set_bootstrap(bootstrap_table(matcher_ids_, domains_));
+      matcher_hosts.push_back(
+          std::make_unique<TcpHost>(id, 0, std::move(node)));
     }
+    directory[kDispatcher] = {"127.0.0.1", dispatcher_host.port()};
+    for (std::size_t i = 0; i < matcher_ids_.size(); ++i) {
+      directory[matcher_ids_[i]] = {"127.0.0.1", matcher_hosts[i]->port()};
+    }
+    for (auto& host : matcher_hosts) {
+      for (const auto& [id, ep] : directory) {
+        if (id != host->id()) host->add_peer(id, ep);
+      }
+    }
+    for (const auto& [id, ep] : directory) {
+      if (id != kDispatcher) dispatcher_host.add_peer(id, ep);
+    }
+    dispatcher_host.start();
+    for (auto& host : matcher_hosts) host->start();
+    fe.start();
   }
-  for (const auto& [id, ep] : directory) {
-    if (id != kDispatcher) dispatcher_host.add_peer(id, ep);
-  }
-  dispatcher_host.start();
-  for (auto& host : matcher_hosts) host->start();
-  fe.start();
 
+  ~EdgeCluster() {
+    fe.stop();
+    for (auto& host : matcher_hosts) host->stop();
+    dispatcher_host.stop();
+  }
+
+  TcpHost dispatcher_host;
+  DispatcherNode* dispatcher;
+  EdgeFrontend fe;
+  std::vector<std::unique_ptr<TcpHost>> matcher_hosts;
+  std::map<NodeId, TcpEndpoint> directory;
+
+ private:
+  std::unique_ptr<DispatcherNode> make_dispatcher() const {
+    DispatcherConfig dcfg;
+    dcfg.domains = domains_;
+    dcfg.table_pull_interval = 0.5;
+    auto dnode = std::make_unique<DispatcherNode>(kDispatcher, dcfg);
+    dnode->set_bootstrap(bootstrap_table(matcher_ids_, domains_));
+    return dnode;
+  }
+  static EdgeConfig edge_config() {
+    EdgeConfig ecfg;
+    ecfg.host = "127.0.0.1";
+    return ecfg;
+  }
+
+};
+
+TEST(EdgeClusterTest, EndToEndPubSubWithZeroPayloadCopies) {
+  EdgeCluster cluster;
   bd::Mutex mu;
   std::vector<EdgeEvent> events;
-  EdgeClient client({"127.0.0.1", fe.port()}, [&](const EdgeEvent& ev) {
-    bd::LockGuard lk(mu);
-    events.push_back(ev);
-  });
+  EdgeClient client({"127.0.0.1", cluster.fe.port()},
+                    [&](const EdgeEvent& ev) {
+                      bd::LockGuard lk(mu);
+                      events.push_back(ev);
+                    });
   ASSERT_TRUE(client.connect());
   const SubscriptionId sub = client.subscribe({Range{0, 500}, Range{0, 1000}});
   ASSERT_NE(sub, 0u);
@@ -963,26 +997,66 @@ TEST(EdgeClusterTest, EndToEndPubSubWithZeroPayloadCopies) {
   // Zero-copy invariant across the whole path: client frame -> dispatcher
   // (injected views) -> matcher (wire views) -> delivery fan-out -> edge
   // write queue. No host anywhere copied a payload.
-  const auto dsnap = dispatcher_host.wire_metrics().snapshot();
+  const auto dsnap = cluster.dispatcher_host.wire_metrics().snapshot();
   EXPECT_EQ(dsnap.counters.at("wire.payload_copies"), 0u);
-  for (auto& host : matcher_hosts) {
+  for (auto& host : cluster.matcher_hosts) {
     const auto msnap = host->wire_metrics().snapshot();
     EXPECT_EQ(msnap.counters.at("wire.payload_copies"), 0u);
   }
 
   // The edge registry rides along in the dispatcher's stats export.
   Envelope resp;
-  ASSERT_TRUE(TcpHost::request_reply(directory[kDispatcher], 777,
-                                     Envelope::of(StatsRequest{}), &resp));
+  ASSERT_TRUE(
+      TcpHost::request_reply(cluster.directory[EdgeCluster::kDispatcher], 777,
+                             Envelope::of(StatsRequest{}), &resp));
   const auto* stats = std::get_if<StatsResponse>(&resp.payload);
   ASSERT_NE(stats, nullptr);
   EXPECT_NE(stats->json.find("edge.accepts"), std::string::npos);
   EXPECT_NE(stats->json.find("edge.deliveries"), std::string::npos);
 
   client.disconnect();
-  fe.stop();
-  for (auto& host : matcher_hosts) host->stop();
-  dispatcher_host.stop();
+}
+
+// An edge client's input of the wrong arity passes the front end (which
+// only rewrites ids) and stops at the dispatcher: the short subscription,
+// its unsubscribe and the short publish are each dropped and counted, and
+// nothing is delivered for them.
+TEST(EdgeClusterTest, WrongArityClientInputIsDroppedAndCounted) {
+  EdgeCluster cluster;
+  bd::Mutex mu;
+  std::vector<EdgeEvent> events;
+  EdgeClient client({"127.0.0.1", cluster.fe.port()},
+                    [&](const EdgeEvent& ev) {
+                      bd::LockGuard lk(mu);
+                      events.push_back(ev);
+                    });
+  ASSERT_TRUE(client.connect());
+  const auto arity_rejects = [&] {
+    const auto snap = cluster.dispatcher->metrics().snapshot();
+    const auto it = snap.counters.find("dispatcher.arity_rejects");
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  // One range on a 2-dim schema, covering every value it names.
+  const SubscriptionId short_sub = client.subscribe({Range{0, 1000}});
+  ASSERT_NE(short_sub, 0u);
+  const SubscriptionId sub = client.subscribe({Range{0, 500}, Range{0, 1000}});
+  ASSERT_NE(sub, 0u);
+  ASSERT_NE(client.publish({100}, "short"), 0u);
+  EXPECT_TRUE(eventually([&] { return arity_rejects() == 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  ASSERT_NE(client.publish({100, 100}, "valid"), 0u);
+  ASSERT_TRUE(client.wait_deliveries(1, 10.0));
+  ASSERT_TRUE(client.unsubscribe(short_sub));
+  EXPECT_TRUE(eventually([&] { return arity_rejects() == 3; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  {
+    bd::LockGuard lk(mu);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].delivery.sub_id, sub);
+    EXPECT_EQ(events[0].delivery.payload.view(), "valid");
+  }
+  client.disconnect();
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@
 #include "index/flat_bucket_index.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
-#include "index/subscription_store.h"
 #include "workload/generators.h"
 
 namespace bluedove {
@@ -425,51 +424,6 @@ TEST(IndexFactory, NamesAndKinds) {
   }
 }
 
-TEST(FlatBucketIndex, SharedArenaStoresEachSubscriptionOnce) {
-  // Two dimension indexes sharing one arena: the same subscription
-  // registered in both occupies a single slot, and survives until the last
-  // index releases it.
-  auto store = std::make_shared<SubscriptionStore>();
-  FlatBucketIndex dim0(0, Range{0, 1000}, store);
-  FlatBucketIndex dim1(1, Range{0, 1000}, store);
-
-  const SubPtr sub = make_sub(7, {{100, 200}, {300, 400}, {0, 1000}});
-  dim0.insert(sub);
-  dim1.insert(sub);
-  EXPECT_EQ(store->live(), 1u);  // one arena copy, refcounted
-
-  const Message msg{1, {150, 350, 5}, ""};
-  std::vector<MatchHit> hits;
-  WorkCounter wc;
-  dim0.match_hits(msg, hits, wc);
-  dim1.match_hits(msg, hits, wc);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].id, 7u);
-  EXPECT_EQ(hits[1].id, 7u);
-
-  EXPECT_TRUE(dim0.erase(7));
-  EXPECT_EQ(store->live(), 1u);  // dim1 still holds it
-  hits.clear();
-  dim1.match_hits(msg, hits, wc);
-  EXPECT_EQ(hits.size(), 1u);
-  EXPECT_TRUE(dim1.erase(7));
-  EXPECT_EQ(store->live(), 0u);
-}
-
-TEST(FlatBucketIndex, SlotsAreRecycledAfterChurn) {
-  FlatBucketIndex index(0, Range{0, 1000});
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 1; i <= 100; ++i) {
-      const double lo = (i % 10) * 100.0;
-      index.insert(make_sub(i, {{lo, lo + 50}, {0, 1000}}));
-    }
-    for (int i = 1; i <= 100; ++i) EXPECT_TRUE(index.erase(i));
-  }
-  EXPECT_EQ(index.size(), 0u);
-  // The arena recycled freed slots instead of growing per round.
-  EXPECT_LE(index.store().capacity(), 100u);
-}
-
 TEST(FlatBucketIndex, ChurnKeepsCapacityBoundedAndResultsCorrect) {
   // Regression test for the capacity thrash: columns grow in lockstep with
   // insertions (doubling, never per-element) and erase never reallocates.
@@ -533,7 +487,7 @@ TEST(FlatBucketIndex, ChurnKeepsCapacityBoundedAndResultsCorrect) {
 }
 
 TEST(FlatBucketIndex, RangeSpanningManyBucketsFoundEverywhere) {
-  FlatBucketIndex index(0, Range{0, 1000}, nullptr, 16);
+  FlatBucketIndex index(0, Range{0, 1000}, 16);
   index.insert(make_sub(1, {{100, 900}, {0, 1000}}));
   std::vector<SubPtr> out;
   WorkCounter wc;
@@ -555,13 +509,14 @@ TEST(FlatBucketIndex, WideRangesAreFiledOncePerCopy) {
   constexpr std::size_t kSubs = 10000;
   constexpr std::size_t kDims = 2;
   constexpr std::size_t kBuckets = 64;
-  FlatBucketIndex index(0, Range{0, 1000}, nullptr, kBuckets);
+  FlatBucketIndex index(0, Range{0, 1000}, kBuckets);
   Rng rng(17);
   for (std::size_t i = 1; i <= kSubs; ++i) {
     const double lo = rng.uniform(0.0, 100.0);
     index.insert(make_sub(i, {{lo, lo + 900.0}, {0, 1000}}));
   }
-  const std::size_t entry_bytes = 4 + 16 * kDims;
+  // id + subscriber + lo/hi per dimension.
+  const std::size_t entry_bytes = 16 + 16 * kDims;
   EXPECT_EQ(index.column_entries(), kSubs);
   EXPECT_LE(index.column_capacity_bytes(),
             2 * kSubs * entry_bytes + kBuckets * 16 * entry_bytes);
@@ -575,7 +530,7 @@ TEST(FlatBucketIndex, WideRangesAreFiledOncePerCopy) {
 }
 
 TEST(FlatBucketIndex, ColdBucketIsCheap) {
-  FlatBucketIndex index(0, Range{0, 1000}, nullptr, 10);
+  FlatBucketIndex index(0, Range{0, 1000}, 10);
   for (int i = 1; i <= 50; ++i) {
     index.insert(make_sub(i, {{0, 100}, {0, 1000}}));
   }

@@ -184,6 +184,39 @@ TEST(MatcherNode, InvalidDimensionIgnored) {
   EXPECT_EQ(fx.sink->count<MatchCompleted>(), 0u);
 }
 
+// Every store path refuses a subscription whose dimension count differs
+// from the schema's, entry by entry, on a covered flat-bucket matcher:
+// the valid entries of a split handover and a leave merge are stored, the
+// others dropped and counted.
+TEST(MatcherNode, WrongArityHandoverAndMergeEntriesAreRefused) {
+  MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4,
+                    MatcherConfig::SplitPolicy::kMidpoint,
+                    IndexKind::kFlatBucket, 1, /*cover=*/true);
+  HandoverSegment handover;
+  handover.dim = 0;
+  handover.newcomer_segment = Range{0, 500};
+  handover.subs = {sub_with({{0, 100}, {0, 100}}, 1),
+                   sub_with({{0, 100}}, 2),
+                   sub_with({{0, 100}, {0, 100}, {0, 100}}, 3)};
+  fx.sim->inject(kM0, Envelope::of(std::move(handover)));
+  HandoverMerge merge;
+  merge.dim = 1;
+  merge.merged_segment = Range{0, 1000};  // the neighbour's half joins
+  merge.subs = {sub_with({{0, 100}}, 4), sub_with({{0, 100}, {0, 100}}, 5)};
+  fx.sim->inject(kM0, Envelope::of(std::move(merge)));
+  fx.sim->run_for(0.01);
+  EXPECT_EQ(fx.matchers[kM0]->raw_set_size(0), 1u);
+  EXPECT_EQ(fx.matchers[kM0]->raw_set_size(1), 1u);
+  EXPECT_EQ(fx.matchers[kM0]->metrics().snapshot().counters.at(
+                "matcher.arity_rejects"),
+            3u);
+  fx.match(kM0, Message{1, {50, 50}, ""}, 0);
+  fx.match(kM0, Message{2, {50, 50}, ""}, 1);
+  fx.sim->run_for(0.2);
+  EXPECT_EQ(fx.sink->count<MatchCompleted>(), 2u);
+  EXPECT_EQ(fx.sink->count<Delivery>(), 2u);  // subs 1 and 5, once each
+}
+
 // ---------------------------------------------------------------------------
 // MatcherNode: matching service
 // ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 //
 // Covers the offload worker pool end to end: MatchExecutor semantics
 // (completion routing, work stealing, backpressure, per-worker Rng
-// determinism), the ThreadCluster offload hook, the SubscriptionStore's
-// address-stable shared slots, per-engine live-index reads beside writes
-// to another index on the same store, an ordering differential (each
+// determinism), the ThreadCluster offload hook, live-index reads of one
+// index beside writes to another, an ordering differential (each
 // request sees exactly the writes injected before it, with writes inside
 // the message space), and a differential test of an 8-worker matcher
 // under subscription churn and split/merge storms against a brute-force
@@ -24,7 +23,6 @@
 #include "common/thread_safety.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
-#include "index/subscription_store.h"
 #include "net/cluster_table.h"
 #include "net/tcp_transport.h"
 #include "node/matcher_node.h"
@@ -267,59 +265,6 @@ TEST(ThreadClusterOffload, WorkRunsOffNodeThreadCompletionOnIt) {
 }
 
 // ---------------------------------------------------------------------------
-// SubscriptionStore slots
-// ---------------------------------------------------------------------------
-
-Subscription make_sub(SubscriptionId id, double lo = 0.0, double hi = 1.0) {
-  Subscription sub;
-  sub.id = id;
-  sub.subscriber = id;
-  sub.ranges = {Range{lo, hi}, Range{lo, hi}};
-  return sub;
-}
-
-TEST(SubscriptionStoreEpochs, FastPathRecyclesImmediately) {
-  SubscriptionStore store;
-  const auto s1 = store.acquire(make_sub(1));
-  const auto s2 = store.acquire(make_sub(2));
-  EXPECT_TRUE(store.release(2));
-  EXPECT_TRUE(store.accounting_balanced());
-  const auto s3 = store.acquire(make_sub(3));
-  EXPECT_EQ(s3, s2);  // LIFO reuse
-  EXPECT_EQ(store.capacity(), 2u);
-  EXPECT_EQ(store.at(s1).id, 1u);
-}
-
-TEST(SubscriptionStoreEpochs, SlotAddressesStableAcrossGrowth) {
-  SubscriptionStore store;
-  std::vector<const Subscription*> early;
-  for (SubscriptionId id = 1; id <= 100; ++id) {
-    early.push_back(&store.at(store.acquire(make_sub(id))));
-  }
-  // Growth far past several chunk boundaries (64, 192, 448, ...).
-  for (SubscriptionId id = 101; id <= 5000; ++id) {
-    store.acquire(make_sub(id));
-  }
-  for (SubscriptionId id = 1; id <= 100; ++id) {
-    EXPECT_EQ(early[id - 1], &store.at(store.slot_of(id)));
-    EXPECT_EQ(early[id - 1]->id, id);
-  }
-}
-
-TEST(SubscriptionStoreEpochs, InterningRefcountsSharedSlots) {
-  SubscriptionStore store;
-  const auto a = store.acquire(make_sub(7));
-  const auto b = store.acquire(make_sub(7));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(store.live(), 1u);
-  EXPECT_TRUE(store.release(7));
-  EXPECT_EQ(store.slot_of(7), a);  // one ref left
-  EXPECT_TRUE(store.release(7));
-  EXPECT_EQ(store.slot_of(7), SubscriptionStore::kNoSlot);
-  EXPECT_FALSE(store.release(7));
-}
-
-// ---------------------------------------------------------------------------
 // Live-index reads: a probe of one index beside writes to another
 // ---------------------------------------------------------------------------
 
@@ -345,22 +290,19 @@ Subscription pivot_sub(SubscriptionId id, double lo, double width) {
   return sub;
 }
 
-// The arena's reader guarantee (subscription_store.h), on the one engine
-// that shares a SubscriptionStore between indexes: a probe of one index
-// stays exact while another index on the same store drops the
-// subscriptions they share (the probed index keeps those slots' refcounts
-// non-zero) and grows the arena across chunk boundaries (no slot moves).
+// Indexes share no state: a probe of one flat-bucket index stays exact
+// while another index holding half the same subscriptions drops them and
+// grows and shrinks its columns far past the probed index's size.
 TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
   const Range domain{0.0, 100.0};
-  auto store = std::make_shared<SubscriptionStore>();
-  auto probed = make_index(IndexKind::kFlatBucket, 0, domain, store);
-  auto written = make_index(IndexKind::kFlatBucket, 0, domain, store);
+  auto probed = make_index(IndexKind::kFlatBucket, 0, domain);
+  auto written = make_index(IndexKind::kFlatBucket, 0, domain);
 
   Rng rng(99);
   for (SubscriptionId id = 1; id <= 200; ++id) {
     const Subscription sub = pivot_sub(id, rng.uniform(0.0, 80.0), 15.0);
     probed->insert(std::make_shared<const Subscription>(sub));
-    // Every second subscription is shared: one store slot, two references.
+    // Every second subscription is also held by the other index.
     if (id % 2 == 0) written->insert(std::make_shared<const Subscription>(sub));
   }
 
@@ -392,8 +334,8 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
     }
   });
 
-  // Churn the other index: drop the shared half, then grow the store far
-  // past several chunk boundaries and release it all again.
+  // Churn the other index: drop the shared half, then grow its columns
+  // several times over and release it all again.
   for (SubscriptionId id = 2; id <= 200; id += 2) written->erase(id);
   for (int wave = 0; wave < 3; ++wave) {
     for (SubscriptionId id = 1000; id < 3000; ++id) {
@@ -408,8 +350,7 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
   EXPECT_GT(rounds.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(written->size(), 0u);
-  EXPECT_TRUE(store->accounting_balanced());
-  EXPECT_EQ(store->live(), 200u);
+  EXPECT_EQ(probed->size(), 200u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 #   2b. whole-program static analysis (tools/analysis/): thread-affinity
 #       reachability + serialize/deserialize symmetry, then the checker
 #       golden-file suite (ctest label: analysis)
-#   3. determinism digest double-run (tools/determinism_check.sh)
+#   3. determinism digest double-run (tools/determinism_check.sh), on the
+#      linear-scan default and again on flat-bucket with covering
 #   4. audit-enabled test label (invariant auditor, affinity checker)
 #   5. SIMD kernel label (vector kernels vs the scalar oracle)
 #   5b. obs label (flight recorder, trace export, segment load) and the
@@ -63,6 +64,8 @@ ctest --test-dir "${repo_root}/build" --output-on-failure -L analysis
 
 echo "== determinism =="
 "${repo_root}/tools/determinism_check.sh" "${repo_root}/build"
+BD_DET_ARGS="--index=flat-bucket --cover" \
+  "${repo_root}/tools/determinism_check.sh" "${repo_root}/build"
 
 echo "== audit label =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L audit

@@ -3,9 +3,9 @@
 # test suite under it (including the `wire` label — batched transport framing,
 # the reactor's receive buffer, per-frame carving and per-connection write
 # buffers, backpressure — and the `parallel` label — offload worker pool,
-# shared subscription store, probes of the live indexes). The arena/SoA
-# index code moves raw slots instead of shared_ptrs, so this is the
-# lifetime/bounds safety net for src/index, and
+# probes of the live indexes). The SoA index code moves raw column entries
+# instead of shared_ptrs and trusts nodes to refuse wrong-arity input, so
+# this is the lifetime/bounds safety net for src/index, and
 # the connection buffers in src/net get the same coverage. The `cover` label
 # (subscription covering layer) rides along: expansion reads its member
 # blocks and range rows by raw offset, and a group's members move when its
