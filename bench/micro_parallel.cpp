@@ -106,7 +106,6 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
 
   net::WireConfig wire;
   wire.batch = 32;
-  wire.flush_interval = 0.0005;
   wire.queue_capacity = static_cast<std::size_t>(subs + requests) + 1024;
   net::TcpHost client_host(kClient, 0, std::make_unique<ClientNode>(), 42,
                            wire);

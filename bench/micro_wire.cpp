@@ -2,14 +2,14 @@
 //
 // Measures the outbound wire path of net::TcpHost between two hosts on
 // 127.0.0.1, sweeping the wire batch size (1 = one envelope per frame,
-// 8 and 32 = frame coalescing with a 0.5 ms linger) plus the default
-// WireConfig{} (up to 64 envelopes per frame, no linger: frames close at
-// the end of each loop pass) against two payload sizes:
+// 8 and 32 = up to that many per frame) plus the default WireConfig{} (up
+// to 64 envelopes per frame) against two payload sizes. Frames close at
+// the end of each loop pass in every setting.
 //
 //   throughput  blast N publications and time until the receiver has
 //               counted all of them
 //   latency     ping-pong round trips (publish -> MatchAck) through an
-//               otherwise idle wire, so the flush linger shows up
+//               otherwise idle wire
 //
 // Emits BENCH_wire.json (obs JSON schema): one gauge per
 // (setting, payload) throughput cell, speedup gauges batch=32 vs batch=1,
@@ -113,11 +113,10 @@ struct Setting {
   net::WireConfig wire;
 };
 
-/// `batch` envelopes per frame; a partial frame lingers 0.5 ms when > 1.
+/// At most `batch` envelopes per frame.
 Setting batched(int batch) {
   Setting s{"batch" + std::to_string(batch), {}};
   s.wire.batch = batch;
-  s.wire.flush_interval = batch > 1 ? 0.0005 : 0.0;
   return s;
 }
 
@@ -226,9 +225,9 @@ int main(int argc, char** argv) {
 
   benchutil::header("wire", "TCP wire path: batch size vs payload size");
   benchutil::note(
-      "batchN coalesces up to N envelopes per frame (1: one per frame) with "
-      "a 0.5 ms linger when N > 1; default is WireConfig{}: up to 64 per "
-      "frame, closed at the end of each loop pass");
+      "batchN coalesces up to N envelopes per frame (1: one per frame); "
+      "default is WireConfig{}: up to 64 per frame; every frame closes at "
+      "the end of its loop pass");
   const unsigned hw = std::thread::hardware_concurrency();
   benchutil::note("hardware_concurrency=" + std::to_string(hw));
 

@@ -135,7 +135,6 @@ double wire_throughput(bool recorder_on, std::uint64_t n) {
 
   net::WireConfig wire;
   wire.batch = 8;
-  wire.flush_interval = 0.0005;
   wire.queue_capacity = static_cast<std::size_t>(n) + 64;
   auto send_node = std::make_unique<CountingNode>();
   CountingNode* send = send_node.get();
@@ -267,8 +266,8 @@ void recorder_overhead_section() {
     }
   }
 
-  std::printf("\nloopback TCP blast (WireConfig batch 8, flush 0.5 ms, "
-              "64 B payloads), %d rounds:\n", kRounds);
+  std::printf("\nloopback TCP blast (WireConfig batch 8, 64 B payloads), "
+              "%d rounds:\n", kRounds);
   print_header();
   print_base("recorder off", w_tput[0]);
   report_row("recorder on", "wire", "on", w_tput[0], w_tput[1], snap);

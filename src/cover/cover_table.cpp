@@ -10,6 +10,25 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
+/// Clustering quantum as a fraction of each dimension's domain width:
+/// cuboids whose centres fall in the same quantized cell are merge
+/// candidates for the same groups.
+constexpr double kQuantumFrac = 1.0 / 16.0;
+
+/// How many of a cell's most recent groups an arriving cuboid probes
+/// before starting a new group (bounds per-insert work).
+constexpr std::size_t kMaxChain = 8;
+
+/// Minimum overlap a non-contained candidate must have with the widened
+/// box (intersection-with-current-box volume over widened-box volume)
+/// before a merge is considered. The FP-volume bound alone would happily
+/// chain *distinct* subscriptions whose union happens to be exactly
+/// covered (two cuboids offset along one dimension have zero FP volume);
+/// such merges compress nothing worth having and bill residual-filter work
+/// on every delivery. Jittered near-duplicates sit well above this floor;
+/// distinct hot-spot neighbours well below it.
+constexpr double kMinOverlap = 0.5;
+
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (i * 8)) & 0xff;
@@ -27,8 +46,7 @@ std::uint64_t CoverTable::key_of(const std::vector<Range>& ranges) const {
   std::uint64_t h = kFnvOffset;
   for (std::size_t d = 0; d < k_; ++d) {
     const Range& dom = domains_[d];
-    const double quantum =
-        std::max(config_.quantum_frac * dom.width(), 1e-9);
+    const double quantum = std::max(kQuantumFrac * dom.width(), 1e-9);
     const double center = 0.5 * (ranges[d].lo + ranges[d].hi);
     const auto cell =
         static_cast<std::int64_t>(std::floor((center - dom.lo) / quantum));
@@ -213,7 +231,7 @@ CoverTable::AddResult CoverTable::add(const Subscription& raw) {
   double merged_covered_lb = 0.0;
   std::size_t probes = 0;
   for (std::uint32_t slot = chains_.find(key);
-       slot != kNil && probes < config_.max_chain;
+       slot != kNil && probes < kMaxChain;
        slot = groups_[slot].older, ++probes) {
     if (box_covers(slot, raw.ranges)) {
       target = slot;
@@ -230,7 +248,7 @@ CoverTable::AddResult CoverTable::add(const Subscription& raw) {
       nb_vol *= Range{std::min(box.lo, r.lo), std::max(box.hi, r.hi)}.width();
     }
     const double covered_lb = groups_[slot].covered_lb + raw_vol - inter_vol;
-    if (inter_vol >= config_.min_overlap * nb_vol &&
+    if (inter_vol >= kMinOverlap * nb_vol &&
         nb_vol - covered_lb <= config_.fp_volume_budget * nb_vol) {
       target = slot;
       merged_covered_lb = covered_lb;

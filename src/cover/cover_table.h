@@ -86,25 +86,6 @@ struct CoverConfig {
   /// containment; the default trades a sliver of residual-filter work for
   /// much deeper merging of jittered near-duplicates.
   double fp_volume_budget = 0.05;
-
-  /// Minimum overlap a non-contained candidate must have with the widened
-  /// box (intersection-with-current-box volume over widened-box volume)
-  /// before a merge is considered. The FP-volume bound alone would happily
-  /// chain *distinct* subscriptions whose union happens to be exactly
-  /// covered (two cuboids offset along one dimension have zero FP volume);
-  /// such merges compress nothing worth having and bill residual-filter
-  /// work on every delivery. Jittered near-duplicates sit well above this
-  /// floor; distinct hot-spot neighbours well below it.
-  double min_overlap = 0.5;
-
-  /// Clustering quantum as a fraction of each dimension's domain width:
-  /// cuboids whose centres fall in the same quantized cell are merge
-  /// candidates for the same groups.
-  double quantum_frac = 1.0 / 16.0;
-
-  /// How many of a cell's most recent groups an arriving cuboid probes
-  /// before starting a new group (bounds per-insert work).
-  std::size_t max_chain = 8;
 };
 
 /// One covering table per dimension set. Not thread-safe: node thread only
@@ -290,7 +271,7 @@ class CoverTable {
   std::vector<std::uint32_t> free_rows_;
 
   /// Quantized geometry key → the cell's newest group; admission walks
-  /// Group::older from there, at most config_.max_chain groups.
+  /// Group::older from there, at most 8 groups (kMaxChain).
   FlatIdMap chains_;
   FlatIdMap member_of_;  ///< raw id → its entry in members_
 

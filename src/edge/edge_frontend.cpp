@@ -29,6 +29,9 @@ namespace {
 /// from 1.
 constexpr std::uint64_t kEdgeIdBit = 1ull << 62;
 
+/// Pending-connection queue of the edge listener.
+constexpr int kListenBacklog = 4096;
+
 double mono_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point epoch = clock::now();
@@ -145,8 +148,8 @@ EdgeFrontend::EdgeFrontend(EdgeConfig config, NodeId node, IngressFn ingress)
   m_delivery_latency_ = &metrics_.histogram("edge.delivery_latency");
 
   // Bind immediately so port 0 resolves before start() (TcpHost idiom).
-  listen_fd_ = net::listen_tcp(config_.host, config_.port,
-                               config_.listen_backlog, &port_);
+  listen_fd_ =
+      net::listen_tcp(config_.host, config_.port, kListenBacklog, &port_);
   if (listen_fd_ < 0) {
     BD_WARN("edge: bind/listen on port ", config_.port,
             " failed: ", std::strerror(errno));

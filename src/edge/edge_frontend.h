@@ -77,7 +77,6 @@ struct EdgeConfig {
   std::size_t replay_entries = 128;
   double session_timeout = 30.0;  ///< detached-session lifetime, seconds
   double reap_interval = 1.0;     ///< detached-session scan cadence
-  int listen_backlog = 4096;
 };
 
 class EdgeFrontend {

@@ -5,19 +5,29 @@
 
 namespace bluedove {
 
+namespace {
+
+/// Seed value for the mean inter-arrival estimate before any samples.
+constexpr double kInitialInterval = 1.0;
+/// EWMA weight of a new inter-arrival sample.
+constexpr double kAlpha = 0.2;
+/// Floor for the interval estimate, guards against division blowups.
+constexpr double kMinInterval = 0.1;
+
+}  // namespace
+
 FailureDetector::FailureDetector() : config_(Config{}) {}
 
 void FailureDetector::heartbeat(NodeId peer, Timestamp now) {
   auto [it, inserted] = peers_.try_emplace(peer);
   PeerRecord& rec = it->second;
   if (inserted || rec.first) {
-    rec.mean_interval = config_.initial_interval;
+    rec.mean_interval = kInitialInterval;
     rec.first = false;
   } else {
     const double sample = std::max(now - rec.last_heartbeat, 0.0);
-    rec.mean_interval =
-        (1.0 - config_.alpha) * rec.mean_interval + config_.alpha * sample;
-    rec.mean_interval = std::max(rec.mean_interval, config_.min_interval);
+    rec.mean_interval = (1.0 - kAlpha) * rec.mean_interval + kAlpha * sample;
+    rec.mean_interval = std::max(rec.mean_interval, kMinInterval);
   }
   rec.last_heartbeat = now;
 }

@@ -19,12 +19,6 @@ class FailureDetector {
  public:
   struct Config {
     double phi_threshold = 5.0;
-    /// Seed value for the mean inter-arrival estimate before any samples.
-    double initial_interval = 1.0;
-    /// EWMA weight of a new inter-arrival sample.
-    double alpha = 0.2;
-    /// Floor for the interval estimate, guards against division blowups.
-    double min_interval = 0.1;
   };
 
   FailureDetector();

@@ -67,7 +67,7 @@ void Gossiper::round() {
   for (NodeId peer : pick_peers()) {
     ctx_->send(peer, Envelope::of(GossipSyn{table_.digests()}));
   }
-  if (config_.detect_failures) check_failures();
+  check_failures();
   ctx_->set_timer(config_.round_interval, [this] { round(); });
 }
 

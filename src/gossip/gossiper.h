@@ -23,7 +23,6 @@ namespace bluedove {
 struct GossipConfig {
   double round_interval = 1.0;  ///< seconds between gossip rounds
   FailureDetector::Config fd;
-  bool detect_failures = true;
 };
 
 class Gossiper {

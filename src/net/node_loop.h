@@ -33,7 +33,7 @@
 #include <thread>
 
 #include "common/affinity.h"
-#include "common/bounded_queue.h"
+#include "common/queue_stats.h"
 #include "common/thread_safety.h"
 #include "net/reactor.h"
 #include "net/transport.h"

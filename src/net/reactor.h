@@ -250,7 +250,6 @@ class FrameWriter {
   std::size_t unsent() const { return w_.size() - off_; }
   /// Envelopes not yet completely written, the open frame's included.
   std::size_t queued() const { return queued_; }
-  int open_envelopes() const { return open_envs_; }
 
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);

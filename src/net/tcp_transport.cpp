@@ -67,7 +67,6 @@ struct TcpHost::Conn {
   NodeId dialed = kInvalidNode;  ///< the peer this host dialed, if outbound
   bool connecting = false;       ///< non-blocking dial still in flight
   bool dirty = false;            ///< output queued this pass
-  bool lingering = false;        ///< a linger timer is armed
   bool congested = false;        ///< counted in congested_
   FrameReader reader;
   FrameWriter writer;
@@ -190,7 +189,7 @@ void TcpHost::on_io(int fd, std::uint32_t events) {
   if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !read_frames(c)) {
     return;
   }
-  if ((events & EPOLLOUT) != 0) flush(c, /*all=*/false);
+  if ((events & EPOLLOUT) != 0) flush(c);
 }
 
 void TcpHost::accept_all() {
@@ -346,7 +345,7 @@ bool TcpHost::send_to(NodeId peer, const Envelope& env) {
   // of the pass: the queue bound then only bites on a peer that really
   // stopped reading, never on one a single busy pass outran.
   if (c->writer.unsent() >= kEagerFlushBytes) {
-    flush(*c, /*all=*/false);
+    flush(*c);
   } else {
     set_congested(*c, c->writer.queued() >= wire_.queue_capacity / 2);
   }
@@ -366,29 +365,13 @@ void TcpHost::flush_dirty() {
     auto it = conns_.find(fd);
     if (it == conns_.end()) continue;
     it->second->dirty = false;
-    flush(*it->second, /*all=*/false);
+    flush(*it->second);
   }
   dirty_.clear();
 }
 
-void TcpHost::flush(Conn& c, bool all) {
-  if (!all && wire_.flush_interval > 0.0 && c.writer.open_envelopes() > 0) {
-    // Linger: the partial frame waits up to flush_interval for company;
-    // closed frames go now.
-    if (!c.lingering) {
-      c.lingering = true;
-      reactor_.add_timer(wire_.flush_interval,
-                         [this, fd = c.fd, serial = c.serial] {
-                           auto it = conns_.find(fd);
-                           if (it == conns_.end() ||
-                               it->second->serial != serial) {
-                             return;
-                           }
-                           it->second->lingering = false;
-                           flush(*it->second, /*all=*/true);
-                         });
-    }
-  } else if (const int envs = c.writer.close_frame(); envs > 0) {
+void TcpHost::flush(Conn& c) {
+  if (const int envs = c.writer.close_frame(); envs > 0) {
     m_frame_envs_->record(static_cast<double>(envs));
     m_frame_bytes_->record(static_cast<double>(c.writer.last_frame_bytes()));
   }

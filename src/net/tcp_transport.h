@@ -26,15 +26,14 @@
 // threads are the node's offload workers (enable_offload).
 //
 // Outbound batching (WireConfig): at most `batch` envelopes share a
-// frame, a partial frame lingers up to `flush_interval` for company, and
-// each peer holds at most `queue_capacity` envelopes not yet written —
-// beyond that the newest is dropped. A peer that stops reading therefore
-// costs bounded memory and never blocks the node thread or stop(). While
-// a peer holds more than half its bound, inject()ed envelopes wait in the
-// host instead of reaching the node. By default (batch 64, no linger) the
-// envelopes one loop pass queues for a peer share frames of up to 64,
-// closed at the end of the pass; a connection whose unsent bytes pass
-// 64 KiB is written mid-pass, which also closes its open frame, so a
+// frame, and each peer holds at most `queue_capacity` envelopes not yet
+// written — beyond that the newest is dropped. A peer that stops reading
+// therefore costs bounded memory and never blocks the node thread or
+// stop(). While a peer holds more than half its bound, inject()ed
+// envelopes wait in the host instead of reaching the node. By default
+// (batch 64) the envelopes one loop pass queues for a peer share frames of
+// up to 64, closed at the end of the pass; a connection whose unsent bytes
+// pass 64 KiB is written mid-pass, which also closes its open frame, so a
 // frame is at most 64 KiB plus one envelope. A payload parsed from a
 // frame keeps that whole frame alive (net/reactor.h).
 //
@@ -69,15 +68,12 @@ std::size_t raise_fd_limit(std::size_t want);
 
 /// Outbound wire-path tuning.
 struct WireConfig {
-  /// Maximum envelopes coalesced into one frame. With the default 64 and
-  /// no linger, the envelopes one loop pass queues for a peer share frames
-  /// of up to 64 (cut early only by the 64 KiB mid-pass write), and the
-  /// last closes at the end of the pass. 1 gives every envelope its own
-  /// frame, still written together with the pass's other frames.
+  /// Maximum envelopes coalesced into one frame. With the default 64, the
+  /// envelopes one loop pass queues for a peer share frames of up to 64
+  /// (cut early only by the 64 KiB mid-pass write), and the last closes at
+  /// the end of the pass. 1 gives every envelope its own frame, still
+  /// written together with the pass's other frames.
   int batch = 64;
-  /// How long a partial frame lingers for more envelopes before it is
-  /// written (seconds). 0 writes at the end of the pass.
-  double flush_interval = 0.0;
   /// Per-peer bound on envelopes not yet written to the socket; the newest
   /// envelope is dropped (and counted) when it is reached — backpressure
   /// never blocks the node thread.
@@ -165,9 +161,8 @@ class TcpHost {
   /// one if it has an endpoint), else the connection it last spoke on.
   Conn* route(NodeId peer);
   void flush_dirty();
-  /// Writes `c`'s queued frames; a lingering partial frame stays unless
-  /// `all`.
-  void flush(Conn& c, bool all);
+  /// Closes `c`'s open frame and writes its queued frames.
+  void flush(Conn& c);
   /// Counts `c` in or out of congested_ (over half its queue bound).
   void set_congested(Conn& c, bool on);
   /// Hands held inject()ed envelopes to the node while no peer is

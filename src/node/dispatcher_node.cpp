@@ -23,6 +23,18 @@ std::uint16_t forward() {
 }
 }  // namespace rec
 
+// Reliable delivery (DispatcherConfig::reliable_delivery).
+constexpr double kRetryInterval = 1.0;  ///< scan cadence for unacked messages
+constexpr double kRetryTimeout = 2.5;   ///< age before a re-dispatch
+constexpr int kMaxAttempts = 5;         ///< give-up bound per message
+
+// Auto-scaling (DispatcherConfig::auto_scale): the load view is checked
+// every kAutoScaleCheckInterval seconds; kAutoScalePatience consecutive
+// saturated checks request capacity, at most once per kAutoScaleCooldown.
+constexpr double kAutoScaleCheckInterval = 5.0;
+constexpr int kAutoScalePatience = 2;
+constexpr double kAutoScaleCooldown = 30.0;
+
 }  // namespace
 
 DispatcherNode::DispatcherNode(NodeId id, DispatcherConfig config)
@@ -50,11 +62,10 @@ void DispatcherNode::start(NodeContext& ctx) {
   rebuild_view();
   ctx.set_timer(config_.table_pull_interval, [this] { pull_table(); });
   if (config_.reliable_delivery) {
-    ctx.set_timer(config_.retry_interval, [this] { retry_scan(); });
+    ctx.set_timer(kRetryInterval, [this] { retry_scan(); });
   }
   if (config_.auto_scale) {
-    ctx.set_timer(config_.auto_scale_check_interval,
-                  [this] { check_saturation(); });
+    ctx.set_timer(kAutoScaleCheckInterval, [this] { check_saturation(); });
   }
 }
 
@@ -172,14 +183,9 @@ Assignment DispatcherNode::forward(const Message& msg, Timestamp dispatched_at,
     obs::Recorder::instant(rec::forward(), trace_id, choice.matcher);
   }
   if (config_.reliable_delivery) req.reply_to = id_;
-  if (config_.dispatch_work > 0.0) {
-    ctx_->charge(config_.dispatch_work,
-                 [this, to = choice.matcher, req = std::move(req)]() mutable {
-                   ctx_->send(to, Envelope::of(std::move(req)));
-                 });
-  } else {
-    ctx_->send(choice.matcher, Envelope::of(std::move(req)));
-  }
+  // Forwarding is charged no modelled work: dispatch is ~100x cheaper than
+  // matching per the paper, and never the bottleneck.
+  ctx_->send(choice.matcher, Envelope::of(std::move(req)));
   return choice;
 }
 
@@ -221,8 +227,8 @@ void DispatcherNode::retry_scan() {
   const Timestamp now = ctx_->now();
   std::vector<MessageId> exhausted;
   for (auto& [id, pending] : pending_) {
-    if (now - pending.last_sent < config_.retry_timeout) continue;
-    if (pending.attempts >= config_.max_attempts) {
+    if (now - pending.last_sent < kRetryTimeout) continue;
+    if (pending.attempts >= kMaxAttempts) {
       exhausted.push_back(id);
       continue;
     }
@@ -241,7 +247,7 @@ void DispatcherNode::retry_scan() {
     pending_.erase(id);
     ++retries_exhausted_;
   }
-  ctx_->set_timer(config_.retry_interval, [this] { retry_scan(); });
+  ctx_->set_timer(kRetryInterval, [this] { retry_scan(); });
 }
 
 // --------------------------------------------------------------------------
@@ -319,16 +325,15 @@ void DispatcherNode::check_saturation() {
   const bool saturated = totals.arrival_rate > 1.02 * totals.matching_rate &&
                          totals.queue_len > backlog_floor;
   saturated_checks_ = saturated ? saturated_checks_ + 1 : 0;
-  if (saturated_checks_ >= config_.auto_scale_patience &&
-      ctx_->now() - last_scale_request_ > config_.auto_scale_cooldown) {
+  if (saturated_checks_ >= kAutoScalePatience &&
+      ctx_->now() - last_scale_request_ > kAutoScaleCooldown) {
     saturated_checks_ = 0;
     last_scale_request_ = ctx_->now();
     BD_INFO("dispatcher ", id_, " detected saturation at t=", ctx_->now(),
             "; requesting capacity");
     if (on_need_capacity) on_need_capacity();
   }
-  ctx_->set_timer(config_.auto_scale_check_interval,
-                  [this] { check_saturation(); });
+  ctx_->set_timer(kAutoScaleCheckInterval, [this] { check_saturation(); });
 }
 
 }  // namespace bluedove

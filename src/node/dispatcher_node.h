@@ -37,29 +37,20 @@ struct DispatcherConfig {
   /// forwarding policies; the tier splits traffic about evenly).
   std::size_t dispatcher_count = 1;
 
-  /// Per-message dispatch work in units; 0 forwards synchronously (dispatch
-  /// is ~100x cheaper than matching per the paper, and never the
-  /// bottleneck, so the experiments keep it free).
-  double dispatch_work = 0.0;
-
   /// Reliable delivery (the §VI message-persistence extension): the
   /// dispatcher retains each forwarded message until the matcher
   /// acknowledges it, and re-dispatches unacknowledged messages to another
   /// candidate. Gives at-least-once semantics across matcher failures
   /// (duplicates are possible when a slow matcher is mistaken for a dead
-  /// one; consumers can deduplicate on message id).
+  /// one; consumers can deduplicate on message id). Unacknowledged
+  /// messages are re-dispatched after 2.5 s, at most 5 attempts each.
   bool reliable_delivery = false;
-  double retry_interval = 1.0;  ///< scan cadence for unacked messages
-  double retry_timeout = 2.5;   ///< age before a message is re-dispatched
-  int max_attempts = 5;         ///< give-up bound per message
 
   /// Auto-scaling (Fig 9): when the load view shows sustained saturation,
-  /// invoke on_need_capacity (the operator hook that provisions a VM).
+  /// invoke on_need_capacity (the operator hook that provisions a VM):
+  /// the load view is checked every 5 s, two saturated checks in a row
+  /// request capacity, at most once per 30 s.
   bool auto_scale = false;
-  double auto_scale_check_interval = 5.0;
-  /// Consecutive saturated checks required before requesting capacity.
-  int auto_scale_patience = 2;
-  double auto_scale_cooldown = 30.0;
 
   /// Fraction of publications given a trace id (obs/recorder.h).
   /// 0 disables sampling entirely — the publish hot path then pays exactly

@@ -42,6 +42,14 @@ std::uint16_t merge() {
 }
 }  // namespace rec
 
+/// Fixed per-message overhead in work units (parse, queue, hand-off).
+constexpr double kBaseMatchWork = 25.0;
+
+/// A load report is pushed when some dimension's load moved by more than
+/// this fraction since the last push (paper: 64 B every second, if load
+/// changed by more than 10 %).
+constexpr double kLoadChangeThreshold = 0.10;
+
 // True when `env` mutates an index or the set layout that an offloaded
 // probe may be reading, so when offload was granted it waits for the
 // probes to drain (MatcherNode::hold_back). A store/remove on a dimension
@@ -358,16 +366,15 @@ void MatcherNode::service_batch(std::vector<MatchRequest> reqs,
   const SubscriptionIndex* wide_index = wide_.get();
 
   const auto mode = config_.match_mode;
-  const double base = config_.base_match_work;
-  OffloadWork work_fn = [this, job, dim_index, wide_index, mode,
-                         base](OffloadWorker& w) {
+  OffloadWork work_fn = [this, job, dim_index, wide_index,
+                         mode](OffloadWorker& w) {
     const auto n = job->reqs.size();
     // Probe span on whichever thread runs the work (pool worker or, on the
     // inline path, the node thread). Tagged with the first request's trace
     // id so a sampled message's probe shows up on its causal track.
     obs::ScopedSpan probe_span(rec::probe(), job->reqs.front().trace_id, n);
-    double work = base * static_cast<double>(n);
-    job->per_req_work.assign(n, base);
+    double work = kBaseMatchWork * static_cast<double>(n);
+    job->per_req_work.assign(n, kBaseMatchWork);
     if (mode == MatcherConfig::MatchMode::kFull) {
       std::vector<Message> msgs;
       msgs.reserve(n);
@@ -613,11 +620,10 @@ void MatcherNode::refresh_segload_gauges() {
   }
 }
 
-bool MatcherNode::changed_enough(const DimLoad& a, const DimLoad& b,
-                                 double threshold) {
-  auto rel = [threshold](double x, double y, double floor) {
+bool MatcherNode::changed_enough(const DimLoad& a, const DimLoad& b) {
+  auto rel = [](double x, double y, double floor) {
     const double base = std::max({std::fabs(x), std::fabs(y), floor});
-    return std::fabs(x - y) > threshold * base;
+    return std::fabs(x - y) > kLoadChangeThreshold * base;
   };
   return rel(a.queue_len, b.queue_len, 4.0) ||
          rel(a.arrival_rate, b.arrival_rate, 10.0) ||
@@ -639,8 +645,7 @@ void MatcherNode::report_load() {
   bool push = false;
   for (DimSet& set : sets_) {
     DimLoad snap = snapshot_dim(set);
-    if (!set.ever_pushed ||
-        changed_enough(snap, set.last_pushed, config_.load_change_threshold)) {
+    if (!set.ever_pushed || changed_enough(snap, set.last_pushed)) {
       push = true;
     }
     report.dims.push_back(snap);
@@ -675,37 +680,14 @@ void MatcherNode::for_each_stored(
   }
 }
 
-Value MatcherNode::split_boundary(DimId dim, const Range& segment) const {
-  const std::size_t stored = raw_count(sets_[dim]);
-  if (config_.split_policy == MatcherConfig::SplitPolicy::kMedian &&
-      stored >= 8) {
-    // Median of the stored (raw) predicates' centres, clipped to the
-    // segment, so each half inherits about half of the matching load. Keep
-    // the cut strictly inside the segment (a degenerate sliver helps no
-    // one).
-    std::vector<Value> centers;
-    centers.reserve(stored);
-    for_each_stored(dim, [&](const Subscription& sub) {
-      const Range clipped = sub.range(dim).intersect(segment);
-      if (!clipped.empty()) centers.push_back(0.5 * (clipped.lo + clipped.hi));
-    });
-    if (centers.size() >= 8) {
-      const auto mid_it = centers.begin() +
-                          static_cast<std::ptrdiff_t>(centers.size() / 2);
-      std::nth_element(centers.begin(), mid_it, centers.end());
-      const Value margin = 0.1 * segment.width();
-      return std::clamp(*mid_it, segment.lo + margin, segment.hi - margin);
-    }
-  }
-  return 0.5 * (segment.lo + segment.hi);
-}
-
 void MatcherNode::handle_split(NodeId /*from*/, const SplitCommand& msg) {
   if (msg.dim >= dims() || msg.newcomer == kInvalidNode) return;
   const MatcherState* mine = gossiper_.self_state();
   if (mine == nullptr || msg.dim >= mine->segments.size()) return;
   const Range seg = mine->segments[msg.dim];
-  const Value mid = split_boundary(msg.dim, seg);
+  // The joiner takes the upper half of the value range (paper §III-C:
+  // "splits half of the segment").
+  const Value mid = 0.5 * (seg.lo + seg.hi);
   const Range lower{seg.lo, mid};
   const Range upper{mid, seg.hi};
   obs::audit_split("matcher.split", seg, lower, upper);

@@ -56,16 +56,9 @@ struct MatcherConfig {
   enum class MatchMode { kFull, kCostOnly };
   MatchMode match_mode = MatchMode::kFull;
 
-  double load_report_interval = 1.0;  ///< paper: 64B push every second...
-  double load_change_threshold = 0.10;  ///< ...if load changed more than 10%
-
-  /// Where a segment is cut when a joiner takes over half of it. The paper
-  /// splits at the midpoint ("splits half of the segment"); kMedian cuts at
-  /// the median of the stored predicate centres instead, which halves the
-  /// subscription *load* rather than the value range (ablation in
-  /// DESIGN.md).
-  enum class SplitPolicy { kMidpoint, kMedian };
-  SplitPolicy split_policy = SplitPolicy::kMidpoint;
+  /// Load-report cadence (paper: a 64 B push every second, sent only when
+  /// the load changed by more than 10 %).
+  double load_report_interval = 1.0;
 
   GossipConfig gossip;
 
@@ -76,9 +69,6 @@ struct MatcherConfig {
   /// pushes to connected subscribers).
   NodeId delivery_sink = kInvalidNode;
   bool deliver = true;                  ///< send Delivery messages (kFull)
-
-  /// Fixed per-message overhead in work units (parse, queue, hand-off).
-  double base_match_work = 25.0;
 
   /// Subscription covering (src/cover): when enabled, each dimension set
   /// aggregates near-duplicate cuboids and indexes only covering
@@ -181,9 +171,6 @@ class MatcherNode final : public Node {
 
   std::size_t dims() const { return sets_.size(); }
 
-  /// Split boundary for handle_split, per the configured SplitPolicy.
-  Value split_boundary(DimId dim, const Range& segment) const;
-
   BD_NODE_THREAD void handle_store(const StoreSubscription& msg);
   BD_NODE_THREAD void handle_remove(const RemoveSubscription& msg);
   BD_NODE_THREAD void handle_match_request(MatchRequest msg);
@@ -229,8 +216,8 @@ class MatcherNode final : public Node {
   /// Raw subscriptions the set holds: cover-table members when covering
   /// is on, index entries otherwise.
   static std::size_t raw_count(const DimSet& set);
-  static bool changed_enough(const DimLoad& a, const DimLoad& b,
-                             double threshold);
+  /// True when `a` differs from `b` by more than kLoadChangeThreshold.
+  static bool changed_enough(const DimLoad& a, const DimLoad& b);
 
   void store_one(const Subscription& sub, DimId dim);
   bool remove_one(SubscriptionId id, DimId dim);

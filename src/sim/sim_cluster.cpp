@@ -145,7 +145,7 @@ void SimCluster::deliver(NodeId from, NodeId to, Envelope env,
     return;
   }
   ++rec->traffic.msgs_received;
-  if (config_.account_all_traffic || accounted(env)) {
+  if (accounted(env)) {
     rec->traffic.bytes_received += wire_size(env);
   }
   affinity::ScopedNodeBind bind(rec->ctx.get());
@@ -205,7 +205,7 @@ void SimCluster::Context::send(NodeId to, Envelope env) {
   Record* self_rec = cluster_->record(id_);
   if (self_rec == nullptr || !self_rec->alive) return;  // dead men send no mail
   ++self_rec->traffic.msgs_sent;
-  if (cluster_->config_.account_all_traffic || SimCluster::accounted(env)) {
+  if (SimCluster::accounted(env)) {
     self_rec->traffic.bytes_sent += wire_size(env);
   }
   Record* target = cluster_->record(to);

@@ -32,10 +32,6 @@ struct SimConfig {
   /// matchers saturate near 114k msgs/s on 40k subscriptions).
   double sec_per_work_unit = 1.0e-6;
   std::uint64_t seed = 42;
-  /// When true, byte counters cover every message; by default only the
-  /// control plane (gossip, load reports, table pulls) is accounted, which
-  /// is what the paper's overhead analysis reports.
-  bool account_all_traffic = false;
   /// When true, every delivery (and every dead-target drop) is folded into
   /// the determinism digest — virtual time, endpoints, payload kind, wire
   /// size — so two same-seed runs can be compared byte-for-byte
@@ -47,8 +43,10 @@ struct SimConfig {
 struct TrafficStats {
   std::uint64_t msgs_sent = 0;
   std::uint64_t msgs_received = 0;
-  std::uint64_t bytes_sent = 0;      ///< accounted messages only
-  std::uint64_t bytes_received = 0;  ///< accounted messages only
+  /// Bytes count the control plane only (gossip, load reports, table
+  /// pulls), which is what the paper's overhead analysis reports.
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t bytes_received = 0;
 };
 
 class SimCluster {

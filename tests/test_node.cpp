@@ -55,8 +55,6 @@ struct MatcherFixture {
                           MatcherConfig::MatchMode mode =
                               MatcherConfig::MatchMode::kFull,
                           int cores = 4,
-                          MatcherConfig::SplitPolicy split_policy =
-                              MatcherConfig::SplitPolicy::kMidpoint,
                           IndexKind index_kind = IndexKind::kLinearScan,
                           int match_batch = 1, bool cover = false) {
     sim::SimConfig scfg;
@@ -79,7 +77,6 @@ struct MatcherFixture {
     cfg.domains = domains;
     cfg.cores = cores;
     cfg.match_mode = mode;
-    cfg.split_policy = split_policy;
     cfg.index_kind = index_kind;
     cfg.match_batch = match_batch;
     cfg.cover.enabled = cover;
@@ -136,8 +133,7 @@ TEST(MatcherNode, DuplicateStoreIgnored) {
                        Case{IndexKind::kFlatBucket, false},
                        Case{IndexKind::kFlatBucket, true}}) {
     SCOPED_TRACE(std::string(to_string(c.kind)) + (c.cover ? " covered" : ""));
-    MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4,
-                      MatcherConfig::SplitPolicy::kMidpoint, c.kind, 1,
+    MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4, c.kind, 1,
                       c.cover);
     for (int i = 0; i < 3; ++i) {
       fx.store(kM0, sub_with({{0, 100}, {0, 100}}, 1), 0);
@@ -190,7 +186,6 @@ TEST(MatcherNode, InvalidDimensionIgnored) {
 // others dropped and counted.
 TEST(MatcherNode, WrongArityHandoverAndMergeEntriesAreRefused) {
   MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4,
-                    MatcherConfig::SplitPolicy::kMidpoint,
                     IndexKind::kFlatBucket, 1, /*cover=*/true);
   HandoverSegment handover;
   handover.dim = 0;
@@ -285,7 +280,6 @@ TEST(MatcherNode, BatchedServiceMatchesAndDeliversLikeUnbatched) {
   // match_batch, yet every request still produces its MatchCompleted and
   // the same deliveries as per-message service would.
   MatcherFixture fx(1, MatcherConfig::MatchMode::kFull, /*cores=*/1,
-                    MatcherConfig::SplitPolicy::kMidpoint,
                     IndexKind::kFlatBucket, /*match_batch=*/4);
   fx.store(kM0, sub_with({{0, 100}, {0, 1000}}, 1), 0);
   fx.store(kM0, sub_with({{400, 500}, {0, 1000}}, 2), 0);
@@ -315,7 +309,6 @@ TEST(MatcherNode, BatchRespectsQueueBoundaries) {
   // Batch larger than either queue: requests from different dimensions are
   // never folded into one batch (a batch serves a single dimension set).
   MatcherFixture fx(1, MatcherConfig::MatchMode::kCostOnly, /*cores=*/1,
-                    MatcherConfig::SplitPolicy::kMidpoint,
                     IndexKind::kLinearScan, /*match_batch=*/8);
   for (int i = 0; i < 6; ++i) {
     fx.match(kM0, Message{static_cast<MessageId>(i + 1), {5, 5}, ""},
@@ -402,39 +395,6 @@ TEST(MatcherNode, SplitHandsOverUpperHalf) {
   EXPECT_TRUE(joiner_raw->gossiper().self_state()->alive());
 }
 
-TEST(MatcherNode, MedianSplitBalancesSkewedSets) {
-  MatcherFixture fx(2, MatcherConfig::MatchMode::kFull, 4,
-                    MatcherConfig::SplitPolicy::kMedian);
-  // Subscriptions piled in [0, 120): a midpoint cut at 250 would keep them
-  // all; the median cut moves roughly half to the joiner.
-  for (int i = 0; i < 40; ++i) {
-    const double lo = i * 3.0;
-    fx.store(kM0, sub_with({{lo, lo + 2}, {0, 1000}}, i + 1), 0);
-  }
-  fx.sim->run_for(0.01);
-
-  const NodeId joiner = 2000;
-  MatcherConfig jcfg;
-  jcfg.domains = {Range{0, 1000}, Range{0, 1000}};
-  jcfg.dispatchers = {kDispatcher};
-  auto jnode = std::make_unique<MatcherNode>(joiner, jcfg);
-  MatcherNode* joiner_raw = jnode.get();
-  fx.sim->add_node(joiner, std::move(jnode));
-  fx.sim->start(joiner);
-  fx.sim->run_for(0.01);
-  fx.sim->inject(kM0, Envelope::of(SplitCommand{joiner, 0}));
-  fx.sim->run_for(0.05);
-
-  // The boundary landed near the subscription median (~60), clamped inside
-  // [50, 450] (10% margins of the [0,500) segment), not at midpoint 250.
-  const Range kept = fx.matchers[kM0]->segment(0);
-  EXPECT_LT(kept.hi, 100.0);
-  EXPECT_GE(kept.hi, 50.0);
-  // Load split roughly in half instead of 40/0.
-  EXPECT_GT(joiner_raw->set_size(0), 10u);
-  EXPECT_GT(fx.matchers[kM0]->set_size(0), 10u);
-}
-
 TEST(MatcherNode, LeaveMergesIntoNeighbor) {
   MatcherFixture fx(2);
   // kM0 owns [0,500), kM1 owns [500,1000) on both dims.
@@ -458,7 +418,7 @@ TEST(MatcherNode, LeaveMergesIntoNeighbor) {
 // ---------------------------------------------------------------------------
 
 struct DispatcherFixture {
-  DispatcherFixture() {
+  explicit DispatcherFixture(bool auto_scale = false) {
     sim::SimConfig scfg;
     scfg.net_jitter = 0.0;
     sim = std::make_unique<sim::SimCluster>(scfg);
@@ -474,6 +434,7 @@ struct DispatcherFixture {
     DispatcherConfig cfg;
     cfg.domains = domains;
     cfg.policy = PolicyKind::kAdaptive;
+    cfg.auto_scale = auto_scale;
     auto node = std::make_unique<DispatcherNode>(kDispatcher, cfg);
     node->set_bootstrap(bootstrap_table(ids, domains));
     dispatcher = node.get();
@@ -551,6 +512,47 @@ TEST(DispatcherNode, LoadReportsSteerForwarding) {
   }
   fx.sim->run_for(0.05);
   EXPECT_GT(fx.fake_matchers[kM3]->count<MatchRequest>(), 15u);
+}
+
+// The auto-scaler checks the load view every 5 s, asks for capacity after
+// two saturated checks in a row, and asks at most once per 30 s.
+TEST(DispatcherNode, AutoScalerWaitsTwoSaturatedChecksThenCoolsDown) {
+  DispatcherFixture fx(/*auto_scale=*/true);
+  std::vector<Timestamp> requests;
+  fx.dispatcher->on_need_capacity = [&] { requests.push_back(fx.sim->now()); };
+  auto report = [&](double queue_len, double arrival, double matching) {
+    LoadReport r;
+    r.cores = 4;
+    r.dims = {DimLoad{queue_len, arrival, matching, 0.01, 100},
+              DimLoad{0, 0, 0, 0, 0}};
+    r.measured_at = fx.sim->now();
+    fx.fake_matchers[kM0]->ctx_->send(kDispatcher, Envelope::of(r));
+  };
+  // Saturated: arrivals outrun matching and the backlog passes 4 per
+  // matcher. The check at t=5 is the first saturated one: no request.
+  report(500, 100, 10);
+  fx.sim->run_for(7.0);
+  EXPECT_TRUE(requests.empty());
+  // An idle report before the t=10 check breaks the run of saturated checks.
+  report(0, 10, 10);
+  fx.sim->run_for(5.0);
+  EXPECT_TRUE(requests.empty());
+  // Saturated again from t=12: checks at 15 and 20, so the request comes at
+  // the second of them.
+  report(500, 100, 10);
+  fx.sim->run_for(4.0);
+  EXPECT_TRUE(requests.empty());
+  fx.sim->run_for(5.0);
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_NEAR(requests[0], 20.0, 0.01);
+  // Saturation persists: no second request within 30 s of the first, then
+  // one at the first check past the cooldown.
+  fx.sim->run_for(30.0);
+  EXPECT_EQ(requests.size(), 1u);
+  fx.sim->run_for(6.0);
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_GT(requests[1] - requests[0], 30.0);
+  EXPECT_LE(requests[1] - requests[0], 35.0 + 1e-6);
 }
 
 TEST(DispatcherNode, DropsWhenNoCandidate) {

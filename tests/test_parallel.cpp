@@ -948,7 +948,6 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
 
   net::WireConfig wire;
   wire.batch = 16;
-  wire.flush_interval = 0.0005;
   wire.queue_capacity = 16384;
   net::TcpHost client_host(kClient, 0, std::make_unique<AckCountingNode>(),
                            42, wire);

@@ -240,7 +240,6 @@ TEST(WireZeroCopy, TcpReceivePathCountsZeroPayloadCopies) {
 
   WireConfig wire;
   wire.batch = 16;
-  wire.flush_interval = 0.0005;
   auto send_node = std::make_unique<CountingNode>();
   CountingNode* sn = send_node.get();
   TcpHost sender(1, 0, std::move(send_node), 42, wire);
@@ -817,7 +816,6 @@ TEST(WireAsync, BatchedSendsAllDeliveredToManyPeers) {
 
   WireConfig wire;
   wire.batch = 16;
-  wire.flush_interval = 0.0005;
   wire.queue_capacity = 8192;
   auto sender_node = std::make_unique<CountingNode>();
   CountingNode* sn = sender_node.get();

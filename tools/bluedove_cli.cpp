@@ -68,7 +68,6 @@
 //                      without subscriptions nothing matches or delivers)
 //   --payload=BYTES    message payload size (default 64)
 //   --wire-batch=N     envelopes per frame (default 32; 1 = one per frame)
-//   --wire-flush=SEC   linger for a partial frame (default 0.5 ms)
 //   --wire-queue=N     per-peer bound on unwritten envelopes (default 65536)
 //
 // edge-blast options:
@@ -584,7 +583,6 @@ int cmd_blast(const CliArgs& args) {
 
   net::WireConfig wire;
   wire.batch = static_cast<int>(args.get_int("wire-batch", 32));
-  wire.flush_interval = args.get_double("wire-flush", 0.0005);
   wire.queue_capacity =
       static_cast<std::size_t>(args.get_int("wire-queue", 65536));
 

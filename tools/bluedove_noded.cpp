@@ -1,6 +1,14 @@
 // bluedove_noded — run one BlueDove server as an OS process, talking real
 // TCP to its peers. Lets a cluster be deployed as N processes (or hosts).
 //
+// Every role takes --role, --id, --port, --peers, --seed, --simd,
+// --wire-batch, --wire-queue and --trace-json. --cluster, --dims, --domain,
+// --stats-json and --stats-interval are for matchers and dispatchers;
+// --dispatchers, --sink, --index, --match-batch, --cover, --cover-budget
+// and --cores for matchers; --reliable, --trace-sample, --edge-port and
+// --edge-reactors for dispatchers. Any other flag, including one of
+// another role's, is reported and exits 2 before the node starts.
+//
 //   --role=matcher|dispatcher|sink   what this process is
 //   --id=N                           this node's id
 //   --port=P                         listen port (default 7000+id)
@@ -41,9 +49,6 @@
 //   --wire-batch=N                   envelopes coalesced per TCP frame
 //                                    (default 64: a loop pass's envelopes
 //                                    to one peer share frames)
-//   --wire-flush=SEC                 max wait for a wire batch to fill
-//                                    (default 0: frames close at the end
-//                                    of the loop pass)
 //   --wire-queue=N                   per-peer bound on unwritten envelopes;
 //                                    the newest is dropped beyond it
 //   --stats-json=PATH                periodically write the node's metrics
@@ -128,6 +133,12 @@ std::map<NodeId, net::TcpEndpoint> parse_peers(const std::string& csv) {
   return out;
 }
 
+/// The schema: --dims dimensions, each [0, --domain).
+std::vector<Range> schema_domains(const CliArgs& args) {
+  const auto dims = static_cast<std::size_t>(args.get_int("dims", 4));
+  return std::vector<Range>(dims, Range{0, args.get_double("domain", 1000.0)});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,16 +167,14 @@ int main(int argc, char** argv) {
                fd_limit);
   const auto port =
       static_cast<std::uint16_t>(args.get_int("port", 7000 + id % 1000));
-  const auto dims = static_cast<std::size_t>(args.get_int("dims", 4));
-  const double domain_len = args.get_double("domain", 1000.0);
-  const std::vector<Range> domains(dims, Range{0, domain_len});
-  const std::vector<NodeId> cluster = parse_ids(args.get("cluster", ""));
-  const std::vector<NodeId> dispatchers =
-      parse_ids(args.get("dispatchers", ""));
-  const auto sink = static_cast<NodeId>(args.get_int("sink", 0));
 
+  // Each role reads only the flags it uses, so a flag meant for another
+  // role is reported like a typo.
   std::unique_ptr<Node> node;
+  std::uint16_t edge_port = 0;
+  int edge_reactors = 2;
   if (role == "matcher") {
+    const std::vector<Range> domains = schema_domains(args);
     MatcherConfig cfg;
     cfg.domains = domains;
     cfg.cores = static_cast<int>(args.get_int("cores", 4));
@@ -182,24 +191,30 @@ int main(int argc, char** argv) {
     cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
     cfg.cover.enabled = args.get_bool("cover", false);
     cfg.cover.fp_volume_budget = args.get_double("cover-budget", 0.05);
-    cfg.dispatchers = dispatchers;
+    cfg.dispatchers = parse_ids(args.get("dispatchers", ""));
+    const auto sink = static_cast<NodeId>(args.get_int("sink", 0));
     cfg.metrics_sink = sink != 0 ? sink : kInvalidNode;
     cfg.delivery_sink = sink != 0 ? sink : kInvalidNode;
     auto matcher = std::make_unique<MatcherNode>(id, cfg);
+    const std::vector<NodeId> cluster = parse_ids(args.get("cluster", ""));
     if (!cluster.empty()) {
       matcher->set_bootstrap(bootstrap_table(cluster, domains));
     }
     node = std::move(matcher);
   } else if (role == "dispatcher") {
+    const std::vector<Range> domains = schema_domains(args);
     DispatcherConfig cfg;
     cfg.domains = domains;
     cfg.reliable_delivery = args.get_bool("reliable", false);
     cfg.trace_sample_rate = args.get_double("trace-sample", 0.0);
     auto dispatcher = std::make_unique<DispatcherNode>(id, cfg);
+    const std::vector<NodeId> cluster = parse_ids(args.get("cluster", ""));
     if (!cluster.empty()) {
       dispatcher->set_bootstrap(bootstrap_table(cluster, domains));
     }
     node = std::move(dispatcher);
+    edge_port = static_cast<std::uint16_t>(args.get_int("edge-port", 0));
+    edge_reactors = static_cast<int>(args.get_int("edge-reactors", 2));
   } else if (role == "sink") {
     node = std::make_unique<FunctionNode>(
         [](NodeId, const Envelope& env, Timestamp) {
@@ -224,31 +239,43 @@ int main(int argc, char** argv) {
 
   net::WireConfig wire;
   wire.batch = static_cast<int>(args.get_int("wire-batch", wire.batch));
-  wire.flush_interval = args.get_double("wire-flush", wire.flush_interval);
   wire.queue_capacity = static_cast<std::size_t>(args.get_int(
       "wire-queue", static_cast<std::int64_t>(wire.queue_capacity)));
-  net::TcpHost host(id, port, std::move(node),
-                    static_cast<std::uint64_t>(args.get_int("seed", 42)),
-                    wire);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::string peers = args.get("peers", "");
+  // The sink answers no StatsRequest and writes no stats file.
+  const std::string stats_path =
+      role == "sink" ? "" : args.get("stats-json", "");
+  const double stats_interval =
+      role == "sink" ? 0.0 : args.get_double("stats-interval", 5.0);
+  const std::string trace_arg = args.get("trace-json", "");
+
+  const std::vector<std::string> unknown = args.unconsumed();
+  if (!unknown.empty()) {
+    for (const std::string& key : unknown) {
+      std::fprintf(stderr,
+                   "bluedove_noded: unknown option --%s for --role=%s\n",
+                   key.c_str(), role.c_str());
+    }
+    return 2;
+  }
+
+  net::TcpHost host(id, port, std::move(node), seed, wire);
   if (host.port() == 0) {
     std::fprintf(stderr, "failed to bind port %u\n", port);
     return 1;
   }
-  for (const auto& [peer, ep] : parse_peers(args.get("peers", ""))) {
-    host.add_peer(peer, ep);
-  }
+  for (const auto& [peer, ep] : parse_peers(peers)) host.add_peer(peer, ep);
 
   // Client edge layer (dispatcher only): epoll reactor front end with
   // resumable sessions, feeding client ops into this dispatcher's ingress
   // and fanning deliveries back out over the persistent client sockets.
   std::unique_ptr<edge::EdgeFrontend> edge_fe;
   std::string edge_host;
-  const auto edge_port =
-      static_cast<std::uint16_t>(args.get_int("edge-port", 0));
-  if (edge_port != 0 && role == "dispatcher") {
+  if (edge_port != 0) {
     edge::EdgeConfig ecfg;
     ecfg.port = edge_port;
-    ecfg.reactors = static_cast<int>(args.get_int("edge-reactors", 2));
+    ecfg.reactors = edge_reactors;
     edge_host = ecfg.host;
     edge_fe = std::make_unique<edge::EdgeFrontend>(
         ecfg, id, [&host](Envelope&& env) {
@@ -259,9 +286,6 @@ int main(int argc, char** argv) {
       fe->deliver(d);
     };
     dispatcher->add_stats_registry(&edge_fe->metrics());
-  } else if (edge_port != 0) {
-    std::fprintf(stderr, "--edge-port requires --role=dispatcher\n");
-    return 2;
   }
 
   std::signal(SIGINT, on_signal);
@@ -274,16 +298,13 @@ int main(int argc, char** argv) {
   if (edge_fe) {
     std::printf("bluedove_noded id=%u edge listening on %s:%u "
                 "(%d reactors)\n",
-                id, edge_host.c_str(), edge_fe->port(),
-                static_cast<int>(args.get_int("edge-reactors", 2)));
+                id, edge_host.c_str(), edge_fe->port(), edge_reactors);
   }
   std::fflush(stdout);
 
   // Periodic machine-readable export: write the node's metrics registry to
   // --stats-json every --stats-interval seconds (snapshots read the
   // registry's atomics, so scraping never blocks the node thread).
-  const std::string stats_path = args.get("stats-json", "");
-  const double stats_interval = args.get_double("stats-interval", 5.0);
   auto snapshot_now = [&]() -> obs::MetricsSnapshot {
     obs::MetricsSnapshot snap;
     if (role == "matcher") {
@@ -297,7 +318,6 @@ int main(int argc, char** argv) {
     if (edge_fe) snap.merge(edge_fe->metrics().snapshot());
     return snap;
   };
-  const std::string trace_arg = args.get("trace-json", "");
   const std::string trace_path =
       trace_arg.empty() ? "bluedove_trace_" + std::to_string(id) + ".json"
                         : trace_arg;
@@ -318,7 +338,7 @@ int main(int argc, char** argv) {
       g_trace_dump = 0;
       dump_trace();
     }
-    if (stats_path.empty() || role == "sink") continue;
+    if (stats_path.empty()) continue;
     since_stats += 0.1;
     if (since_stats >= stats_interval) {
       since_stats = 0.0;
@@ -327,7 +347,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!stats_path.empty() && role != "sink") {
+  if (!stats_path.empty()) {
     obs::write_json_file(stats_path, snapshot_now());  // final snapshot
   }
   if (edge_fe) edge_fe->stop();
