@@ -68,9 +68,7 @@ std::vector<Subscription> make_subs(std::size_t n, double skew,
 std::unique_ptr<SubscriptionIndex> build_uncovered(
     const std::vector<Subscription>& subs, const AttributeSchema& schema) {
   auto index = make_index(IndexKind::kFlatBucket, 0, schema.domain(0));
-  for (const Subscription& s : subs) {
-    index->insert(std::make_shared<const Subscription>(s));
-  }
+  for (const Subscription& s : subs) index->insert(s);
   return index;
 }
 
@@ -89,10 +87,7 @@ CoveredSet build_covered(const std::vector<Subscription>& subs,
   for (const Subscription& s : subs) {
     CoverTable::AddResult ops = out.cover->add(s);
     if (ops.erase) out.index->erase(ops.erase_id);
-    if (ops.insert) {
-      out.index->insert(
-          std::make_shared<const Subscription>(std::move(ops.insert_sub)));
-    }
+    if (ops.insert) out.index->insert(ops.insert_sub);
   }
   return out;
 }
@@ -111,8 +106,7 @@ double time_uncovered_ns(SubscriptionIndex& index,
       const std::size_t nb = std::min(batch, msgs.size() - cursor);
       hits.clear();
       offsets.clear();
-      index.match_batch({msgs.data() + cursor, nb}, hits, offsets, w, nullptr,
-                        &scratch);
+      index.match_batch({msgs.data() + cursor, nb}, hits, offsets, w, scratch);
       g_sink = g_sink + hits.size();
       done += nb;
       cursor = cursor + nb >= msgs.size() ? 0 : cursor + nb;
@@ -146,7 +140,7 @@ double time_covered_ns(CoveredSet& set, const std::vector<Message>& msgs,
       hits.clear();
       offsets.clear();
       set.index->match_batch({msgs.data() + cursor, nb}, hits, offsets, w,
-                             nullptr, &scratch);
+                             scratch);
       for (std::size_t i = 0; i < nb; ++i) {
         expanded.clear();
         CoverTable::ExpandStats es;
@@ -196,8 +190,10 @@ bool verify_identical(SubscriptionIndex& raw, CoveredSet& covered,
                       std::uint64_t* digest_raw,
                       std::uint64_t* digest_covered) {
   obs::DeterminismDigest dr, dc;
-  std::vector<MatchHit> a, b;
+  std::vector<MatchHit> a, b, reps;
+  std::vector<std::uint32_t> offsets;
   WorkCounter wc;
+  MatchScratch scratch;
   bool identical = true;
   auto by_id = [](const MatchHit& x, const MatchHit& y) {
     return x.id != y.id ? x.id < y.id : x.subscriber < y.subscriber;
@@ -205,9 +201,12 @@ bool verify_identical(SubscriptionIndex& raw, CoveredSet& covered,
   for (const Message& msg : msgs) {
     a.clear();
     b.clear();
-    raw.match_hits(msg, a, wc);
-    std::vector<MatchHit> reps;
-    covered.index->match_hits(msg, reps, wc);
+    reps.clear();
+    const std::span<const Message> one(&msg, 1);
+    offsets.clear();
+    raw.match_batch(one, a, offsets, wc, scratch);
+    offsets.clear();
+    covered.index->match_batch(one, reps, offsets, wc, scratch);
     for (const MatchHit& hit : reps) {
       if (CoverTable::is_rep(hit.id)) {
         covered.cover->expand(hit.id, msg.values, b);

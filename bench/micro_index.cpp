@@ -36,9 +36,7 @@ std::unique_ptr<SubscriptionIndex> build_index(IndexKind kind,
   wl.schema = schema;
   SubscriptionGenerator gen(wl, 99);
   auto index = make_index(kind, 0, schema.domain(0));
-  for (std::size_t i = 0; i < subs; ++i) {
-    index->insert(std::make_shared<const Subscription>(gen.next()));
-  }
+  for (std::size_t i = 0; i < subs; ++i) index->insert(gen.next());
   return index;
 }
 
@@ -71,8 +69,7 @@ double time_match_ns(SubscriptionIndex& index, const std::vector<Message>& msgs,
       const std::size_t nb = std::min(batch, msgs.size() - cursor);
       hits.clear();
       offsets.clear();
-      index.match_batch({msgs.data() + cursor, nb}, hits, offsets, wc, nullptr,
-                        &scratch);
+      index.match_batch({msgs.data() + cursor, nb}, hits, offsets, wc, scratch);
       benchmark::DoNotOptimize(hits.data());
       done += nb;
       cursor += nb;
@@ -280,11 +277,8 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
     SubscriptionWorkload wl;
     wl.schema = schema;
     wl.predicate_width = shape.width;
-    std::vector<SubPtr> input;
     SubscriptionGenerator gen(wl, 2011);
-    for (std::size_t i = 0; i < subs; ++i) {
-      input.push_back(std::make_shared<const Subscription>(gen.next()));
-    }
+    const std::vector<Subscription> input = gen.batch(subs);
 
     std::size_t index_bytes = 0;
     std::size_t column_bytes = 0;
@@ -292,7 +286,7 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
     {
       const std::size_t before = heap_in_use();
       FlatBucketIndex index(0, schema.domain(0));
-      for (const SubPtr& sub : input) index.insert(sub);
+      for (const Subscription& sub : input) index.insert(sub);
       index_bytes = heap_in_use() - before;
       column_bytes = index.column_capacity_bytes();
       entries = index.column_entries();
@@ -303,7 +297,7 @@ bool memory_attribution(obs::MetricsSnapshot& snap, double scale) {
       cfg.enabled = true;
       const std::size_t before = heap_in_use();
       CoverTable cover(cfg, domains);
-      for (const SubPtr& sub : input) cover.add(*sub);
+      for (const Subscription& sub : input) cover.add(sub);
       cover_bytes = heap_in_use() - before;
     }
 
@@ -356,11 +350,14 @@ void BM_IndexMatch(benchmark::State& state) {
   mwl.schema = schema;
   MessageGenerator mgen(mwl, 7);
   std::vector<MatchHit> out;
+  std::vector<std::uint32_t> offsets;
   WorkCounter wc;
+  MatchScratch scratch;
   for (auto _ : state) {
     out.clear();
+    offsets.clear();
     Message msg = mgen.next();
-    index->match_hits(msg, out, wc);
+    index->match_batch({&msg, 1}, out, offsets, wc, scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetLabel(to_string(kind));
@@ -392,10 +389,11 @@ void BM_IndexMatchBatch(benchmark::State& state) {
   std::vector<MatchHit> hits;
   std::vector<std::uint32_t> offsets;
   WorkCounter wc;
+  MatchScratch scratch;
   for (auto _ : state) {
     hits.clear();
     offsets.clear();
-    index->match_batch(msgs, hits, offsets, wc);
+    index->match_batch(msgs, hits, offsets, wc, scratch);
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetLabel(to_string(kind));
@@ -414,7 +412,7 @@ void BM_IndexInsert(benchmark::State& state) {
   SubscriptionGenerator gen(wl, 99);
   auto index = make_index(kind, 0, schema.domain(0));
   for (auto _ : state) {
-    index->insert(std::make_shared<const Subscription>(gen.next()));
+    index->insert(gen.next());
     if (index->size() >= 100000) {
       state.PauseTiming();
       index->clear();

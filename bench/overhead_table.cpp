@@ -82,7 +82,7 @@ double match_throughput(SubscriptionIndex& index,
         hits.clear();
         offsets.clear();
         index.match_batch({msgs.data() + cursor, nb}, hits, offsets, wc,
-                          nullptr, &scratch);
+                          scratch);
       }
       for (std::size_t i = 0; i < nb; ++i) {
         obs::Recorder::instant(done_name, tid, done + i);
@@ -225,7 +225,7 @@ void recorder_overhead_section() {
   SubscriptionGenerator sgen(swl, 99);
   auto index = make_index(IndexKind::kFlatBucket, 0, schema.domain(0));
   for (std::size_t i = 0; i < 8000; ++i) {
-    index->insert(std::make_shared<const Subscription>(sgen.next()));
+    index->insert(sgen.next());
   }
   MessageWorkload mwl;
   mwl.schema = schema;

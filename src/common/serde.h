@@ -57,10 +57,10 @@ class Writer {
   }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { fixed(v); }
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
+  void f64(double v) { fixed(v); }
 
   void varint(std::uint64_t v) {
     while (v >= 0x80) {
@@ -96,6 +96,17 @@ class Writer {
   }
 
  private:
+  /// Appends a fixed-width value by resize and copy. A range insert at the
+  /// end of a buffer whose size GCC can prove (a fresh Writer after
+  /// reserve(4)) draws false -Warray-bounds / -Wstringop-overflow reports
+  /// from the insert's reallocation path.
+  template <typename T>
+  void fixed(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
   void raw(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);

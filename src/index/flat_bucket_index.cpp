@@ -116,25 +116,14 @@ void FlatBucketIndex::move_entry(Bucket& b, std::size_t from, std::size_t to) {
   }
 }
 
-Subscription FlatBucketIndex::entry(const Bucket& b, std::size_t i) const {
-  Subscription sub;
-  sub.id = b.ids[i];
-  sub.subscriber = b.subscribers[i];
-  sub.ranges.resize(columns_);
-  for (std::size_t d = 0; d < columns_; ++d) {
-    sub.ranges[d] = Range{b.lo[d][i], b.hi[d][i]};
-  }
-  return sub;
-}
-
-void FlatBucketIndex::insert(SubPtr sub) {
-  if (local_.contains(sub->id)) return;  // dedup; matcher guards this too
-  if (columns_ == 0) columns_ = sub->dimensions();
-  const auto [first, last] = span_of(sub->range(pivot_));
+void FlatBucketIndex::insert(const Subscription& sub) {
+  if (local_.contains(sub.id)) return;  // dedup; matcher guards this too
+  if (columns_ == 0) columns_ = sub.dimensions();
+  const auto [first, last] = span_of(sub.range(pivot_));
   const std::size_t reach = last - first;
   max_reach_ = std::max(max_reach_, reach);
-  local_.set(sub->id, static_cast<std::uint32_t>(first << 16 | reach));
-  bucket_insert(first, reach, *sub);
+  local_.set(sub.id, static_cast<std::uint32_t>(first << 16 | reach));
+  bucket_insert(first, reach, sub);
 }
 
 bool FlatBucketIndex::erase(SubscriptionId id) {
@@ -203,9 +192,8 @@ std::size_t FlatBucketIndex::select(const simd::RangeKernel& k,
   return count;
 }
 
-template <typename Emit>
 void FlatBucketIndex::probe(const Message& m, std::vector<std::uint32_t>& sel,
-                            WorkCounter& wc, Emit&& emit) const {
+                            WorkCounter& wc, std::vector<MatchHit>& out) const {
   ++wc.probes;
   const std::size_t target = bucket_of(m.value(pivot_));
   const simd::RangeKernel& k = simd::active_kernel();
@@ -222,17 +210,11 @@ void FlatBucketIndex::probe(const Message& m, std::vector<std::uint32_t>& sel,
     if (k.kind != simd::KernelKind::kScalar && obs::Audit::enabled()) {
       audit_probe(m, b, n, sel, count);
     }
-    for (std::size_t i = 0; i < count; ++i) emit(b, sel[i]);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t e = sel[i];
+      out.push_back({b.ids[e], b.subscribers[e]});
+    }
   }
-}
-
-void FlatBucketIndex::probe_hits(const Message& m,
-                                 std::vector<std::uint32_t>& sel,
-                                 WorkCounter& wc,
-                                 std::vector<MatchHit>& out) const {
-  probe(m, sel, wc, [&out](const Bucket& b, std::uint32_t i) {
-    out.push_back({b.ids[i], b.subscribers[i]});
-  });
 }
 
 void FlatBucketIndex::audit_probe(const Message& m, const Bucket& b,
@@ -258,25 +240,18 @@ void FlatBucketIndex::audit_probe(const Message& m, const Bucket& b,
   }
 }
 
-void FlatBucketIndex::match_hits(const Message& m, std::vector<MatchHit>& out,
-                                 WorkCounter& wc) const {
-  probe_hits(m, scratch_.sel, wc, out);
-}
-
 void FlatBucketIndex::match_batch(std::span<const Message> msgs,
                                   std::vector<MatchHit>& hits,
                                   std::vector<std::uint32_t>& offsets,
-                                  WorkCounter& wc,
-                                  std::vector<double>* per_msg_work,
-                                  MatchScratch* scratch) const {
-  MatchScratch& s = scratch != nullptr ? *scratch : scratch_;
+                                  WorkCounter& wc, MatchScratch& s,
+                                  std::vector<double>* per_msg_work) const {
   const std::size_t n = msgs.size();
   offsets.reserve(offsets.size() + n + 1);
   if (n <= 1) {
     for (const Message& m : msgs) {
       offsets.push_back(static_cast<std::uint32_t>(hits.size()));
       const WorkCounter before = wc;
-      probe_hits(m, s.sel, wc, hits);
+      probe(m, s.sel, wc, hits);
       if (per_msg_work != nullptr) {
         const WorkCounter delta{wc.comparisons - before.comparisons,
                                 wc.probes - before.probes};
@@ -305,7 +280,7 @@ void FlatBucketIndex::match_batch(std::span<const Message> msgs,
     const auto idx = static_cast<std::size_t>(packed & 0xffffffffu);
     const WorkCounter before = wc;
     const std::size_t start = s.staged.size();
-    probe_hits(msgs[idx], s.sel, wc, s.staged);
+    probe(msgs[idx], s.sel, wc, s.staged);
     s.staged_off[2 * idx] = static_cast<std::uint32_t>(start);
     s.staged_off[2 * idx + 1] =
         static_cast<std::uint32_t>(s.staged.size() - start);
@@ -325,22 +300,22 @@ void FlatBucketIndex::match_batch(std::span<const Message> msgs,
   offsets.push_back(static_cast<std::uint32_t>(hits.size()));
 }
 
-void FlatBucketIndex::match(const Message& m, std::vector<SubPtr>& out,
-                            WorkCounter& wc) const {
-  probe(m, scratch_.sel, wc, [&](const Bucket& b, std::uint32_t i) {
-    out.push_back(std::make_shared<const Subscription>(entry(b, i)));
-  });
-}
-
 double FlatBucketIndex::match_cost(const Message& m) const {
   return 0.25 + static_cast<double>(bucket_size(bucket_of(m.value(pivot_))));
 }
 
 void FlatBucketIndex::for_each(
-    const std::function<void(const SubPtr&)>& fn) const {
+    const std::function<void(const Subscription&)>& fn) const {
+  Subscription sub;
+  sub.ranges.resize(columns_);
   for (const Bucket& b : buckets_) {
     for (std::size_t i = 0; i < b.ids.size(); ++i) {
-      fn(std::make_shared<const Subscription>(entry(b, i)));
+      sub.id = b.ids[i];
+      sub.subscriber = b.subscribers[i];
+      for (std::size_t d = 0; d < columns_; ++d) {
+        sub.ranges[d] = Range{b.lo[d][i], b.hi[d][i]};
+      }
+      fn(sub);
     }
   }
 }

@@ -7,8 +7,8 @@
 // struct-of-arrays entries: contiguous lo[d][]/hi[d][] columns per
 // dimension plus parallel id and subscriber arrays, 16 + 16k bytes per
 // copy for k dimensions. A probe emits each hit's {id, subscriber}
-// straight from the bucket; the cold paths (for_each, legacy match())
-// rebuild the Subscription from the columns.
+// straight from the bucket; the one cold path, for_each, rebuilds each
+// Subscription from the columns into one reused copy.
 //
 // Within a bucket, entries are ordered by reach (how many buckets past
 // this one the pivot range extends), widest first, so the entries of
@@ -52,7 +52,7 @@ class FlatBucketIndex final : public SubscriptionIndex {
 
   DimId pivot() const override { return pivot_; }
 
-  void insert(SubPtr sub) override;
+  void insert(const Subscription& sub) override;
   bool erase(SubscriptionId id) override;
   std::size_t size() const override { return local_.size(); }
   bool contains(SubscriptionId id) const override {
@@ -60,16 +60,13 @@ class FlatBucketIndex final : public SubscriptionIndex {
   }
   void clear() override;
 
-  void match(const Message& m, std::vector<SubPtr>& out,
-             WorkCounter& wc) const override;
-  void match_hits(const Message& m, std::vector<MatchHit>& out,
-                  WorkCounter& wc) const override;
   void match_batch(std::span<const Message> msgs, std::vector<MatchHit>& hits,
                    std::vector<std::uint32_t>& offsets, WorkCounter& wc,
-                   std::vector<double>* per_msg_work = nullptr,
-                   MatchScratch* scratch = nullptr) const override;
+                   MatchScratch& scratch,
+                   std::vector<double>* per_msg_work = nullptr) const override;
   double match_cost(const Message& m) const override;
-  void for_each(const std::function<void(const SubPtr&)>& fn) const override;
+  void for_each(
+      const std::function<void(const Subscription&)>& fn) const override;
 
   std::size_t bucket_count() const { return buckets_.size(); }
   /// Copies whose pivot span contains bucket `i`: the entries a probe of
@@ -110,25 +107,17 @@ class FlatBucketIndex final : public SubscriptionIndex {
                      const Subscription& sub);
   void bucket_erase(std::size_t first, std::size_t reach, SubscriptionId id);
   static void move_entry(Bucket& b, std::size_t from, std::size_t to);
-  /// The copy in entry `i` of `b`, rebuilt from the columns.
-  Subscription entry(const Bucket& b, std::size_t i) const;
   /// Writes to `sel` the ascending indices among the first `n` entries of
   /// `b` that match all of `m`'s predicates, using kernel `k`; returns
   /// their count.
   std::size_t select(const simd::RangeKernel& k, const Bucket& b,
                      std::size_t n, const Message& m,
                      std::uint32_t* sel) const;
-  /// Calls emit(bucket, entry) for every copy whose pivot span contains
-  /// `m`'s bucket and that matches all predicates. `sel` is the caller's
-  /// selection-vector scratch: the single-threaded entry points pass the
-  /// member below, match_batch threads the per-worker MatchScratch through
-  /// so concurrent probes of one index never share.
-  template <typename Emit>
+  /// Appends to `out` the copies whose pivot span contains `m`'s bucket
+  /// and that match all predicates. `sel` is the caller's selection-vector
+  /// scratch, so concurrent probes of one index never share.
   void probe(const Message& m, std::vector<std::uint32_t>& sel,
-             WorkCounter& wc, Emit&& emit) const;
-  /// Appends the probe's hits for `m` to `out`.
-  void probe_hits(const Message& m, std::vector<std::uint32_t>& sel,
-                  WorkCounter& wc, std::vector<MatchHit>& out) const;
+             WorkCounter& wc, std::vector<MatchHit>& out) const;
   /// Sampled differential oracle: re-runs the scalar kernel over the same
   /// run (the first `n` entries of `b`) and reports an
   /// AuditKind::kSimdKernel violation when the vectorized selection
@@ -148,9 +137,6 @@ class FlatBucketIndex final : public SubscriptionIndex {
   /// id -> where its copy is filed: first bucket << 16 | reach (both below
   /// kMaxBuckets, so never FlatIdMap::kNone).
   FlatIdMap local_;
-  /// Fallback probe scratch for the single-threaded entry points;
-  /// match_batch threads a caller-owned MatchScratch through instead.
-  mutable MatchScratch scratch_;
 };
 
 }  // namespace bluedove

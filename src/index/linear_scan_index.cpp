@@ -2,6 +2,11 @@
 
 namespace bluedove {
 
+void LinearScanIndex::insert(const Subscription& sub) {
+  if (slot_.contains(sub.id)) return;
+  insert(std::make_shared<const Subscription>(sub));
+}
+
 void LinearScanIndex::insert(SubPtr sub) {
   slot_.set(sub->id, static_cast<FlatIdMap::Value>(entries_.size()));
   entries_.push_back(std::move(sub));
@@ -24,12 +29,29 @@ void LinearScanIndex::clear() {
   slot_.clear();
 }
 
+void LinearScanIndex::match_batch(std::span<const Message> msgs,
+                                  std::vector<MatchHit>& hits,
+                                  std::vector<std::uint32_t>& offsets,
+                                  WorkCounter& wc, MatchScratch& /*scratch*/,
+                                  std::vector<double>* per_msg_work) const {
+  offsets.reserve(offsets.size() + msgs.size() + 1);
+  for (const Message& m : msgs) {
+    offsets.push_back(static_cast<std::uint32_t>(hits.size()));
+    const std::uint64_t before = wc.comparisons;
+    scan(m, wc, [&hits](const SubPtr& sub) {
+      hits.push_back({sub->id, sub->subscriber});
+    });
+    if (per_msg_work != nullptr) {
+      per_msg_work->push_back(
+          WorkCounter{wc.comparisons - before, 0}.total());
+    }
+  }
+  offsets.push_back(static_cast<std::uint32_t>(hits.size()));
+}
+
 void LinearScanIndex::match(const Message& m, std::vector<SubPtr>& out,
                             WorkCounter& wc) const {
-  for (const SubPtr& sub : entries_) {
-    ++wc.comparisons;
-    if (sub->matches(m)) out.push_back(sub);
-  }
+  scan(m, wc, [&out](const SubPtr& sub) { out.push_back(sub); });
 }
 
 double LinearScanIndex::match_cost(const Message&) const {
@@ -37,8 +59,8 @@ double LinearScanIndex::match_cost(const Message&) const {
 }
 
 void LinearScanIndex::for_each(
-    const std::function<void(const SubPtr&)>& fn) const {
-  for (const SubPtr& sub : entries_) fn(sub);
+    const std::function<void(const Subscription&)>& fn) const {
+  for (const SubPtr& sub : entries_) fn(*sub);
 }
 
 }  // namespace bluedove

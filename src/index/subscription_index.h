@@ -13,12 +13,13 @@
 // simulated CPU time from these work units, so the experiments' cost model
 // is the real data structure's behaviour rather than a hand-fit curve.
 //
-// Concurrency: the const probe entry points (match_batch with a caller-owned
-// MatchScratch, match_cost) may run on several threads over one live index
-// at once, provided nothing mutates that index meanwhile; the matcher holds
-// its writes back while an offloaded probe is in flight (DESIGN.md §10).
-// A probe reads only its own index's storage: no index shares state with
-// another, so writes to one index never disturb a probe of the next.
+// Concurrency: the const probes (match_batch, match_cost) may run on
+// several threads over one live index at once, provided nothing mutates
+// that index meanwhile and each thread passes its own MatchScratch; the
+// matcher holds its writes back while an offloaded probe is in flight
+// (DESIGN.md §10). An index keeps no probe state of its own, and no index
+// shares state with another, so writes to one index never disturb a probe
+// of the next.
 
 #include <cstdint>
 #include <functional>
@@ -34,11 +35,9 @@
 
 namespace bluedove {
 
-using SubPtr = std::shared_ptr<const Subscription>;
-
 /// One matching subscription, reduced to what the delivery fan-out needs.
-/// The probe path returns these instead of `SubPtr` so columnar engines
-/// never touch a refcount while matching.
+/// Probes emit these, so a columnar engine reads them straight from its
+/// columns and never builds a Subscription or touches a refcount.
 struct MatchHit {
   SubscriptionId id = 0;
   SubscriberId subscriber = 0;
@@ -46,10 +45,9 @@ struct MatchHit {
   friend bool operator==(const MatchHit&, const MatchHit&) = default;
 };
 
-/// Reusable probe scratch (selection vector, batch staging) threaded through
-/// match_batch so repeated probes reallocate nothing. Each offload worker
-/// owns one instance — an engine's internal fallback scratch is not safe
-/// once one index is probed from several threads at a time.
+/// Caller-owned probe scratch (selection vector, batch staging), reused
+/// across match_batch calls so repeated probes reallocate nothing. A
+/// thread that probes owns its instance: each offload worker has one.
 struct MatchScratch {
   std::vector<std::uint32_t> sel;
   // Batched-probe staging (FlatBucketIndex::match_batch): messages are
@@ -87,7 +85,8 @@ class SubscriptionIndex {
   /// Dimension this index is pivoted on.
   virtual DimId pivot() const = 0;
 
-  virtual void insert(SubPtr sub) = 0;
+  /// Stores a copy of `sub`; a duplicate id is ignored.
+  virtual void insert(const Subscription& sub) = 0;
   /// Removes by id; returns false when the id is not present.
   virtual bool erase(SubscriptionId id) = 0;
   virtual std::size_t size() const = 0;
@@ -95,44 +94,31 @@ class SubscriptionIndex {
   virtual bool contains(SubscriptionId id) const = 0;
   virtual void clear() = 0;
 
-  /// Appends every stored subscription matching `m` (all k predicates) to
-  /// `out` and accounts the work performed in `wc`.
-  virtual void match(const Message& m, std::vector<SubPtr>& out,
-                     WorkCounter& wc) const = 0;
-
-  /// Hot-path variant of match(): appends compact MatchHits instead of
-  /// handing out shared_ptrs. The default adapts match(); columnar engines
-  /// override it to keep the probe allocation- and refcount-free.
-  virtual void match_hits(const Message& m, std::vector<MatchHit>& out,
-                          WorkCounter& wc) const;
-
-  /// Matches a batch of messages in one call. Hits for msgs[i] land in
-  /// hits[offsets[i] .. offsets[i+1]); offsets gets msgs.size() + 1 entries
-  /// (hits/offsets are appended to, so pass them in cleared). The default
-  /// falls back to per-message match_hits(); engines that can amortize
-  /// probe setup across the batch override it.
+  /// The probe: matches a batch of messages against all k predicates. Hits
+  /// for msgs[i] land in hits[offsets[i] .. offsets[i+1]); offsets gets
+  /// msgs.size() + 1 entries (hits/offsets are appended to, so pass them in
+  /// cleared). The work performed is added to `wc`.
   ///
-  /// `per_msg_work`, when non-null, receives one appended entry per message
-  /// with the exact work units that message's probe cost (the entries sum
-  /// to what the batch added to `wc`) — this is what MatchCompleted reports
-  /// instead of a batch average. `scratch`, when non-null, is caller-owned
-  /// probe scratch reused across calls; offload workers must pass their own
-  /// (the engine-internal fallback is not thread-safe).
+  /// `scratch` is the caller's probe scratch. `per_msg_work`, when
+  /// non-null, receives one appended entry per message with the exact work
+  /// units that message's probe cost (the entries sum to what the batch
+  /// added to `wc`); this is what MatchCompleted reports instead of a
+  /// batch average.
   virtual void match_batch(std::span<const Message> msgs,
                            std::vector<MatchHit>& hits,
                            std::vector<std::uint32_t>& offsets,
-                           WorkCounter& wc,
-                           std::vector<double>* per_msg_work = nullptr,
-                           MatchScratch* scratch = nullptr) const;
+                           WorkCounter& wc, MatchScratch& scratch,
+                           std::vector<double>* per_msg_work = nullptr) const = 0;
 
-  /// Cheap estimate (O(1) or O(log n)) of the work units match() would
+  /// Cheap estimate (O(1) or O(log n)) of the work units match_batch would
   /// spend on `m`. Used by the simulator's cost-only mode and by the
   /// forwarding-policy load estimates.
   virtual double match_cost(const Message& m) const = 0;
 
   /// Visits all stored subscriptions (used for handover during elasticity).
+  /// The reference is valid only for the duration of the call.
   virtual void for_each(
-      const std::function<void(const SubPtr&)>& fn) const = 0;
+      const std::function<void(const Subscription&)>& fn) const = 0;
 };
 
 /// The values are fixed (test names and bench rows print them), so a

@@ -209,9 +209,7 @@ void MatcherNode::store_one(const Subscription& sub, DimId dim) {
     return;
   }
   if (dim == kWideDim) {
-    if (!wide_->contains(sub.id)) {
-      wide_->insert(std::make_shared<const Subscription>(sub));
-    }
+    wide_->insert(sub);
     return;
   }
   if (dim >= dims()) return;
@@ -230,13 +228,10 @@ void MatcherNode::store_one(const Subscription& sub, DimId dim) {
       cov_widened_->inc();
     }
     if (ops.erase) set.index->erase(ops.erase_id);
-    if (ops.insert) {
-      set.index->insert(
-          std::make_shared<const Subscription>(std::move(ops.insert_sub)));
-    }
+    if (ops.insert) set.index->insert(ops.insert_sub);
     return;
   }
-  set.index->insert(std::make_shared<const Subscription>(sub));
+  set.index->insert(sub);
 }
 
 bool MatcherNode::remove_one(SubscriptionId id, DimId dim) {
@@ -249,10 +244,7 @@ bool MatcherNode::remove_one(SubscriptionId id, DimId dim) {
     // from every service that starts after this write.
     CoverTable::RemoveResult ops = set.cover->remove(id);
     if (ops.erase) set.index->erase(ops.erase_id);
-    if (ops.insert) {
-      set.index->insert(
-          std::make_shared<const Subscription>(std::move(ops.insert_sub)));
-    }
+    if (ops.insert) set.index->insert(ops.insert_sub);
     return ops.found;
   }
   return set.index->erase(id);
@@ -395,10 +387,10 @@ void MatcherNode::service_batch(std::vector<MatchRequest> reqs,
       std::vector<double> dim_work, wide_work;
       dim_work.reserve(n);
       wide_work.reserve(n);
-      dim_index->match_batch(msgs, job->hits, job->offsets, wc, &dim_work,
-                             &scratch);
+      dim_index->match_batch(msgs, job->hits, job->offsets, wc, scratch,
+                             &dim_work);
       wide_index->match_batch(msgs, job->wide_hits, job->wide_offsets, wc,
-                              &wide_work, &scratch);
+                              scratch, &wide_work);
       work += wc.total();
       for (std::size_t i = 0; i < n; ++i) {
         job->per_req_work[i] += dim_work[i];
@@ -676,7 +668,7 @@ void MatcherNode::for_each_stored(
   if (set.cover != nullptr) {
     set.cover->for_each_member(fn);
   } else {
-    set.index->for_each([&](const SubPtr& sub) { fn(*sub); });
+    set.index->for_each(fn);
   }
 }
 
@@ -719,7 +711,7 @@ void MatcherNode::handle_split(NodeId /*from*/, const SplitCommand& msg) {
     HandoverSegment wide_handover;
     wide_handover.dim = kWideDim;
     wide_->for_each(
-        [&](const SubPtr& sub) { wide_handover.subs.push_back(*sub); });
+        [&](const Subscription& sub) { wide_handover.subs.push_back(sub); });
     ctx_->send(msg.newcomer, Envelope::of(std::move(wide_handover)));
   }
 }

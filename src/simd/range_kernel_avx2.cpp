@@ -23,6 +23,16 @@ inline int range_mask(__m256d lo, __m256d hi, __m256d v) {
   return _mm256_movemask_pd(in);
 }
 
+// base[idx[0..3]]. The unmasked _mm256_i32gather_pd starts from
+// _mm256_undefined_pd(), a self-initialised local that GCC reports as
+// maybe-uninitialized once inlined; the masked form with a zero source
+// and every lane enabled is the same vgatherdpd.
+inline __m256d gather4(const double* base, __m128i idx) {
+  return _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), base, idx,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+}
+
 // mask -> the selected lane ids packed to the front (ascending), junk lanes
 // repeating lane 0 behind them. Drives the branchless left-pack: a shuffle
 // by kLaneLut[mask] followed by one unconditional 4-lane store replaces the
@@ -72,8 +82,7 @@ std::size_t compact_avx2(const double* lo, const double* hi, double v,
     // argument as scan_avx2 (kept+3 <= j+3 <= count-1).
     const __m128i idx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-    const int mask = range_mask(_mm256_i32gather_pd(lo, idx, 8),
-                                _mm256_i32gather_pd(hi, idx, 8), vv);
+    const int mask = range_mask(gather4(lo, idx), gather4(hi, idx), vv);
     const __m128i perm =
         _mm_load_si128(reinterpret_cast<const __m128i*>(kLaneLut[mask]));
     const __m128i packed = _mm_castps_si128(

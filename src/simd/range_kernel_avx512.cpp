@@ -25,6 +25,14 @@ inline __mmask8 range_mask8(__m512d lo, __m512d hi, __m512d v) {
          _mm512_cmp_pd_mask(v, hi, _CMP_LT_OQ);
 }
 
+// base[idx[0..7]]. The unmasked _mm512_i32gather_pd starts from
+// _mm512_undefined_pd(), a self-initialised local that GCC reports as
+// maybe-uninitialized once inlined; the masked form with a zero source
+// and every lane enabled is the same vgatherdpd.
+inline __m512d gather8(const double* base, __m256i idx) {
+  return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx, base, 8);
+}
+
 std::size_t scan_avx512(const double* lo, const double* hi, std::size_t n,
                         double v, std::uint32_t* sel) {
   const __m512d vv = _mm512_set1_pd(v);
@@ -56,8 +64,7 @@ std::size_t compact_avx512(const double* lo, const double* hi, double v,
     // (kept <= j always), so the store cannot clobber this group's input.
     const __m256i idx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + j));
-    const __mmask8 mask = range_mask8(_mm512_i32gather_pd(idx, lo, 8),
-                                      _mm512_i32gather_pd(idx, hi, 8), vv);
+    const __mmask8 mask = range_mask8(gather8(lo, idx), gather8(hi, idx), vv);
     _mm256_mask_compressstoreu_epi32(sel + kept, mask, idx);
     kept += static_cast<std::size_t>(__builtin_popcount(mask));
   }

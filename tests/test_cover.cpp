@@ -22,6 +22,7 @@
 #include "cover/cover_table.h"
 #include "harness/experiment.h"
 #include "index/subscription_index.h"
+#include "index_probe.h"
 #include "obs/audit.h"
 #include "workload/generators.h"
 
@@ -30,6 +31,7 @@ namespace {
 
 using obs::Audit;
 using obs::AuditKind;
+using testing_probe::probe_one;
 
 std::vector<Range> domains2() { return {Range{0.0, 100.0}, Range{0.0, 100.0}}; }
 
@@ -204,14 +206,12 @@ TEST(CoverTable, RandomizedDifferentialAgainstUncoveredIndex) {
 
   auto apply = [&](const CoverTable::IndexOp& op) {
     if (op.erase) covered->erase(op.erase_id);
-    if (op.insert) {
-      covered->insert(std::make_shared<const Subscription>(op.insert_sub));
-    }
+    if (op.insert) covered->insert(op.insert_sub);
   };
   std::vector<Subscription> subs = gen.batch(3000);
   for (const Subscription& sub : subs) {
     apply(table.add(sub));
-    uncovered->insert(std::make_shared<const Subscription>(sub));
+    uncovered->insert(sub);
   }
   // Unsubscribe every 7th — some pass-throughs, some covered members.
   for (std::size_t i = 0; i < subs.size(); i += 7) {
@@ -228,10 +228,8 @@ TEST(CoverTable, RandomizedDifferentialAgainstUncoveredIndex) {
   std::uint64_t matched = 0;
   for (int i = 0; i < 200; ++i) {
     const Message msg = mgen.next();
-    std::vector<MatchHit> want;
-    uncovered->match_hits(msg, want, wc);
-    std::vector<MatchHit> raw;
-    covered->match_hits(msg, raw, wc);
+    const std::vector<MatchHit> want = probe_one(*uncovered, msg, wc);
+    const std::vector<MatchHit> raw = probe_one(*covered, msg, wc);
     std::vector<MatchHit> got;
     for (const MatchHit& hit : raw) {
       if (CoverTable::is_rep(hit.id)) {

@@ -23,6 +23,7 @@
 #include "common/thread_safety.h"
 #include "index/linear_scan_index.h"
 #include "index/subscription_index.h"
+#include "index_probe.h"
 #include "net/cluster_table.h"
 #include "net/tcp_transport.h"
 #include "node/matcher_node.h"
@@ -269,12 +270,9 @@ TEST(ThreadClusterOffload, WorkRunsOffNodeThreadCompletionOnIt) {
 // ---------------------------------------------------------------------------
 
 std::vector<SubscriptionId> hit_ids(const SubscriptionIndex& index,
-                                    const Message& m, MatchScratch& scratch) {
-  std::vector<MatchHit> hits;
-  std::vector<std::uint32_t> offsets;
+                                    const Message& m) {
   WorkCounter wc;
-  index.match_batch(std::span<const Message>(&m, 1), hits, offsets, wc,
-                    nullptr, &scratch);
+  const std::vector<MatchHit> hits = testing_probe::probe_one(index, m, wc);
   std::vector<SubscriptionId> ids;
   ids.reserve(hits.size());
   for (const MatchHit& h : hits) ids.push_back(h.id);
@@ -301,9 +299,9 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
   Rng rng(99);
   for (SubscriptionId id = 1; id <= 200; ++id) {
     const Subscription sub = pivot_sub(id, rng.uniform(0.0, 80.0), 15.0);
-    probed->insert(std::make_shared<const Subscription>(sub));
+    probed->insert(sub);
     // Every second subscription is also held by the other index.
-    if (id % 2 == 0) written->insert(std::make_shared<const Subscription>(sub));
+    if (id % 2 == 0) written->insert(sub);
   }
 
   std::vector<Message> probes;
@@ -314,19 +312,15 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
     probes.push_back(m);
   }
   std::vector<std::vector<SubscriptionId>> expected;
-  MatchScratch setup_scratch;
-  for (const Message& m : probes) {
-    expected.push_back(hit_ids(*probed, m, setup_scratch));
-  }
+  for (const Message& m : probes) expected.push_back(hit_ids(*probed, m));
 
   std::atomic<bool> stop{false};
   std::atomic<int> rounds{0};
   std::atomic<int> mismatches{0};
   std::thread reader([&] {
-    MatchScratch scratch;
     while (!stop.load(std::memory_order_acquire) || rounds.load() == 0) {
       for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (hit_ids(*probed, probes[i], scratch) != expected[i]) {
+        if (hit_ids(*probed, probes[i]) != expected[i]) {
           mismatches.fetch_add(1);
         }
       }
@@ -339,8 +333,7 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
   for (SubscriptionId id = 2; id <= 200; id += 2) written->erase(id);
   for (int wave = 0; wave < 3; ++wave) {
     for (SubscriptionId id = 1000; id < 3000; ++id) {
-      written->insert(std::make_shared<const Subscription>(
-          pivot_sub(id, rng.uniform(0.0, 80.0), 15.0)));
+      written->insert(pivot_sub(id, rng.uniform(0.0, 80.0), 15.0));
     }
     for (SubscriptionId id = 1000; id < 3000; ++id) written->erase(id);
   }
@@ -874,7 +867,7 @@ TEST(WriteDeferral, OneCoreHoldsWriteUntilCompletion) {
   };
   LinearScanIndex probed_table(0);
   for (SubscriptionId id = 1; id <= 3; ++id) {
-    probed_table.insert(std::make_shared<const Subscription>(duplicate(id)));
+    probed_table.insert(duplicate(id));
     cluster.inject(kMatcher,
                    Envelope::of(StoreSubscription{duplicate(id), 0}));
   }
@@ -886,9 +879,7 @@ TEST(WriteDeferral, OneCoreHoldsWriteUntilCompletion) {
   req.msg.id = 1;
   req.msg.values = {50.0, 50.0};
   req.dim = 0;
-  MatchScratch scratch;
-  const std::vector<SubscriptionId> want =
-      hit_ids(probed_table, req.msg, scratch);
+  const std::vector<SubscriptionId> want = hit_ids(probed_table, req.msg);
   cluster.inject(kMatcher, Envelope::of(std::move(req)));
   cluster.inject(kMatcher, Envelope::of(StoreSubscription{duplicate(4), 0}));
   latch->release.store(true);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -421,9 +422,9 @@ TEST(UntrustedCounts, DeliveryValuesCountThatWrapsItsByteSize) {
   EXPECT_FALSE(r.ok());
 
   // The same bytes as a frame parsed with an owner, as TcpHost parses.
-  auto body = std::make_shared<std::vector<std::uint8_t>>(
-      std::vector<std::uint8_t>{1, 0, 0, 0});
-  body->insert(body->end(), w.bytes().begin(), w.bytes().end());
+  auto body = std::make_shared<std::vector<std::uint8_t>>(4 + w.size());
+  (*body)[0] = 1;
+  std::copy(w.bytes().begin(), w.bytes().end(), body->begin() + 4);
   net::wire::ParsedFrame frame;
   EXPECT_NO_THROW(frame =
                       net::wire::parse_frame(body->data(), body->size(), body));

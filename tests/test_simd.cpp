@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "index/flat_bucket_index.h"
 #include "index/subscription_index.h"
+#include "index_probe.h"
 #include "simd/range_kernel.h"
 #include "workload/generators.h"
 
@@ -28,6 +29,7 @@ namespace {
 
 using simd::KernelKind;
 using simd::RangeKernel;
+using testing_probe::probe_one;
 
 /// Restores the active kernel to auto-dispatch when a test exits, so test
 /// order never leaks a forced kernel into unrelated suites.
@@ -205,7 +207,7 @@ TEST(SimdDifferential, FlatBucketIndexIdenticalUnderEveryKernel) {
   wl.predicate_width = 130.0;
   SubscriptionGenerator gen(wl, 909);
   for (int i = 0; i < 1500; ++i) {
-    index.insert(std::make_shared<const Subscription>(gen.next()));
+    index.insert(gen.next());
   }
 
   MessageWorkload mwl;
@@ -218,10 +220,10 @@ TEST(SimdDifferential, FlatBucketIndexIdenticalUnderEveryKernel) {
   ASSERT_TRUE(simd::set_kernel("scalar"));
   std::vector<std::vector<SubscriptionId>> ref_single(msgs.size());
   for (std::size_t i = 0; i < msgs.size(); ++i) {
-    std::vector<MatchHit> hits;
     WorkCounter wc;
-    index.match_hits(msgs[i], hits, wc);
-    for (const auto& h : hits) ref_single[i].push_back(h.id);
+    for (const auto& h : probe_one(index, msgs[i], wc)) {
+      ref_single[i].push_back(h.id);
+    }
   }
   std::vector<MatchHit> ref_batch_hits;
   std::vector<std::uint32_t> ref_offsets;
@@ -229,16 +231,15 @@ TEST(SimdDifferential, FlatBucketIndexIdenticalUnderEveryKernel) {
   {
     WorkCounter wc;
     MatchScratch scratch;
-    index.match_batch(msgs, ref_batch_hits, ref_offsets, wc, &ref_work,
-                      &scratch);
+    index.match_batch(msgs, ref_batch_hits, ref_offsets, wc, scratch,
+                      &ref_work);
   }
 
   for (const RangeKernel* k : runnable_kernels()) {
     ASSERT_TRUE(simd::set_kernel(k->name));
     for (std::size_t i = 0; i < msgs.size(); ++i) {
-      std::vector<MatchHit> hits;
       WorkCounter wc;
-      index.match_hits(msgs[i], hits, wc);
+      const std::vector<MatchHit> hits = probe_one(index, msgs[i], wc);
       ASSERT_EQ(hits.size(), ref_single[i].size())
           << k->name << " msg " << i;
       for (std::size_t j = 0; j < hits.size(); ++j) {
@@ -251,7 +252,7 @@ TEST(SimdDifferential, FlatBucketIndexIdenticalUnderEveryKernel) {
     std::vector<double> bw;
     WorkCounter wc;
     MatchScratch scratch;
-    index.match_batch(msgs, bh, bo, wc, &bw, &scratch);
+    index.match_batch(msgs, bh, bo, wc, scratch, &bw);
     ASSERT_EQ(bh.size(), ref_batch_hits.size()) << k->name;
     for (std::size_t j = 0; j < bh.size(); ++j) {
       ASSERT_EQ(bh[j].id, ref_batch_hits[j].id) << k->name << " hit " << j;

@@ -151,8 +151,8 @@ TEST(WireFraming, MultiEnvelopeFrameRoundTripsByteExactly) {
 
 TEST(WireFraming, ParseRejectsTruncatedAndEmptyFrames) {
   const auto bytes = serialize(sample_publish(5));
-  std::vector<std::uint8_t> frame(8);
-  frame.insert(frame.end(), bytes.begin(), bytes.end());
+  std::vector<std::uint8_t> frame(8 + bytes.size());
+  std::copy(bytes.begin(), bytes.end(), frame.begin() + 8);
   net::wire::fill_header(frame.data(), static_cast<std::uint32_t>(bytes.size()),
                          3);
   // Truncated mid-envelope: not ok.
@@ -168,8 +168,8 @@ TEST(WireFraming, ParseRejectsTruncatedAndEmptyFrames) {
 
 std::vector<std::uint8_t> framed_publish(MessageId id, NodeId from) {
   const auto bytes = serialize(sample_publish(id));
-  std::vector<std::uint8_t> frame(8);
-  frame.insert(frame.end(), bytes.begin(), bytes.end());
+  std::vector<std::uint8_t> frame(8 + bytes.size());
+  std::copy(bytes.begin(), bytes.end(), frame.begin() + 8);
   net::wire::fill_header(frame.data(),
                          static_cast<std::uint32_t>(bytes.size()), from);
   return frame;
@@ -440,8 +440,8 @@ TEST(FrameReader, RetiredAndUnknownTagsAreMalformed) {
     SocketPair sp;
     auto bytes = publish_stream(2);
     const std::uint8_t body[] = {tag, 0, 9, 9};
-    std::vector<std::uint8_t> frame(8);
-    frame.insert(frame.end(), body, body + sizeof body);
+    std::vector<std::uint8_t> frame(8 + sizeof body);
+    std::copy(body, body + sizeof body, frame.begin() + 8);
     net::wire::fill_header(frame.data(), sizeof body, 5);
     bytes.insert(bytes.end(), frame.begin(), frame.end());
     ASSERT_TRUE(net::wire::write_all(sp.tx, bytes.data(), bytes.size()));

@@ -21,6 +21,9 @@
 //              random subscriptions, publish through them, report conn/s,
 //              msg/s, delivery latency percentiles and sequence continuity
 //
+// An option the subcommand does not read, a typo or another subcommand's,
+// is printed and exits 2 before the subcommand does any work.
+//
 // Common options (defaults mirror the paper's §IV-B setup, scaled):
 //   --system=bluedove|p2p|full-rep     --matchers=N        --dispatchers=N
 //   --subs=N          --dims=K         --sigma=S           --width=W
@@ -123,6 +126,17 @@ int usage() {
   return 2;
 }
 
+/// Prints each option no read so far and returns true when there was one.
+/// Every subcommand calls this after reading its options and before any
+/// work, so a mistyped option exits 2 instead of running with defaults.
+bool unknown_options(const CliArgs& args) {
+  const std::vector<std::string> unknown = args.unconsumed();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "bluedove_cli: unknown option --%s\n", key.c_str());
+  }
+  return !unknown.empty();
+}
+
 ExperimentConfig config_from(const CliArgs& args) {
   ExperimentConfig cfg;
   const std::string system = args.get("system", "bluedove");
@@ -197,14 +211,15 @@ void print_window(Deployment& dep, Timestamp t0) {
 
 int cmd_saturate(const CliArgs& args) {
   ExperimentConfig cfg = config_from(args);
-  Deployment dep(cfg);
-  dep.start();
   Deployment::ProbeOptions probe;
   probe.start_rate = args.get_double("start-rate", 2000.0);
   probe.growth = args.get_double("growth", 1.7);
   probe.warmup = args.get_double("warmup", 2.0);
   probe.measure = args.get_double("measure", 6.0);
   probe.refine_steps = static_cast<int>(args.get_int("refine", 3));
+  if (unknown_options(args)) return 2;
+  Deployment dep(cfg);
+  dep.start();
   const double sat = dep.find_saturation_rate(probe);
   std::printf("%s matchers=%zu subs=%zu policy=%s -> saturation %.0f msg/s\n",
               to_string(cfg.system), cfg.matchers, cfg.subscriptions,
@@ -217,6 +232,8 @@ int cmd_run(const CliArgs& args) {
   cfg.sim.digest = args.get_bool("digest", false);
   const double rate = args.get_double("rate", 10000.0);
   const double duration = args.get_double("duration", 60.0);
+  const std::string stats_path = args.get("stats-json", "");
+  if (unknown_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   dep.set_rate(rate);
@@ -240,7 +257,6 @@ int cmd_run(const CliArgs& args) {
     const auto it = snap.histograms.find(name);
     if (it != snap.histograms.end()) print_histogram_row(name, it->second);
   }
-  const std::string stats_path = args.get("stats-json", "");
   if (!stats_path.empty()) {
     if (obs::write_json_file(stats_path, snap)) {
       std::printf("cluster metrics snapshot written to %s\n",
@@ -330,6 +346,9 @@ int cmd_stats(const CliArgs& args) {
   const double timeout = args.get_double("timeout", 5.0);
   const double watch = args.get_double("watch", 0.0);
   const int watch_count = static_cast<int>(args.get_int("watch-count", 0));
+  const bool json = args.get_bool("json", false);
+  const bool prom = args.get_bool("prom", false);
+  if (unknown_options(args)) return 2;
   if (watch > 0.0) return stats_watch(ep, self, timeout, watch, watch_count);
   Envelope resp;
   if (!net::TcpHost::request_reply(ep, self, Envelope::of(StatsRequest{}),
@@ -343,7 +362,7 @@ int cmd_stats(const CliArgs& args) {
     std::fprintf(stderr, "stats: unexpected reply %s\n", payload_name(resp));
     return 1;
   }
-  if (args.get_bool("json", false)) {
+  if (json) {
     std::printf("%s\n", sr->json.c_str());
     return 0;
   }
@@ -353,7 +372,7 @@ int cmd_stats(const CliArgs& args) {
                  sr->json.c_str());
     return 1;
   }
-  if (args.get_bool("prom", false)) {
+  if (prom) {
     std::fputs(obs::to_prometheus(snap).c_str(), stdout);
     return 0;
   }
@@ -411,9 +430,12 @@ int cmd_trace_dump(const CliArgs& args) {
   net::TcpEndpoint ep;
   if (!parse_peer(args, "trace-dump", ep)) return 2;
   const auto self = static_cast<NodeId>(args.get_int("id", 999999));
+  const double timeout = args.get_double("timeout", 10.0);
+  const std::string out = args.get("out", "");
+  if (unknown_options(args)) return 2;
   Envelope resp;
   if (!net::TcpHost::request_reply(ep, self, Envelope::of(TraceDumpRequest{}),
-                                   &resp, args.get_double("timeout", 10.0))) {
+                                   &resp, timeout)) {
     std::fprintf(stderr, "trace-dump: no response from %s:%u\n",
                  ep.host.c_str(), ep.port);
     return 1;
@@ -424,7 +446,6 @@ int cmd_trace_dump(const CliArgs& args) {
                  payload_name(resp));
     return 1;
   }
-  const std::string out = args.get("out", "");
   if (out.empty()) {
     std::fputs(tr->json.c_str(), stdout);
     std::fputc('\n', stdout);
@@ -453,6 +474,8 @@ int cmd_trace_selftest(const CliArgs& args) {
   const auto subs = static_cast<SubscriptionId>(args.get_int("subs", 500));
   const auto count = static_cast<MessageId>(args.get_int("count", 2000));
   const int cores = static_cast<int>(args.get_int("cores", 2));
+  const std::int64_t seed = args.get_int("seed", 2011);
+  if (unknown_options(args)) return 2;
 
   constexpr NodeId kMatcher = 100;
   constexpr NodeId kSink = 7;
@@ -498,7 +521,7 @@ int cmd_trace_selftest(const CliArgs& args) {
   cluster.add_node(kMatcher, std::move(matcher));
   cluster.start_all();
 
-  Rng rng(args.get_int("seed", 2011));
+  Rng rng(seed);
   for (SubscriptionId id = 1; id <= subs; ++id) {
     Subscription sub;
     sub.id = id;
@@ -585,12 +608,17 @@ int cmd_blast(const CliArgs& args) {
   wire.batch = static_cast<int>(args.get_int("wire-batch", 32));
   wire.queue_capacity =
       static_cast<std::size_t>(args.get_int("wire-queue", 65536));
+  const auto self = static_cast<NodeId>(args.get_int("id", 999998));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto subs = static_cast<std::uint64_t>(args.get_int("subs", 0));
+  const double sub_width = args.get_double("sub-width", domain_len / 4.0);
+  const double sub_settle = args.get_double("sub-settle", 0.5);
+  const double timeout = args.get_double("timeout", 30.0);
+  if (unknown_options(args)) return 2;
 
   auto node = std::make_unique<BlastNode>();
   BlastNode* blast = node.get();
-  net::TcpHost host(static_cast<NodeId>(args.get_int("id", 999998)), 0,
-                    std::move(node),
-                    static_cast<std::uint64_t>(args.get_int("seed", 1)), wire);
+  net::TcpHost host(self, 0, std::move(node), seed, wire);
   if (host.port() == 0) {
     std::fprintf(stderr, "blast: failed to bind a local port\n");
     return 1;
@@ -601,11 +629,9 @@ int cmd_blast(const CliArgs& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  Rng rng(seed);
   // Optional pre-load: file subscriptions so the publish storm actually
   // matches and delivers something downstream.
-  const auto subs = static_cast<std::uint64_t>(args.get_int("subs", 0));
-  const double sub_width = args.get_double("sub-width", domain_len / 4.0);
   for (std::uint64_t s = 1; s <= subs; ++s) {
     Subscription sub;
     sub.id = s;
@@ -620,8 +646,8 @@ int cmd_blast(const CliArgs& args) {
   }
   if (subs > 0) {
     // Let the stores propagate dispatcher -> matchers before publishing.
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        static_cast<int>(args.get_double("sub-settle", 0.5) * 1e3)));
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(static_cast<int>(sub_settle * 1e3)));
   }
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 1; i <= count; ++i) {
@@ -636,7 +662,7 @@ int cmd_blast(const CliArgs& args) {
   // was dropped by backpressure), then report.
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::duration<double>(args.get_double("timeout", 30.0));
+      std::chrono::duration<double>(timeout);
   std::uint64_t sent = 0;
   while (std::chrono::steady_clock::now() < deadline) {
     sent = host.wire_metrics().snapshot().counters.at("wire.envelopes_sent");
@@ -695,24 +721,26 @@ int cmd_edge_blast(const CliArgs& args) {
   gen.domain = args.get_double("domain", 1000.0);
   gen.width = args.get_double("sub-width", gen.domain / 4.0);
   gen.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::size_t fd_limit = net::raise_fd_limit(1u << 20);
-  std::printf("edge-blast: RLIMIT_NOFILE soft limit %zu\n", fd_limit);
-
   edge::SwarmConfig scfg;
   scfg.endpoint = ep;
   scfg.drivers = static_cast<int>(args.get_int("drivers", 2));
+  const double timeout = args.get_double("timeout", 60.0);
+  const double sub_settle = args.get_double("sub-settle", 0.5);
+  if (unknown_options(args)) return 2;
+  const std::size_t fd_limit = net::raise_fd_limit(1u << 20);
+  std::printf("edge-blast: RLIMIT_NOFILE soft limit %zu\n", fd_limit);
+
   edge::Swarm swarm(scfg);
   const auto t0 = std::chrono::steady_clock::now();
-  const int opened = swarm.open(conns, edge_blast_sub, &gen,
-                                args.get_double("timeout", 60.0));
+  const int opened = swarm.open(conns, edge_blast_sub, &gen, timeout);
   const double conn_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   std::printf("edge-blast: %d/%d sessions in %.3fs -> %.0f conn/s\n", opened,
               conns, conn_secs, static_cast<double>(opened) / conn_secs);
   if (opened == 0) return 1;
-  std::this_thread::sleep_for(std::chrono::milliseconds(
-      static_cast<int>(args.get_double("sub-settle", 0.5) * 1e3)));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(static_cast<int>(sub_settle * 1e3)));
 
   Rng rng(gen.seed);
   std::vector<Value> values(gen.dims);
@@ -721,7 +749,7 @@ int cmd_edge_blast(const CliArgs& args) {
     for (auto& v : values) v = rng.uniform(0.0, gen.domain);
     swarm.publish(values, payload);
   }
-  swarm.drain(0.5, args.get_double("timeout", 60.0));
+  swarm.drain(0.5, timeout);
   const double pub_secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - p0)
           .count();
@@ -747,6 +775,7 @@ int cmd_crash(const CliArgs& args) {
   const double rate = args.get_double("rate", 10000.0);
   const double kill_every = args.get_double("kill-every", 60.0);
   const int kills = static_cast<int>(args.get_int("kills", 4));
+  if (unknown_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   dep.set_rate(rate);
@@ -780,6 +809,7 @@ int cmd_scale(const CliArgs& args) {
   const double step = args.get_double("step", 500.0);
   const double step_secs = args.get_double("step-secs", 30.0);
   const int steps = static_cast<int>(args.get_int("steps", 12));
+  if (unknown_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   double rate = step;
@@ -819,31 +849,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = args.positional()[0];
-  int rc;
-  if (cmd == "saturate") {
-    rc = cmd_saturate(args);
-  } else if (cmd == "run") {
-    rc = cmd_run(args);
-  } else if (cmd == "crash") {
-    rc = cmd_crash(args);
-  } else if (cmd == "scale") {
-    rc = cmd_scale(args);
-  } else if (cmd == "stats") {
-    rc = cmd_stats(args);
-  } else if (cmd == "trace-dump") {
-    rc = cmd_trace_dump(args);
-  } else if (cmd == "trace-selftest") {
-    rc = cmd_trace_selftest(args);
-  } else if (cmd == "blast") {
-    rc = cmd_blast(args);
-  } else if (cmd == "edge-blast") {
-    rc = cmd_edge_blast(args);
-  } else {
-    return usage();
-  }
-  for (const std::string& key : args.unconsumed()) {
-    std::fprintf(stderr, "warning: unknown option --%s ignored\n",
-                 key.c_str());
-  }
-  return rc;
+  if (cmd == "saturate") return cmd_saturate(args);
+  if (cmd == "run") return cmd_run(args);
+  if (cmd == "crash") return cmd_crash(args);
+  if (cmd == "scale") return cmd_scale(args);
+  if (cmd == "stats") return cmd_stats(args);
+  if (cmd == "trace-dump") return cmd_trace_dump(args);
+  if (cmd == "trace-selftest") return cmd_trace_selftest(args);
+  if (cmd == "blast") return cmd_blast(args);
+  if (cmd == "edge-blast") return cmd_edge_blast(args);
+  return usage();
 }

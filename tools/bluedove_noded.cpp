@@ -65,11 +65,12 @@
 // flight-recorder contents; SIGUSR2 dumps the same trace to --trace-json
 // for roles that cannot answer envelopes (the sink).
 //
-// Example 3-matcher cluster on one machine:
+// Example 3-matcher cluster on one machine, one command per process (an
+// indented line continues the command above it):
 //   bluedove_noded --role=sink       --id=2    --port=7002 &
-//   bluedove_noded --role=dispatcher --id=10   --port=7010 \
+//   bluedove_noded --role=dispatcher --id=10   --port=7010
 //       --cluster=1000,1001,1002 --peers=1000@127.0.0.1:8000,... &
-//   bluedove_noded --role=matcher    --id=1000 --port=8000 \
+//   bluedove_noded --role=matcher    --id=1000 --port=8000
 //       --cluster=1000,1001,1002 --dispatchers=10 --sink=2 --peers=... &
 //   ... then publish with any TCP client that speaks the frame format
 //   (tests/test_tcp.cpp shows one).
