@@ -1,6 +1,11 @@
 // Microbenchmarks for the subscription matching engines (real wall-clock
 // performance, unlike the figure benches which run on simulated time).
 // Also serves as the ablation for the DESIGN.md index-engine choice.
+//
+// A full run prints the memory table, runs both SIMD sweeps and the rows,
+// and rewrites BENCH_index.json and BENCH_micro_index.json in the current
+// directory. A run given --benchmark_filter runs only the rows it selects
+// and writes no file; --memory-only prints only the memory table.
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -493,9 +498,13 @@ int main(int argc, char** argv) {
   std::string simd_mode = "auto";
   bool memory_only = false;
   double memory_scale = 1.0;
+  bool filtered = false;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Left for gbench to read; a filtered run is a drill-down into the
+    // rows it selects, not a refresh of the committed files.
+    filtered = filtered || arg.rfind("--benchmark_filter", 0) == 0;
     if (arg.rfind("--simd=", 0) == 0) {
       simd_mode = arg.substr(7);
     } else if (arg == "--memory-only") {
@@ -514,6 +523,12 @@ int main(int argc, char** argv) {
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (filtered && !memory_only) {
+    // Only the selected rows: no memory table, no SIMD sweeps, no JSON.
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  }
 
   std::vector<const simd::RangeKernel*> kernels;
   for (const simd::RangeKernel* k : simd::compiled_kernels()) {

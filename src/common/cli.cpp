@@ -1,8 +1,20 @@
 #include "common/cli.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace bluedove {
+
+std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                        std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 CliArgs CliArgs::parse(int argc, const char* const* argv) {
   CliArgs args;
@@ -38,6 +50,16 @@ std::int64_t CliArgs::get_int(const std::string& key,
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+std::optional<std::uint64_t> CliArgs::get_uint(const std::string& key,
+                                               std::uint64_t fallback,
+                                               std::uint64_t lo,
+                                               std::uint64_t hi) const {
+  consumed_[key] = true;
+  auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_uint(it->second, lo, hi);
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {

@@ -7,9 +7,15 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bluedove {
+
+/// The whole of `text` as a decimal integer in [lo, hi]; nullopt for an
+/// empty string, a sign, any other character, or a value out of range.
+std::optional<std::uint64_t> parse_uint(std::string_view text,
+                                        std::uint64_t lo, std::uint64_t hi);
 
 class CliArgs {
  public:
@@ -23,6 +29,12 @@ class CliArgs {
   std::string get(const std::string& key,
                   const std::string& fallback = "") const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// The value as a whole decimal integer in [lo, hi] (parse_uint), or
+  /// `fallback` when the key is absent; nullopt when present but not one.
+  std::optional<std::uint64_t> get_uint(const std::string& key,
+                                        std::uint64_t fallback,
+                                        std::uint64_t lo,
+                                        std::uint64_t hi) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

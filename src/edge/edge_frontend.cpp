@@ -12,7 +12,9 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/logging.h"
 #include "common/thread_safety.h"
 #include "net/reactor.h"
@@ -37,6 +39,98 @@ double mono_seconds() {
   static const clock::time_point epoch = clock::now();
   return std::chrono::duration<double>(clock::now() - epoch).count();
 }
+
+/// A session's live subscriptions in one flat table: a slot per
+/// subscription holding the client's id, the edge-global id the cluster
+/// sees (rewritten on the way in so concurrent clients cannot collide) and
+/// a span of one shared range arena, indexed both ways by FlatIdMap. No
+/// subscription costs a heap block, and rewriting a delivery's id is one
+/// flat probe plus one array read.
+class SubTable {
+ public:
+  static constexpr std::uint32_t kNone = FlatIdMap::kNone;
+
+  std::uint32_t by_client(std::uint64_t client_id) const {
+    return by_client_.find(client_id);
+  }
+  std::uint32_t by_gid(std::uint64_t gid) const { return by_gid_.find(gid); }
+  std::uint64_t client_id(std::uint32_t slot) const {
+    return slots_[slot].client_id;
+  }
+
+  void add(std::uint64_t client_id, std::uint64_t gid,
+           const std::vector<Range>& ranges) {
+    std::uint32_t i = 0;
+    if (free_.empty()) {
+      i = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      i = free_.back();
+      free_.pop_back();
+    }
+    slots_[i] = {client_id, gid, static_cast<std::uint32_t>(ranges_.size()),
+                 static_cast<std::uint32_t>(ranges.size())};
+    ranges_.insert(ranges_.end(), ranges.begin(), ranges.end());
+    by_client_.set(client_id, i);
+    by_gid_.set(gid, i);
+  }
+
+  /// The subscription in `slot` as the cluster knows it, for withdrawal.
+  Subscription subscription(std::uint32_t slot,
+                            std::uint64_t subscriber) const {
+    const Slot& s = slots_[slot];
+    const auto first = ranges_.begin() + s.first;
+    return Subscription{s.gid, subscriber, {first, first + s.dims}};
+  }
+
+  /// Frees `slot`. Its span of the arena is dead until the arena is
+  /// repacked, which happens once dead entries outnumber live ones, so
+  /// the arena stays within twice the live ranges.
+  void erase(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    by_client_.erase(s.client_id);
+    by_gid_.erase(s.gid);
+    dead_ += s.dims;
+    s.dims = 0;
+    free_.push_back(slot);
+    if (dead_ * 2 > ranges_.size()) repack();
+  }
+
+  /// Calls fn(slot) for every live subscription.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    by_gid_.for_each([&](std::uint64_t, std::uint32_t slot) { fn(slot); });
+  }
+
+  void clear() { *this = SubTable{}; }
+
+ private:
+  struct Slot {
+    std::uint64_t client_id = 0;
+    std::uint64_t gid = 0;
+    std::uint32_t first = 0;  ///< offset of the ranges in ranges_
+    std::uint32_t dims = 0;   ///< 0 while the slot is free
+  };
+
+  void repack() {
+    std::vector<Range> packed;
+    packed.reserve(ranges_.size() - dead_);
+    for (Slot& s : slots_) {
+      const auto first = ranges_.begin() + s.first;
+      s.first = static_cast<std::uint32_t>(packed.size());
+      packed.insert(packed.end(), first, first + s.dims);
+    }
+    ranges_ = std::move(packed);
+    dead_ = 0;
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< free slots, reused last-in first
+  std::vector<Range> ranges_;
+  std::size_t dead_ = 0;  ///< ranges_ entries of freed slots
+  FlatIdMap by_client_;
+  FlatIdMap by_gid_;
+};
 
 }  // namespace
 
@@ -73,11 +167,7 @@ struct EdgeFrontend::Session {
   std::deque<EdgeEvent> ring;  ///< unacked deliveries, seq ascending
   Conn* conn = nullptr;        ///< nullptr while detached
   double detached_since = 0.0;
-  /// Client-chosen subscription ids <-> the edge-global ids the cluster
-  /// sees (rewritten on the way in so concurrent clients cannot collide).
-  std::unordered_map<std::uint64_t, std::uint64_t> client_to_global;
-  std::unordered_map<std::uint64_t, std::uint64_t> global_to_client;
-  std::unordered_map<std::uint64_t, Subscription> subs_by_global;
+  SubTable subs;
 };
 
 /// One reactor thread and everything it owns. Other threads reach it only
@@ -99,16 +189,16 @@ struct EdgeFrontend::Shard {
   obs::Gauge* conns_gauge = nullptr;
 
   /// Deliveries handed over by other threads, in arrival order. Only the
-  /// append that finds the batch empty posts a drain task, so a burst costs
-  /// one post however many deliveries it carries.
-  struct Pending {
-    Delivery delivery;
-    double enqueued_at = 0.0;
-  };
+  /// append that finds the batch empty posts a drain task and reads the
+  /// clock, so a burst costs one post and one clock read however many
+  /// deliveries it carries.
   bd::Mutex pending_mu;
-  std::vector<Pending> pending BD_GUARDED_BY(pending_mu);
+  std::vector<Delivery> pending BD_GUARDED_BY(pending_mu);
+  /// When the append that opened `pending` ran (mono_seconds).
+  double pending_since BD_GUARDED_BY(pending_mu) = 0.0;
   bool closed BD_GUARDED_BY(pending_mu) = false;  ///< stop() has run
-  std::vector<Pending> draining;  ///< the batch being drained; loop only
+  std::vector<Delivery> draining;  ///< the batch being drained; loop only
+  net::wire::ParsedFrame frame;     ///< handle_readable's parse target
 
   std::thread thread;  ///< runs `loop`; last, as it uses all of the above
 };
@@ -259,27 +349,45 @@ void EdgeFrontend::accept_all(Shard& r) {
 void EdgeFrontend::deliver(const Delivery& d) {
   if (shards_.empty()) return;
   Shard& r = shard_of(d.subscriber);
-  const double at = mono_seconds();
   {
     bd::LockGuard lk(r.pending_mu);
     if (r.closed) return;
     // The values and payload are refcount bumps, not byte copies.
-    r.pending.push_back({d, at});
+    r.pending.push_back(d);
     if (r.pending.size() > 1) return;  // a drain is already on its way
+    // This append opened the batch: the one clock read it costs.
+    r.pending_since = mono_seconds();
   }
   // Refused only once stop() has begun, which then drops the batch.
   r.loop.post([this, &r] { drain_deliveries(r); });
 }
 
 void EdgeFrontend::drain_deliveries(Shard& r) {
+  double since = 0.0;
   {
     bd::LockGuard lk(r.pending_mu);
     r.draining.swap(r.pending);  // hands back last drain's capacity
+    since = r.pending_since;
   }
-  for (Shard::Pending& p : r.draining) {
-    deliver_on_shard(r, std::move(p.delivery), p.enqueued_at);
+  std::uint64_t accepted = 0;
+  std::uint64_t written = 0;
+  for (Delivery& d : r.draining) {
+    switch (deliver_on_shard(r, std::move(d))) {
+      case Outcome::kWritten:
+        ++written;
+        [[fallthrough]];
+      case Outcome::kHeld:
+        ++accepted;
+        break;
+      case Outcome::kOrphaned:
+        break;
+    }
   }
   r.draining.clear();
+  // One metrics update for the batch: every delivery written records the
+  // batch's wait, from the append that opened it to now.
+  m_deliveries_->inc(accepted);
+  if (written > 0) m_delivery_latency_->record(mono_seconds() - since, written);
 }
 
 void EdgeFrontend::schedule_reap(Shard& r) {
@@ -330,11 +438,13 @@ void EdgeFrontend::adopt_conn(Shard& r, std::shared_ptr<Conn> conn) {
 
 void EdgeFrontend::handle_readable(Shard& r, Conn& c) {
   const int fd = c.fd;
+  // Every frame parses into the shard's one ParsedFrame, whose vector
+  // keeps its capacity from frame to frame.
+  net::wire::ParsedFrame& frame = r.frame;
   for (;;) {
     // Parsed with the refcounted buffer as owner, so every payload is a
     // zero-copy view that keeps the frame alive into the dispatcher (and,
     // for publishes, across the whole match pipeline).
-    net::wire::ParsedFrame frame;
     switch (c.reader.read(fd, r.loop.recv_buffer(), &frame)) {
       case net::FrameReader::Status::kFrame:
         break;
@@ -358,8 +468,9 @@ void EdgeFrontend::handle_readable(Shard& r, Conn& c) {
         break;
       }
       handle_envelope(r, c, std::move(env));
-      if (r.conns.find(fd) == r.conns.end()) return;  // closed mid-frame
+      if (r.conns.find(fd) == r.conns.end()) break;  // closed mid-frame
     }
+    frame.envelopes.clear();  // lets go of the frame; keeps the capacity
     if (r.conns.find(fd) == r.conns.end()) return;
   }
 }
@@ -384,40 +495,21 @@ void EdgeFrontend::handle_envelope(Shard& r, Conn& c, Envelope&& env) {
           Subscription sub = std::move(msg.sub);
           const std::uint64_t client_id = sub.id;
           // A reused client sub id replaces the previous subscription:
-          // withdraw the old global mapping first so it cannot keep
-          // matching (duplicate deliveries) or leak until session drop.
-          auto old = s->client_to_global.find(client_id);
-          if (old != s->client_to_global.end()) {
-            const std::uint64_t old_gid = old->second;
-            s->global_to_client.erase(old_gid);
-            auto sit = s->subs_by_global.find(old_gid);
-            if (sit != s->subs_by_global.end()) {
-              Subscription old_sub = std::move(sit->second);
-              s->subs_by_global.erase(sit);
-              m_unsubscribes_->inc();
-              ingress_(Envelope::of(ClientUnsubscribe{std::move(old_sub)}));
-            }
+          // withdraw the old one first so it cannot keep matching
+          // (duplicate deliveries) or leak until session drop.
+          if (const std::uint32_t old = s->subs.by_client(client_id);
+              old != SubTable::kNone) {
+            withdraw(*s, old);
           }
           const std::uint64_t gid = kEdgeIdBit | next_sub_id_.fetch_add(1);
           sub.id = gid;
           sub.subscriber = s->id;
-          s->client_to_global[client_id] = gid;
-          s->global_to_client[gid] = client_id;
-          s->subs_by_global[gid] = sub;
+          s->subs.add(client_id, gid, sub.ranges);
           m_subscribes_->inc();
           ingress_(Envelope::of(ClientSubscribe{std::move(sub)}));
         } else if constexpr (std::is_same_v<T, ClientUnsubscribe>) {
-          auto it = s->client_to_global.find(msg.sub.id);
-          if (it == s->client_to_global.end()) return;
-          const std::uint64_t gid = it->second;
-          s->client_to_global.erase(it);
-          s->global_to_client.erase(gid);
-          auto sit = s->subs_by_global.find(gid);
-          if (sit == s->subs_by_global.end()) return;
-          Subscription sub = std::move(sit->second);
-          s->subs_by_global.erase(sit);
-          m_unsubscribes_->inc();
-          ingress_(Envelope::of(ClientUnsubscribe{std::move(sub)}));
+          const std::uint32_t slot = s->subs.by_client(msg.sub.id);
+          if (slot != SubTable::kNone) withdraw(*s, slot);
         } else if constexpr (std::is_same_v<T, ClientPublish>) {
           msg.msg.id = kEdgeIdBit | next_msg_id_.fetch_add(1);
           m_publishes_->inc();
@@ -542,31 +634,33 @@ void EdgeFrontend::attach_session(Shard& r, Conn& c, const EdgeHello& hello) {
   }
 }
 
-void EdgeFrontend::deliver_on_shard(Shard& r, Delivery&& d,
-                                    double enqueued_at) {
+EdgeFrontend::Outcome EdgeFrontend::deliver_on_shard(Shard& r, Delivery&& d) {
   auto it = r.sessions.find(d.subscriber);
   if (it == r.sessions.end()) {
     m_deliveries_orphaned_->inc();
-    return;
+    return Outcome::kOrphaned;
   }
   Session& s = *it->second;
+  // The client sees its own subscription id. A delivery in flight across an
+  // unsubscribe or a replaced client id no longer maps and keeps the
+  // cluster's id (a known fault: ROADMAP, stale deliveries).
+  if (const std::uint32_t slot = s.subs.by_gid(d.sub_id);
+      slot != SubTable::kNone) {
+    d.sub_id = s.subs.client_id(slot);
+  }
   // The delivery moves into the event, the event is serialized where it
   // lies and then moves into the replay ring: the values and the payload
   // stay views of the matcher frame.
   Envelope env = Envelope::of(EdgeEvent{s.next_seq++, std::move(d)});
   EdgeEvent& ev = std::get<EdgeEvent>(env.payload);
-  auto g = s.global_to_client.find(ev.delivery.sub_id);
-  if (g != s.global_to_client.end()) ev.delivery.sub_id = g->second;
-  m_deliveries_->inc();
-  if (s.conn != nullptr) {
-    enqueue_event(r, *s.conn, env);
-    m_delivery_latency_->record(mono_seconds() - enqueued_at);
-  }
+  const bool written = s.conn != nullptr;
+  if (written) enqueue_event(r, *s.conn, env);
   if (s.ring.size() >= config_.replay_entries) {
     s.ring.pop_front();
     m_replay_overflow_->inc();
   }
   s.ring.push_back(std::move(ev));
+  return written ? Outcome::kWritten : Outcome::kHeld;
 }
 
 // --------------------------------------------------------------------------
@@ -654,15 +748,20 @@ void EdgeFrontend::reap_sessions(Shard& r) {
   m_sessions_gauge_->set(static_cast<double>(session_count_.load()));
 }
 
+void EdgeFrontend::withdraw(Session& s, std::uint32_t slot) {
+  Subscription sub = s.subs.subscription(slot, s.id);
+  s.subs.erase(slot);
+  m_unsubscribes_->inc();
+  ingress_(Envelope::of(ClientUnsubscribe{std::move(sub)}));
+}
+
 void EdgeFrontend::drop_session(Shard&, Session& s) {
   // Clean the cluster up behind the vanished client: every subscription
   // this session planted is withdrawn through the normal ingress path.
-  for (auto& [gid, sub] : s.subs_by_global) {
-    ingress_(Envelope::of(ClientUnsubscribe{sub}));
-  }
-  s.subs_by_global.clear();
-  s.client_to_global.clear();
-  s.global_to_client.clear();
+  s.subs.for_each([&](std::uint32_t slot) {
+    ingress_(Envelope::of(ClientUnsubscribe{s.subs.subscription(slot, s.id)}));
+  });
+  s.subs.clear();
 }
 
 }  // namespace bluedove::edge

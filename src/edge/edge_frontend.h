@@ -104,9 +104,10 @@ class EdgeFrontend {
   /// `subscriber` field is the session id). Thread-safe and non-blocking;
   /// called from the dispatcher node thread per fanned-back Delivery. The
   /// delivery joins its shard's pending batch under a short lock; only the
-  /// call that finds the batch empty posts a drain task, which hands the
-  /// whole batch to the reactor in arrival order, so per-session sequence
-  /// numbers follow call order. After stop() deliveries are dropped.
+  /// call that finds the batch empty reads the clock and posts a drain
+  /// task, which hands the whole batch to the reactor in arrival order, so
+  /// per-session sequence numbers follow call order. After stop()
+  /// deliveries are dropped.
   BD_ANY_THREAD void deliver(const Delivery& d);
 
   /// Edge instrumentation (edge.* namespace). Snapshot-safe from any
@@ -138,8 +139,15 @@ class EdgeFrontend {
   void schedule_reap(Shard& r);
   void reap_sessions(Shard& r);
   void drop_session(Shard& r, Session& s);
+  /// Withdraws the subscription in `slot` of `s` from the session and the
+  /// cluster.
+  void withdraw(Session& s, std::uint32_t slot);
   void drain_deliveries(Shard& r);
-  void deliver_on_shard(Shard& r, Delivery&& d, double enqueued_at);
+  /// What became of one delivery: written to the session's connection,
+  /// held in the replay ring of a detached session, or dropped because
+  /// the session or the subscription is gone.
+  enum class Outcome { kWritten, kHeld, kOrphaned };
+  Outcome deliver_on_shard(Shard& r, Delivery&& d);
 
   Shard& shard_of(std::uint64_t session) {
     return *shards_[session % shards_.size()];
@@ -185,7 +193,8 @@ class EdgeFrontend {
   obs::Gauge* m_sessions_gauge_ = nullptr;
   obs::Gauge* m_queue_high_water_ = nullptr;
   obs::LatencyHistogram* m_fanout_batch_ = nullptr;    ///< envelopes per frame
-  /// deliver() -> serialized into the session's connection (not written)
+  /// Per delivery written, its hand-off batch's wait: the deliver() that
+  /// opened the batch -> the end of the drain (an upper bound on its own)
   obs::LatencyHistogram* m_delivery_latency_ = nullptr;
 };
 

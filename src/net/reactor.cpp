@@ -284,7 +284,7 @@ FrameReader::Status FrameReader::read(int fd, std::span<std::uint8_t> scratch,
       }
       frame_bytes_ = b.len;
       const std::uint8_t* data = b.bytes.get();
-      *frame = wire::parse_frame(data, b.len, std::move(b.bytes));
+      wire::parse_frame(data, b.len, std::move(b.bytes), *frame);
       return frame->ok ? Status::kFrame : Status::kMalformed;
     }
     if (bad_prefix_) return Status::kMalformed;

@@ -169,7 +169,10 @@ class FrameReader {
 
   /// Hands out the next buffered frame, parsed with its own refcounted
   /// buffer as the payload owner (kFrame): every payload is a zero-copy
-  /// view that keeps that frame, and no other, alive. With no whole frame
+  /// view that keeps that frame, and no other, alive. The parse reuses
+  /// `frame`'s envelope vector (wire::parse_frame), so a caller that passes
+  /// the same ParsedFrame for every frame keeps one vector's capacity
+  /// instead of growing a fresh one per frame. With no whole frame
   /// buffered it makes one recv() into `scratch` and carves out every
   /// complete frame; a trailing partial frame is kept for the next recv().
   ///

@@ -123,7 +123,7 @@ void TcpHost::add_peer(NodeId id, TcpEndpoint endpoint) {
   // A connection to the old endpoint is dropped; the next send redials.
   reactor_.post([this, id] {
     auto it = dialed_.find(id);
-    if (it != dialed_.end()) close_conn(*conns_.at(it->second));
+    if (it != dialed_.end()) close_conn(*it->second);
   });
 }
 
@@ -234,8 +234,8 @@ TcpHost::Conn* TcpHost::adopt(int fd, NodeId dialed, bool connecting) {
   auto conn = std::make_unique<Conn>(fd, self_, ++next_serial_);
   conn->dialed = dialed;
   conn->connecting = connecting;
-  if (dialed != kInvalidNode) dialed_[dialed] = fd;
   Conn* c = conn.get();
+  if (dialed != kInvalidNode) dialed_[dialed] = c;
   conns_[fd] = std::move(conn);
   return c;
 }
@@ -247,8 +247,8 @@ bool TcpHost::read_frames(Conn& c) {
     // The refcounted frame buffer owns the parsed payloads: each is a view
     // that keeps the frame alive as long as any envelope (or any Delivery
     // fanned out from one) still references its bytes.
-    wire::ParsedFrame frame;
-    switch (c.reader.read(c.fd, reactor_.recv_buffer(), &frame)) {
+    // Every frame parses into frame_, whose vector keeps its capacity.
+    switch (c.reader.read(c.fd, reactor_.recv_buffer(), &frame_)) {
       case FrameReader::Status::kFrame:
         break;
       case FrameReader::Status::kBlocked:
@@ -259,16 +259,17 @@ bool TcpHost::read_frames(Conn& c) {
         return false;
     }
     obs::Recorder::instant(rec::frame_in(), 0, c.reader.frame_bytes());
-    if (frame.payload_copies != 0) {
-      m_payload_copies_->inc(frame.payload_copies);
-      m_payload_copy_bytes_->inc(frame.payload_bytes_copied);
+    if (frame_.payload_copies != 0) {
+      m_payload_copies_->inc(frame_.payload_copies);
+      m_payload_copy_bytes_->inc(frame_.payload_bytes_copied);
     }
     // Learn the return path so replies reach peers that have no registered
     // endpoint (admin scrapers, NAT'd clients).
-    if (frame.from != kInvalidNode) learned_[frame.from] = c.fd;
-    for (Envelope& env : frame.envelopes) {
-      loop_.node()->on_receive(frame.from, std::move(env));
+    if (frame_.from != kInvalidNode) learned_[frame_.from] = c.fd;
+    for (Envelope& env : frame_.envelopes) {
+      loop_.node()->on_receive(frame_.from, std::move(env));
     }
+    frame_.envelopes.clear();  // lets go of the frame; keeps the capacity
     // A handler's reply may have written this very connection and, on a
     // socket error, closed it (its fd possibly reused since).
     auto it = conns_.find(fd);
@@ -287,7 +288,7 @@ void TcpHost::close_conn(Conn& c) {
   reactor_.unwatch(fd);
   ::close(fd);
   auto d = dialed_.find(c.dialed);
-  if (d != dialed_.end() && d->second == fd) dialed_.erase(d);
+  if (d != dialed_.end() && d->second == &c) dialed_.erase(d);
   std::erase_if(learned_, [fd](const auto& kv) { return kv.second == fd; });
   conns_.erase(fd);
 }
@@ -298,7 +299,7 @@ void TcpHost::close_conn(Conn& c) {
 
 TcpHost::Conn* TcpHost::route(NodeId peer) {
   auto d = dialed_.find(peer);
-  if (d != dialed_.end()) return conns_.at(d->second).get();
+  if (d != dialed_.end()) return d->second;
   TcpEndpoint endpoint;
   bool dialable = false;
   {

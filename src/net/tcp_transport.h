@@ -181,12 +181,17 @@ class TcpHost {
 
   // Node-thread state.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  std::map<NodeId, int> dialed_;   ///< peer -> outbound connection fd
+  /// peer -> its outbound connection; close_conn drops the entry, so a
+  /// send costs this one lookup.
+  std::map<NodeId, Conn*> dialed_;
   /// Learned return paths: sender id -> the connection it last spoke on.
   /// Lets the node reply to peers with no registered endpoint (e.g. the
   /// `bluedove_cli stats` scraper) over the connection they opened.
   std::map<NodeId, int> learned_;
   std::vector<int> dirty_;  ///< connections with output queued this pass
+  /// The frame read_frames parses into: one envelope vector for every
+  /// frame, cleared after its envelopes reach the node.
+  wire::ParsedFrame frame_;
   std::uint64_t next_serial_ = 0;
   /// Backpressure for in-process ingress: inject()ed envelopes wait here
   /// while any connection is congested. Cross-thread send()s are not held;

@@ -32,6 +32,13 @@ std::uint32_t read_frame_len(const std::uint8_t bytes[4]) {
 ParsedFrame parse_frame(const std::uint8_t* body, std::size_t len,
                         std::shared_ptr<const void> owner) {
   ParsedFrame out;
+  parse_frame(body, len, std::move(owner), out);
+  return out;
+}
+
+void parse_frame(const std::uint8_t* body, std::size_t len,
+                 std::shared_ptr<const void> owner, ParsedFrame& out) {
+  out.envelopes.clear();
   serde::Reader r(body, len);
   if (owner != nullptr) r.set_owner(std::move(owner));
   out.from = r.u32();
@@ -57,7 +64,6 @@ ParsedFrame parse_frame(const std::uint8_t* body, std::size_t len,
   out.ok = r.ok() && !out.envelopes.empty();
   out.payload_copies = r.copies();
   out.payload_bytes_copied = r.copy_bytes();
-  return out;
 }
 
 bool write_all(int fd, const void* data, std::size_t len) {

@@ -68,6 +68,11 @@ struct ParsedFrame {
 };
 ParsedFrame parse_frame(const std::uint8_t* body, std::size_t len,
                         std::shared_ptr<const void> owner = nullptr);
+/// The same parse into `out`, whose envelope vector is cleared but keeps
+/// its capacity: a reader that parses every frame into one ParsedFrame
+/// allocates (and moves each envelope) only while its frames still grow.
+void parse_frame(const std::uint8_t* body, std::size_t len,
+                 std::shared_ptr<const void> owner, ParsedFrame& out);
 
 /// Loops ::send with MSG_NOSIGNAL until all `len` bytes are written.
 bool write_all(int fd, const void* data, std::size_t len);

@@ -293,8 +293,10 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
         {"edge.connections", "Currently connected edge clients"},
         {"edge.sessions", "Resident edge sessions (connected or resumable)"},
         {"edge.delivery_latency",
-         "Seconds from the edge's delivery hand-off to the delivery's "
-         "serialization into the subscriber connection"},
+         "Per delivery written, the wait of its hand-off batch: seconds "
+         "from the hand-off that opened the batch to the end of the "
+         "batch's serialization into the subscriber connections (an "
+         "upper bound on the delivery's own wait)"},
     };
     const auto it = kHelp.find(name);
     return it == kHelp.end() ? nullptr : it->second;

@@ -38,19 +38,20 @@ double LatencyHistogram::bucket_mid(std::size_t index) {
   return 0.5 * (bucket_lo(index) + bucket_hi(index));
 }
 
-void LatencyHistogram::record(double seconds) {
+void LatencyHistogram::record(double seconds, std::uint64_t n) {
   const double ns = seconds * 1e9;
   std::uint64_t units = 0;
   if (ns >= 1.0) {
     units = ns >= 1.8e19 ? ~0ULL : static_cast<std::uint64_t>(std::llround(ns));
   }
-  record_units(units);
+  record_units(units, n);
 }
 
-void LatencyHistogram::record_units(std::uint64_t units) {
-  counts_[bucket_index(units)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_units_.fetch_add(units, std::memory_order_relaxed);
+void LatencyHistogram::record_units(std::uint64_t units, std::uint64_t n) {
+  if (n == 0) return;
+  counts_[bucket_index(units)].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_units_.fetch_add(units * n, std::memory_order_relaxed);
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {

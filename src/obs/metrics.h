@@ -89,9 +89,11 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets =
       (64 - kSubBits + 1) << kSubBits;  ///< covers the full u64 range of units
 
-  void record(double seconds);
+  /// Records `seconds` `n` times over with one update of each counter, so
+  /// a batch that shares one wait costs what a single value does.
+  void record(double seconds, std::uint64_t n = 1);
   /// Records a pre-scaled integer value (already in units).
-  void record_units(std::uint64_t units);
+  void record_units(std::uint64_t units, std::uint64_t n = 1);
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   HistogramSnapshot snapshot() const;

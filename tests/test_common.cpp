@@ -304,6 +304,22 @@ TEST(CliArgs, BoolFalseSpellings) {
   EXPECT_TRUE(args.get_bool("d", false));
 }
 
+TEST(CliArgs, GetUintTakesOnlyWholeInRangeDecimals) {
+  const char* argv[] = {"prog", "--port=8080", "--big=65536", "--neg=-1",
+                        "--plus=+1", "--tail=12x", "--text=abc",
+                        "--wide=18446744073709551616", "--empty="};
+  const CliArgs args = CliArgs::parse(9, argv);
+  EXPECT_EQ(args.get_uint("port", 0, 1, 65535), 8080u);
+  EXPECT_EQ(args.get_uint("absent", 7, 1, 65535), 7u);  // fallback unchecked
+  for (const char* key : {"big", "neg", "plus", "tail", "text", "wide",
+                          "empty"}) {
+    EXPECT_EQ(args.get_uint(key, 1, 1, 65535), std::nullopt) << key;
+  }
+  EXPECT_EQ(parse_uint("0", 0, 0), 0u);
+  EXPECT_EQ(parse_uint("0", 1, 5), std::nullopt);
+  EXPECT_EQ(parse_uint(" 1", 0, 5), std::nullopt);
+}
+
 TEST(CliArgs, UnconsumedDetectsTypos) {
   const char* argv[] = {"prog", "--rate=1", "--typo=2"};
   const CliArgs args = CliArgs::parse(3, argv);

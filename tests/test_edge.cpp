@@ -512,6 +512,162 @@ TEST(EdgeFrontendTest, ReusedClientSubIdWithdrawsThePreviousSubscription) {
   fe.stop();
 }
 
+TEST(EdgeFrontendTest, SubscriptionChurnKeepsEveryDeliveryOnItsClientId) {
+  // Many subscribe / unsubscribe / resubscribe rounds on one session over
+  // a few reused client ids and mixed arities, so the session's table
+  // frees, reuses and repacks its slots. Every withdrawal must carry the
+  // cluster id and ranges it was planted with, and every delivery to a
+  // live subscription the client id that owns it.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+
+  const int fd = edge::dial({"127.0.0.1", fe.port()});
+  ASSERT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ASSERT_TRUE(net::wire::send_frame(fd, kInvalidNode,
+                                    Envelope::of(EdgeHello{})));
+  const net::wire::ParsedFrame welcome = net::read_frame(fd);
+  ASSERT_TRUE(welcome.ok);
+  const std::uint64_t session =
+      std::get<EdgeWelcome>(welcome.envelopes.at(0).payload).session;
+
+  struct Planted {
+    std::uint64_t gid = 0;
+    std::vector<Range> ranges;
+  };
+  std::map<std::uint64_t, Planted> live;  // client id -> what the edge holds
+  std::size_t subs_seen = 0;
+  std::size_t unsubs_seen = 0;
+  MessageId next_msg = 1;
+  std::uint64_t delivered = 0;
+  constexpr std::uint64_t kIds = 6;
+  for (int round = 0; round < 30; ++round) {
+    // Each id is resubscribed (replacing a live one), unsubscribed or left
+    // alone, in a pattern that shifts every round.
+    std::vector<std::uint64_t> subscribed;
+    std::vector<Planted> withdrawn;
+    for (std::uint64_t id = 1; id <= kIds; ++id) {
+      const auto op = (static_cast<std::uint64_t>(round) * 5 + id * 3) % 4;
+      Envelope env;
+      if (op <= 1) {
+        Subscription sub;
+        sub.id = id;
+        const auto dims = 1 + (static_cast<std::size_t>(round) + id) % 3;
+        for (std::size_t d = 0; d < dims; ++d) {
+          const double lo = static_cast<double>(round * 10 + d);
+          sub.ranges.push_back(Range{lo, lo + static_cast<double>(id)});
+        }
+        if (auto it = live.find(id); it != live.end()) {
+          withdrawn.push_back(it->second);
+        }
+        live[id] = {0, sub.ranges};
+        subscribed.push_back(id);
+        env = Envelope::of(ClientSubscribe{std::move(sub)});
+      } else if (op == 2) {
+        Subscription sub;
+        sub.id = id;
+        if (auto it = live.find(id); it != live.end()) {
+          withdrawn.push_back(it->second);
+          live.erase(it);
+        }
+        env = Envelope::of(ClientUnsubscribe{std::move(sub)});
+      } else {
+        continue;
+      }
+      ASSERT_TRUE(net::wire::send_frame(fd, kInvalidNode, env));
+    }
+    const std::size_t want_subs = subs_seen + subscribed.size();
+    const std::size_t want_unsubs = unsubs_seen + withdrawn.size();
+    ASSERT_TRUE(eventually([&] {
+      return ingress.count<ClientSubscribe>() == want_subs &&
+             ingress.count<ClientUnsubscribe>() == want_unsubs;
+    }));
+    const auto subs = ingress.all<ClientSubscribe>();
+    for (std::size_t i = 0; i < subscribed.size(); ++i) {
+      const Subscription& planted = subs[subs_seen + i].sub;
+      EXPECT_EQ(planted.subscriber, session);
+      EXPECT_EQ(planted.ranges, live[subscribed[i]].ranges);
+      live[subscribed[i]].gid = planted.id;
+    }
+    const auto unsubs = ingress.all<ClientUnsubscribe>();
+    for (std::size_t i = 0; i < withdrawn.size(); ++i) {
+      const Subscription& gone = unsubs[unsubs_seen + i].sub;
+      EXPECT_EQ(gone.id, withdrawn[i].gid);
+      EXPECT_EQ(gone.subscriber, session);
+      EXPECT_EQ(gone.ranges, withdrawn[i].ranges);
+    }
+    subs_seen = want_subs;
+    unsubs_seen = want_unsubs;
+
+    // One delivery per live subscription; each must come back under the
+    // client id that owns it, in order and with no gap.
+    std::map<MessageId, std::uint64_t> expect;
+    for (const auto& [id, planted] : live) {
+      expect[next_msg] = id;
+      fe.deliver(make_delivery(session, planted.gid, next_msg++));
+    }
+    std::size_t got = 0;
+    while (got < expect.size()) {
+      const net::wire::ParsedFrame frame = net::read_frame(fd);
+      ASSERT_TRUE(frame.ok);
+      for (const Envelope& env : frame.envelopes) {
+        const auto& ev = std::get<EdgeEvent>(env.payload);
+        EXPECT_EQ(ev.seq, ++delivered);
+        EXPECT_EQ(ev.delivery.sub_id, expect.at(ev.delivery.msg_id));
+        ++got;
+      }
+    }
+  }
+  EXPECT_EQ(counter(fe, "edge.deliveries"), delivered);
+  EXPECT_EQ(counter(fe, "edge.deliveries_orphaned"), 0u);
+  ::close(fd);
+  fe.stop();
+}
+
+TEST(EdgeFrontendTest, DeliveryLatencyCountsEveryDeliveryWritten) {
+  // The drain records one wait per hand-off batch, weighted by the
+  // deliveries it wrote: the histogram's count still equals the
+  // deliveries written, and edge.deliveries counts every delivery that
+  // took a sequence number, held ones (detached session) included.
+  IngressCapture ingress;
+  EdgeConfig cfg;
+  cfg.host = "127.0.0.1";
+  EdgeFrontend fe(cfg, 10, ingress.fn());
+  fe.start();
+  const auto latency_count = [&] {
+    const auto snap = fe.metrics().snapshot();
+    return snap.histograms.at("edge.delivery_latency").count;
+  };
+
+  EdgeClient client({"127.0.0.1", fe.port()}, nullptr, /*ack_every=*/1000000);
+  ASSERT_TRUE(client.connect());
+  const std::uint64_t session = client.session();
+  ASSERT_TRUE(eventually([&] { return fe.sessions() == 1; }));
+  constexpr MessageId kWritten = 200;
+  std::thread node([&] {
+    for (MessageId m = 1; m <= kWritten; ++m) {
+      fe.deliver(make_delivery(session, 0, m));
+    }
+  });
+  node.join();
+  ASSERT_TRUE(client.wait_deliveries(kWritten, 10.0));
+  EXPECT_EQ(counter(fe, "edge.deliveries"), kWritten);
+  EXPECT_EQ(latency_count(), kWritten);
+
+  client.disconnect();
+  ASSERT_TRUE(eventually([&] { return fe.connections() == 0; }));
+  for (MessageId m = 1; m <= 5; ++m) fe.deliver(make_delivery(session, 0, m));
+  ASSERT_TRUE(
+      eventually([&] { return counter(fe, "edge.deliveries") == kWritten + 5; }));
+  EXPECT_EQ(latency_count(), kWritten);
+  fe.stop();
+}
+
 TEST(EdgeFrontendTest, CrossReactorResumeHandlesPipelinedFramesInOrder) {
   // A resume hello for a session owned by the other reactor, followed by
   // more frames in the same send(): the connection migrates with frames

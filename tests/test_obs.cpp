@@ -82,6 +82,18 @@ TEST(LatencyHistogram, SnapshotMergeMatchesCombinedRecording) {
   EXPECT_EQ(merged, both.snapshot());
 }
 
+TEST(LatencyHistogram, WeightedRecordEqualsRepeatedRecords) {
+  // record(s, n) is n record(s) calls in one update of each counter.
+  obs::LatencyHistogram weighted, repeated;
+  for (int i = 1; i <= 50; ++i) {
+    const auto n = static_cast<std::uint64_t>(i % 7);
+    weighted.record(i * 3e-6, n);
+    for (std::uint64_t k = 0; k < n; ++k) repeated.record(i * 3e-6);
+  }
+  EXPECT_EQ(weighted.snapshot(), repeated.snapshot());
+  EXPECT_EQ(weighted.count(), repeated.count());
+}
+
 TEST(Registry, SnapshotIsDeterministicAndOrdered) {
   obs::MetricsRegistry reg;
   reg.counter("b.count").inc(2);

@@ -960,6 +960,117 @@ TEST(WireSync, StaleConnectionRetryAfterPeerRestart) {
   sender.stop();
 }
 
+TEST(WireSync, AddPeerMoveSendsLaterEnvelopesToTheNewEndpoint) {
+  // A send looks the peer's connection up once, in the dialed map. When
+  // add_peer moves the peer mid-stream, the old connection closes and its
+  // entry goes with it: every envelope sent after the move reaches the new
+  // endpoint, none the old one.
+  auto old_node = std::make_unique<CountingNode>();
+  CountingNode* old_cn = old_node.get();
+  TcpHost old_host(2, 0, std::move(old_node));
+  old_host.start();
+  auto new_node = std::make_unique<CountingNode>();
+  CountingNode* new_cn = new_node.get();
+  TcpHost new_host(3, 0, std::move(new_node));
+  new_host.start();
+
+  auto sender_node = std::make_unique<CountingNode>();
+  CountingNode* sn = sender_node.get();
+  TcpHost sender(1, 0, std::move(sender_node));
+  sender.add_peer(2, {"127.0.0.1", old_host.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(sn);
+
+  MessageId next_id = 1;
+  for (int i = 0; i < 50; ++i) ctx->send(2, sample_publish(next_id++));
+  ASSERT_TRUE(eventually([&] { return old_cn->publishes.load() == 50; }));
+  // Mid-stream: these may still be queued on the old connection when it
+  // closes, so they either reach it or count as drops.
+  for (int i = 0; i < 20; ++i) ctx->send(2, sample_publish(next_id++));
+  sender.add_peer(2, {"127.0.0.1", new_host.port()});
+  for (int i = 0; i < 100; ++i) ctx->send(2, sample_publish(next_id++));
+
+  EXPECT_TRUE(eventually([&] { return new_cn->publishes.load() == 100; }));
+  EXPECT_TRUE(eventually([&] {
+    return old_cn->publishes.load() +
+               static_cast<int>(sender.dropped_sends()) ==
+           70;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(new_cn->publishes.load(), 100);
+  EXPECT_LE(old_cn->publishes.load(), 70);
+  sender.stop();
+  new_host.stop();
+  old_host.stop();
+}
+
+/// Sends every envelope it receives straight back to its sender.
+class MirrorNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override { ctx_ = &ctx; }
+  void on_receive(NodeId from, Envelope env) override {
+    ctx_->send(from, std::move(env));
+  }
+
+ private:
+  NodeContext* ctx_ = nullptr;
+};
+
+/// Records the ids of the publishes it receives, in arrival order.
+class OrderNode final : public Node {
+ public:
+  void start(NodeContext& ctx) override { ctx_.store(&ctx); }
+  void on_receive(NodeId, Envelope env) override {
+    if (const auto* pub = std::get_if<ClientPublish>(&env.payload)) {
+      bd::LockGuard lk(mu);
+      ids.push_back(pub->msg.id);
+    }
+  }
+  std::size_t size() {
+    bd::LockGuard lk(mu);
+    return ids.size();
+  }
+  std::atomic<NodeContext*> ctx_{nullptr};
+  bd::Mutex mu;
+  std::vector<MessageId> ids BD_GUARDED_BY(mu);
+};
+
+TEST(WireSync, RepliesSentMidFrameKeepOrderAndLoseNothing) {
+  // The echo host parses each multi-envelope frame into its one reused
+  // envelope vector and hands the envelopes to the node one by one; every
+  // handler sends back over the same connection while the rest of the
+  // frame waits. The sender must get every envelope back, in order.
+  auto echo = std::make_unique<TcpHost>(2, 0, std::make_unique<MirrorNode>());
+  echo->start();
+  auto order_node = std::make_unique<OrderNode>();
+  OrderNode* on = order_node.get();
+  TcpHost sender(1, 0, std::move(order_node));
+  sender.add_peer(2, {"127.0.0.1", echo->port()});
+  sender.start();
+  ASSERT_TRUE(eventually([&] { return on->ctx_.load() != nullptr; }));
+  NodeContext* ctx = on->ctx_.load();
+
+  constexpr MessageId kCount = 2000;
+  for (MessageId id = 1; id <= kCount; ++id) ctx->send(2, sample_publish(id));
+  EXPECT_TRUE(eventually([&] { return on->size() == kCount; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    bd::LockGuard lk(on->mu);
+    ASSERT_EQ(on->ids.size(), kCount);
+    for (std::size_t i = 0; i < on->ids.size(); ++i) {
+      ASSERT_EQ(on->ids[i], i + 1);
+    }
+  }
+  EXPECT_EQ(sender.dropped_sends(), 0u);
+  EXPECT_EQ(echo->dropped_sends(), 0u);
+  // The frames really carried several envelopes each.
+  const auto snap = sender.wire_metrics().snapshot();
+  EXPECT_LT(snap.counters.at("wire.frames_sent"),
+            snap.counters.at("wire.envelopes_sent"));
+  sender.stop();
+  echo->stop();
+}
+
 /// A raw loopback listener that accepts connections and never reads them.
 class DeafListener {
  public:

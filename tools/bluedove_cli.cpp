@@ -280,8 +280,15 @@ bool parse_peer(const CliArgs& args, const char* cmd, net::TcpEndpoint& ep) {
     std::fprintf(stderr, "%s: --peer=host:port is required\n", cmd);
     return false;
   }
+  const std::optional<std::uint64_t> port =
+      parse_uint(std::string_view(peer).substr(colon + 1), 1, 65535);
+  if (!port) {
+    std::fprintf(stderr, "%s: --peer=%s: port must be 1..65535\n", cmd,
+                 peer.c_str());
+    return false;
+  }
   ep.host = peer.substr(0, colon);
-  ep.port = static_cast<std::uint16_t>(std::stoul(peer.substr(colon + 1)));
+  ep.port = static_cast<std::uint16_t>(*port);
   return true;
 }
 
@@ -588,15 +595,8 @@ class BlastNode final : public Node {
 };
 
 int cmd_blast(const CliArgs& args) {
-  const std::string peer = args.get("peer", "");
-  const auto colon = peer.rfind(':');
-  if (peer.empty() || colon == std::string::npos) {
-    std::fprintf(stderr, "blast: --peer=host:port is required\n");
-    return 2;
-  }
   net::TcpEndpoint ep;
-  ep.host = peer.substr(0, colon);
-  ep.port = static_cast<std::uint16_t>(std::stoul(peer.substr(colon + 1)));
+  if (!parse_peer(args, "blast", ep)) return 2;
   const auto target = static_cast<NodeId>(args.get_int("target-id", 10));
   const auto count = static_cast<std::uint64_t>(args.get_int("count", 100000));
   const auto dims = static_cast<std::size_t>(args.get_int("dims", 4));

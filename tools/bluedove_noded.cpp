@@ -102,34 +102,61 @@ void on_signal(int) { g_stop = 1; }
 volatile std::sig_atomic_t g_trace_dump = 0;
 void on_trace_signal(int) { g_trace_dump = 1; }
 
-std::vector<NodeId> parse_ids(const std::string& csv) {
+/// A node id: 1 up to, not including, kInvalidNode.
+std::optional<NodeId> parse_id(std::string_view text) {
+  const std::optional<std::uint64_t> v = parse_uint(text, 1, kInvalidNode - 1);
+  if (!v) return std::nullopt;
+  return static_cast<NodeId>(*v);
+}
+
+/// "id,id,..." (empty items skipped) -> ids; prints an error under `flag`
+/// and returns nullopt on an item that is not an id.
+std::optional<std::vector<NodeId>> parse_ids(const std::string& csv,
+                                             const char* flag) {
   std::vector<NodeId> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<NodeId>(std::stoul(item)));
+    if (item.empty()) continue;
+    const std::optional<NodeId> id = parse_id(item);
+    if (!id) {
+      std::fprintf(stderr, "bluedove_noded: --%s: bad node id '%s'\n", flag,
+                   item.c_str());
+      return std::nullopt;
+    }
+    out.push_back(*id);
   }
   return out;
 }
 
-/// "id@host:port,id@host:port" -> directory.
-std::map<NodeId, net::TcpEndpoint> parse_peers(const std::string& csv) {
+/// "id@host:port,id@host:port" -> directory; prints an error and returns
+/// nullopt on an entry that does not have that shape, or whose id or port
+/// (1..65535) does not parse.
+std::optional<std::map<NodeId, net::TcpEndpoint>> parse_peers(
+    const std::string& csv) {
   std::map<NodeId, net::TcpEndpoint> out;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    const auto at = item.find('@');
-    const auto colon = item.rfind(':');
-    if (at == std::string::npos || colon == std::string::npos ||
-        colon < at) {
-      continue;
+    if (item.empty()) continue;
+    const std::string_view view(item);
+    const auto at = view.find('@');
+    const auto colon = view.rfind(':');
+    const std::optional<NodeId> id =
+        at == std::string::npos ? std::nullopt : parse_id(view.substr(0, at));
+    const std::optional<std::uint64_t> port =
+        colon == std::string::npos || colon < at
+            ? std::nullopt
+            : parse_uint(view.substr(colon + 1), 1, 65535);
+    if (!id || !port) {
+      std::fprintf(stderr,
+                   "bluedove_noded: --peers: bad entry '%s' (want "
+                   "id@host:port, port 1..65535)\n",
+                   item.c_str());
+      return std::nullopt;
     }
-    const auto id = static_cast<NodeId>(std::stoul(item.substr(0, at)));
-    net::TcpEndpoint ep;
-    ep.host = item.substr(at + 1, colon - at - 1);
-    ep.port = static_cast<std::uint16_t>(
-        std::stoul(item.substr(colon + 1)));
-    out[id] = ep;
+    out[*id] = {item.substr(at + 1, colon - at - 1),
+                static_cast<std::uint16_t>(*port)};
   }
   return out;
 }
@@ -153,8 +180,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string role = args.get("role", "");
-  const auto id = static_cast<NodeId>(args.get_int("id", 0));
-  if (role.empty() || id == 0) {
+  const std::optional<std::uint64_t> id_arg =
+      args.get_uint("id", 0, 1, kInvalidNode - 1);
+  if (role.empty() || !id_arg || *id_arg == 0) {
     std::fprintf(stderr,
                  "usage: bluedove_noded --role=matcher|dispatcher|sink "
                  "--id=N [--port=P] [--peers=...] [--cluster=...]\n");
@@ -166,8 +194,14 @@ int main(int argc, char** argv) {
   const std::size_t fd_limit = net::raise_fd_limit(1u << 20);
   std::fprintf(stderr, "bluedove_noded: RLIMIT_NOFILE soft limit %zu\n",
                fd_limit);
-  const auto port =
-      static_cast<std::uint16_t>(args.get_int("port", 7000 + id % 1000));
+  const auto id = static_cast<NodeId>(*id_arg);
+  const std::optional<std::uint64_t> port_arg =
+      args.get_uint("port", 7000 + id % 1000, 0, 65535);
+  if (!port_arg) {
+    std::fprintf(stderr, "bluedove_noded: --port must be 0..65535\n");
+    return 2;
+  }
+  const auto port = static_cast<std::uint16_t>(*port_arg);
 
   // Each role reads only the flags it uses, so a flag meant for another
   // role is reported like a typo.
@@ -192,14 +226,23 @@ int main(int argc, char** argv) {
     cfg.match_batch = static_cast<int>(args.get_int("match-batch", 1));
     cfg.cover.enabled = args.get_bool("cover", false);
     cfg.cover.fp_volume_budget = args.get_double("cover-budget", 0.05);
-    cfg.dispatchers = parse_ids(args.get("dispatchers", ""));
-    const auto sink = static_cast<NodeId>(args.get_int("sink", 0));
+    const auto dispatchers =
+        parse_ids(args.get("dispatchers", ""), "dispatchers");
+    const auto cluster = parse_ids(args.get("cluster", ""), "cluster");
+    const std::optional<std::uint64_t> sink_arg =
+        args.get_uint("sink", 0, 0, kInvalidNode - 1);
+    if (!sink_arg) {
+      std::fprintf(stderr, "bluedove_noded: --sink: bad node id\n");
+      return 2;
+    }
+    if (!dispatchers || !cluster) return 2;
+    cfg.dispatchers = *dispatchers;
+    const auto sink = static_cast<NodeId>(*sink_arg);
     cfg.metrics_sink = sink != 0 ? sink : kInvalidNode;
     cfg.delivery_sink = sink != 0 ? sink : kInvalidNode;
     auto matcher = std::make_unique<MatcherNode>(id, cfg);
-    const std::vector<NodeId> cluster = parse_ids(args.get("cluster", ""));
-    if (!cluster.empty()) {
-      matcher->set_bootstrap(bootstrap_table(cluster, domains));
+    if (!cluster->empty()) {
+      matcher->set_bootstrap(bootstrap_table(*cluster, domains));
     }
     node = std::move(matcher);
   } else if (role == "dispatcher") {
@@ -208,13 +251,20 @@ int main(int argc, char** argv) {
     cfg.domains = domains;
     cfg.reliable_delivery = args.get_bool("reliable", false);
     cfg.trace_sample_rate = args.get_double("trace-sample", 0.0);
+    const auto cluster = parse_ids(args.get("cluster", ""), "cluster");
+    if (!cluster) return 2;
     auto dispatcher = std::make_unique<DispatcherNode>(id, cfg);
-    const std::vector<NodeId> cluster = parse_ids(args.get("cluster", ""));
-    if (!cluster.empty()) {
-      dispatcher->set_bootstrap(bootstrap_table(cluster, domains));
+    if (!cluster->empty()) {
+      dispatcher->set_bootstrap(bootstrap_table(*cluster, domains));
     }
     node = std::move(dispatcher);
-    edge_port = static_cast<std::uint16_t>(args.get_int("edge-port", 0));
+    const std::optional<std::uint64_t> edge_port_arg =
+        args.get_uint("edge-port", 0, 0, 65535);
+    if (!edge_port_arg) {
+      std::fprintf(stderr, "bluedove_noded: --edge-port must be 0..65535\n");
+      return 2;
+    }
+    edge_port = static_cast<std::uint16_t>(*edge_port_arg);
     edge_reactors = static_cast<int>(args.get_int("edge-reactors", 2));
   } else if (role == "sink") {
     node = std::make_unique<FunctionNode>(
@@ -243,7 +293,8 @@ int main(int argc, char** argv) {
   wire.queue_capacity = static_cast<std::size_t>(args.get_int(
       "wire-queue", static_cast<std::int64_t>(wire.queue_capacity)));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::string peers = args.get("peers", "");
+  const auto peers = parse_peers(args.get("peers", ""));
+  if (!peers) return 2;
   // The sink answers no StatsRequest and writes no stats file.
   const std::string stats_path =
       role == "sink" ? "" : args.get("stats-json", "");
@@ -266,7 +317,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to bind port %u\n", port);
     return 1;
   }
-  for (const auto& [peer, ep] : parse_peers(peers)) host.add_peer(peer, ep);
+  for (const auto& [peer, ep] : *peers) host.add_peer(peer, ep);
 
   // Client edge layer (dispatcher only): epoll reactor front end with
   // resumable sessions, feeding client ops into this dispatcher's ingress

@@ -32,6 +32,9 @@
 #       publication is missing that the sender's drop counter does not
 #       account for, or when the receiver copied a payload. Runs in a
 #       scratch directory so the committed BENCH_wire.json stays untouched.
+#   5g. the end-to-end smoke on the standalone bench/e2e build (the build
+#       bench/e2e/run.py times): every workload at a tenth of its scale,
+#       delivered sets checked against the oracle
 #   6. ASan+UBSan suite (tools/sanitize_check.sh), then the simd and cover
 #      labels again under ASan/UBSan (gather/tail lanes and the member
 #      arena's raw range strips are exactly where an out-of-bounds read
@@ -99,6 +102,12 @@ wire_dir="$(mktemp -d)"
 (cd "${wire_dir}" && "${repo_root}/build/bench/micro_wire" \
   --publishes 20000 --rounds 50)
 rm -rf "${wire_dir}"
+
+echo "== e2e smoke (standalone bench/e2e build, oracle-checked) =="
+cmake -S "${repo_root}/bench/e2e" -B "${repo_root}/build-e2e" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "${repo_root}/build-e2e" --target e2e_bench -j "${jobs}"
+ctest --test-dir "${repo_root}/build-e2e" --output-on-failure -L bench
 
 echo "== flight-recorder TCP trace smoke =="
 "${repo_root}/tools/trace_smoke.sh" "${repo_root}/build"
