@@ -1,18 +1,27 @@
 #include "common/cli.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 
 namespace bluedove {
+
+namespace {
+
+/// Parses the whole of `text` into `v`; false for empty text, a value out
+/// of T's range, or anything left over.
+template <typename T>
+bool parse_whole(std::string_view text, T& v) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  return !text.empty() && ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 std::optional<std::uint64_t> parse_uint(std::string_view text,
                                         std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
-    return std::nullopt;
-  }
+  if (!parse_whole(text, v) || v < lo || v > hi) return std::nullopt;
   return v;
 }
 
@@ -49,7 +58,12 @@ std::int64_t CliArgs::get_int(const std::string& key,
   consumed_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  std::int64_t v = 0;
+  if (!parse_whole(it->second, v)) {
+    malformed_.insert(key);
+    return fallback;
+  }
+  return v;
 }
 
 std::optional<std::uint64_t> CliArgs::get_uint(const std::string& key,
@@ -66,7 +80,12 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
   consumed_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  double v = 0.0;
+  if (!parse_whole(it->second, v) || !std::isfinite(v)) {
+    malformed_.insert(key);
+    return fallback;
+  }
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

@@ -1,11 +1,13 @@
 #pragma once
 // Minimal --key=value / --flag command-line parser for the tools and the
-// experiment CLI. No external dependencies; unknown keys are collected so
-// callers can reject typos.
+// experiment CLI. No external dependencies; unknown keys, and keys whose
+// values are not the numbers asked for, are collected so callers can
+// reject typos.
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +30,9 @@ class CliArgs {
 
   std::string get(const std::string& key,
                   const std::string& fallback = "") const;
+  /// The value as a whole decimal integer, or `fallback` when the key is
+  /// absent. A value that is not one in full ("abc", "12x", "1e6", a bare
+  /// flag) also yields `fallback`, and its key is listed by malformed().
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   /// The value as a whole decimal integer in [lo, hi] (parse_uint), or
   /// `fallback` when the key is absent; nullopt when present but not one.
@@ -35,6 +40,8 @@ class CliArgs {
                                         std::uint64_t fallback,
                                         std::uint64_t lo,
                                         std::uint64_t hi) const;
+  /// The value as a whole finite decimal number ("2.5", "-1e-3"), or
+  /// `fallback`; malformed values are listed as for get_int.
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
@@ -42,10 +49,15 @@ class CliArgs {
 
   /// Keys the caller never consumed (call after all get()s to reject typos).
   std::vector<std::string> unconsumed() const;
+  /// Keys whose values get_int or get_double could not parse, in order.
+  std::vector<std::string> malformed() const {
+    return {malformed_.begin(), malformed_.end()};
+  }
 
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
+  mutable std::set<std::string> malformed_;
   std::vector<std::string> positional_;
 };
 

@@ -22,7 +22,9 @@ NodeLoop::NodeLoop(NodeId self, std::unique_ptr<Node> node,
       inbox_capacity_(inbox_capacity),
       exec_metrics_(exec_metrics),
       rng_(seed),
-      reactor_(std::move(on_io)) {}
+      reactor_(std::move(on_io)) {
+  reactor_.at_pass_end([this] { end_pass(); });
+}
 
 NodeLoop::~NodeLoop() { stop(); }
 
@@ -79,6 +81,17 @@ void NodeLoop::run() {
   node_->stop();
 }
 
+void NodeLoop::end_pass() {
+  // By index: a completion that charges again appends to this queue, and
+  // runs in this same step.
+  for (std::size_t i = 0; i < completions_.size(); ++i) {
+    std::function<void()> done = std::move(completions_[i]);
+    done();
+  }
+  completions_.clear();
+  if (pass_end_) pass_end_();
+}
+
 template <typename Task>
 bool NodeLoop::post_counted(Task&& task, bool bounded) {
   bd::LockGuard lock(mu_);
@@ -127,17 +140,24 @@ TimerId NodeLoop::set_timer(Timestamp delay, std::function<void()> fn) {
 void NodeLoop::cancel_timer(TimerId id) { reactor_.cancel_timer(id); }
 
 void NodeLoop::charge(double /*work_units*/, std::function<void()> done) {
-  // Real cycles were already spent; defer to a later task of the loop so
-  // core-bounded callers do not recurse.
-  post_completion(std::move(done));
+  // Real cycles were already spent. Never complete inside charge(), so
+  // core-bounded callers do not recurse: on the node thread, at the end of
+  // this pass, before the owner's hook writes what the pass sent; from
+  // any other thread, in a later pass.
+  if (reactor_.in_loop()) {
+    completions_.push_back(std::move(done));
+  } else {
+    post_completion(std::move(done));
+  }
 }
 
 bool NodeLoop::enable_offload(int workers, std::size_t lanes) {
   if (workers < 1) return false;
   // One worker is the node thread itself: offload() runs the work inline
-  // and defers `done` through charge(). A one-thread pool would overlap a
-  // job with the node's other work only by paying two cross-thread
-  // hand-offs per job (a condvar signal out, an eventfd write back).
+  // and defers `done` through charge() to the end of the pass. A one-thread
+  // pool would overlap a job with the node's other work only by paying two
+  // cross-thread hand-offs per job (a condvar signal out, an eventfd write
+  // back).
   if (workers == 1 || executor_ != nullptr) return true;
   runtime::MatchExecutorConfig cfg;
   cfg.workers = workers;
@@ -154,7 +174,7 @@ bool NodeLoop::enable_offload(int workers, std::size_t lanes) {
 void NodeLoop::offload(std::size_t lane, OffloadWork work, OffloadDone done) {
   if (executor_ != nullptr && executor_->submit(lane, work, done)) return;
   // One worker, or the lane is full: run inline on the node thread and
-  // defer the completion, as on the single-threaded substrate.
+  // defer the completion through charge() to the end of the pass.
   NodeContext::offload(lane, std::move(work), std::move(done));
 }
 

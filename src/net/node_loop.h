@@ -8,29 +8,42 @@
 // (the loop itself), the node thread and, when the node asks for two or
 // more offload workers, the offload pool. A node that asks for one worker
 // is granted offload with no pool: the node thread is that worker, so its
-// work runs inline and its completion is a later loop task.
+// work runs inline and its completion runs at the end of the same pass.
 // The node thread binds itself as the node's serialized execution context
 // (affinity::ScopedNodeBind, flight-recorder node id and track "node<id>"),
 // runs Node::start as the reactor's first task, serves the reactor until
 // stop(), and runs Node::stop last. Everything the node asks of its
-// context lands on that reactor: timers are reactor timers, charge() and
-// offload completions are reactor tasks. send() goes to the owner's SendFn,
-// on whatever thread the node called it from.
+// context lands on that reactor: timers are reactor timers, offload
+// completions are reactor tasks. send() goes to the owner's SendFn, on
+// whatever thread the node called it from.
+//
+// Pass end: the loop holds the reactor's end-of-pass slot. A charge() made
+// on the node thread queues `done` for the end of the current pass, never
+// running it inside charge(). At pass end the loop runs that queue until it
+// is empty, so a completion that charges again runs in the same step, and
+// then calls the owner's hook (TcpHost writes what the pass queued). A
+// one-core matcher thus serves every request one pass read in that pass,
+// one match_batch service after another, and its deliveries leave in one
+// write per peer. A charge() from any other thread, and the pool's
+// completions, are posted to a later pass instead.
 //
 // Inbox bound: with `inbox_capacity` > 0, deliver() admits a message only
 // while fewer than that many tasks wait to run, and drops the newest
-// otherwise. charge() and offload completions count toward that depth but
-// are never dropped: a caller that bounds its in-flight work by completions
-// (the matcher's core accounting) must see every one. The depth is audited
-// (kQueueAccounting) once the loop has stopped. With `inbox_capacity` 0
-// nothing is bounded and completions go uncounted: TcpHost's loop, whose
-// bounds are per peer (WireConfig) and which never calls deliver().
+// otherwise. Completions posted from other threads (the pool's) count
+// toward that depth but are never dropped: a caller that bounds its
+// in-flight work by completions (the matcher's core accounting) must see
+// every one. Node-thread completions never enter the inbox, so they do not
+// count. The depth is audited (kQueueAccounting) once the loop has
+// stopped. With `inbox_capacity` 0 nothing is bounded and completions go
+// uncounted: TcpHost's loop, whose bounds are per peer (WireConfig) and
+// which never calls deliver().
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/affinity.h"
 #include "common/queue_stats.h"
@@ -79,6 +92,9 @@ class NodeLoop final : private NodeContext {
 
   Node* node() { return node_.get(); }
   Reactor& reactor() { return reactor_; }
+  /// Runs `fn` at the end of every pass, after that pass's node-thread
+  /// completions. Call before start().
+  void at_pass_end(std::function<void()> fn) { pass_end_ = std::move(fn); }
 
  private:
   // NodeContext, for the hosted node.
@@ -93,6 +109,8 @@ class NodeLoop final : private NodeContext {
   void offload(std::size_t lane, OffloadWork work, OffloadDone done) override;
 
   BD_NODE_THREAD void run();
+  /// The reactor's pass end: the queued completions, then the owner's hook.
+  BD_NODE_THREAD void end_pass();
   /// Posts a completion: counted in the inbox depth when bounded, never
   /// refused for capacity.
   void post_completion(std::function<void()> fn);
@@ -110,8 +128,12 @@ class NodeLoop final : private NodeContext {
   obs::MetricsRegistry* const exec_metrics_;
   Rng rng_;
   Reactor reactor_;
-  /// Depth of the counted inbox (messages plus completions not yet run).
+  /// Depth of the counted inbox (messages plus posted completions not yet
+  /// run).
   QueueStats inbox_;
+  /// Node-thread charge() completions queued for the end of this pass.
+  std::vector<std::function<void()>> completions_;
+  std::function<void()> pass_end_;  ///< the owner's hook
 
   mutable bd::Mutex mu_;
   bool started_ BD_GUARDED_BY(mu_) = false;

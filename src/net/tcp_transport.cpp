@@ -30,7 +30,8 @@ std::uint16_t flush() {
 }
 }  // namespace rec
 
-/// Unsent bytes at which a connection is written mid-pass.
+/// Unsent bytes at which a connection is written mid-pass. Half the
+/// envelope bound (WireConfig::queue_capacity) triggers the same write.
 constexpr std::size_t kEagerFlushBytes = 64 * 1024;
 
 /// accept4() failures that mean "out of fds or buffers for now": the
@@ -105,7 +106,8 @@ TcpHost::TcpHost(NodeId self, std::uint16_t listen_port,
   m_frame_bytes_ = &wire_metrics_.histogram("wire.frame_bytes");
   listen_fd_ = listen_tcp("127.0.0.1", listen_port, 64, &port_);
   if (listen_fd_ >= 0) reactor_.watch(listen_fd_);
-  reactor_.at_pass_end([this] { flush_dirty(); });
+  // After the pass's completions, so their sends share the pass's frames.
+  loop_.at_pass_end([this] { flush_dirty(); });
 }
 
 TcpHost::~TcpHost() { stop(); }
@@ -344,8 +346,11 @@ bool TcpHost::send_to(NodeId peer, const Envelope& env) {
   }
   // A burst bigger than this goes out while it is produced, not at the end
   // of the pass: the queue bound then only bites on a peer that really
-  // stopped reading, never on one a single busy pass outran.
-  if (c->writer.unsent() >= kEagerFlushBytes) {
+  // stopped reading, never on one a single busy pass outran. Both bounds
+  // count: continuation records are a few bytes, so a pass can queue the
+  // envelope bound long before 64 KiB.
+  if (c->writer.unsent() >= kEagerFlushBytes ||
+      c->writer.queued() >= wire_.queue_capacity / 2) {
     flush(*c);
   } else {
     set_congested(*c, c->writer.queued() >= wire_.queue_capacity / 2);

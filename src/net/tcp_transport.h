@@ -21,8 +21,9 @@
 // blocking, and learned return paths — plus the node's timers, inject()ed
 // envelopes and offload completions. A complete inbound frame goes straight
 // to Node::on_receive. send() serializes once into the peer connection's
-// outbound buffer; each loop pass ends by writing what it queued, and
-// EPOLLOUT is armed only while a peer has unsent bytes. The only other
+// outbound buffer; each loop pass ends by writing what it queued, after
+// the completions the node charged in that pass (NodeLoop::at_pass_end),
+// and EPOLLOUT is armed only while a peer has unsent bytes. The only other
 // threads are the node's offload workers (enable_offload).
 //
 // Outbound batching (WireConfig): at most `batch` envelopes share a
@@ -33,8 +34,9 @@
 // envelopes wait in the host instead of reaching the node. By default
 // (batch 64) the envelopes one loop pass queues for a peer share frames of
 // up to 64, closed at the end of the pass; a connection whose unsent bytes
-// pass 64 KiB is written mid-pass, which also closes its open frame, so a
-// frame is at most 64 KiB plus one envelope. A payload parsed from a
+// pass 64 KiB, or which holds half its `queue_capacity` envelopes, is
+// written mid-pass, which also closes its open frame, so a frame is at
+// most 64 KiB plus one envelope. A payload parsed from a
 // frame keeps that whole frame alive (net/reactor.h).
 //
 // Transport semantics match the NodeContext contract: sends are
@@ -74,9 +76,11 @@ struct WireConfig {
   /// the end of the pass. 1 gives every envelope its own frame, still
   /// written together with the pass's other frames.
   int batch = 64;
-  /// Per-peer bound on envelopes not yet written to the socket; the newest
-  /// envelope is dropped (and counted) when it is reached — backpressure
-  /// never blocks the node thread.
+  /// Per-peer bound on envelopes not yet written to the socket. At half
+  /// of it the connection is written mid-pass (continuation records are a
+  /// few bytes, so a one-message fan-out can reach it far below the 64 KiB
+  /// write); at the bound the newest envelope is dropped (and counted) —
+  /// backpressure never blocks the node thread.
   std::size_t queue_capacity = 4096;
 };
 

@@ -46,10 +46,13 @@ class NodeContext {
   virtual TimerId set_timer(Timestamp delay, std::function<void()> fn) = 0;
   virtual void cancel_timer(TimerId id) = 0;
 
-  /// Occupies CPU for `work_units` of computation, then invokes `done`.
-  /// The simulator converts units to virtual seconds; the threaded runtime
-  /// has already spent the real cycles and completes immediately. Callers
-  /// bound their own concurrency (a node has a fixed number of cores).
+  /// Occupies CPU for `work_units` of computation, then invokes `done` in
+  /// this node's context, never inside the call. The simulator converts
+  /// units to virtual seconds. The real-time substrates (net::NodeLoop)
+  /// have already spent the real cycles: a charge made on the node thread
+  /// completes at the end of the current loop pass, before the pass's
+  /// writes; one from any other thread, in a later pass. Callers bound
+  /// their own concurrency (a node has a fixed number of cores).
   virtual void charge(double work_units, std::function<void()> done) = 0;
 
   /// Per-node deterministic random stream.
@@ -76,11 +79,13 @@ class NodeContext {
   /// spent), then `done(units)` back on this node's serialized execution
   /// context. When enable_offload() granted a pool, work runs on a pool
   /// worker — queued on `lane`, stolen by idle workers when its home lane
-  /// backs up — and only `done` returns to the node context. Otherwise
-  /// (one worker, no grant, or a full lane) work runs inline here with
-  /// OffloadWorker::index -1 and the completion is deferred through
-  /// charge(), so callers that bound their in-flight services (the
-  /// matcher's core accounting) behave identically on every substrate.
+  /// backs up — and only `done` returns to the node context, in a later
+  /// loop pass. Otherwise (one worker, no grant, or a full lane) work runs
+  /// inline here with OffloadWorker::index -1 and the completion is
+  /// deferred through charge(): after offload() returns, at the end of
+  /// the pass on the real-time substrates. Callers that bound their
+  /// in-flight services (the matcher's core accounting) thus behave alike
+  /// on every substrate.
   virtual void offload(std::size_t lane, OffloadWork work, OffloadDone done) {
     (void)lane;
     OffloadWorker self{-1, &rng()};

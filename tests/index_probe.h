@@ -2,6 +2,7 @@
 // Probes one message through SubscriptionIndex::match_batch, the only
 // probe an index has, for tests that check a single message's hits.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,17 @@ inline std::vector<MatchHit> probe_one(const SubscriptionIndex& index,
   index.match_batch(std::span<const Message>(&m, 1), hits, offsets, wc,
                     scratch);
   return hits;
+}
+
+/// The ids `index` matches for `m`, sorted: the oracle a delivered set is
+/// compared against.
+inline std::vector<SubscriptionId> hit_ids(const SubscriptionIndex& index,
+                                           const Message& m) {
+  WorkCounter wc;
+  std::vector<SubscriptionId> ids;
+  for (const MatchHit& h : probe_one(index, m, wc)) ids.push_back(h.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 }  // namespace bluedove::testing_probe

@@ -304,6 +304,31 @@ TEST(CliArgs, BoolFalseSpellings) {
   EXPECT_TRUE(args.get_bool("d", false));
 }
 
+TEST(CliArgs, GetIntAndGetDoubleTakeOnlyWholeNumbers) {
+  const char* argv[] = {"prog",         "--n=42",       "--neg=-7",
+                        "--x=2.5e3",    "--text=abc",   "--tail=12x",
+                        "--sci=1e6",    "--empty=",     "--wide=99999999999999999999",
+                        "--dtail=1.5s", "--inf=inf",    "--bare"};
+  const CliArgs args = CliArgs::parse(12, argv);
+  EXPECT_EQ(args.get_int("n", 0), 42);
+  EXPECT_EQ(args.get_int("neg", 0), -7);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2500.0);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 0.0), 42.0);
+  EXPECT_EQ(args.get_int("absent", 5), 5);
+  EXPECT_TRUE(args.malformed().empty());
+  // Each malformed value reads as the fallback and is listed once.
+  for (const char* key : {"text", "tail", "sci", "empty", "wide", "bare"}) {
+    EXPECT_EQ(args.get_int(key, 3), 3) << key;
+  }
+  for (const char* key : {"text", "dtail", "empty", "inf", "bare"}) {
+    EXPECT_DOUBLE_EQ(args.get_double(key, 0.5), 0.5) << key;
+  }
+  EXPECT_EQ(args.malformed(),
+            (std::vector<std::string>{"bare", "dtail", "empty", "inf", "sci",
+                                      "tail", "text", "wide"}));
+  EXPECT_TRUE(args.unconsumed().empty());
+}
+
 TEST(CliArgs, GetUintTakesOnlyWholeInRangeDecimals) {
   const char* argv[] = {"prog", "--port=8080", "--big=65536", "--neg=-1",
                         "--plus=+1", "--tail=12x", "--text=abc",

@@ -27,6 +27,7 @@
 #include "net/cluster_table.h"
 #include "net/tcp_transport.h"
 #include "node/matcher_node.h"
+#include "node_owners.h"
 #include "runtime/match_executor.h"
 #include "runtime/thread_cluster.h"
 
@@ -269,16 +270,7 @@ TEST(ThreadClusterOffload, WorkRunsOffNodeThreadCompletionOnIt) {
 // Live-index reads: a probe of one index beside writes to another
 // ---------------------------------------------------------------------------
 
-std::vector<SubscriptionId> hit_ids(const SubscriptionIndex& index,
-                                    const Message& m) {
-  WorkCounter wc;
-  const std::vector<MatchHit> hits = testing_probe::probe_one(index, m, wc);
-  std::vector<SubscriptionId> ids;
-  ids.reserve(hits.size());
-  for (const MatchHit& h : hits) ids.push_back(h.id);
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
+using testing_probe::hit_ids;
 
 Subscription pivot_sub(SubscriptionId id, double lo, double width) {
   Subscription sub;
@@ -350,28 +342,7 @@ TEST(LiveIndexReads, ProbesUnaffectedByWritesToAnotherIndex) {
 // 8-worker matcher vs brute-force oracle under churn + split/merge storms
 // ---------------------------------------------------------------------------
 
-/// Collects Delivery and MatchCompleted traffic from the matcher.
-class SinkState {
- public:
-  void record(const Envelope& env) {
-    if (const auto* d = std::get_if<Delivery>(&env.payload)) {
-      bd::LockGuard lock(mu_);
-      delivered_[d->msg_id].insert(d->sub_id);
-    } else if (std::holds_alternative<MatchCompleted>(env.payload)) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  int completed() const { return completed_.load(std::memory_order_relaxed); }
-  std::set<SubscriptionId> delivered(MessageId id) {
-    bd::LockGuard lock(mu_);
-    return delivered_[id];
-  }
-
- private:
-  bd::Mutex mu_;
-  std::map<MessageId, std::set<SubscriptionId>> delivered_ BD_GUARDED_BY(mu_);
-  std::atomic<int> completed_{0};
-};
+using testing_owners::SinkState;
 
 TEST(ParallelMatcher, DifferentialUnderChurnAndSplitMerge) {
   constexpr NodeId kMatcher = 100;
@@ -796,37 +767,12 @@ TEST(WriteDeferral, OutOfRangeWriteNeverWaits) {
   EXPECT_EQ(matcher->raw_set_size(1), 1000u);
 }
 
-/// Hosts a node behind a latch: a ClientPublish, which a matcher never
-/// receives, holds the node thread until released; every other envelope
-/// goes to the hosted node.
-class LatchedNode final : public Node {
- public:
-  explicit LatchedNode(std::unique_ptr<Node> inner)
-      : inner_(std::move(inner)) {}
-  void start(NodeContext& ctx) override { inner_->start(ctx); }
-  void on_receive(NodeId from, Envelope env) override {
-    if (!std::holds_alternative<ClientPublish>(env.payload)) {
-      inner_->on_receive(from, std::move(env));
-      return;
-    }
-    entered.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  void stop() override { inner_->stop(); }
-
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-
- private:
-  std::unique_ptr<Node> inner_;
-};
+using testing_owners::LatchedNode;
 
 // At cores = 1 the real-time substrates run the probe inline on the node
-// thread, but its completion is still a later loop task. A write that
-// lands between the two must wait for the completion, whose cover
-// expansion reads the group as it was probed.
+// thread, but its completion waits for the end of the loop pass. A write
+// read in that same pass lands between the two and must wait for the
+// completion, whose cover expansion reads the group as it was probed.
 TEST(WriteDeferral, OneCoreHoldsWriteUntilCompletion) {
   constexpr NodeId kMatcher = 100;
   constexpr NodeId kSink = 7;

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/thread_safety.h"
@@ -122,6 +124,85 @@ void now_advances() {
   owner.stop();
 }
 
+Envelope publish(MessageId id) {
+  ClientPublish p;
+  p.msg.id = id;
+  return Envelope::of(std::move(p));
+}
+
+/// On its first message, charges a chain of kLinks completions: each link
+/// charges the next from its own completion and sends one publish to the
+/// node itself. The first link arms a zero-delay timer, which fires in the
+/// pass after the one that ran that link; it records how many links had
+/// run by then.
+class ChainNode final : public Node {
+ public:
+  static constexpr int kLinks = 16;
+
+  void start(NodeContext& ctx) override {
+    ctx_ = &ctx;
+    started.store(true);
+  }
+  void on_receive(NodeId /*from*/, Envelope env) override {
+    if (std::holds_alternative<ClientPublish>(env.payload)) {
+      echoes.fetch_add(1);
+    } else {
+      link(1);
+    }
+  }
+  void link(int i) {
+    in_charge_ = true;
+    ctx_->charge(1.0, [this, i] {
+      if (in_charge_) inside_charge.fetch_add(1);
+      ran.fetch_add(1);
+      ctx_->send(ctx_->self(), publish(static_cast<MessageId>(i)));
+      if (i == 1) {
+        ctx_->set_timer(0.0, [this] { ran_by_next_pass.store(ran.load()); });
+      }
+      if (i < kLinks) link(i + 1);
+    });
+    in_charge_ = false;
+  }
+
+  NodeContext* ctx_ = nullptr;
+  bool in_charge_ = false;  ///< node thread only
+  std::atomic<bool> started{false};
+  std::atomic<int> ran{0};
+  std::atomic<int> inside_charge{0};
+  std::atomic<int> ran_by_next_pass{-1};
+  std::atomic<int> echoes{0};
+};
+
+// A charge() made on the node thread completes at the end of that loop
+// pass: a chain of completions that charge again all run in that pass,
+// none inside charge(), and all before the owner's pass-end hook (on a
+// TcpHost, the write of what the pass sent: every link's send shares one
+// frame).
+template <typename Owner>
+void node_thread_charges_complete_at_pass_end() {
+  auto node = std::make_unique<ChainNode>();
+  ChainNode* chain = node.get();
+  Owner owner(std::move(node));
+  owner.route_self();
+  owner.start();
+  ASSERT_TRUE(eventually([&] { return chain->started.load(); }));
+  owner.inject(Envelope::of(JoinRequest{}));
+  ASSERT_TRUE(eventually([&] {
+    return chain->echoes.load() == ChainNode::kLinks &&
+           chain->ran_by_next_pass.load() >= 0;
+  }));
+  EXPECT_EQ(chain->ran.load(), ChainNode::kLinks);
+  EXPECT_EQ(chain->ran_by_next_pass.load(), ChainNode::kLinks);
+  EXPECT_EQ(chain->inside_charge.load(), 0);
+  owner.stop();
+  if constexpr (std::is_same_v<Owner, TcpOwner>) {
+    const obs::MetricsSnapshot snap = owner.host().wire_metrics().snapshot();
+    EXPECT_EQ(snap.counters.at("wire.frames_sent"), 1u);
+    EXPECT_EQ(snap.counters.at("wire.envelopes_sent"),
+              static_cast<std::uint64_t>(ChainNode::kLinks));
+  }
+}
+
 TEST(ThreadCluster, StartDeliversAndStops) {
   start_delivers_and_stops<ClusterOwner>();
 }
@@ -137,6 +218,13 @@ TEST(ThreadCluster, ChargeDefersWithoutRecursion) {
 }
 TEST(TcpHost, ChargeDefersWithoutRecursion) {
   charge_defers_without_recursion<TcpOwner>();
+}
+
+TEST(ThreadCluster, NodeThreadChargesCompleteAtPassEnd) {
+  node_thread_charges_complete_at_pass_end<ClusterOwner>();
+}
+TEST(TcpHost, NodeThreadChargesCompleteAtPassEnd) {
+  node_thread_charges_complete_at_pass_end<TcpOwner>();
 }
 
 TEST(ThreadCluster, NowAdvances) { now_advances<ClusterOwner>(); }
@@ -181,14 +269,9 @@ TEST(ThreadCluster, SendToMissingNodeCountsDrop) {
   cluster.shutdown();
 }
 
-Envelope publish(MessageId id) {
-  ClientPublish p;
-  p.msg.id = id;
-  return Envelope::of(std::move(p));
-}
-
-/// Holds the node thread in message 0's handler until released, then posts
-/// charge() completions and one self-send while its inbox is still full.
+/// Holds the node thread in message 0's handler until released, then
+/// charges completions and posts one self-send while its inbox is still
+/// full.
 /// Records the order the other messages run in.
 class LatchNode final : public Node {
  public:
@@ -233,7 +316,7 @@ TEST(ThreadCluster, FullInboxDropsNewestButNeverCompletions) {
   // The first four wait to run; the six newest found the inbox full.
   EXPECT_EQ(cluster.dropped_messages(), 6u);
   latch->release.store(true);
-  // Posted onto an inbox already full, every completion still runs; the
+  // Charged while the inbox is full, every completion still runs; the
   // self-send posted after them is dropped.
   EXPECT_TRUE(eventually([&] {
     return latch->charged.load() == LatchNode::kCharges;

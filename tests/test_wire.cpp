@@ -23,12 +23,15 @@
 #include <thread>
 
 #include "common/thread_safety.h"
+#include "index/linear_scan_index.h"
+#include "index_probe.h"
 #include "net/reactor.h"
 #include "net/tcp_transport.h"
 #include "net/wire.h"
 #include "node/dispatcher_node.h"
 #include "node/matcher_node.h"
 #include "node_owners.h"
+#include "obs/recorder.h"
 
 namespace bluedove {
 namespace {
@@ -1213,6 +1216,42 @@ TEST(WireSync, InjectWaitsWhileAPeerIsCongested) {
   sender->stop();
 }
 
+TEST(WireSync, OnePassBurstBeyondQueueCapacityLosesNothing) {
+  // One node-thread task sends 6000 Deliveries of one body to a peer that
+  // reads: continuation records are a few bytes each, so the burst passes
+  // the default 4096-envelope bound long before 64 KiB. Written mid-pass
+  // at half the bound, none of it is dropped.
+  constexpr int kDeliveries = 6000;
+  ASSERT_GT(static_cast<std::size_t>(kDeliveries), WireConfig{}.queue_capacity);
+  auto recv_node = std::make_unique<CountingNode>();
+  CountingNode* rn = recv_node.get();
+  TcpHost receiver(2, 0, std::move(recv_node));
+  receiver.start();
+  auto send_node = std::make_unique<CountingNode>();
+  CountingNode* sn = send_node.get();
+  TcpHost sender(1, 0, std::move(send_node));  // default WireConfig
+  sender.add_peer(2, {"127.0.0.1", receiver.port()});
+  sender.start();
+  NodeContext* ctx = wait_ctx(sn);
+  // Connect first, so the burst meets an established connection.
+  ctx->send(2, sample_publish(0));
+  ASSERT_TRUE(eventually([&] { return rn->total.load() == 1; }));
+
+  const std::vector<Envelope> burst =
+      envelopes_of(deliveries_of(7, kDeliveries));
+  ctx->set_timer(0.0, [ctx, &burst] {
+    for (const Envelope& env : burst) ctx->send(2, env);
+  });
+  EXPECT_TRUE(eventually([&] { return rn->total.load() == kDeliveries + 1; }))
+      << "received " << rn->total.load() - 1 << "/" << kDeliveries;
+  sender.stop();
+  receiver.stop();
+  EXPECT_EQ(sender.dropped_sends(), 0u);
+  EXPECT_EQ(
+      sender.wire_metrics().snapshot().counters.at("wire.queue_full_drops"),
+      0u);
+}
+
 // ---------------------------------------------------------------------------
 // Per-pass frames under the default WireConfig
 // ---------------------------------------------------------------------------
@@ -1707,6 +1746,132 @@ TEST(WireCluster, FortyHitMessageCrossesTheWireAsOneBody) {
   EXPECT_EQ(hits, want);
   const std::size_t full = wire_size(Envelope::of(got[0]));
   EXPECT_LT(sent, kHits * full / 4) << "one Delivery is " << full << " B";
+}
+
+/// The batch size of every match.probe span `node` opened at or after
+/// `since_ns`, in order.
+std::vector<std::uint64_t> probe_batches(NodeId node, std::uint64_t since_ns) {
+  const std::uint16_t probe = obs::Recorder::intern("match.probe");
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  for (const auto& t : obs::Recorder::dump().threads) {
+    for (const obs::RecEvent& e : t.events) {
+      if (e.name == probe && e.node == node && e.ts_ns >= since_ns &&
+          e.kind == static_cast<std::uint8_t>(obs::RecKind::kSpanBegin)) {
+        spans.emplace_back(e.ts_ns, e.arg);
+      }
+    }
+  }
+  std::sort(spans.begin(), spans.end());
+  std::vector<std::uint64_t> batches;
+  for (const auto& span : spans) batches.push_back(span.second);
+  return batches;
+}
+
+/// A one-core TcpHost matcher is held while 64 MatchRequests reach it, so
+/// one loop pass reads them all. The first starts a service at once; the
+/// rest queue behind it and are served at the end of that pass, in
+/// services of up to `match_batch`, and every delivery leaves in the
+/// pass's one write to the sink.
+void one_core_matcher_serves_backlog_in_one_flush(int match_batch) {
+  const NodeId kMatcher = 1100 + static_cast<NodeId>(match_batch);
+  constexpr NodeId kSink = 2;
+  constexpr int kRequests = 64;
+  const std::vector<Range> domains(2, Range{0.0, 100.0});
+
+  auto log = std::make_shared<testing_owners::SinkState>();
+  TcpHost sink(kSink, 0,
+               std::make_unique<FunctionNode>(
+                   [log](NodeId, const Envelope& env, Timestamp) {
+                     log->record(env);
+                   }));
+  MatcherConfig mcfg;
+  mcfg.domains = domains;
+  mcfg.cores = 1;
+  mcfg.index_kind = IndexKind::kFlatBucket;
+  mcfg.match_batch = match_batch;
+  mcfg.metrics_sink = kSink;
+  mcfg.delivery_sink = kSink;
+  mcfg.load_report_interval = 60.0;
+  mcfg.gossip.round_interval = 60.0;
+  auto matcher_node = std::make_unique<MatcherNode>(kMatcher, mcfg);
+  matcher_node->set_bootstrap(bootstrap_table({kMatcher}, domains));
+  auto latched =
+      std::make_unique<testing_owners::LatchedNode>(std::move(matcher_node));
+  testing_owners::LatchedNode* latch = latched.get();
+  TcpHost matcher(kMatcher, 0, std::move(latched));
+  matcher.add_peer(kSink, {"127.0.0.1", sink.port()});
+  sink.start();
+  matcher.start();
+
+  Rng rng(28);
+  LinearScanIndex oracle(0);
+  for (SubscriptionId id = 1; id <= 200; ++id) {
+    Subscription sub;
+    sub.id = id;
+    sub.subscriber = id;
+    for (int d = 0; d < 2; ++d) {
+      const double lo = rng.uniform(0.0, 80.0);
+      sub.ranges.push_back(Range{lo, lo + 20.0});
+    }
+    oracle.insert(sub);
+    matcher.inject(kSink, Envelope::of(StoreSubscription{sub, 0}));
+  }
+  auto request = [&rng](MessageId id) {
+    MatchRequest req;
+    req.msg.id = id;
+    req.msg.values = {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    req.dim = 0;
+    return req;
+  };
+  // Warm up: the connection to the sink is open before the count.
+  matcher.inject(kSink, Envelope::of(request(1000)));
+  ASSERT_TRUE(eventually([&] { return log->completed() == 1; }));
+  const auto flushes = [&matcher] {
+    return matcher.wire_metrics().snapshot().counters.at("wire.flushes");
+  };
+  const std::uint64_t flushes_before = flushes();
+  const std::uint64_t since_ns = obs::Recorder::now_ns();
+
+  matcher.inject(kInvalidNode, Envelope::of(ClientPublish{}));
+  ASSERT_TRUE(eventually([&] { return latch->entered.load(); }));
+  std::vector<MatchRequest> reqs;
+  for (MessageId id = 1; id <= kRequests; ++id) {
+    reqs.push_back(request(id));
+    matcher.inject(kSink, Envelope::of(reqs.back()));
+  }
+  latch->release.store(true);
+  ASSERT_TRUE(
+      eventually([&] { return log->completed() == kRequests + 1; }))
+      << "completed " << log->completed() - 1 << "/" << kRequests;
+  const std::uint64_t flushed = flushes() - flushes_before;
+  matcher.stop();
+  sink.stop();
+
+  std::size_t hits = 0;
+  for (const MatchRequest& req : reqs) {
+    const std::vector<SubscriptionId> want =
+        testing_probe::hit_ids(oracle, req.msg);
+    hits += want.size();
+    const std::set<SubscriptionId> got = log->delivered(req.msg.id);
+    EXPECT_EQ(std::vector<SubscriptionId>(got.begin(), got.end()), want)
+        << "message " << req.msg.id;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LE(flushed, 2u);
+  if (obs::Recorder::enabled()) {
+    // One service for the request that found the core idle, then the
+    // other 63 in services of up to match_batch.
+    std::vector<std::uint64_t> want{1};
+    for (int left = kRequests - 1; left > 0; left -= match_batch) {
+      want.push_back(static_cast<std::uint64_t>(std::min(left, match_batch)));
+    }
+    EXPECT_EQ(probe_batches(kMatcher, since_ns), want);
+  }
+}
+
+TEST(WireCluster, OneCoreMatcherServesItsBacklogInOneFlush) {
+  one_core_matcher_serves_backlog_in_one_flush(1);
+  one_core_matcher_serves_backlog_in_one_flush(8);
 }
 
 }  // namespace

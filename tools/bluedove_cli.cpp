@@ -22,7 +22,8 @@
 //              msg/s, delivery latency percentiles and sequence continuity
 //
 // An option the subcommand does not read, a typo or another subcommand's,
-// is printed and exits 2 before the subcommand does any work.
+// is printed and exits 2 before the subcommand does any work; so is a
+// numeric option whose value is not wholly a number (--id=abc, --rate=5k).
 //
 // Common options (defaults mirror the paper's §IV-B setup, scaled):
 //   --system=bluedove|p2p|full-rep     --matchers=N        --dispatchers=N
@@ -126,15 +127,21 @@ int usage() {
   return 2;
 }
 
-/// Prints each option no read so far and returns true when there was one.
-/// Every subcommand calls this after reading its options and before any
-/// work, so a mistyped option exits 2 instead of running with defaults.
-bool unknown_options(const CliArgs& args) {
+/// Prints each option not read so far, and each numeric option whose value
+/// is not a number, and returns true when there was one. Every subcommand
+/// calls this after reading its options and before any work, so a
+/// mistyped option or value exits 2 instead of running with defaults.
+bool rejected_options(const CliArgs& args) {
   const std::vector<std::string> unknown = args.unconsumed();
   for (const std::string& key : unknown) {
     std::fprintf(stderr, "bluedove_cli: unknown option --%s\n", key.c_str());
   }
-  return !unknown.empty();
+  const std::vector<std::string> malformed = args.malformed();
+  for (const std::string& key : malformed) {
+    std::fprintf(stderr, "bluedove_cli: --%s=%s is not a number\n",
+                 key.c_str(), args.get(key).c_str());
+  }
+  return !unknown.empty() || !malformed.empty();
 }
 
 ExperimentConfig config_from(const CliArgs& args) {
@@ -217,7 +224,7 @@ int cmd_saturate(const CliArgs& args) {
   probe.warmup = args.get_double("warmup", 2.0);
   probe.measure = args.get_double("measure", 6.0);
   probe.refine_steps = static_cast<int>(args.get_int("refine", 3));
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   const double sat = dep.find_saturation_rate(probe);
@@ -233,7 +240,7 @@ int cmd_run(const CliArgs& args) {
   const double rate = args.get_double("rate", 10000.0);
   const double duration = args.get_double("duration", 60.0);
   const std::string stats_path = args.get("stats-json", "");
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   dep.set_rate(rate);
@@ -355,7 +362,7 @@ int cmd_stats(const CliArgs& args) {
   const int watch_count = static_cast<int>(args.get_int("watch-count", 0));
   const bool json = args.get_bool("json", false);
   const bool prom = args.get_bool("prom", false);
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   if (watch > 0.0) return stats_watch(ep, self, timeout, watch, watch_count);
   Envelope resp;
   if (!net::TcpHost::request_reply(ep, self, Envelope::of(StatsRequest{}),
@@ -439,7 +446,7 @@ int cmd_trace_dump(const CliArgs& args) {
   const auto self = static_cast<NodeId>(args.get_int("id", 999999));
   const double timeout = args.get_double("timeout", 10.0);
   const std::string out = args.get("out", "");
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   Envelope resp;
   if (!net::TcpHost::request_reply(ep, self, Envelope::of(TraceDumpRequest{}),
                                    &resp, timeout)) {
@@ -482,7 +489,7 @@ int cmd_trace_selftest(const CliArgs& args) {
   const auto count = static_cast<MessageId>(args.get_int("count", 2000));
   const int cores = static_cast<int>(args.get_int("cores", 2));
   const std::int64_t seed = args.get_int("seed", 2011);
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
 
   constexpr NodeId kMatcher = 100;
   constexpr NodeId kSink = 7;
@@ -614,7 +621,7 @@ int cmd_blast(const CliArgs& args) {
   const double sub_width = args.get_double("sub-width", domain_len / 4.0);
   const double sub_settle = args.get_double("sub-settle", 0.5);
   const double timeout = args.get_double("timeout", 30.0);
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
 
   auto node = std::make_unique<BlastNode>();
   BlastNode* blast = node.get();
@@ -726,7 +733,7 @@ int cmd_edge_blast(const CliArgs& args) {
   scfg.drivers = static_cast<int>(args.get_int("drivers", 2));
   const double timeout = args.get_double("timeout", 60.0);
   const double sub_settle = args.get_double("sub-settle", 0.5);
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   const std::size_t fd_limit = net::raise_fd_limit(1u << 20);
   std::printf("edge-blast: RLIMIT_NOFILE soft limit %zu\n", fd_limit);
 
@@ -775,7 +782,7 @@ int cmd_crash(const CliArgs& args) {
   const double rate = args.get_double("rate", 10000.0);
   const double kill_every = args.get_double("kill-every", 60.0);
   const int kills = static_cast<int>(args.get_int("kills", 4));
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   dep.set_rate(rate);
@@ -809,7 +816,7 @@ int cmd_scale(const CliArgs& args) {
   const double step = args.get_double("step", 500.0);
   const double step_secs = args.get_double("step-secs", 30.0);
   const int steps = static_cast<int>(args.get_int("steps", 12));
-  if (unknown_options(args)) return 2;
+  if (rejected_options(args)) return 2;
   Deployment dep(cfg);
   dep.start();
   double rate = step;

@@ -7,7 +7,8 @@
 // --dispatchers, --sink, --index, --match-batch, --cover, --cover-budget
 // and --cores for matchers; --reliable, --trace-sample, --edge-port and
 // --edge-reactors for dispatchers. Any other flag, including one of
-// another role's, is reported and exits 2 before the node starts.
+// another role's, is reported and exits 2 before the node starts, as is a
+// numeric flag whose value is not wholly a number (--wire-queue=abc).
 //
 //   --role=matcher|dispatcher|sink   what this process is
 //   --id=N                           this node's id
@@ -303,14 +304,16 @@ int main(int argc, char** argv) {
   const std::string trace_arg = args.get("trace-json", "");
 
   const std::vector<std::string> unknown = args.unconsumed();
-  if (!unknown.empty()) {
-    for (const std::string& key : unknown) {
-      std::fprintf(stderr,
-                   "bluedove_noded: unknown option --%s for --role=%s\n",
-                   key.c_str(), role.c_str());
-    }
-    return 2;
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "bluedove_noded: unknown option --%s for --role=%s\n",
+                 key.c_str(), role.c_str());
   }
+  const std::vector<std::string> malformed = args.malformed();
+  for (const std::string& key : malformed) {
+    std::fprintf(stderr, "bluedove_noded: --%s=%s is not a number\n",
+                 key.c_str(), args.get(key).c_str());
+  }
+  if (!unknown.empty() || !malformed.empty()) return 2;
 
   net::TcpHost host(id, port, std::move(node), seed, wire);
   if (host.port() == 0) {
