@@ -1,7 +1,8 @@
 #pragma once
-// Shared helpers for the figure-reproduction benches. Each bench binary
+// Shared helpers for the benches. Each figure-reproduction binary
 // regenerates one figure (or the in-text overhead table) of the paper's
-// evaluation section and prints the series as aligned text tables.
+// evaluation section and prints the series as aligned text tables; the
+// micro benches time their cells through the rounds runner in rounds.h.
 //
 // Scaling note: the paper's testbed is 22 four-core VMs with 40,000
 // subscriptions and rates above 100k msgs/sec; the benches default to 8,000
@@ -9,14 +10,13 @@
 // rates therefore differ from the paper; the comparisons (who wins, how
 // ratios move with cluster size and skew) are the reproduced result.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "harness/experiment.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "rounds.h"
 
 namespace bluedove::benchutil {
 
@@ -64,15 +64,12 @@ inline void note(const std::string& text) {
   std::printf("note: %s\n", text.c_str());
 }
 
-/// Value at quantile `q` in [0, 1] of a non-empty sample, interpolating
-/// linearly between ranks; benches that repeat a measurement in rounds
-/// report its median (0.5) and quartiles (0.25, 0.75).
-inline double quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+/// Writes `q` as gauges `key`, `key_q1` and `key_q3`.
+inline void put(obs::MetricsSnapshot& snap, const std::string& key,
+                const Quartiles& q) {
+  snap.gauges[key] = q.median;
+  snap.gauges[key + "_q1"] = q.q1;
+  snap.gauges[key + "_q3"] = q.q3;
 }
 
 /// Writes `snap` to BENCH_<name>.json in the working directory (the obs

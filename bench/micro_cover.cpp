@@ -1,24 +1,32 @@
-// Subscription-covering microbenchmark (ISSUE 8, real wall-clock time):
-// sweeps duplicate/containment skew x subscription count and compares the
+// Subscription-covering microbenchmark (real wall-clock time): sweeps
+// duplicate/containment skew x subscription count and compares the
 // covered pipeline (CoverTable + compressed FlatBucketIndex + delivery-time
 // expansion with residual filters) against the uncovered baseline index.
+// Each cell times the pair with benchutil::Rounds: benchutil::kRounds
+// rounds of one uncovered and one covered probe pass, in an order rotated
+// per round, and the covered pass is read against the same round's
+// uncovered pass.
 //
 // Reported per cell (cover.subs<N>.skew<P>.*):
 //   compression_ratio        raw subscriptions / indexed entries
-//   ns_uncovered/ns_covered  ns per probed event, end to end (covered
-//                            includes expansion + residual filtering)
-//   tput_ratio               uncovered ns / covered ns (>1 == covering wins)
+//   ns_uncovered/ns_covered  ns per probed event at the median rate, end
+//                            to end (covered includes expansion + residual
+//                            filtering)
+//   tput_ratio (+_q1/_q3)    per-round covered rate / uncovered rate (>1 ==
+//                            covering wins)
+//   overhead (+_q1/_q3)      per-round covered time / uncovered time
+//   steal_s                  host steal seconds over the cell's rounds
 //   work_saved_ratio         probe work-units saved vs the baseline
 //   residual_checks_per_event, residual_reject_rate
 //   identical                1 iff delivered (id, subscriber) sets are
 //                            byte-identical to the baseline on every message
-// plus cover.hardware_concurrency, the host's core count.
+// plus cover.hardware_concurrency, the host's core count. Exits 1 when a
+// cell is not identical (tools/check_all.sh and CI run a small-scale smoke).
 //
 // The skew=0 cells double as the no-regression guard: covering with no
 // duplicates must stay within a few percent of the raw index.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,16 +47,12 @@ using namespace bluedove;
 
 namespace {
 
-double now_ns() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using benchutil::now_sec;
 
 // Keeps the optimizer from deleting the probe loops.
 volatile std::uint64_t g_sink = 0;
 
+/// An index and the cover table behind it; the uncovered baseline has none.
 struct CoveredSet {
   std::unique_ptr<SubscriptionIndex> index;
   std::unique_ptr<CoverTable> cover;
@@ -63,13 +67,6 @@ std::vector<Subscription> make_subs(std::size_t n, double skew,
   wl.duplicate_jitter = 2.0;
   SubscriptionGenerator gen(wl, 99);
   return gen.batch(n);
-}
-
-std::unique_ptr<SubscriptionIndex> build_uncovered(
-    const std::vector<Subscription>& subs, const AttributeSchema& schema) {
-  auto index = make_index(IndexKind::kFlatBucket, 0, schema.domain(0));
-  for (const Subscription& s : subs) index->insert(s);
-  return index;
 }
 
 CoveredSet build_covered(const std::vector<Subscription>& subs,
@@ -92,48 +89,23 @@ CoveredSet build_covered(const std::vector<Subscription>& subs,
   return out;
 }
 
-/// ns/event of the uncovered baseline: chunked match_batch.
-double time_uncovered_ns(SubscriptionIndex& index,
-                         const std::vector<Message>& msgs, std::size_t batch,
-                         std::size_t target_events, double* work_units) {
-  std::vector<MatchHit> hits;
-  std::vector<std::uint32_t> offsets;
-  MatchScratch scratch;
-  WorkCounter wc;
-  auto run = [&](std::size_t events, WorkCounter& w) {
-    std::size_t done = 0, cursor = 0;
-    while (done < events) {
-      const std::size_t nb = std::min(batch, msgs.size() - cursor);
-      hits.clear();
-      offsets.clear();
-      index.match_batch({msgs.data() + cursor, nb}, hits, offsets, w, scratch);
-      g_sink = g_sink + hits.size();
-      done += nb;
-      cursor = cursor + nb >= msgs.size() ? 0 : cursor + nb;
-    }
-    return done;
-  };
-  WorkCounter warm;
-  run(target_events / 10 + 1, warm);
-  wc = WorkCounter{};
-  const double t0 = now_ns();
-  const std::size_t events = run(target_events, wc);
-  const double ns = (now_ns() - t0) / static_cast<double>(events);
-  *work_units = wc.total() / static_cast<double>(events);
-  return ns;
-}
+struct ProbeStats {
+  double work_units = 0.0;  ///< per event, residual checks included
+  double checks_per_event = 0.0;
+  double reject_rate = 0.0;
+};
 
-/// ns/event of the covered pipeline: compressed probe + delivery-time
-/// expansion with residual filters — the honest end-to-end cost.
-double time_covered_ns(CoveredSet& set, const std::vector<Message>& msgs,
-                       std::size_t batch, std::size_t target_events,
-                       double* work_units, double* checks_per_event,
-                       double* reject_rate) {
+/// Events/sec of chunked match_batch over `set.index`. With a cover table,
+/// each message's representative hits expand into their members through
+/// the residual filters: the honest end-to-end cost of covering.
+double probe_rate(const CoveredSet& set, const std::vector<Message>& msgs,
+                  std::size_t batch, std::size_t target_events,
+                  ProbeStats* stats) {
   std::vector<MatchHit> hits, expanded;
   std::vector<std::uint32_t> offsets;
   MatchScratch scratch;
   std::uint64_t checks = 0, rejects = 0;
-  auto run = [&](std::size_t events, WorkCounter& w, bool count) {
+  auto run = [&](std::size_t events, WorkCounter& w) {
     std::size_t done = 0, cursor = 0;
     while (done < events) {
       const std::size_t nb = std::min(batch, msgs.size() - cursor);
@@ -141,7 +113,8 @@ double time_covered_ns(CoveredSet& set, const std::vector<Message>& msgs,
       offsets.clear();
       set.index->match_batch({msgs.data() + cursor, nb}, hits, offsets, w,
                              scratch);
-      for (std::size_t i = 0; i < nb; ++i) {
+      if (set.cover == nullptr) g_sink = g_sink + hits.size();
+      for (std::size_t i = 0; set.cover != nullptr && i < nb; ++i) {
         expanded.clear();
         CoverTable::ExpandStats es;
         for (std::uint32_t h = offsets[i]; h < offsets[i + 1]; ++h) {
@@ -153,10 +126,8 @@ double time_covered_ns(CoveredSet& set, const std::vector<Message>& msgs,
           }
         }
         g_sink = g_sink + expanded.size();
-        if (count) {
-          checks += es.checks;
-          rejects += es.rejects;
-        }
+        checks += es.checks;
+        rejects += es.rejects;
       }
       done += nb;
       cursor = cursor + nb >= msgs.size() ? 0 : cursor + nb;
@@ -164,21 +135,20 @@ double time_covered_ns(CoveredSet& set, const std::vector<Message>& msgs,
     return done;
   };
   WorkCounter warm;
-  run(target_events / 10 + 1, warm, false);
+  run(target_events / 10 + 1, warm);
+  checks = rejects = 0;
   WorkCounter wc;
-  const double t0 = now_ns();
-  const std::size_t events = run(target_events, wc, true);
-  const double ns = (now_ns() - t0) / static_cast<double>(events);
+  const double t0 = now_sec();
+  const auto events = static_cast<double>(run(target_events, wc));
+  const double elapsed = now_sec() - t0;
   // Residual comparisons are real per-event work; charge them like the
   // matcher does (1 work unit per member check).
-  *work_units = (wc.total() + static_cast<double>(checks)) /
-                static_cast<double>(events);
-  *checks_per_event =
-      static_cast<double>(checks) / static_cast<double>(events);
-  *reject_rate = checks > 0 ? static_cast<double>(rejects) /
-                                  static_cast<double>(checks)
-                            : 0.0;
-  return ns;
+  stats->work_units = (wc.total() + static_cast<double>(checks)) / events;
+  stats->checks_per_event = static_cast<double>(checks) / events;
+  stats->reject_rate = checks > 0 ? static_cast<double>(rejects) /
+                                        static_cast<double>(checks)
+                                  : 0.0;
+  return events / elapsed;
 }
 
 /// Compares delivered (id, subscriber) sets message by message and folds
@@ -216,12 +186,7 @@ bool verify_identical(SubscriptionIndex& raw, CoveredSet& covered,
     }
     std::sort(a.begin(), a.end(), by_id);
     std::sort(b.begin(), b.end(), by_id);
-    identical = identical && a.size() == b.size() &&
-                std::equal(a.begin(), a.end(), b.begin(),
-                           [](const MatchHit& x, const MatchHit& y) {
-                             return x.id == y.id &&
-                                    x.subscriber == y.subscriber;
-                           });
+    identical = identical && a == b;
     for (const MatchHit& h : a) {
       dr.mix(h.id);
       dr.mix(h.subscriber);
@@ -241,7 +206,9 @@ void run_cell(obs::MetricsSnapshot& snap, std::size_t subs, double skew,
               std::size_t target_events) {
   const AttributeSchema schema = AttributeSchema::uniform(4);
   const std::vector<Subscription> population = make_subs(subs, skew, schema);
-  auto raw = build_uncovered(population, schema);
+  CoveredSet raw;
+  raw.index = make_index(IndexKind::kFlatBucket, 0, schema.domain(0));
+  for (const Subscription& s : population) raw.index->insert(s);
   CoveredSet covered = build_covered(population, schema, budget);
 
   const double compression =
@@ -250,13 +217,27 @@ void run_cell(obs::MetricsSnapshot& snap, std::size_t subs, double skew,
 
   std::uint64_t digest_raw = 0, digest_covered = 0;
   const bool identical =
-      verify_identical(*raw, covered, msgs, &digest_raw, &digest_covered);
+      verify_identical(*raw.index, covered, msgs, &digest_raw,
+                       &digest_covered);
 
-  double work_raw = 0.0, work_cov = 0.0, checks = 0.0, reject_rate = 0.0;
-  const double ns_raw =
-      time_uncovered_ns(*raw, msgs, 32, target_events, &work_raw);
-  const double ns_cov = time_covered_ns(covered, msgs, 32, target_events,
-                                        &work_cov, &checks, &reject_rate);
+  // Work units and residual counts are the same every round (same
+  // messages, same index); only the timing varies.
+  ProbeStats st_raw, st_cov;
+  const benchutil::Rounds rounds(
+      {{"uncovered",
+        [&] { return probe_rate(raw, msgs, 32, target_events, &st_raw); }},
+       {"covered",
+        [&] { return probe_rate(covered, msgs, 32, target_events, &st_cov); }}},
+      "uncovered");
+  const double work_raw = st_raw.work_units, work_cov = st_cov.work_units;
+  const double ns_raw = 1e9 / rounds.cell("uncovered").median;
+  const double ns_cov = 1e9 / rounds.cell("covered").median;
+  const benchutil::Quartiles tput_ratio = rounds.ratio("covered");
+  std::vector<double> overhead;
+  for (int r = 0; r < benchutil::kRounds; ++r) {
+    overhead.push_back(rounds.samples("uncovered")[r] /
+                       rounds.samples("covered")[r]);
+  }
 
   char prefix[64];
   std::snprintf(prefix, sizeof prefix, "cover.subs%zu.skew%02d", subs,
@@ -265,21 +246,24 @@ void run_cell(obs::MetricsSnapshot& snap, std::size_t subs, double skew,
   snap.gauges[p + ".compression_ratio"] = compression;
   snap.gauges[p + ".ns_uncovered"] = ns_raw;
   snap.gauges[p + ".ns_covered"] = ns_cov;
-  snap.gauges[p + ".tput_ratio"] = ns_cov > 0.0 ? ns_raw / ns_cov : 0.0;
+  benchutil::put(snap, p + ".tput_ratio", tput_ratio);
+  benchutil::put(snap, p + ".overhead", benchutil::quartiles(overhead));
+  snap.gauges[p + ".steal_s"] = rounds.steal_total();
   snap.gauges[p + ".work_uncovered"] = work_raw;
   snap.gauges[p + ".work_covered"] = work_cov;
   snap.gauges[p + ".work_saved_ratio"] =
       work_cov > 0.0 ? work_raw / work_cov : 0.0;
-  snap.gauges[p + ".residual_checks_per_event"] = checks;
-  snap.gauges[p + ".residual_reject_rate"] = reject_rate;
+  snap.gauges[p + ".residual_checks_per_event"] = st_cov.checks_per_event;
+  snap.gauges[p + ".residual_reject_rate"] = st_cov.reject_rate;
   snap.gauges[p + ".identical"] = identical ? 1.0 : 0.0;
 
   std::printf(
-      "%-24s compression %7.2fx  tput %6.2fx  work %6.2fx  "
+      "%-24s compression %7.2fx  tput %6.2fx [%.2f, %.2f]  work %6.2fx  "
       "resid/evt %8.1f  identical %s\n",
-      prefix, compression, ns_cov > 0.0 ? ns_raw / ns_cov : 0.0,
-      work_cov > 0.0 ? work_raw / work_cov : 0.0, checks,
+      prefix, compression, tput_ratio.median, tput_ratio.q1, tput_ratio.q3,
+      work_cov > 0.0 ? work_raw / work_cov : 0.0, st_cov.checks_per_event,
       identical ? "yes" : "NO");
+  rounds.print("evt/s");
   if (!identical) {
     std::fprintf(stderr,
                  "micro_cover: delivered sets diverged at subs=%zu skew=%g "
@@ -343,13 +327,14 @@ int main(int argc, char** argv) {
       "cover.subs" + std::to_string(big) + ".skew95";
   snap.gauges["cover.headline_compression"] =
       snap.gauges[hi + ".compression_ratio"];
-  snap.gauges["cover.headline_tput_ratio"] = snap.gauges[hi + ".tput_ratio"];
   const std::string zero = "cover.subs" + std::to_string(big) + ".skew00";
-  const double overhead =
-      snap.gauges[zero + ".tput_ratio"] > 0.0
-          ? 1.0 / snap.gauges[zero + ".tput_ratio"]
-          : 0.0;
-  snap.gauges["cover.skew0_overhead"] = overhead;
+  for (const std::string q : {"", "_q1", "_q3"}) {
+    snap.gauges["cover.headline_tput_ratio" + q] =
+        snap.gauges[hi + ".tput_ratio" + q];
+    snap.gauges["cover.skew0_overhead" + q] =
+        snap.gauges[zero + ".overhead" + q];
+  }
+  const double overhead = snap.gauges["cover.skew0_overhead"];
   std::printf("headline: compression %.2fx, tput %.2fx, skew0 overhead %.3f\n",
               snap.gauges["cover.headline_compression"],
               snap.gauges["cover.headline_tput_ratio"], overhead);

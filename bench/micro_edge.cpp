@@ -8,11 +8,14 @@
 //              edge (conn/s). Every wave except the last is then dropped —
 //              connections close, sessions stay resident server-side — so
 //              total sessions are NOT capped by the process fd budget.
-//   sustain    publish `--publishes` messages through edge ingress, each
+//   sustain    benchutil::kRounds rounds (benchutil::Rounds), each
+//              publishing `--publishes` messages through edge ingress, each
 //              matched to exactly one live session (disjoint unit-width
-//              subscriptions), and time until the swarm has received them
-//              all: sustained msgs/s plus p50/p95/p99 end-to-end delivery
-//              latency (publisher send -> subscriber socket).
+//              subscriptions), and timing until the swarm has received them
+//              all: sustained msgs/s as the median and quartiles of the
+//              rounds, with their host steal, plus p50/p95/p99 end-to-end
+//              delivery latency over every round's deliveries (publisher
+//              send -> subscriber socket).
 //   resume     hard-drop `--resume` live sessions, publish into the
 //              detached sessions (events buffer in their replay rings),
 //              resume them, and verify sequence-continuity: zero gaps, zero
@@ -29,7 +32,8 @@
 // so neither the ~28k ephemeral-port tuple space nor client-side TIME_WAIT
 // caps the cumulative count. Emits BENCH_edge.json.
 //
-// CI smoke: micro_edge --connections 5000 --live 2500 --publishes 2000
+// CI and tools/check_all.sh smoke: micro_edge --connections 5000
+// --live 2500 --publishes 5000 --resume 250
 
 #include <chrono>
 #include <cinttypes>
@@ -53,11 +57,7 @@ using namespace bluedove;
 
 namespace {
 
-double now_sec() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
+using benchutil::now_sec;
 
 /// Session `idx` owns the unit-width predicate [idx, idx+1): every publish
 /// at idx+0.5 matches exactly one session, so delivered counts are an exact
@@ -68,16 +68,11 @@ std::vector<Range> sub_for(int idx, void*) {
 }
 
 std::uint64_t wire_copies(const net::TcpHost& host) {
-  const auto snap = host.wire_metrics().snapshot();
-  const auto it = snap.counters.find("wire.payload_copies");
-  return it == snap.counters.end() ? 0 : it->second;
+  return host.wire_metrics().snapshot().counters["wire.payload_copies"];
 }
 
-std::uint64_t edge_counter(const edge::EdgeFrontend& fe,
-                           const std::string& name) {
-  const auto snap = fe.metrics().snapshot();
-  const auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
+std::uint64_t edge_deliveries(const edge::EdgeFrontend& fe) {
+  return fe.metrics().snapshot().counters["edge.deliveries"];
 }
 
 bool wait_for(const std::function<bool()>& pred, double seconds) {
@@ -229,52 +224,57 @@ int main(int argc, char** argv) {
     return 1;
   }
   const long base = opened - live_now;  // first idx of the live wave
-  std::printf("\nsustain: %ld publishes, payload %ld B, 1:1 fan-out into "
-              "the %ld live sessions\n", publishes, payload_bytes, live_now);
+  std::printf("\nsustain: %d rounds of %ld publishes, payload %ld B, 1:1 "
+              "fan-out into the %ld live sessions\n",
+              benchutil::kRounds, publishes, payload_bytes, live_now);
   // Closed loop with a bounded outstanding window: throughput stays at
   // pipeline capacity but latency measures the pipeline, not an unbounded
   // publisher backlog.
   const long window = arg_long(argc, argv, "--window", 256);
-  const std::uint64_t pre_sustain = swarm.delivered();
-  const double pub_t0 = now_sec();
-  bool stalled = false;
-  for (long i = 0; i < publishes && !stalled; ++i) {
-    double wait_start = now_sec();
-    while (static_cast<long>(swarm.delivered() - pre_sustain) + window <= i) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      if (now_sec() - wait_start > 30.0) {  // no delivery progress in 30 s
-        std::printf("sustain: STALLED at publish %ld (delivered %" PRIu64
-                    ")\n", i, swarm.delivered() - pre_sustain);
-        stalled = true;
-        break;
+  bool sustained_ok = true;
+  auto sustain = [&] {
+    if (!sustained_ok) return 0.0;  // a failed round already failed the run
+    const std::uint64_t pre_sustain = swarm.delivered();
+    const double pub_t0 = now_sec();
+    bool stalled = false;
+    for (long i = 0; i < publishes && !stalled; ++i) {
+      const double wait_start = now_sec();
+      while (static_cast<long>(swarm.delivered() - pre_sustain) + window <=
+             i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        if (now_sec() - wait_start > 30.0) {  // no delivery progress in 30 s
+          std::printf("sustain: STALLED at publish %ld (delivered %" PRIu64
+                      ")\n", i, swarm.delivered() - pre_sustain);
+          stalled = true;
+          break;
+        }
+      }
+      const double v = static_cast<double>(base + (i % live_now)) + 0.5;
+      swarm.publish({v}, static_cast<std::size_t>(payload_bytes));
+    }
+    if (stalled) {
+      auto dump = [](const char* who, const obs::MetricsSnapshot& s) {
+        for (const auto& [name, v] : s.counters) {
+          std::fprintf(stderr, "  %s %s %llu\n", who, name.c_str(),
+                       (unsigned long long)v);
+        }
+      };
+      dump("edge", fe.metrics().snapshot());
+      dump("dispatcher", dispatcher->metrics().snapshot());
+      for (auto& host : matcher_hosts) {
+        dump("matcher", host->node_as<MatcherNode>()->metrics().snapshot());
       }
     }
-    const double v = static_cast<double>(base + (i % live_now)) + 0.5;
-    swarm.publish({v}, static_cast<std::size_t>(payload_bytes));
-  }
-  if (stalled) {
-    auto dump = [](const char* who, const obs::MetricsSnapshot& s) {
-      for (const auto& [name, v] : s.counters) {
-        std::fprintf(stderr, "  %s %s %llu\n", who, name.c_str(),
-                     (unsigned long long)v);
-      }
-    };
-    dump("edge", fe.metrics().snapshot());
-    dump("dispatcher", dispatcher->metrics().snapshot());
-    for (std::size_t i = 0; i < matcher_hosts.size(); ++i) {
-      dump("matcher", matcher_hosts[i]->node_as<MatcherNode>()
-                          ->metrics().snapshot());
-    }
-  }
-  const bool sustained_ok = swarm.wait_delivered(
-      pre_sustain + static_cast<std::uint64_t>(publishes), 300.0);
-  const double pub_dt = now_sec() - pub_t0;
-  const double msgs_per_sec = static_cast<double>(publishes) / pub_dt;
+    sustained_ok = swarm.wait_delivered(
+        pre_sustain + static_cast<std::uint64_t>(publishes), 300.0);
+    return static_cast<double>(publishes) / (now_sec() - pub_t0);
+  };
+  const benchutil::Rounds rounds({{"sustain", sustain}}, "sustain");
   // Snapshot latency before the resume phase: replayed deliveries would
   // otherwise smear detach time into the percentiles.
   const obs::HistogramSnapshot lat = swarm.latency().snapshot();
-  std::printf("sustain: %ld msgs in %.2f s = %.0f msgs/s%s\n", publishes,
-              pub_dt, msgs_per_sec, sustained_ok ? "" : "  [INCOMPLETE]");
+  rounds.print("msg/s");
+  if (!sustained_ok) std::printf("sustain: INCOMPLETE\n");
   std::printf("latency: p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  (n=%" PRIu64
               ")\n", lat.quantile(0.5) * 1e3, lat.quantile(0.95) * 1e3,
               lat.quantile(0.99) * 1e3, lat.count);
@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   const int dropped = swarm.drop(static_cast<int>(resume_count), 60.0);
   // drop() culls the most recent live peers: idx in [opened-dropped, opened).
   const long dbase = opened - dropped;
-  const std::uint64_t fe_pre = edge_counter(fe, "edge.deliveries");
+  const std::uint64_t fe_pre = edge_deliveries(fe);
   const long buffered = dropped * resume_pubs_each;
   for (long i = 0; i < buffered; ++i) {
     const double v = static_cast<double>(dbase + (i % dropped)) + 0.5;
@@ -295,8 +295,7 @@ int main(int argc, char** argv) {
   // The events land in detached sessions' replay rings (edge.deliveries
   // counts them even with no connection attached).
   wait_for([&] {
-    return edge_counter(fe, "edge.deliveries") >=
-           fe_pre + static_cast<std::uint64_t>(buffered);
+    return edge_deliveries(fe) >= fe_pre + static_cast<std::uint64_t>(buffered);
   }, 120.0);
   const int resumed = swarm.resume(dropped, 120.0);
   const bool resume_ok = swarm.wait_delivered(
@@ -321,7 +320,8 @@ int main(int argc, char** argv) {
   snap.gauges["edge.conn_per_sec"] = conn_per_sec;
   snap.gauges["edge.live_connections"] = static_cast<double>(live_now);
   snap.gauges["edge.sessions_resident"] = static_cast<double>(fe.sessions());
-  snap.gauges["edge.msgs_per_sec"] = msgs_per_sec;
+  benchutil::put(snap, "edge.msgs_per_sec", rounds.cell("sustain"));
+  snap.gauges["edge.sustain_steal_s"] = rounds.steal_total();
   snap.gauges["edge.latency_p50_ms"] = lat.quantile(0.5) * 1e3;
   snap.gauges["edge.latency_p95_ms"] = lat.quantile(0.95) * 1e3;
   snap.gauges["edge.latency_p99_ms"] = lat.quantile(0.99) * 1e3;

@@ -11,7 +11,6 @@
 #include <malloc.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -23,6 +22,7 @@
 #include "index/subscription_index.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "rounds.h"
 #include "simd/range_kernel.h"
 #include "workload/generators.h"
 
@@ -52,12 +52,7 @@ std::unique_ptr<SubscriptionIndex> build_index(IndexKind kind,
 // google-benchmark suite; restrict it with --simd=scalar / --simd=avx2.
 // ---------------------------------------------------------------------------
 
-double now_ns() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using benchutil::now_sec;
 
 /// ns/event of match_batch over `msgs` in chunks of `batch`, after one
 /// warmup pass, until ~`target_events` events have been probed.
@@ -83,9 +78,9 @@ double time_match_ns(SubscriptionIndex& index, const std::vector<Message>& msgs,
     return done;
   };
   run(target_events / 10 + 1);  // warmup
-  const double t0 = now_ns();
+  const double t0 = now_sec();
   const std::size_t events = run(target_events);
-  return (now_ns() - t0) / static_cast<double>(events);
+  return (now_sec() - t0) * 1e9 / static_cast<double>(events);
 }
 
 void sweep_match(obs::MetricsSnapshot& snap,
@@ -188,10 +183,10 @@ void sweep_dim0_scan(obs::MetricsSnapshot& snap,
       }
       double best = 0.0;
       for (int r = 0; r < kReps; ++r) {
-        const double t0 = now_ns();
+        const double t0 = now_sec();
         benchmark::DoNotOptimize(
             k.scan(b.lo.data(), b.hi.data(), b.lo.size(), v, sel.data()));
-        const double dt = now_ns() - t0;
+        const double dt = (now_sec() - t0) * 1e9;
         if (best == 0.0 || dt < best) best = dt;
       }
       total_ns += best;

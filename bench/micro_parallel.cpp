@@ -6,37 +6,37 @@
 // of up to 32 (WireConfig::batch). At cores >= 2 that many offload workers
 // drain the per-dimension lanes; at cores = 1 the matcher's node thread
 // probes inline and no pool exists (exec.jobs reads 0). A cell times from
-// first blast send until matcher.matched has counted every request. Each
-// of kRounds rounds runs one cell per cores value in {1, 2, 4, 8}, in an
-// order rotated per round, so the speedup of a pool is read against the
-// same round's cores = 1 cell; one sweep per invocation swings too widely
-// to say whether a pool pays.
+// first blast send until matcher.matched has counted every request.
+// benchutil::Rounds runs benchutil::kRounds rounds of one cell per cores
+// value in {1, 2, 4, 8}, in an order rotated per round, so the speedup of
+// a pool is read against the same round's cores = 1 cell; one sweep per
+// invocation swings too widely to say whether a pool pays.
 //
 // Emits BENCH_parallel.json (obs JSON schema): per (cores, subs) cell the
-// median msgs/sec with its quartiles, the median per-round speedup vs
-// cores=1 and the rounds it beat cores=1, the median executor job/steal
-// counts, and the host's hardware_concurrency (speedups can only
-// materialize when the machine actually has the cores). Exits nonzero when
-// any cell leaves a request unmatched, so a reduced-scale run doubles as a
-// smoke test of the inline and the pool paths over real TCP
-// (tools/check_all.sh and CI).
+// median msgs/sec and the median per-round speedup vs cores=1, each with
+// its quartiles, the rounds it beat cores=1, the median executor job/steal
+// counts, the rounds' host steal seconds per subscription count, and the
+// host's hardware_concurrency (speedups can only materialize when the
+// machine actually has the cores). Exits nonzero when any cell leaves a
+// request unmatched, so a reduced-scale run doubles as a smoke test of the
+// inline and the pool paths over real TCP (tools/check_all.sh and CI).
 //
 // Flags: --subs N (default 100000), --requests N (default 40000),
 //        --large (adds a 1,000,000-subscription sweep).
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "loopback.h"
 #include "net/cluster_table.h"
-#include "net/tcp_transport.h"
 #include "node/matcher_node.h"
 
 using namespace bluedove;
@@ -48,35 +48,10 @@ constexpr NodeId kClient = 2;
 constexpr std::size_t kDims = 4;
 constexpr double kDomainHi = 100.0;
 
-/// Client endpoint: exposes its context for driving sends, counts acks.
-class ClientNode final : public Node {
- public:
-  void start(NodeContext& ctx) override {
-    ctx_.store(&ctx, std::memory_order_release);
-  }
-  void on_receive(NodeId /*from*/, Envelope env) override {
-    if (std::holds_alternative<MatchAck>(env.payload)) {
-      acks_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  NodeContext* ctx() const { return ctx_.load(std::memory_order_acquire); }
-  std::uint64_t acks() const { return acks_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<NodeContext*> ctx_{nullptr};
-  std::atomic<std::uint64_t> acks_{0};
-};
-
-double now_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using benchutil::now_sec;
 
 std::uint64_t matched_count(const MatcherNode* matcher) {
-  const obs::MetricsSnapshot snap = matcher->metrics().snapshot();
-  const auto it = snap.counters.find("matcher.matched");
-  return it != snap.counters.end() ? it->second : 0;
+  return matcher->metrics().snapshot().counters["matcher.matched"];
 }
 
 struct CellResult {
@@ -96,7 +71,6 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.match_batch = 32;
   mcfg.match_mode = MatcherConfig::MatchMode::kFull;
-  mcfg.deliver = false;  // measure matching, not delivery fan-out
   mcfg.load_report_interval = 10.0;
   mcfg.gossip.round_interval = 10.0;
   auto matcher_node = std::make_unique<MatcherNode>(kMatcher, mcfg);
@@ -107,18 +81,16 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   net::WireConfig wire;
   wire.batch = 32;
   wire.queue_capacity = static_cast<std::size_t>(subs + requests) + 1024;
-  net::TcpHost client_host(kClient, 0, std::make_unique<ClientNode>(), 42,
+  net::TcpHost client_host(kClient, 0,
+                           std::make_unique<benchutil::CountingNode>(), 42,
                            wire);
-  auto* client = client_host.node_as<ClientNode>();
+  const auto* client = client_host.node_as<benchutil::CountingNode>();
 
   matcher_host.add_peer(kClient, {"127.0.0.1", client_host.port()});
   client_host.add_peer(kMatcher, {"127.0.0.1", matcher_host.port()});
   matcher_host.start();
   client_host.start();
-  while (client->ctx() == nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  NodeContext* ctx = client->ctx();
+  NodeContext* ctx = client->wait_ctx();
 
   // Preload: `subs` subscriptions, round-robin across the dimension sets,
   // each a 1%-wide predicate per dimension.
@@ -182,14 +154,9 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   CellResult result;
   result.tput = static_cast<double>(got) / elapsed;
   result.complete = got >= requests;
-  const obs::MetricsSnapshot host_snap = matcher_host.wire_metrics().snapshot();
-  const auto jobs = host_snap.counters.find("exec.jobs");
-  const auto steals = host_snap.counters.find("exec.steals");
-  result.exec_jobs =
-      jobs != host_snap.counters.end() ? static_cast<double>(jobs->second) : 0;
-  result.exec_steals =
-      steals != host_snap.counters.end() ? static_cast<double>(steals->second)
-                                         : 0;
+  obs::MetricsSnapshot host_snap = matcher_host.wire_metrics().snapshot();
+  result.exec_jobs = static_cast<double>(host_snap.counters["exec.jobs"]);
+  result.exec_steals = static_cast<double>(host_snap.counters["exec.steals"]);
   client_host.stop();
   matcher_host.stop();
   if (!result.complete) {
@@ -198,9 +165,6 @@ CellResult run_cell(int cores, std::uint64_t subs, std::uint64_t requests) {
   }
   return result;
 }
-
-/// Sweep rounds per subscription count (see the header comment).
-constexpr int kRounds = 10;
 
 }  // namespace
 
@@ -237,66 +201,52 @@ int main(int argc, char** argv) {
   obs::MetricsSnapshot snap;
   snap.gauges["parallel.hardware_concurrency"] = static_cast<double>(hw);
   snap.gauges["parallel.requests"] = static_cast<double>(requests);
-  snap.gauges["parallel.rounds"] = kRounds;
+  snap.gauges["parallel.rounds"] = benchutil::kRounds;
   if (degraded) snap.gauges["parallel.degraded"] = 1.0;
 
   std::vector<std::uint64_t> sizes{subs};
   if (large) sizes.push_back(1000000);
   constexpr int kCores[] = {1, 2, 4, 8};
-  constexpr int kCells = 4;
   bool complete = true;
   for (const std::uint64_t n : sizes) {
-    // cells[c][r]: round r's cell at kCores[c].
-    std::vector<CellResult> cells[kCells];
-    for (int r = 0; r < kRounds; ++r) {
-      for (int i = 0; i < kCells; ++i) {
-        const int c = (r + i) % kCells;
-        cells[c].push_back(run_cell(kCores[c], n, requests));
-        complete = complete && cells[c].back().complete;
-      }
+    // Executor counts per cell, by round.
+    std::map<std::string, std::vector<double>> jobs, steals;
+    std::vector<benchutil::Cell> cells;
+    for (const int cores : kCores) {
+      const std::string name = "cores" + std::to_string(cores);
+      cells.push_back({name, [&, cores, name] {
+        const CellResult cell = run_cell(cores, n, requests);
+        complete = complete && cell.complete;
+        jobs[name].push_back(cell.exec_jobs);
+        steals[name].push_back(cell.exec_steals);
+        return cell.tput;
+      }});
     }
-    std::printf("\nsubscriptions=%llu, requests=%llu, %d rounds:\n",
-                (unsigned long long)n, (unsigned long long)requests, kRounds);
-    std::printf("%6s %12s %12s %12s %9s %6s %10s %12s\n", "cores",
-                "median msg/s", "q1", "q3", "speedup", "wins", "exec.jobs",
-                "exec.steals");
-    for (int c = 0; c < kCells; ++c) {
-      std::vector<double> tput, speedup, jobs, steals;
-      int wins = 0;
-      for (int r = 0; r < kRounds; ++r) {
-        const CellResult& cell = cells[c][r];
-        const double base = cells[0][r].tput;
-        tput.push_back(cell.tput);
-        speedup.push_back(base > 0.0 ? cell.tput / base : 0.0);
-        jobs.push_back(cell.exec_jobs);
-        steals.push_back(cell.exec_steals);
-        if (c > 0 && cell.tput > base) ++wins;
-      }
-      const double med = benchutil::quantile(tput, 0.5);
-      const double q1 = benchutil::quantile(tput, 0.25);
-      const double q3 = benchutil::quantile(tput, 0.75);
-      const double med_speedup = benchutil::quantile(speedup, 0.5);
+    std::printf("\nsubscriptions=%llu, requests=%llu:\n",
+                (unsigned long long)n, (unsigned long long)requests);
+    const benchutil::Rounds rounds(std::move(cells), "cores1");
+    rounds.print("msg/s");
+    std::printf("%6s %12s %12s\n", "cores", "exec.jobs", "exec.steals");
+    for (const int cores : kCores) {
+      const std::string name = "cores" + std::to_string(cores);
       const auto med_jobs =
-          static_cast<std::uint64_t>(benchutil::quantile(jobs, 0.5));
+          static_cast<std::uint64_t>(benchutil::quantile(jobs[name], 0.5));
       const auto med_steals =
-          static_cast<std::uint64_t>(benchutil::quantile(steals, 0.5));
-      std::printf("%6d %12.0f %12.0f %12.0f %8.2fx %3d/%-2d %10llu %12llu\n",
-                  kCores[c], med, q1, q3, med_speedup, wins, kRounds,
-                  (unsigned long long)med_jobs,
+          static_cast<std::uint64_t>(benchutil::quantile(steals[name], 0.5));
+      std::printf("%6d %12llu %12llu\n", cores, (unsigned long long)med_jobs,
                   (unsigned long long)med_steals);
-      const std::string suffix =
-          "cores" + std::to_string(kCores[c]) + "_subs" + std::to_string(n);
-      snap.gauges["parallel.tput_" + suffix] = med;
-      snap.gauges["parallel.tput_" + suffix + "_q1"] = q1;
-      snap.gauges["parallel.tput_" + suffix + "_q3"] = q3;
+      const std::string suffix = name + "_subs" + std::to_string(n);
+      benchutil::put(snap, "parallel.tput_" + suffix, rounds.cell(name));
       if (!degraded) {
-        snap.gauges["parallel.speedup_" + suffix] = med_speedup;
+        benchutil::put(snap, "parallel.speedup_" + suffix, rounds.ratio(name));
         snap.counters["parallel.wins_" + suffix] =
-            static_cast<std::uint64_t>(wins);
+            static_cast<std::uint64_t>(rounds.wins(name));
       }
       snap.counters["parallel.jobs_" + suffix] = med_jobs;
       snap.counters["parallel.steals_" + suffix] = med_steals;
     }
+    snap.gauges["parallel.steal_s_subs" + std::to_string(n)] =
+        rounds.steal_total();
   }
 
   benchutil::write_bench_json("parallel", snap);

@@ -7,105 +7,42 @@
 // the end of each loop pass in every setting.
 //
 //   throughput  blast N publications and time until the receiver has
-//               counted all of them
+//               counted all of them (benchutil::blast); per payload size,
+//               benchutil::kRounds rotated rounds of one blast per setting
+//               (benchutil::Rounds), read against the same round's batch1
 //   latency     ping-pong round trips (publish -> MatchAck) through an
 //               otherwise idle wire
 //
-// Emits BENCH_wire.json (obs JSON schema): one gauge per
-// (setting, payload) throughput cell, speedup gauges batch=32 vs batch=1,
-// one RTT histogram per setting, and the host's hardware_concurrency. Exits
-// nonzero when a throughput cell misses a publication that the sender's
-// drop counter does not account for, or when the receiver copied any
-// payload, so a reduced-count run doubles as a smoke test of the wire
-// path (tools/check_all.sh).
+// Emits BENCH_wire.json (obs JSON schema): per (setting, payload) the
+// median msgs/sec with its quartiles, the median per-round speedup of
+// batch=32 over batch=1 with its quartiles, the rounds' host steal seconds
+// per payload, one RTT histogram per setting, and the host's
+// hardware_concurrency. Exits nonzero when a blast misses a publication
+// that the sender's drop counter does not account for, or when the
+// receiver copied any payload, so a reduced-count run doubles as a smoke
+// test of the wire path (tools/check_all.sh and CI).
 //
 // Flags: --publishes N (64 B blast size, default 150000; the 1 KiB blast
-//        sends 4/15 of it), --rounds N (ping-pong rounds, default 400).
+//        sends 4/15 of it), --rounds N (ping-pong round trips, default 400).
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
-#include "net/tcp_transport.h"
+#include "loopback.h"
 
 using namespace bluedove;
 
 namespace {
 
-/// Counts publications; optionally acks each one back to its sender. Also
-/// exposes its context so the bench main thread can drive sends.
-class BenchNode final : public Node {
- public:
-  explicit BenchNode(bool echo) : echo_(echo) {}
-
-  void start(NodeContext& ctx) override {
-    ctx_.store(&ctx, std::memory_order_release);
-  }
-
-  void on_receive(NodeId from, Envelope env) override {
-    if (const auto* p = std::get_if<ClientPublish>(&env.payload)) {
-      received_.fetch_add(1, std::memory_order_relaxed);
-      if (echo_) {
-        ctx_.load(std::memory_order_acquire)
-            ->send(from, Envelope::of(MatchAck{p->msg.id}));
-      }
-    } else if (std::holds_alternative<MatchAck>(env.payload)) {
-      acks_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  NodeContext* ctx() const { return ctx_.load(std::memory_order_acquire); }
-  std::uint64_t received() const {
-    return received_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t acks() const { return acks_.load(std::memory_order_relaxed); }
-
- private:
-  const bool echo_;
-  std::atomic<NodeContext*> ctx_{nullptr};
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> acks_{0};
-};
-
-NodeContext* wait_ctx(const BenchNode* node) {
-  while (node->ctx() == nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return node->ctx();
-}
-
-Envelope make_publish(MessageId id, const std::string& payload) {
-  Message msg;
-  msg.id = id;
-  msg.values = {1.0, 2.0, 3.0, 4.0};
-  msg.payload = payload;
-  return Envelope::of(ClientPublish{std::move(msg)});
-}
-
-double now_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-struct ThroughputResult {
-  double tput = 0.0;
-  /// Publications neither counted at the receiver nor dropped (and
-  /// counted) by the sender: lost without a trace.
-  std::uint64_t unaccounted = 0;
-  /// Receiver-side zero-copy accounting (wire.payload_copies /
-  /// wire.payload_bytes_copied): 0 means every payload stayed a view into
-  /// its frame buffer on the steady-state hot path.
-  std::uint64_t payload_copies = 0;
-  std::uint64_t payload_bytes_copied = 0;
-};
+using benchutil::CountingNode;
+using benchutil::now_sec;
 
 /// One swept sender configuration; `name` keys its BENCH_wire.json cells.
 struct Setting {
@@ -120,84 +57,28 @@ Setting batched(int batch) {
   return s;
 }
 
-/// Blasts `n` publications sender -> receiver and returns msgs/sec counted
-/// at the receiver. The send queue is sized to hold the whole blast so the
-/// measurement is of the wire, not of backpressure drops.
-ThroughputResult run_throughput(const Setting& setting,
-                                std::size_t payload_bytes, std::uint64_t n) {
-  auto recv_node = std::make_unique<BenchNode>(/*echo=*/false);
-  BenchNode* recv = recv_node.get();
-  net::TcpHost receiver(1, 0, std::move(recv_node));
-  receiver.start();
-
-  net::WireConfig wire = setting.wire;
-  wire.queue_capacity = static_cast<std::size_t>(n) + 64;
-  auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
-  BenchNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
-  sender.add_peer(1, {"127.0.0.1", receiver.port()});
-  sender.start();
-  NodeContext* ctx = wait_ctx(send);
-
-  const std::string payload(payload_bytes, 'x');
-  const double t0 = now_sec();
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    ctx->send(1, make_publish(i, payload));
-  }
-  const double deadline = now_sec() + 60.0;
-  while (recv->received() < n && now_sec() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const double elapsed = now_sec() - t0;
-  const std::uint64_t got = recv->received();
-  sender.stop();
-  receiver.stop();
-  ThroughputResult res;
-  if (got < n) {
-    const std::uint64_t dropped = sender.dropped_sends();
-    std::fprintf(stderr,
-                 "micro_wire: only %llu/%llu delivered, %llu dropped by the "
-                 "sender (%s)\n",
-                 (unsigned long long)got, (unsigned long long)n,
-                 (unsigned long long)dropped, setting.name.c_str());
-    if (n - got > dropped) res.unaccounted = n - got - dropped;
-  }
-  res.tput = static_cast<double>(got) / elapsed;
-  const obs::MetricsSnapshot ws = receiver.wire_metrics().snapshot();
-  if (const auto it = ws.counters.find("wire.payload_copies");
-      it != ws.counters.end()) {
-    res.payload_copies = it->second;
-  }
-  if (const auto it = ws.counters.find("wire.payload_bytes_copied");
-      it != ws.counters.end()) {
-    res.payload_bytes_copied = it->second;
-  }
-  return res;
-}
-
 /// Ping-pong RTTs through an idle wire: one in-flight message at a time,
 /// acked synchronously by the receiver. Records seconds into `hist`.
-void run_latency(const Setting& setting, std::uint64_t rounds,
+void run_latency(const Setting& setting, std::uint64_t round_trips,
                  obs::LatencyHistogram* hist) {
-  auto recv_node = std::make_unique<BenchNode>(/*echo=*/true);
-  net::TcpHost receiver(1, 0, std::move(recv_node));
+  net::TcpHost receiver(1, 0, std::make_unique<CountingNode>(/*echo=*/true));
   receiver.start();
 
-  auto send_node = std::make_unique<BenchNode>(/*echo=*/false);
-  BenchNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, setting.wire);
+  net::TcpHost sender(2, 0, std::make_unique<CountingNode>(), 42,
+                      setting.wire);
+  const auto* send = sender.node_as<CountingNode>();
   sender.add_peer(1, {"127.0.0.1", receiver.port()});
   // The ack comes back over a dialed connection to the sender's listener
   // (hosts read inbound sockets only, not the receive side of outgoing
   // connections).
   receiver.add_peer(2, {"127.0.0.1", sender.port()});
   sender.start();
-  NodeContext* ctx = wait_ctx(send);
+  NodeContext* ctx = send->wait_ctx();
 
   const std::string payload(64, 'x');
-  for (std::uint64_t i = 1; i <= rounds; ++i) {
+  for (std::uint64_t i = 1; i <= round_trips; ++i) {
     const double t0 = now_sec();
-    ctx->send(1, make_publish(i, payload));
+    ctx->send(1, benchutil::make_publish(i, payload));
     const double deadline = t0 + 5.0;
     while (send->acks() < i && now_sec() < deadline) {
       std::this_thread::yield();
@@ -212,16 +93,16 @@ void run_latency(const Setting& setting, std::uint64_t rounds,
 
 int main(int argc, char** argv) {
   std::uint64_t publishes = 150000;
-  std::uint64_t rounds = 400;
+  std::uint64_t round_trips = 400;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--publishes") == 0 && i + 1 < argc) {
       publishes = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
-      rounds = std::strtoull(argv[++i], nullptr, 10);
+      round_trips = std::strtoull(argv[++i], nullptr, 10);
     }
   }
   publishes = std::max<std::uint64_t>(publishes, 1);
-  rounds = std::max<std::uint64_t>(rounds, 1);
+  round_trips = std::max<std::uint64_t>(round_trips, 1);
 
   benchutil::header("wire", "TCP wire path: batch size vs payload size");
   benchutil::note(
@@ -237,47 +118,46 @@ int main(int argc, char** argv) {
 
   obs::MetricsSnapshot snap;
   snap.gauges["wire.hardware_concurrency"] = static_cast<double>(hw);
-  double base_tput[2] = {0.0, 0.0};
   std::uint64_t total_payload_copies = 0;
   std::uint64_t total_unaccounted = 0;
 
-  std::printf("\nthroughput (msgs/sec at the receiver):\n");
-  std::printf("%12s %14s %14s %10s\n", "setting", "payload=64B",
-              "payload=1KB", "speedup");
-  for (const Setting& setting : settings) {
-    double tput[2];
-    for (int p = 0; p < 2; ++p) {
-      const std::uint64_t n =
-          payloads[p] <= 64 ? publishes
-                            : std::max<std::uint64_t>(publishes * 4 / 15, 1);
-      const ThroughputResult res = run_throughput(setting, payloads[p], n);
-      tput[p] = res.tput;
-      total_unaccounted += res.unaccounted;
-      const std::string suffix =
-          setting.name + "_pay" + std::to_string(payloads[p]);
-      snap.gauges["wire.tput_" + suffix] = tput[p];
-      snap.counters["wire.payload_copies_" + suffix] = res.payload_copies;
-      snap.counters["wire.payload_bytes_copied_" + suffix] =
-          res.payload_bytes_copied;
-      total_payload_copies += res.payload_copies;
-      if (setting.name == "batch1") base_tput[p] = tput[p];
+  for (const std::size_t payload : payloads) {
+    const std::string pay = "_pay" + std::to_string(payload);
+    const std::uint64_t n =
+        payload <= 64 ? publishes
+                      : std::max<std::uint64_t>(publishes * 4 / 15, 1);
+    std::vector<benchutil::Cell> cells;
+    for (const Setting& setting : settings) {
+      cells.push_back({setting.name, [&, setting] {
+        const benchutil::BlastResult res =
+            benchutil::blast(setting.wire, payload, n);
+        total_unaccounted += res.unaccounted;
+        total_payload_copies += res.payload_copies;
+        snap.counters["wire.payload_copies_" + setting.name + pay] +=
+            res.payload_copies;
+        snap.counters["wire.payload_bytes_copied_" + setting.name + pay] +=
+            res.payload_bytes_copied;
+        return res.tput;
+      }});
     }
-    const double speedup = base_tput[0] > 0.0 ? tput[0] / base_tput[0] : 0.0;
-    std::printf("%12s %14.0f %14.0f %9.2fx\n", setting.name.c_str(), tput[0],
-                tput[1], speedup);
-  }
-  for (int p = 0; p < 2; ++p) {
-    const std::string pay = std::to_string(payloads[p]);
-    const double best = snap.gauges["wire.tput_batch32_pay" + pay];
-    snap.gauges["wire.speedup_pay" + pay] =
-        base_tput[p] > 0.0 ? best / base_tput[p] : 0.0;
+    std::printf("\nthroughput, payload %zu B, %llu publications per blast "
+                "(msgs/sec at the receiver):\n",
+                payload, (unsigned long long)n);
+    const benchutil::Rounds rounds(std::move(cells), "batch1");
+    rounds.print("msg/s");
+    for (const Setting& setting : settings) {
+      benchutil::put(snap, "wire.tput_" + setting.name + pay,
+                     rounds.cell(setting.name));
+    }
+    benchutil::put(snap, "wire.speedup" + pay, rounds.ratio("batch32"));
+    snap.gauges["wire.steal_s" + pay] = rounds.steal_total();
   }
 
   std::printf("\nping-pong RTT through an idle wire (ms):\n");
   std::printf("%12s %10s %10s %10s\n", "setting", "p50", "p99", "mean");
   for (const Setting& setting : settings) {
     obs::LatencyHistogram hist;
-    run_latency(setting, rounds, &hist);
+    run_latency(setting, round_trips, &hist);
     const obs::HistogramSnapshot h = hist.snapshot();
     std::printf("%12s %10.3f %10.3f %10.3f\n", setting.name.c_str(),
                 h.quantile(0.50) * 1e3, h.quantile(0.99) * 1e3,
@@ -285,9 +165,6 @@ int main(int argc, char** argv) {
     snap.histograms["wire.rtt_" + setting.name] = h;
   }
 
-  std::printf("\nspeedup batch=32 vs batch=1: %.2fx (64B), %.2fx (1KB)\n",
-              snap.gauges["wire.speedup_pay64"],
-              snap.gauges["wire.speedup_pay1024"]);
   std::printf("receiver wire.payload_copies across all throughput runs: %llu "
               "(zero-copy receive path%s)\n",
               (unsigned long long)total_payload_copies,

@@ -17,25 +17,22 @@
 // micro_index-style full-match loop (recorder off / on / on with traced
 // spans) and two on the micro_wire-style loopback TCP blast (off / on,
 // the wire path's own frame instants and flush spans doing the emitting).
-// Each comparison runs kRounds rounds; a round runs every configuration
-// once, in an order rotated per round, and yields one overhead per
-// recorder-on row against that round's recorder-off run. The table prints
-// the median and quartiles of those per-round overheads, since one run
-// per configuration swings wider than the bar. Emits BENCH_obs.json; the
-// acceptance bar is a median <= 5% overhead for the recorder-on rows.
+// Each comparison is one benchutil::Rounds: benchutil::kRounds rounds, each
+// running every configuration once in an order rotated per round, and one
+// overhead per recorder-on cell against that round's recorder-off run. The
+// bench prints the median and quartiles of those per-round overheads and
+// the rounds' host steal, since one run per configuration swings wider
+// than the bar. Emits BENCH_obs.json; the acceptance bar is a median <= 5%
+// overhead for the recorder-on rows.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "attr/schema.h"
 #include "bench_util.h"
 #include "index/subscription_index.h"
-#include "net/tcp_transport.h"
+#include "loopback.h"
 #include "obs/recorder.h"
 #include "workload/generators.h"
 
@@ -43,11 +40,7 @@ using namespace bluedove;
 
 namespace {
 
-double now_sec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using benchutil::now_sec;
 
 enum class RecMode {
   kOff,         // Recorder::set_enabled(false); call sites still run
@@ -101,114 +94,27 @@ double match_throughput(SubscriptionIndex& index,
   return tput;
 }
 
-/// Counts received publications; the loopback wire throughput receiver.
-class CountingNode final : public Node {
- public:
-  void start(NodeContext& ctx) override {
-    ctx_.store(&ctx, std::memory_order_release);
+/// Prints and records one comparison: obs.<path>_steal_s is the rounds'
+/// host steal, obs.<path>_tput_recorder_<mode> each cell's median
+/// throughput and obs.<path>_overhead_pct_<mode> (with _q1/_q3) each
+/// recorder-on cell's per-round overhead, 100 * (1 - ratio to the same
+/// round's recorder-off run).
+void report(const benchutil::Rounds& rounds, const std::string& path,
+            const std::vector<std::string>& on_modes,
+            obs::MetricsSnapshot& snap) {
+  rounds.print("msg/s");
+  snap.gauges["obs." + path + "_steal_s"] = rounds.steal_total();
+  snap.gauges["obs." + path + "_tput_recorder_off"] = rounds.cell("off").median;
+  for (const std::string& mode : on_modes) {
+    const benchutil::Quartiles r = rounds.ratio(mode);
+    const benchutil::Quartiles pct{(1.0 - r.median) * 100.0,
+                                   (1.0 - r.q3) * 100.0, (1.0 - r.q1) * 100.0};
+    std::printf("recorder %-9s overhead %6.2f%% [q1 %6.2f%%, q3 %6.2f%%]\n",
+                mode.c_str(), pct.median, pct.q1, pct.q3);
+    snap.gauges["obs." + path + "_tput_recorder_" + mode] =
+        rounds.cell(mode).median;
+    benchutil::put(snap, "obs." + path + "_overhead_pct_" + mode, pct);
   }
-  void on_receive(NodeId, Envelope env) override {
-    if (std::holds_alternative<ClientPublish>(env.payload)) {
-      received_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  NodeContext* ctx() const { return ctx_.load(std::memory_order_acquire); }
-  std::uint64_t received() const {
-    return received_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<NodeContext*> ctx_{nullptr};
-  std::atomic<std::uint64_t> received_{0};
-};
-
-/// Loopback TCP blast (micro_wire shape: batch 8, 64 B payloads, queue
-/// sized to the whole run). The wire threads emit their own recorder
-/// events (frame instants, flush spans), so toggling the global enable
-/// flag is the entire difference between rows.
-double wire_throughput(bool recorder_on, std::uint64_t n) {
-  obs::Recorder::set_enabled(recorder_on);
-  auto recv_node = std::make_unique<CountingNode>();
-  CountingNode* recv = recv_node.get();
-  net::TcpHost receiver(1, 0, std::move(recv_node));
-  receiver.start();
-
-  net::WireConfig wire;
-  wire.batch = 8;
-  wire.queue_capacity = static_cast<std::size_t>(n) + 64;
-  auto send_node = std::make_unique<CountingNode>();
-  CountingNode* send = send_node.get();
-  net::TcpHost sender(2, 0, std::move(send_node), 42, wire);
-  sender.add_peer(1, {"127.0.0.1", receiver.port()});
-  sender.start();
-  while (send->ctx() == nullptr) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const std::string payload(64, 'x');
-  const double t0 = now_sec();
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    Message msg;
-    msg.id = i;
-    msg.values = {1.0, 2.0, 3.0, 4.0};
-    msg.payload = payload;
-    send->ctx()->send(1, Envelope::of(ClientPublish{std::move(msg)}));
-  }
-  const double deadline = now_sec() + 60.0;
-  while (recv->received() < n && now_sec() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  const double elapsed = now_sec() - t0;
-  const std::uint64_t got = recv->received();
-  sender.stop();
-  receiver.stop();
-  obs::Recorder::set_enabled(true);
-  if (got < n) {
-    std::fprintf(stderr, "overhead_table: only %llu/%llu delivered\n",
-                 (unsigned long long)got, (unsigned long long)n);
-  }
-  return static_cast<double>(got) / elapsed;
-}
-
-double overhead_pct(double base, double with) {
-  return base > 0.0 ? (base - with) / base * 100.0 : 0.0;
-}
-
-/// Rounds per recorder comparison (see the header comment).
-constexpr int kRounds = 7;
-
-double median(const std::vector<double>& v) {
-  return benchutil::quantile(v, 0.5);
-}
-
-void print_header() {
-  std::printf("%-28s %14s %10s %10s %10s\n", "configuration",
-              "median msg/s", "overhead", "q1", "q3");
-}
-
-void print_base(const char* name, const std::vector<double>& tput) {
-  std::printf("%-28s %14.0f %10s\n", name, median(tput), "-");
-}
-
-/// Prints one recorder-on row and records its median throughput as
-/// obs.<path>_tput_recorder_<mode> and its overhead spread as
-/// obs.<path>_overhead_pct_<mode> with _q1/_q3.
-void report_row(const char* name, const std::string& path,
-                const std::string& mode, const std::vector<double>& base,
-                const std::vector<double>& with, obs::MetricsSnapshot& snap) {
-  std::vector<double> pct;
-  for (std::size_t r = 0; r < base.size(); ++r) {
-    pct.push_back(overhead_pct(base[r], with[r]));
-  }
-  const double q1 = benchutil::quantile(pct, 0.25);
-  const double q3 = benchutil::quantile(pct, 0.75);
-  std::printf("%-28s %14.0f %9.2f%% %9.2f%% %9.2f%%\n", name, median(with),
-              median(pct), q1, q3);
-  const std::string pct_key = "obs." + path + "_overhead_pct_" + mode;
-  snap.gauges["obs." + path + "_tput_recorder_" + mode] = median(with);
-  snap.gauges[pct_key] = median(pct);
-  snap.gauges[pct_key + "_q1"] = q1;
-  snap.gauges[pct_key + "_q3"] = q3;
 }
 
 void recorder_overhead_section() {
@@ -216,7 +122,7 @@ void recorder_overhead_section() {
   benchutil::header("Flight recorder (DESIGN.md sec 13)",
                     "overhead of the always-on recorder");
   obs::MetricsSnapshot snap;
-  snap.gauges["obs.rounds"] = kRounds;
+  snap.gauges["obs.rounds"] = benchutil::kRounds;
 
   // --- full-match probe loop (micro_index configuration) -------------------
   const AttributeSchema schema = AttributeSchema::uniform(4);
@@ -234,44 +140,39 @@ void recorder_overhead_section() {
   for (int i = 0; i < 4096; ++i) msgs.push_back(mgen.next());
 
   constexpr std::size_t kTarget = 400000;
-  constexpr RecMode kModes[] = {RecMode::kOff, RecMode::kOn,
-                                RecMode::kOnTraced};
-  std::vector<double> m_tput[3];
-  for (int r = 0; r < kRounds; ++r) {
-    for (int i = 0; i < 3; ++i) {
-      const int m = (r + i) % 3;
-      m_tput[m].push_back(match_throughput(*index, msgs, kModes[m], kTarget));
-    }
-  }
-
+  auto match_cell = [&](RecMode mode) {
+    return [&, mode] { return match_throughput(*index, msgs, mode, kTarget); };
+  };
+  const benchutil::Rounds match_rounds(
+      {{"off", match_cell(RecMode::kOff)},
+       {"on", match_cell(RecMode::kOn)},
+       {"on_spans", match_cell(RecMode::kOnTraced)}},
+      "off");
   std::printf("\nfull-match probe throughput (FlatBucket, 8000 subs, "
-              "batch 32), %d rounds:\n", kRounds);
-  print_header();
-  print_base("recorder off", m_tput[0]);
-  report_row("recorder on", "match", "on", m_tput[0], m_tput[1], snap);
-  report_row("recorder on + traced spans", "match", "on_spans", m_tput[0],
-             m_tput[2], snap);
-  snap.gauges["obs.match_tput_recorder_off"] = median(m_tput[0]);
+              "batch 32):\n");
+  report(match_rounds, "match", {"on", "on_spans"}, snap);
 
   // --- loopback wire path (micro_wire configuration) -----------------------
-  // ~0.5 s per configuration at the ~1.4 M msgs/s this blast reaches on a
-  // 4-vCPU host: long enough that a round's overhead resolves the 5 % bar.
+  // The micro_wire blast at batch 8 and 64 B payloads. The wire threads
+  // emit their own recorder events (frame instants, flush spans), so
+  // toggling the global enable flag is the entire difference between cells.
+  // ~0.5 s per blast at the ~1.4 M msgs/s it reaches on a 4-vCPU host.
   constexpr std::uint64_t kWireMsgs = 800000;
-  wire_throughput(false, kWireMsgs / 10);  // warm the stack / page cache
-  std::vector<double> w_tput[2];
-  for (int r = 0; r < kRounds; ++r) {
-    for (int i = 0; i < 2; ++i) {
-      const int m = (r + i) % 2;
-      w_tput[m].push_back(wire_throughput(m == 1, kWireMsgs));
-    }
-  }
-
-  std::printf("\nloopback TCP blast (WireConfig batch 8, 64 B payloads), "
-              "%d rounds:\n", kRounds);
-  print_header();
-  print_base("recorder off", w_tput[0]);
-  report_row("recorder on", "wire", "on", w_tput[0], w_tput[1], snap);
-  snap.gauges["obs.wire_tput_recorder_off"] = median(w_tput[0]);
+  net::WireConfig wire;
+  wire.batch = 8;
+  auto wire_cell = [&](bool recorder_on) {
+    return [&, recorder_on] {
+      obs::Recorder::set_enabled(recorder_on);
+      const double tput = benchutil::blast(wire, 64, kWireMsgs).tput;
+      obs::Recorder::set_enabled(true);
+      return tput;
+    };
+  };
+  benchutil::blast(wire, 64, kWireMsgs / 10);  // warm the stack / page cache
+  const benchutil::Rounds wire_rounds(
+      {{"off", wire_cell(false)}, {"on", wire_cell(true)}}, "off");
+  std::printf("\nloopback TCP blast (WireConfig batch 8, 64 B payloads):\n");
+  report(wire_rounds, "wire", {"on"}, snap);
   std::printf("\nbudget: median <= 5%% for the recorder-on rows (negative\n"
               "overheads are run-to-run noise; the recorder never speeds\n"
               "anything up).\n");

@@ -12,21 +12,15 @@
 
 #include <functional>
 
-#include "common/rng.h"
-
 namespace bluedove {
 
-/// Identity handed to offloaded work: which pool worker is running it plus
-/// that worker's private deterministic random stream. `index` is in
-/// [0, workers) on a pool worker and -1 when the work runs inline on the
-/// node's own context (the simulator, or a lane-full fallback that may be
-/// concurrent with pool workers) — callers with per-worker scratch arenas
-/// key the inline case to its own slot. Pool streams are seeded from the
-/// node seed plus the worker index — runs with the same seed draw the same
-/// per-worker sequences regardless of how the OS schedules the workers.
+/// Identity handed to offloaded work: which pool worker is running it.
+/// `index` is in [0, workers) on a pool worker and -1 when the work runs
+/// inline on the node's own context (the simulator, or a lane-full fallback
+/// that may be concurrent with pool workers) — callers with per-worker
+/// scratch arenas key the inline case to its own slot.
 struct OffloadWorker {
   int index = -1;
-  Rng* rng = nullptr;
 };
 
 /// An offloaded computation. It must only touch state that is safe off the

@@ -170,7 +170,6 @@ class Service::Impl {
     cfg.dispatchers = dispatcher_ids_;
     cfg.metrics_sink = kMetricsSink;
     cfg.delivery_sink = kDeliveryRouter;
-    cfg.deliver = true;
     return cfg;
   }
 

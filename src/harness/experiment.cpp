@@ -80,7 +80,6 @@ MatcherConfig Deployment::matcher_config() const {
   cfg.dispatchers = dispatcher_ids_;
   cfg.metrics_sink = kMetricsSink;
   cfg.delivery_sink = kDeliverySink;
-  cfg.deliver = config_.full_matching;
   cfg.cover.enabled = config_.cover;
   cfg.cover.fp_volume_budget = config_.cover_budget;
   return cfg;

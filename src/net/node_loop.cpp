@@ -16,7 +16,6 @@ NodeLoop::NodeLoop(NodeId self, std::unique_ptr<Node> node,
                    obs::MetricsRegistry* exec_metrics)
     : self_(self),
       node_(std::move(node)),
-      seed_(seed),
       epoch_(epoch),
       send_(std::move(send)),
       inbox_capacity_(inbox_capacity),
@@ -162,7 +161,6 @@ bool NodeLoop::enable_offload(int workers, std::size_t lanes) {
   runtime::MatchExecutorConfig cfg;
   cfg.workers = workers;
   cfg.lanes = std::max<std::size_t>(lanes, 1);
-  cfg.seed = seed_;
   cfg.owner = self_;
   executor_ = std::make_unique<runtime::MatchExecutor>(
       cfg,

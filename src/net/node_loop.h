@@ -63,10 +63,10 @@ class NodeLoop final : private NodeContext {
   /// Carries one send() of the node to `to`.
   using SendFn = std::function<void(NodeId to, Envelope&& env)>;
 
-  /// `epoch` is time zero of now(); `seed` seeds the node's Rng and its
-  /// offload workers' streams. `on_io` serves the fds the owner watches on
-  /// reactor(). `exec_metrics` (optional, must outlive the loop) receives
-  /// the offload pool's exec.* instruments.
+  /// `epoch` is time zero of now(); `seed` seeds the node's Rng. `on_io`
+  /// serves the fds the owner watches on reactor(). `exec_metrics`
+  /// (optional, must outlive the loop) receives the offload pool's exec.*
+  /// instruments.
   NodeLoop(NodeId self, std::unique_ptr<Node> node, std::uint64_t seed,
            std::chrono::steady_clock::time_point epoch, SendFn send,
            Reactor::IoFn on_io, std::size_t inbox_capacity,
@@ -121,7 +121,6 @@ class NodeLoop final : private NodeContext {
 
   const NodeId self_;
   std::unique_ptr<Node> node_;
-  const std::uint64_t seed_;
   const std::chrono::steady_clock::time_point epoch_;
   const SendFn send_;
   const std::size_t inbox_capacity_;

@@ -88,7 +88,7 @@ class NodeContext {
   /// on every substrate.
   virtual void offload(std::size_t lane, OffloadWork work, OffloadDone done) {
     (void)lane;
-    OffloadWorker self{-1, &rng()};
+    OffloadWorker self{-1};
     const double units = work(self);
     charge(units, [done = std::move(done), units] { done(units); });
   }

@@ -490,7 +490,7 @@ void MatcherNode::complete_batch(ServiceJob& job) {
   }
   const bool deliver =
       config_.match_mode == MatcherConfig::MatchMode::kFull &&
-      config_.deliver && config_.delivery_sink != kInvalidNode;
+      config_.delivery_sink != kInvalidNode;
   const Timestamp service_end = ctx_->now();
   const double per_msg_latency = service_end - job.service_start;
   for (std::size_t i = 0; i < n; ++i) {

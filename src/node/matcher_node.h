@@ -66,9 +66,9 @@ struct MatcherConfig {
   NodeId metrics_sink = kInvalidNode;   ///< MatchCompleted destination
   /// Where Delivery messages go: the "temporary storage" of §II-B's
   /// indirect delivery model (a queue node subscribers poll / a proxy that
-  /// pushes to connected subscribers).
+  /// pushes to connected subscribers). Unset, the matcher sends no
+  /// Delivery.
   NodeId delivery_sink = kInvalidNode;
-  bool deliver = true;                  ///< send Delivery messages (kFull)
 
   /// Subscription covering (src/cover): when enabled, each dimension set
   /// aggregates near-duplicate cuboids and indexes only covering

@@ -93,8 +93,7 @@ void MatchExecutor::worker_loop(int index) {
            ? std::string("worker")
            : "node" + std::to_string(config_.owner) + ".worker") +
       std::to_string(index));
-  Rng rng(config_.seed + static_cast<std::uint64_t>(index));
-  OffloadWorker self{index, &rng};
+  OffloadWorker self{index};
   const std::size_t home =
       static_cast<std::size_t>(index) % lanes_.size();
   while (true) {

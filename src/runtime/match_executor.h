@@ -10,12 +10,8 @@
 // The work runs on a pool worker; the completion is handed to the owner's
 // `post` callback, which ships it back to the node's serialized execution
 // context (its task queue), so every send() and every piece of node state
-// stays on legal context.
-//
-// Determinism contract: worker w's Rng stream is seeded with
-// `config.seed + w`. Which worker runs a given job depends on OS
-// scheduling, but any tie-breaking a job draws from its worker's stream is
-// reproducible per (seed, worker index) — see DESIGN.md §10.
+// stays on legal context. Which worker runs a given job depends on OS
+// scheduling; a job's result must not (DESIGN.md §10).
 
 #include <atomic>
 #include <chrono>
@@ -42,8 +38,6 @@ struct MatchExecutorConfig {
   /// Pending jobs per lane before submit() refuses (the caller falls back
   /// to running inline; nothing is silently dropped).
   std::size_t lane_capacity = 65536;
-  /// Node seed; worker w draws from an Rng seeded with `seed + w`.
-  std::uint64_t seed = 0;
   /// Owning node's id: workers bind their flight-recorder events to it
   /// (obs/recorder.h), so offloaded probes attribute to the right node.
   NodeId owner = kInvalidNode;

@@ -1,8 +1,8 @@
 // Parallel match execution suite (ctest label: parallel).
 //
 // Covers the offload worker pool end to end: MatchExecutor semantics
-// (completion routing, work stealing, backpressure, per-worker Rng
-// determinism), the ThreadCluster offload hook, live-index reads of one
+// (completion routing, work stealing, backpressure), the ThreadCluster
+// offload hook, live-index reads of one
 // index beside writes to another, an ordering differential (each
 // request sees exactly the writes injected before it, with writes inside
 // the message space), and a differential test of an 8-worker matcher
@@ -162,46 +162,6 @@ TEST(MatchExecutor, RejectsWhenLaneFull) {
   cv.notify_all();
   ASSERT_TRUE(eventually([&] { return done.load() == 3; }));
   exec.stop();
-}
-
-TEST(MatchExecutor, PerWorkerRngStreamsAreSeedDeterministic) {
-  InlinePost post;
-  runtime::MatchExecutorConfig cfg;
-  cfg.workers = 4;
-  cfg.lanes = 4;
-  cfg.seed = 12345;
-  runtime::MatchExecutor exec(cfg, post.fn());
-
-  // Each job draws once from its worker's stream. Which worker runs which
-  // job is scheduling-dependent, but the sequence a given worker produces
-  // must equal the Rng seeded with (seed + worker index).
-  bd::Mutex mu;
-  std::map<int, std::vector<std::uint64_t>> draws;  // guarded by mu
-  std::atomic<int> done{0};
-  const int kJobs = 200;
-  for (int i = 0; i < kJobs; ++i) {
-    ASSERT_TRUE(exec.submit(
-        static_cast<std::size_t>(i % 4),
-        [&](OffloadWorker& w) {
-          const std::uint64_t draw = w.rng->next_u64();
-          bd::LockGuard lock(mu);
-          draws[w.index].push_back(draw);
-          return 0.0;
-        },
-        [&](double) { done.fetch_add(1); }));
-  }
-  ASSERT_TRUE(eventually([&] { return done.load() == kJobs; }));
-  exec.stop();
-
-  ASSERT_FALSE(draws.empty());
-  for (const auto& [index, seq] : draws) {
-    ASSERT_GE(index, 0);
-    ASSERT_LT(index, 4);
-    Rng expected(cfg.seed + static_cast<std::uint64_t>(index));
-    for (const std::uint64_t draw : seq) {
-      EXPECT_EQ(draw, expected.next_u64()) << "worker " << index;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -876,7 +836,6 @@ TEST(TcpParallelMatcher, ServicesBatchesThroughWorkerPool) {
   mcfg.cores = 8;
   mcfg.index_kind = IndexKind::kFlatBucket;
   mcfg.match_batch = 16;
-  mcfg.deliver = false;
   mcfg.load_report_interval = 10.0;
   mcfg.gossip.round_interval = 10.0;
   auto matcher = std::make_unique<MatcherNode>(kMatcher, mcfg);

@@ -16,7 +16,10 @@
 #       TCP trace smoke (tools/trace_smoke.sh: 7-process cluster, merged
 #       Perfetto dump validated by tools/trace_check.py)
 #   5c. cover label (covering table semantics, residual exactness,
-#       covered-vs-uncovered deployment differentials)
+#       covered-vs-uncovered deployment differentials) and the small-scale
+#       micro_cover smoke CI runs: exits nonzero when a covered cell's
+#       deliveries are not identical to the uncovered index's. Runs in a
+#       scratch directory so the committed BENCH_cover.json stays untouched.
 #   5d. edge label (epoll reactor front end, resumable sessions, slow-client
 #       eviction, swarm drop/resume) and a reduced-count micro_edge smoke
 #       (connection ramp + sustained fan-out + resume; exits nonzero on any
@@ -81,6 +84,12 @@ ctest --test-dir "${repo_root}/build" --output-on-failure -L obs
 
 echo "== cover label (subscription covering layer) =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L cover
+
+echo "== micro_cover smoke (small scale, identical-deliveries gate) =="
+cover_dir="$(mktemp -d)"
+(cd "${cover_dir}" && "${repo_root}/build/bench/micro_cover" \
+  --subs 50000 --msgs 512)
+rm -rf "${cover_dir}"
 
 echo "== edge label (client edge layer: reactors, sessions, resume) =="
 ctest --test-dir "${repo_root}/build" --output-on-failure -L edge
